@@ -32,7 +32,6 @@ from .su2 import (
     gate_from_euler,
     gate_from_hopf,
     gate_from_matrix,
-    gate_from_quat,
     hopf_from_euler,
     hopf_from_gate,
     identity_gate,
@@ -62,14 +61,12 @@ from .dynamics import (
     propagate_schrodinger,
     read_pulse_csv,
     schedule_from_law,
-    sphere_point,
     trajectory_point,
     write_pulse_csv,
     write_trajectory_csv,
 )
 from .resonant import (
     SynthesisResult,
-    brute_force_min_time,
     synthesize,
     synthesize_general,
     synthesize_xy_rotation,
@@ -83,9 +80,7 @@ from .detuned import (
     TdiffReport,
     build_psi_family,
     endpoint_map,
-    get_family,
     optimal_domain,
-    scan_family_min_time,
     synthesize_detuned,
     tdiff_analysis,
 )

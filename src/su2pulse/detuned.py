@@ -35,29 +35,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExtremalLaw, propagate_law
+# propagate_law and euler_from_gate are not called here but stay importable
+# as detuned.<name>: perfbench/tracer.py wraps those bindings
+from .dynamics import ExtremalLaw, propagate_law  # noqa: F401
 from .errors import DomainError, NoConvergence, NoStationaryPoint, TargetUnreached
 from .resonant import (
     SynthesisResult,
+    _bisect,
+    _roots_mod_4pi,
+    _solve_label,
+    _verify,
     label_for_phi0,
     synthesize_general,
-    target_gate,
     z_rotation_parameters,
 )
 from .su2 import (
     FOUR_PI,
+    POLAR_THETA_TOL,
     TWO_PI,
     EulerTarget,
     UnitGate,
-    euler_from_gate,
-    gate_distance,
+    canonical_euler,
+    euler_from_gate,  # noqa: F401
     wrap_4pi,
     wrap_pi,
 )
 
 _F_SOLVE_TOL = 1e-10
-_MAX_BISECT = 200
-_Z_THETA_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -107,27 +111,9 @@ def _control_at_label(theta_star: float, phi_star: float,
     lo, hi = -phi_star - TWO_PI, -phi_star + TWO_PI
     if not (lo - 1e-9 <= psi_label <= hi + 1e-9):
         raise DomainError(f"label {psi_label:.12g} outside [{lo:.12g}, {hi:.12g}]")
-    if theta_star < _Z_THETA_TOL:
+    if theta_star < POLAR_THETA_TOL:
         return _z_label_params(psi_label)
-    # label(phi0) decreases over [phi*-pi, phi*+pi]; plain bisection
-    a, b = phi_star - math.pi, phi_star + math.pi
-    if psi_label >= hi - 1e-12:
-        a = b = phi_star - math.pi
-    elif psi_label <= lo + 1e-12:
-        a = b = phi_star + math.pi
-    for _ in range(_MAX_BISECT):
-        if b - a < 1e-15:
-            break
-        mid = 0.5 * (a + b)
-        lab = label_for_phi0(mid, theta_star, phi_star)[0]
-        if abs(lab - psi_label) < 1e-12:
-            a = b = mid
-            break
-        if lab > psi_label:
-            a = mid
-        else:
-            b = mid
-    phi0 = 0.5 * (a + b)
+    phi0 = _solve_label(min(max(psi_label, lo), hi), theta_star, phi_star, 1e-12)
     _, tf, p2, _ = label_for_phi0(phi0, theta_star, phi_star)
     return phi0, p2, tf
 
@@ -137,7 +123,7 @@ def build_psi_family(theta_star: float, phi_star: float,
     """Tabulate (phi0, p2, duration) on a uniform label grid."""
     if resolution < 256:
         raise DomainError("resolution must be at least 256")
-    if theta_star < _Z_THETA_TOL and phi_star != 0.0:
+    if theta_star < POLAR_THETA_TOL and phi_star != 0.0:
         raise DomainError("z-rotation families use the phi* = 0 convention")
     labels = np.linspace(-phi_star - TWO_PI, -phi_star + TWO_PI, resolution)
     phi0 = np.empty(resolution)
@@ -146,17 +132,6 @@ def build_psi_family(theta_star: float, phi_star: float,
     for i, lab in enumerate(labels):
         phi0[i], p2[i], dur[i] = _control_at_label(theta_star, phi_star, float(lab))
     return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
-
-
-_family_cache: dict[tuple[float, float, int], PsiFamily] = {}
-
-
-def get_family(theta_star: float, phi_star: float, resolution: int = 1024) -> PsiFamily:
-    """Cached family; construction is single-threaded, reads are shareable."""
-    key = (round(theta_star, 12), round(phi_star, 12), resolution)
-    if key not in _family_cache:
-        _family_cache[key] = build_psi_family(theta_star, phi_star, resolution)
-    return _family_cache[key]
 
 
 def endpoint_map(family: PsiFamily, delta: float, psi=None):
@@ -217,27 +192,11 @@ def _bisect_f(target_f: float, lo: float, hi: float, theta_star: float,
               phi_star: float, delta: float) -> float:
     """phi0 in [lo, hi] with f(phi0) = target_f; f decreasing in phi0 on
     any monotone-increasing label arc."""
-    fa = _f_of_phi0(lo, theta_star, phi_star, delta)[0]
-    fb = _f_of_phi0(hi, theta_star, phi_star, delta)[0]
-    if abs(fa - target_f) < _F_SOLVE_TOL:
-        return lo
-    if abs(fb - target_f) < _F_SOLVE_TOL:
-        return hi
-    if not (fb - 1e-9 <= target_f <= fa + 1e-9):
-        raise NoConvergence(
-            f"f target {target_f:.9g} outside [{fb:.9g}, {fa:.9g}]"
-        )
-    a, b = lo, hi
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (a + b)
-        fm = _f_of_phi0(mid, theta_star, phi_star, delta)[0]
-        if abs(fm - target_f) < _F_SOLVE_TOL or (b - a) < 1e-15:
-            return mid
-        if fm > target_f:
-            a = mid
-        else:
-            b = mid
-    raise NoConvergence("end-point map inversion stalled")
+    def g(phi0):
+        label, tf, _, _ = label_for_phi0(phi0, theta_star, phi_star)
+        return label - 2.0 * delta * tf - target_f
+
+    return _bisect(g, lo, hi, g(lo), g(hi), _F_SOLVE_TOL, slack=1e-9)
 
 
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:
@@ -246,28 +205,31 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     theta* must lie in (0, pi]; z-rotation targets have a cusp in the
     duration curve and are handled by root scanning in synthesize_detuned.
     """
-    if not (_Z_THETA_TOL < theta_star <= math.pi + 1e-12):
+    if not (POLAR_THETA_TOL <= theta_star <= math.pi + 1e-12):
         raise DomainError("theta* must lie in (0, pi]")
-    lo, hi = -phi_star - TWO_PI, -phi_star + TWO_PI
-    f_lo = _f_of_phi0(phi_star + math.pi, theta_star, phi_star, delta)[0]
-    f_hi = _f_of_phi0(phi_star - math.pi, theta_star, phi_star, delta)[0]
-    thr = abs(math.tan(theta_star / 2.0))
-    if delta == 0.0 or abs(delta) <= thr:
-        return OptimalDomain(lo, hi, None, theta_star, phi_star, delta,
+    if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
+        f_lo = _f_of_phi0(phi_star + math.pi, theta_star, phi_star, delta)[0]
+        f_hi = _f_of_phi0(phi_star - math.pi, theta_star, phi_star, delta)[0]
+        return OptimalDomain(-phi_star - TWO_PI, -phi_star + TWO_PI, None,
+                             theta_star, phi_star, delta,
                              wrapped=False, f_min=f_lo, f_max=f_hi)
     if delta > 0.0:
         return _strict_domain_positive(theta_star, phi_star, delta)
-    # reflecting azimuths about phi* maps labels to -2 phi* - psi within the
-    # same family and flips the detuning sign, so mirror the positive case
-    m = _strict_domain_positive(theta_star, phi_star, -delta)
+    return _mirrored(_strict_domain_positive(theta_star, phi_star, -delta))
+
+
+def _mirrored(m: OptimalDomain) -> OptimalDomain:
+    """The domain at -delta: reflecting azimuths about phi* maps labels to
+    -2 phi* - psi within the same family and flips the detuning sign."""
+    c = 2.0 * m.phi_star
     return OptimalDomain(
-        psi_min=-m.psi_max - 2.0 * phi_star,
-        psi_max=-m.psi_min - 2.0 * phi_star,
-        psi_bullet=-m.psi_bullet - 2.0 * phi_star,
-        theta_star=theta_star, phi_star=phi_star, delta=delta,
+        psi_min=-m.psi_max - c,
+        psi_max=-m.psi_min - c,
+        psi_bullet=None if m.psi_bullet is None else -m.psi_bullet - c,
+        theta_star=m.theta_star, phi_star=m.phi_star, delta=-m.delta,
         wrapped=m.wrapped,
-        f_min=-m.f_max - 2.0 * phi_star,
-        f_max=-m.f_min - 2.0 * phi_star,
+        f_min=-m.f_max - c,
+        f_max=-m.f_min - c,
     )
 
 
@@ -310,7 +272,7 @@ def _strict_domain_positive(theta_star: float, phi_star: float,
 
 def _law_for_label(theta_star: float, phi_star: float, psi_label: float,
                    delta: float) -> tuple[ExtremalLaw, float]:
-    if theta_star < _Z_THETA_TOL:
+    if theta_star < POLAR_THETA_TOL:
         _, p2, tf = _z_label_params(psi_label)
         return ExtremalLaw(phi0=0.0, p2=p2, delta=delta, tf=tf), \
             math.copysign(TWO_PI, psi_label) if tf > 0.0 else 0.0
@@ -321,7 +283,7 @@ def _law_for_label(theta_star: float, phi_star: float, psi_label: float,
 
 def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, OptimalDomain | None]:
     """(optimal label, duration) for the canonical target under delta."""
-    if e.theta < _Z_THETA_TOL:
+    if e.theta < POLAR_THETA_TOL:
         psi, tf = _scan_z_roots(e.psi, delta)
         return psi, tf, None
     if delta < 0.0:
@@ -329,17 +291,7 @@ def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, OptimalD
         # (up to the -2 phi* shift), detuning flips sign
         psi_m, tf, dom_m = _solve_detuned(
             EulerTarget(wrap_4pi(-2.0 * e.phi - e.psi), e.theta, e.phi), -delta)
-        psi = -psi_m - 2.0 * e.phi
-        dom = OptimalDomain(
-            psi_min=-dom_m.psi_max - 2.0 * e.phi,
-            psi_max=-dom_m.psi_min - 2.0 * e.phi,
-            psi_bullet=(None if dom_m.psi_bullet is None
-                        else -dom_m.psi_bullet - 2.0 * e.phi),
-            theta_star=e.theta, phi_star=e.phi, delta=delta,
-            wrapped=dom_m.wrapped,
-            f_min=-dom_m.f_max - 2.0 * e.phi, f_max=-dom_m.f_min - 2.0 * e.phi,
-        )
-        return psi, tf, dom
+        return -psi_m - 2.0 * e.phi, tf, _mirrored(dom_m)
     dom = optimal_domain(e.theta, e.phi, delta)
     # unique lift of psi* into the arc's f-range (width 4pi)
     n = math.floor((dom.f_max - e.psi) / FOUR_PI)
@@ -349,22 +301,18 @@ def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, OptimalD
     if not (dom.f_min - 1e-9 <= v <= dom.f_max + 1e-9):
         raise NoConvergence(f"no 4pi lift of psi* fits the domain range "
                             f"[{dom.f_min:.6g}, {dom.f_max:.6g}]")
-    f_lo_window = _f_of_phi0(e.phi + math.pi, e.theta, e.phi, delta)[0]
-    if dom.wrapped and v < f_lo_window - 1e-12:
+    if dom.wrapped and v < _f_of_phi0(e.phi + math.pi, e.theta, e.phi, delta)[0] - 1e-12:
         # lower wrapped piece: invert at the raw (unlifted) f value
         phi0_b2 = e.phi - math.pi + math.asin(math.tan(e.theta / 2.0) / delta)
         phi0 = _bisect_f(v + FOUR_PI, e.phi - math.pi, phi0_b2, e.theta, e.phi, delta)
-        psi = label_for_phi0(phi0, e.theta, e.phi)[0] - FOUR_PI
+        lift = FOUR_PI
     else:
-        if dom.psi_bullet is None:
-            lo_phi0, hi_phi0 = e.phi - math.pi, e.phi + math.pi
-        else:
-            lo_phi0 = e.phi - math.asin(math.tan(e.theta / 2.0) / delta)
-            hi_phi0 = e.phi + math.pi
-        phi0 = _bisect_f(v, lo_phi0, hi_phi0, e.theta, e.phi, delta)
-        psi = label_for_phi0(phi0, e.theta, e.phi)[0]
-    _, tf, _, _ = label_for_phi0(phi0, e.theta, e.phi)
-    return psi, tf, dom
+        lo_phi0 = e.phi - math.pi if dom.psi_bullet is None else \
+            e.phi - math.asin(math.tan(e.theta / 2.0) / delta)
+        phi0 = _bisect_f(v, lo_phi0, e.phi + math.pi, e.theta, e.phi, delta)
+        lift = 0.0
+    label, tf, _, _ = label_for_phi0(phi0, e.theta, e.phi)
+    return label - lift, tf, dom
 
 
 def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
@@ -373,20 +321,18 @@ def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
 
     The law reuses the resonant control of the selected label (its drive
     phase picks up the extra 2*delta*t slope), so only psi is shifted at
-    arrival, by -2*delta*tf.
+    arrival, by -2*delta*tf. A non-finite delta raises DomainError.
     """
-    e = euler_from_gate(target) if isinstance(target, UnitGate) else \
-        euler_from_gate(target_gate(target))
+    if not math.isfinite(delta):
+        raise DomainError(f"detuning delta = {delta!r} must be finite")
+    e = canonical_euler(target)
     if delta == 0.0:
         return synthesize_general(e, verify=verify)
     psi_label, tf, _ = _solve_detuned(e, delta)
-    base = psi_label if e.theta < _Z_THETA_TOL else \
+    base = psi_label if e.theta < POLAR_THETA_TOL else \
         -e.phi + wrap_4pi(psi_label + e.phi)
     law, eta = _law_for_label(e.theta, e.phi, base, delta)
-    residual = math.nan
-    if verify:
-        residual = gate_distance(propagate_law(law), target_gate(e))
-    return SynthesisResult(law, e, residual, eta)
+    return SynthesisResult(law, e, _verify(law, e, verify), eta)
 
 
 def _scan_z_roots(lam: float, delta: float, grid: int = 4096) -> tuple[float, float]:
@@ -394,71 +340,15 @@ def _scan_z_roots(lam: float, delta: float, grid: int = 4096) -> tuple[float, fl
     labels = np.linspace(-TWO_PI, TWO_PI, grid)
     absl = np.abs(labels)
     tf = 0.5 * np.sqrt(np.maximum(0.0, 4.0 * math.pi * absl - absl * absl))
-    mism = (labels - 2.0 * delta * tf - lam + TWO_PI) % FOUR_PI - TWO_PI
-    best = (math.inf, 0.0)
-    for i in range(grid - 1):
-        a, b = mism[i], mism[i + 1]
-        if a == 0.0:
-            root = float(labels[i])
-        elif a * b < 0.0 and abs(a - b) < math.pi:
-            lo, hi = float(labels[i]), float(labels[i + 1])
-            fa = a
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                _, tm = z_rotation_parameters(mid)
-                fm = wrap_4pi(mid - 2.0 * delta * tm - lam)
-                if fm * fa > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            root = 0.5 * (lo + hi)
-        else:
-            continue
-        _, t_root = z_rotation_parameters(root)
-        if t_root < best[0]:
-            best = (t_root, root)
-    if not math.isfinite(best[0]):
+
+    def f(label):
+        return label - 2.0 * delta * z_rotation_parameters(label)[1]
+
+    roots = _roots_mod_4pi(f, labels, labels - 2.0 * delta * tf, lam, 0.0)
+    if not roots:
         raise TargetUnreached("no z-family control reaches the target")
-    return best[1], best[0]
-
-
-def scan_family_min_time(target: EulerTarget | UnitGate, delta: float,
-                         grid: int = 4096) -> float:
-    """Scan every control of the label family for arrivals at the target
-    under delta and return the fastest duration. Test oracle: independent
-    of the optimal-domain construction."""
-    e = euler_from_gate(target) if isinstance(target, UnitGate) else \
-        euler_from_gate(target_gate(target))
-    if e.theta < _Z_THETA_TOL:
-        return _scan_z_roots(e.psi, delta, grid)[1]
-    phis = np.linspace(e.phi - math.pi, e.phi + math.pi, grid)
-    f = np.empty(grid)
-    tf = np.empty(grid)
-    for i, f0 in enumerate(phis):
-        fi, _, ti, _ = _f_of_phi0(float(f0), e.theta, e.phi, delta)
-        f[i] = fi
-        tf[i] = ti
-    mism = (f - e.psi + TWO_PI) % FOUR_PI - TWO_PI
-    best = math.inf
-    for i in range(grid - 1):
-        a, b = mism[i], mism[i + 1]
-        if a == 0.0:
-            best = min(best, float(tf[i]))
-            continue
-        if a * b < 0.0 and abs(a - b) < math.pi:
-            lo, hi = float(phis[i]), float(phis[i + 1])
-            fa = a
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                fm = wrap_4pi(_f_of_phi0(mid, e.theta, e.phi, delta)[0] - e.psi)
-                if fm * fa > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            best = min(best, _f_of_phi0(0.5 * (lo + hi), e.theta, e.phi, delta)[2])
-    if not math.isfinite(best):
-        raise TargetUnreached("family scan found no arrival")
-    return best
+    root = min(roots, key=lambda r: z_rotation_parameters(r)[1])
+    return root, z_rotation_parameters(root)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +389,12 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     delta = -(phi* + psi* +- pi + 4 pi n) / (2 T(-phi* +- pi)); outside X
     they are jumps where one optimal label hits a domain boundary.
     """
-    e = euler_from_gate(target) if isinstance(target, UnitGate) else \
-        euler_from_gate(target_gate(target))
-    if e.theta < _Z_THETA_TOL:
+    e = canonical_euler(target)
+    if e.theta < POLAR_THETA_TOL:
         raise DomainError("tdiff analysis needs theta* > 0")
     grid = np.asarray(delta_grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
-        raise DomainError("delta grid must be sorted and 1-d")
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
+        raise DomainError("delta grid must be finite, sorted and 1-d")
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
     n = grid.size
     t_u = np.empty(n)

@@ -101,6 +101,8 @@ class PulseSchedule:
         if s.ndim != 2 or s.shape[1] != 3:
             raise DomainError("samples must be an (n, 3) array of (t, vx, vy)")
         object.__setattr__(self, "samples", s)
+        if not np.all(np.isfinite(s)):
+            raise DomainError("samples must be finite")
         if s.shape[0]:
             if s[0, 0] != 0.0 or np.any(np.diff(s[:, 0]) <= 0.0):
                 raise DomainError("sample times must start at 0 and increase strictly")
@@ -191,11 +193,6 @@ def gate_at(law: ExtremalLaw, t: float) -> UnitGate:
     """Closed-form gate at time t."""
     tp = trajectory_point(law, t)
     return gate_from_hopf(tp.hopf)
-
-
-def sphere_point(theta: float, phi: float) -> tuple[float, float, float]:
-    st = math.sin(theta)
-    return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
 def adjoint_at(law: ExtremalLaw, t: float, p2: float | None = None) -> AdjointState:

@@ -1,14 +1,15 @@
 """Time-optimal synthesis at zero detuning.
 
-Closed forms for z-axis and transverse-plane targets, a 1-d solve for
-everything else, and a grid-scan oracle used by the tests.
+Closed forms for z-axis and transverse-plane targets, and a 1-d solve for
+everything else.
 
 The solve exploits the circle geometry: fixing the initial azimuth phi0
 pins p2 = sin(phi* - phi0) / tan(theta*/2) so the projected circle passes
 through (theta*, phi*); the arrival time follows analytically from the
 circle; the one remaining scalar equation matches the accumulated psi to
 psi* mod 4pi and is monotone in phi0, so a bracketing sweep plus bisection
-finds the unique root.
+finds the unique root. The bisection (`_bisect`) and the mod-4pi root scan
+(`_roots_mod_4pi`) defined here are the only root finders of the package.
 """
 from __future__ import annotations
 
@@ -17,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExtremalLaw, propagate_law
-from .errors import DomainError, NoConvergence, TargetUnreached
+from .dynamics import ExtremalLaw, _circle_azimuth_offset, propagate_law
+from .errors import DomainError, NoConvergence
 from .su2 import (
     FOUR_PI,
+    POLAR_THETA_TOL,
     TWO_PI,
     EulerTarget,
     UnitGate,
+    canonical_euler,
     euler_from_gate,
     gate_distance,
     gate_from_euler,
@@ -32,10 +35,6 @@ from .su2 import (
     xyrot_gate,
 )
 
-# targets with theta* below this are treated as pure z-rotations, matching
-# the polar canonicalization in euler_from_gate
-_Z_THETA_TOL = 1e-8
-_SOUTH_TOL = 1e-9
 _PSI_SOLVE_TOL = 1e-10
 _MAX_BISECT = 200
 
@@ -113,18 +112,6 @@ def synthesize_xy_rotation(a: float, b: float, verify: bool = True) -> Synthesis
 # general targets: label map and 1-d solve
 # ---------------------------------------------------------------------------
 
-def _azimuth_offset(eta: float, cos_bar: float) -> float:
-    er = eta % TWO_PI
-    if er < 1e-14:
-        return -math.pi / 2.0
-    if abs(cos_bar) < 1e-15:
-        return -math.pi / 2.0 if er <= math.pi else math.pi / 2.0
-    raw = math.atan2(-math.sin(er), cos_bar * (1.0 - math.cos(er)))
-    if cos_bar < 0.0 and raw > 0.0:
-        raw -= TWO_PI
-    return raw
-
-
 def label_for_phi0(phi0: float, theta_star: float, phi_star: float
                    ) -> tuple[float, float, float, float]:
     """(label, tf, p2, eta_f) for the circle from azimuth phi0 through
@@ -134,7 +121,7 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float
     [phi* - pi, phi* + pi] it sweeps [-phi* + 2pi, -phi* - 2pi]
     monotonically, covering every SU(2) element over (theta*, phi*) once.
     """
-    if theta_star >= math.pi - _SOUTH_TOL:
+    if theta_star >= math.pi - POLAR_THETA_TOL:
         # South Pole targets: every meridian great circle arrives at eta = pi
         # in time pi/2; the azimuth there is a gauge and the label reduces to
         # psi - phi = -2 phi0.
@@ -147,8 +134,8 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float
     # exactly -1 at tangency (|s| = 1)
     arg = math.cos(theta_star) - 2.0 * s * s * math.cos(theta_star / 2.0) ** 2
     ea = math.acos(min(1.0, max(-1.0, arg)))
-    d_a = abs(wrap_pi(phi0 + math.pi / 2.0 + _azimuth_offset(ea, cb) - phi_star))
-    d_b = abs(wrap_pi(phi0 + math.pi / 2.0 + _azimuth_offset(TWO_PI - ea, cb) - phi_star))
+    d_a = abs(wrap_pi(phi0 + math.pi / 2.0 + _circle_azimuth_offset(ea, cb) - phi_star))
+    d_b = abs(wrap_pi(phi0 + math.pi / 2.0 + _circle_azimuth_offset(TWO_PI - ea, cb) - phi_star))
     if min(d_a, d_b) < 1e-6 or min(d_a, d_b) < 0.25 * max(d_a, d_b):
         best_eta = ea if d_a <= d_b else TWO_PI - ea
     elif abs(ea - math.pi) < 0.05:
@@ -165,32 +152,67 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float
     return label, tf, p2, best_eta
 
 
-def _solve_label(target_label: float, theta_star: float, phi_star: float,
-                 lo: float | None = None, hi: float | None = None) -> float:
-    """phi0 with label(phi0) = target_label, by bisection on the monotone
-    (decreasing) label map over [phi* - pi, phi* + pi]."""
-    a = phi_star - math.pi if lo is None else lo
-    b = phi_star + math.pi if hi is None else hi
-    fa = label_for_phi0(a, theta_star, phi_star)[0] - target_label
-    fb = label_for_phi0(b, theta_star, phi_star)[0] - target_label
-    if abs(fa) < _PSI_SOLVE_TOL:
+def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
+            slack: float = 0.0) -> float:
+    """Root of g on [a, b] by bisection on the sign of g.
+
+    ga = g(a) and gb = g(b) are passed in because callers often know them.
+    An end with |g| <= tol is returned as it is; otherwise g must change
+    sign over [a, b] (each end may miss by up to `slack`), else
+    NoConvergence. The loop stops at |g(mid)| <= tol or a bracket narrower
+    than 1e-15.
+    """
+    if abs(ga) <= tol:
         return a
-    if abs(fb) < _PSI_SOLVE_TOL:
+    if abs(gb) <= tol:
         return b
-    if fa < 0.0 or fb > 0.0:
-        raise NoConvergence(
-            f"label {target_label:.6g} not bracketed on [{a:.6g}, {b:.6g}]"
-        )
+    if min(ga, gb) > slack or max(ga, gb) < -slack:
+        raise NoConvergence(f"no sign change on [{a:.9g}, {b:.9g}]: "
+                            f"g = {ga:.3e}, {gb:.3e}")
+    lo, hi = (a, b) if ga < gb else (b, a)     # g < 0 at lo, g > 0 at hi
     for _ in range(_MAX_BISECT):
-        mid = 0.5 * (a + b)
-        fm = label_for_phi0(mid, theta_star, phi_star)[0] - target_label
-        if abs(fm) < _PSI_SOLVE_TOL or (b - a) < 1e-15:
+        mid = 0.5 * (lo + hi)
+        if abs(hi - lo) < 1e-15:
             return mid
-        if fm > 0.0:
-            a = mid
+        gm = g(mid)
+        if gm > tol:
+            hi = mid
+        elif gm < -tol:
+            lo = mid
         else:
-            b = mid
-    raise NoConvergence(f"bisection did not reach {_PSI_SOLVE_TOL:g} in {_MAX_BISECT} steps")
+            return mid
+    raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
+
+
+def _roots_mod_4pi(f, xs, fs, target: float, tol: float) -> list[float]:
+    """Every x in [xs[0], xs[-1]] where f(x) = target mod 4pi.
+
+    fs holds f on the grid xs. Grid points where the wrapped mismatch is
+    exactly zero are roots as they are; a sign change across a grid step
+    is refined by `_bisect`, unless the step is pi or more: that is a
+    mod-4pi wrap jump, not a root.
+    """
+    m = (np.asarray(fs, dtype=float) - target + TWO_PI) % FOUR_PI - TWO_PI
+    ma, mb = m[:-1], m[1:]
+    hits = np.flatnonzero((ma == 0.0) | ((ma * mb < 0.0) & (np.abs(ma - mb) < math.pi)))
+
+    def g(x):
+        return wrap_4pi(f(x) - target)
+
+    return [float(xs[i]) if ma[i] == 0.0 else
+            _bisect(g, float(xs[i]), float(xs[i + 1]), float(ma[i]), float(mb[i]), tol)
+            for i in hits]
+
+
+def _solve_label(target_label: float, theta_star: float, phi_star: float,
+                 tol: float = _PSI_SOLVE_TOL) -> float:
+    """phi0 with label(phi0) = target_label; the label map falls from
+    -phi* + 2pi at phi0 = phi* - pi to -phi* - 2pi at phi0 = phi* + pi."""
+    def g(phi0):
+        return label_for_phi0(phi0, theta_star, phi_star)[0] - target_label
+
+    return _bisect(g, phi_star - math.pi, phi_star + math.pi,
+                   -phi_star + TWO_PI - target_label, -phi_star - TWO_PI - target_label, tol)
 
 
 def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> SynthesisResult:
@@ -200,9 +222,8 @@ def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> S
     phi0 in [-pi, pi) is found such that the law's accumulated psi matches
     psi* mod 4pi (the SU(2) double cover), refined to 1e-10.
     """
-    e = euler_from_gate(target) if isinstance(target, UnitGate) else \
-        euler_from_gate(target_gate(target))
-    if e.theta < _Z_THETA_TOL:
+    e = canonical_euler(target)
+    if e.theta < POLAR_THETA_TOL:
         return synthesize_z_rotation(e.psi, verify=verify)
     # shift psi* by the unique multiple of 4pi into the reachable label window
     v = e.psi + FOUR_PI * round((-e.phi - e.psi) / FOUR_PI)
@@ -233,81 +254,3 @@ def synthesize(target, delta: float = 0.0, verify: bool = True) -> SynthesisResu
             return synthesize_xy_rotation(a, b, verify=verify)
         target = target.gate
     return synthesize_general(target, verify=verify)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_min_time(target: EulerTarget | UnitGate, grid: int = 4096) -> float:
-    """Minimum arrival time over a phi0 grid scan, refined at sign changes.
-
-    Independent of the solver's 4pi bookkeeping: every grid law is built
-    from the circle geometry, candidates where the label mismatch changes
-    sign are refined by bisection, and the best refined law is replayed
-    through the RK4 oracle. Raises TargetUnreached when the scan finds no
-    candidate. Tests-only helper.
-    """
-    if grid < 512:
-        raise DomainError("grid must be at least 512")
-    e = euler_from_gate(target) if isinstance(target, UnitGate) else \
-        euler_from_gate(target_gate(target))
-    if e.theta < _Z_THETA_TOL:
-        return _brute_force_z(e.psi, grid)
-    want = target_gate(e)
-    phis = np.linspace(e.phi - math.pi, e.phi + math.pi, grid)
-    labels = np.empty(grid)
-    times = np.empty(grid)
-    for i, f0 in enumerate(phis):
-        labels[i], times[i], _, _ = label_for_phi0(float(f0), e.theta, e.phi)
-    mism = (labels - e.psi + TWO_PI) % FOUR_PI - TWO_PI
-    best = math.inf
-    best_phi0 = None
-    hits = 0
-    for i in range(grid - 1):
-        a, b = mism[i], mism[i + 1]
-        if a == 0.0:
-            cand = float(phis[i])
-        elif a * b < 0.0 and abs(a - b) < math.pi:  # skip mod-4pi wrap jumps
-            cand = _solve_label(labels[i] - a, e.theta, e.phi,
-                                lo=float(phis[i]), hi=float(phis[i + 1]))
-        else:
-            continue
-        hits += 1
-        _, tf, p2, _ = label_for_phi0(cand, e.theta, e.phi)
-        if tf < best:
-            best, best_phi0 = tf, cand
-    if best_phi0 is None:
-        raise TargetUnreached("no grid law reaches the target; increase the grid")
-    _, tf, p2, _ = label_for_phi0(best_phi0, e.theta, e.phi)
-    law = ExtremalLaw(phi0=wrap_pi(best_phi0), p2=p2, delta=0.0, tf=tf)
-    if gate_distance(propagate_law(law, n_steps=4000), want) > 1e-3:
-        raise TargetUnreached("refined candidate fails propagation replay")
-    return best
-
-
-def _brute_force_z(lambda_star: float, grid: int) -> float:
-    """Scan full-circle laws by axis inclination; their z-angle is
-    2pi (1 - cos(tilt)) and their duration pi sin(tilt)."""
-    lam = wrap_4pi(lambda_star)
-    if lam == 0.0:
-        return 0.0
-    tilts = np.linspace(1e-6, math.pi - 1e-6, grid)
-    zs = TWO_PI * (1.0 - np.cos(tilts))           # in (0, 4pi)
-    mism = (zs - lam + TWO_PI) % FOUR_PI - TWO_PI
-    best = math.inf
-    for i in range(grid - 1):
-        a, b = mism[i], mism[i + 1]
-        if a * b < 0.0 and abs(a - b) < math.pi:
-            lo, hi = tilts[i], tilts[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = (TWO_PI * (1.0 - math.cos(mid)) - lam + TWO_PI) % FOUR_PI - TWO_PI
-                if fm * a > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            best = min(best, math.pi * math.sin(0.5 * (lo + hi)))
-    if not math.isfinite(best):
-        raise TargetUnreached("z-rotation scan found no candidate")
-    return best

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .resonant import SynthesisResult, synthesize_general
+from .resonant import synthesize_general
 from .su2 import UnitGate, gate_from_axis_angle, hopf_from_gate, negate_gate
 
 TIE_TOL = 1e-8
@@ -36,13 +36,6 @@ def select_faster(g: UnitGate) -> So3Decision:
     tie = abs(tp - tm) < TIE_TOL
     chosen = "U" if (tie or tp < tm) else "-U"
     return So3Decision(chosen, tp, tm, tie, hopf_from_gate(g).theta2)
-
-
-def selection_pair(g: UnitGate) -> tuple[SynthesisResult, SynthesisResult]:
-    """The two synthesis results behind select_faster, for callers that
-    need the laws themselves."""
-    return synthesize_general(g, verify=False), \
-        synthesize_general(negate_gate(g), verify=False)
 
 
 def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:

@@ -30,7 +30,10 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 # below this sin(theta1) (or cos(theta1)) the conjugate Hopf angle is a gauge
-GAUGE_TOL = 1e-9
+GAUGE_TOL = 5e-9
+# the one polar band: gates with theta (or pi - theta) below this are treated
+# as polar, i.e. as pure z-rotations (or theta = pi gates)
+POLAR_THETA_TOL = 2.0 * GAUGE_TOL
 
 
 def wrap_pi(x: float) -> float:
@@ -111,10 +114,6 @@ class EulerTarget:
 
 
 identity_gate = UnitGate(1.0, 0.0, 0.0, 0.0)
-
-
-def gate_from_quat(x1: float, x2: float, x3: float, x4: float) -> UnitGate:
-    return UnitGate(x1, x2, x3, x4)
 
 
 def matrix_from_gate(g: UnitGate) -> np.ndarray:
@@ -213,11 +212,18 @@ def euler_from_gate(g: UnitGate) -> EulerTarget:
     elif phi < -math.pi:
         phi += TWO_PI
         psi += TWO_PI
-    if theta < 2.0 * GAUGE_TOL:
+    if theta < POLAR_THETA_TOL:
         return EulerTarget(wrap_4pi(psi + phi), 0.0, 0.0)
-    if theta > math.pi - 2.0 * GAUGE_TOL:
+    if theta > math.pi - POLAR_THETA_TOL:
         return EulerTarget(wrap_4pi(psi - phi), math.pi, 0.0)
     return EulerTarget(wrap_4pi(psi), theta, phi)
+
+
+def canonical_euler(target: EulerTarget | UnitGate) -> EulerTarget:
+    """Canonical Euler triple of a gate, or of a possibly non-canonical triple."""
+    gate = target if isinstance(target, UnitGate) else \
+        gate_from_euler(target.psi, target.theta, target.phi)
+    return euler_from_gate(gate)
 
 
 def euler_target(psi: float, theta: float, phi: float) -> EulerTarget:

@@ -1,10 +1,20 @@
-"""Shared fixtures and independent numerical oracles for the test suite."""
+"""Shared fixtures and independent numerical oracles for the test suite.
+
+The brute-force minimum-time oracles live here: `brute_force_min_time`
+(zero detuning) and `scan_family_min_time` (any detuning). Both scan a
+whole control family on a grid for arrivals at the target, with the
+package's shared mod-4pi root scan, and take the fastest; neither uses
+the solvers' 4pi bookkeeping or the optimal-domain construction.
+"""
 import math
 
 import numpy as np
 import pytest
 
-from su2pulse import ExtremalLaw
+from su2pulse import DomainError, ExtremalLaw, TargetUnreached, gate_distance, propagate_law
+from su2pulse.detuned import _scan_z_roots
+from su2pulse.resonant import _roots_mod_4pi, label_for_phi0, target_gate
+from su2pulse.su2 import POLAR_THETA_TOL, canonical_euler, wrap_4pi, wrap_pi
 
 
 @pytest.fixture
@@ -86,3 +96,64 @@ def gamma_points(law: ExtremalLaw, t: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(theta) * np.cos(phi),
                      np.sin(theta) * np.sin(phi),
                      np.cos(theta)], axis=1)
+
+
+def brute_force_min_time(target, grid: int = 4096) -> float:
+    """Minimum arrival time over a phi0 grid scan at zero detuning.
+
+    Every grid law is built from the circle geometry; sign changes of the
+    label mismatch are refined, and the fastest refined law is replayed
+    through the RK4 propagator. TargetUnreached when the scan finds none.
+    """
+    if grid < 512:
+        raise DomainError("grid must be at least 512")
+    e = canonical_euler(target)
+    if e.theta < POLAR_THETA_TOL:
+        return _brute_force_z(e.psi, grid)
+
+    def label(phi0):
+        return label_for_phi0(phi0, e.theta, e.phi)[0]
+
+    phis = np.linspace(e.phi - math.pi, e.phi + math.pi, grid)
+    roots = _roots_mod_4pi(label, phis, [label(float(x)) for x in phis], e.psi, 1e-10)
+    if not roots:
+        raise TargetUnreached("no grid law reaches the target; increase the grid")
+    phi0 = min(roots, key=lambda x: label_for_phi0(x, e.theta, e.phi)[1])
+    _, tf, p2, _ = label_for_phi0(phi0, e.theta, e.phi)
+    law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=0.0, tf=tf)
+    if gate_distance(propagate_law(law, n_steps=4000), target_gate(e)) > 1e-3:
+        raise TargetUnreached("refined candidate fails propagation replay")
+    return tf
+
+
+def _brute_force_z(lambda_star: float, grid: int) -> float:
+    """Scan full-circle laws by axis inclination; their z-angle is
+    2pi (1 - cos(tilt)) and their duration pi sin(tilt)."""
+    lam = wrap_4pi(lambda_star)
+    if lam == 0.0:
+        return 0.0
+    tilts = np.linspace(1e-6, math.pi - 1e-6, grid)
+    roots = _roots_mod_4pi(lambda t: 2.0 * math.pi * (1.0 - math.cos(t)), tilts,
+                           2.0 * math.pi * (1.0 - np.cos(tilts)), lam, 0.0)
+    if not roots:
+        raise TargetUnreached("z-rotation scan found no candidate")
+    return min(math.pi * math.sin(t) for t in roots)
+
+
+def scan_family_min_time(target, delta: float, grid: int = 4096) -> float:
+    """Scan every control of the label family for arrivals at the target
+    under delta and return the fastest duration; independent of the
+    optimal-domain construction."""
+    e = canonical_euler(target)
+    if e.theta < POLAR_THETA_TOL:
+        return _scan_z_roots(e.psi, delta, grid)[1]
+
+    def f(phi0):
+        label, tf, _, _ = label_for_phi0(phi0, e.theta, e.phi)
+        return label - 2.0 * delta * tf
+
+    phis = np.linspace(e.phi - math.pi, e.phi + math.pi, grid)
+    roots = _roots_mod_4pi(f, phis, [f(float(x)) for x in phis], e.psi, 0.0)
+    if not roots:
+        raise TargetUnreached("family scan found no arrival")
+    return min(label_for_phi0(x, e.theta, e.phi)[1] for x in roots)

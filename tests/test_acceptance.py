@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from su2pulse import (
-    brute_force_min_time,
     build_psi_family,
     circle_geometry,
     crossing_angles,
@@ -19,7 +18,6 @@ from su2pulse import (
     propagate_law,
     propagate_schrodinger,
     random_gate,
-    scan_family_min_time,
     schedule_from_law,
     select_faster,
     sweep_rotation_angle,
@@ -35,7 +33,7 @@ from su2pulse import (
 from su2pulse.detuned import _control_at_label, optimal_domain
 from su2pulse.resonant import label_for_phi0
 
-from conftest import gamma_points, random_law
+from conftest import brute_force_min_time, gamma_points, random_law, scan_family_min_time
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import su2pulse
 from su2pulse.cli import RunConfig, main
 
 
@@ -160,3 +164,29 @@ def test_omega_max_physical_units(tmp_path, capsys):
     assert "tf_physical" in out
     header = json.loads((tmp_path / "pulse.json").read_text())
     assert header["omega_max"] == 1e6
+
+
+def _run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(su2pulse.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "su2pulse.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
+def test_non_finite_delta_is_a_usage_error(tmp_path, delta):
+    proc = _run_cli_process("synthesize", "--target", "euler:0.4,1.1,0.2",
+                            f"--delta={delta}", "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "finite" in proc.stderr
+
+
+def test_verify_rejects_nan_pulse_row(tmp_path):
+    run_cli("synthesize", "--target", "zrot:1.5", "--out", str(tmp_path))
+    csv_path = tmp_path / "pulse.csv"
+    lines = csv_path.read_text().strip().splitlines()
+    lines[5] = "nan,nan,nan"
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert run_cli("verify", str(csv_path)) == 2

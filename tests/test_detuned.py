@@ -8,19 +8,22 @@ from su2pulse import (
     build_psi_family,
     endpoint_map,
     euler_from_gate,
+    gate_distance,
     gate_from_axis_angle,
     gate_from_euler,
-    get_family,
     negate_gate,
     optimal_domain,
+    propagate_law,
     random_gate,
-    scan_family_min_time,
+    synthesize,
     synthesize_detuned,
     synthesize_general,
     tdiff_analysis,
     zrot_gate,
 )
 from su2pulse.detuned import _control_at_label, negated_psi
+
+from conftest import scan_family_min_time
 
 TWO_PI = 2 * math.pi
 FOUR_PI = 4 * math.pi
@@ -74,12 +77,6 @@ def test_family_z_closed_form():
     lam = fam.psi
     want = 0.5 * np.sqrt(np.maximum(0.0, 4 * math.pi * np.abs(lam) - lam * lam))
     assert np.abs(fam.duration - want).max() < 1e-12
-
-
-def test_get_family_cache():
-    a = get_family(1.0, 0.5, 256)
-    b = get_family(1.0, 0.5, 256)
-    assert a is b
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +326,28 @@ def test_tdiff_csv(tmp_path, tdiff_report):
     assert len(lines) == 242
     events = [ln.split(",")[5] for ln in lines[1:]]
     assert "zero_cross" in events and "boundary_jump" in events
+
+
+# ---------------------------------------------------------------------------
+# polar band and non-finite input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("delta", [0.0, 0.7, -2.0])
+def test_near_polar_target_reaches_callers_gate(delta):
+    # theta* = 5e-9 sits inside the polar band: the law must reach the gate
+    # the caller asked for, not the gate with phi* dropped (distance 0.77)
+    g = gate_from_euler(0.4, 5e-9, 1.1)
+    r = synthesize(g, delta=delta)
+    assert r.residual < 1e-6
+    assert gate_distance(propagate_law(r.law), g) < 1e-6
+
+
+@pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+def test_non_finite_detuning_rejected(delta):
+    g = gate_from_euler(0.4, 1.0, 0.2)
+    with pytest.raises(DomainError):
+        synthesize(g, delta=delta)
+    with pytest.raises(DomainError):
+        synthesize_detuned(g, delta)
+    with pytest.raises(DomainError):
+        tdiff_analysis(g, [-1.0, 0.5, delta] if delta > 0 else [delta, 0.5, 1.0])

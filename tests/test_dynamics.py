@@ -307,6 +307,16 @@ def test_pulse_csv_round_trip(tmp_path, rng):
     assert np.allclose(back.samples, sched.samples, atol=0, rtol=0)
 
 
+@pytest.mark.parametrize("bad", ["nan,1.0,0.0", "0.5,nan,0.0", "0.5,1.0,inf"])
+def test_pulse_csv_non_finite_row_rejected(tmp_path, bad):
+    # NaN compares False everywhere, so only an explicit finiteness check
+    # stops it before propagation
+    path = tmp_path / "pulse.csv"
+    path.write_text(f"t,vx,vy\n0.0,1.0,0.0\n{bad}\n1.0,1.0,0.0\n")
+    with pytest.raises(DomainError):
+        read_pulse_csv(path)
+
+
 def test_trajectory_csv_columns(tmp_path):
     from su2pulse import write_trajectory_csv
     law = ExtremalLaw(phi0=0.1, p2=0.4, delta=0.0, tf=1.0)

@@ -5,7 +5,6 @@ import pytest
 
 from su2pulse import (
     DomainError,
-    brute_force_min_time,
     euler_from_gate,
     gate_at,
     gate_distance,
@@ -22,6 +21,8 @@ from su2pulse import (
     z_rotation_parameters,
     parse_target,
 )
+
+from conftest import brute_force_min_time
 
 TWO_PI = 2 * math.pi
 
