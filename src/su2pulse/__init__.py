@@ -58,6 +58,8 @@ from .dynamics import (
     hamiltonian_residual,
     propagate_hopf,
     propagate_law,
+    propagate_law_exact,
+    propagate_pulse,
     propagate_schrodinger,
     read_pulse_csv,
     schedule_from_law,

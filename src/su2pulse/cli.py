@@ -58,7 +58,27 @@ class RunConfig:
         unknown = set(d) - names
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in d and not _config_value_ok(f, d[f.name]):
+                raise DomainError(f"config value {f.name} = {d[f.name]!r}: expected {f.type}")
         return cls(**d)
+
+
+_FLOAT_KEYS = {"delta", "tol", "omega_max", "delta_min", "delta_max"}
+_INT_KEYS = {"samples", "alpha_steps", "delta_steps"}
+
+
+def _config_value_ok(f, v) -> bool:
+    """Whether v fits RunConfig field f: a number (not a bool) for the float
+    fields, an int for the int fields, a str otherwise; None only where the
+    field's default is None."""
+    if v is None:
+        return f.default is None
+    if f.name in _FLOAT_KEYS:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if f.name in _INT_KEYS:
+        return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, str)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +200,7 @@ def _read_pulse(cfg: RunConfig) -> tuple[dynamics.PulseSchedule, dict]:
 
 def cmd_propagate(cfg: RunConfig) -> int:
     schedule, _ = _read_pulse(cfg)
-    gate = dynamics.propagate_schrodinger(schedule)
+    gate = dynamics.propagate_pulse(schedule)
     e = su2.euler_from_gate(gate)
     print(f"quaternion = ({gate.x1:.12g}, {gate.x2:.12g}, {gate.x3:.12g}, {gate.x4:.12g})")
     print(f"euler = (psi={e.psi:.12g}, theta={e.theta:.12g}, phi={e.phi:.12g})")
@@ -193,7 +213,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise DomainError("pulse header lacks a target record")
     target = su2.target_from_json(header["target"])
     want = su2.gate_from_euler(target.psi, target.theta, target.phi)
-    gate = dynamics.propagate_schrodinger(schedule)
+    gate = dynamics.propagate_pulse(schedule)
     residual = su2.gate_distance(gate, want)
     e = su2.euler_from_gate(gate)
     print(f"achieved euler = (psi={e.psi:.12g}, theta={e.theta:.12g}, phi={e.phi:.12g})")

@@ -1,16 +1,25 @@
-"""Extremal trajectories in closed form, plus independent ODE propagators.
+"""Extremal trajectories in closed form, an exact propagator, and
+independent ODE cross-checks.
 
 The controlled Schrodinger equation i dU/dt = (vx sx + vy sy + delta sz) U
-is integrated in three charts:
+is solved in four ways:
 
   * closed form: the projected trajectory (theta(t), phi(t)) is a circle
     around the axis (theta_bar, phi_bar) traversed at speed 2, and psi(t)
     follows from the circle azimuth; only psi feels the detuning, picking
     up an extra -2*delta*t.
-  * quaternion RK4: the linear 4d ODE xdot = L x, the reference oracle.
+  * exact rotating-frame product, the verifier: a drive of amplitude a and
+    linear phase mu0 + s t is constant in the frame rotating at s/2 about
+    z, so over a length h it gives
+    exp(-i s h sz/2) exp(-i h (a cos mu0 sx + a sin mu0 sy + (delta - s/2) sz)).
+    A law is one such segment; a sampled pulse is one per sample interval,
+    multiplied in time order by a pairwise tree reduction. It uses only
+    the controls, not the circle geometry.
+  * quaternion RK4: the linear 4d ODE xdot = L x, a cross-check of the
+    exact product and the one model of a linear amplitude ramp.
   * Hopf RK4: the (theta1, theta2, theta3) chart with tan/cot poles at
-    theta1 in {0, pi/2}; agreement with the quaternion chart is the
-    executable form of the coordinate-change derivation.
+    theta1 in {0, pi/2}, a cross-check whose agreement with the quaternion
+    chart is the executable form of the coordinate-change derivation.
 
 An extremal is pinned by (phi0, p2, delta, tf). Time is normalized:
 t here is (omega_max/2) * t_physical, and the drive amplitude is 1 for
@@ -30,6 +39,7 @@ DEFAULT_STEPS = 10_000          # RK4 steps per propagation, step = tf / this
 DEFAULT_SAMPLES = 2048          # samples per exported pulse schedule
 _TRUNC_CHECK_EVERY = 64         # Richardson check cadence inside RK4
 _TRUNC_LIMIT = 1e-8
+_RAMP_TOL = 1e-12               # end-amplitude gap beyond which a segment is a ramp
 
 
 @dataclass(frozen=True)
@@ -226,7 +236,82 @@ def hamiltonian_residual(law: ExtremalLaw, t: float, p2: float | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# quaternion-chart propagation (reference oracle)
+# exact rotating-frame propagation (the verifier)
+# ---------------------------------------------------------------------------
+
+def _quat_mul(p, q):
+    """Hamilton product p q over (1, i sz, i sy, i sx), the gate product of
+    the matrix views; p and q may be stacks of shape (4, n)."""
+    p1, p2, p3, p4 = p
+    q1, q2, q3, q4 = q
+    return np.array([
+        p1 * q1 - p2 * q2 - p3 * q3 - p4 * q4,
+        p1 * q2 + p2 * q1 + p3 * q4 - p4 * q3,
+        p1 * q3 - p2 * q4 + p3 * q1 + p4 * q2,
+        p1 * q4 + p2 * q3 - p3 * q2 + p4 * q1,
+    ])
+
+
+def _segment_factors(amp, mu0, slope, h, delta: float) -> np.ndarray:
+    """(4, n) quaternions of the segments' propagators: amplitude amp, start
+    phase mu0, phase slope and length h per segment, detuning delta."""
+    amp, mu0, slope, h = (np.asarray(v, dtype=float) for v in (amp, mu0, slope, h))
+    az = delta - slope / 2.0
+    w = np.sqrt(amp * amp + az * az)
+    c = np.cos(w * h)
+    s = np.divide(np.sin(w * h), w, out=h.copy(), where=w > 0.0)   # sin(w h) / w
+    half = slope * h / 2.0
+    f1, f2 = np.cos(half), -np.sin(half)
+    # frame exp(-i s h sz/2) = (f1, f2, 0, 0) times the body
+    # exp(-i h H0) = (c, -s az, -s ay, -s ax)
+    b2, b3, b4 = -s * az, -s * amp * np.sin(mu0), -s * amp * np.cos(mu0)
+    return np.array([f1 * c - f2 * b2, f1 * b2 + f2 * c, f1 * b3 - f2 * b4, f1 * b4 + f2 * b3])
+
+
+def _segments_gate(amp, mu0, slope, h, delta: float) -> UnitGate:
+    """Exact propagator of a run of constant-amplitude, linear-phase
+    segments, their factors multiplied in time order (later on the left) by
+    a pairwise tree reduction."""
+    q = _segment_factors(amp, mu0, slope, h, delta)
+    while q.shape[1] > 1:
+        if q.shape[1] % 2:
+            q = np.concatenate([q, np.array([[1.0], [0.0], [0.0], [0.0]])], axis=1)
+        q = _quat_mul(q[:, 1::2], q[:, 0::2])
+    return UnitGate(*(float(c) for c in q[:, 0]))
+
+
+def propagate_law_exact(law: ExtremalLaw) -> UnitGate:
+    """Exact endpoint of the law's analytic controls: one segment of unit
+    amplitude, start phase phi0 - pi/2 and slope 2 p2 + 2 delta."""
+    if law.tf == 0.0:
+        return identity_gate
+    return _segments_gate([1.0], [law.phi0 - math.pi / 2.0], [2.0 * law.p2 + 2.0 * law.delta],
+                          [law.tf], law.delta)
+
+
+def propagate_pulse(schedule: PulseSchedule) -> UnitGate:
+    """Replay a sampled pulse; the verifier of written schedules.
+
+    The samples are read in polar form, as propagate_schrodinger reads
+    them: amplitude and unwrapped phase vary linearly between samples. With
+    constant amplitude over every sample interval, each interval is one
+    exact rotating-frame segment. A schedule with an amplitude ramp (end
+    amplitudes of a segment more than 1e-12 apart) is integrated by
+    propagate_schrodinger, the one model of a ramp.
+    """
+    s = schedule.samples
+    if s.shape[0] < 2:
+        return identity_gate
+    amp = np.hypot(s[:, 1], s[:, 2])
+    if np.any(np.abs(np.diff(amp)) > _RAMP_TOL):
+        return propagate_schrodinger(schedule)
+    phase = np.unwrap(np.arctan2(s[:, 2], s[:, 1]))
+    h = np.diff(s[:, 0])
+    return _segments_gate(amp[:-1], phase[:-1], np.diff(phase) / h, h, schedule.delta)
+
+
+# ---------------------------------------------------------------------------
+# quaternion-chart RK4 propagation (cross-check)
 # ---------------------------------------------------------------------------
 
 def _quat_rhs(x, vx, vy, d):
@@ -285,7 +370,8 @@ def _rk4_quat_step(x, t, h, control, delta):
 
 
 def propagate_law(law: ExtremalLaw, n_steps: int = DEFAULT_STEPS) -> UnitGate:
-    """RK4-propagate the law's analytic controls through the quaternion ODE."""
+    """RK4-propagate the law's analytic controls through the quaternion ODE;
+    the cross-check of propagate_law_exact."""
     mu0 = law.phi0 - math.pi / 2.0
     slope = 2.0 * law.p2 + 2.0 * law.delta
 
@@ -297,7 +383,7 @@ def propagate_law(law: ExtremalLaw, n_steps: int = DEFAULT_STEPS) -> UnitGate:
 
 
 def propagate_schrodinger(schedule: PulseSchedule, dt: float | None = None) -> UnitGate:
-    """RK4-propagate a sampled pulse; the independent oracle for synthesis.
+    """RK4-propagate a sampled pulse; the cross-check of propagate_pulse.
 
     The sampled (vx, vy) pairs are interpolated in polar form (amplitude and
     unwrapped phase vary linearly between samples), which represents constant
@@ -329,7 +415,7 @@ def propagate_schrodinger(schedule: PulseSchedule, dt: float | None = None) -> U
 
 
 # ---------------------------------------------------------------------------
-# Hopf-chart propagation
+# Hopf-chart RK4 propagation (cross-check)
 # ---------------------------------------------------------------------------
 
 def hopf_rates(state, u1: float, u2: float, delta: float):
@@ -344,14 +430,10 @@ def _exact_step_hopf(state, vx, vy, delta, h):
     Used to bootstrap the integration off the theta1 = 0 pole at t = 0,
     where cot(theta1) is singular. Exact for constant controls.
     """
-    g = gate_from_hopf(state)
-    w = math.sqrt(vx * vx + vy * vy + delta * delta)
-    if w == 0.0:
+    if vx == 0.0 and vy == 0.0 and delta == 0.0:
         return state
-    c, s = math.cos(w * h), math.sin(w * h) / w
-    x = g.quat
-    lx = _quat_rhs(x, vx, vy, delta)
-    g2 = UnitGate(*(c * x[i] + s * lx[i] for i in range(4)))
+    step = _segment_factors([math.hypot(vx, vy)], [math.atan2(vy, vx)], [0.0], [h], delta)
+    g2 = UnitGate(*(float(c) for c in _quat_mul(step[:, 0], gate_from_hopf(state).quat)))
     m12 = math.hypot(g2.x1, g2.x2)
     m34 = math.hypot(g2.x3, g2.x4)
     return (math.atan2(m34, m12), math.atan2(g2.x2, g2.x1), math.atan2(g2.x4, g2.x3))
@@ -432,13 +514,25 @@ def propagate_hopf(law: ExtremalLaw, n_steps: int = DEFAULT_STEPS,
 
 def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
                       omega_max: float | None = None) -> PulseSchedule:
-    """Sample the law's controls on a uniform grid; empty for tf = 0."""
+    """Sample the law's controls on a uniform grid; empty for tf = 0.
+
+    Raises DomainError when the drive phase advances by pi or more per
+    sample: the unwrapped phase that replays the pulse could not tell the
+    sampled law from an aliased one.
+    """
     if law.tf == 0.0:
         return PulseSchedule(np.zeros((0, 3)), delta=law.delta, omega_max=omega_max)
     if n_samples < 2:
         raise DomainError("need at least 2 samples")
+    slope = 2.0 * law.p2 + 2.0 * law.delta
+    turn = abs(slope) * law.tf / math.pi
+    if not turn / (n_samples - 1) < 1.0:
+        raise DomainError(
+            f"the drive phase advances {math.pi * turn / (n_samples - 1):.3g} rad per "
+            f"sample (pi or more) and would alias; use --samples {int(turn) + 2} or more"
+        )
     t = np.linspace(0.0, law.tf, n_samples)
-    mu = law.phi0 - math.pi / 2.0 + (2.0 * law.p2 + 2.0 * law.delta) * t
+    mu = law.phi0 - math.pi / 2.0 + slope * t
     return PulseSchedule(
         np.column_stack([t, np.cos(mu), np.sin(mu)]),
         delta=law.delta,

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExtremalLaw, _circle_azimuth_offset, propagate_law
+# propagate_law is not called here but stays importable as
+# resonant.propagate_law: perfbench/tracer.py wraps that binding
+from .dynamics import (  # noqa: F401
+    ExtremalLaw,
+    _circle_azimuth_offset,
+    propagate_law,
+    propagate_law_exact,
+)
 from .errors import DomainError, NoConvergence
 from .su2 import (
     FOUR_PI,
@@ -42,8 +49,8 @@ _MAX_BISECT = 200
 @dataclass(frozen=True)
 class SynthesisResult:
     """A synthesized law, its target, the propagation residual (Frobenius
-    distance between the RK4-replayed endpoint and the target matrix), and
-    the circle angle swept at arrival."""
+    distance between the law's exact endpoint, from propagate_law_exact,
+    and the target matrix), and the circle angle swept at arrival."""
 
     law: ExtremalLaw
     target: EulerTarget
@@ -58,7 +65,7 @@ def target_gate(e: EulerTarget) -> UnitGate:
 def _verify(law: ExtremalLaw, e: EulerTarget, verify: bool) -> float:
     if not verify:
         return math.nan
-    return gate_distance(propagate_law(law), target_gate(e))
+    return gate_distance(propagate_law_exact(law), target_gate(e))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(lines) == 257   # samples honored from the file
 
 
+@pytest.mark.parametrize("bad", [{"delta": "abc"}, {"samples": "many"}])
+def test_config_value_types_are_checked(tmp_path, capsys, bad):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(bad))
+    code = run_cli("synthesize", "--config", str(cfg), "--target", "zrot:1.0",
+                   "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and next(iter(bad)) in err
+
+
 def test_config_round_trip():
     cfg = RunConfig(command="synthesize", target="zrot:1.0", delta=0.5)
     assert RunConfig.from_json(cfg.to_json()) == cfg
@@ -190,3 +201,16 @@ def test_verify_rejects_nan_pulse_row(tmp_path):
     lines[5] = "nan,nan,nan"
     csv_path.write_text("\n".join(lines) + "\n")
     assert run_cli("verify", str(csv_path)) == 2
+
+
+def test_phase_aliasing_needs_more_samples(tmp_path):
+    # delta = 1e4 turns the drive phase by about 5.9 rad per default sample
+    target = ("--target", "euler:0.4,1.2,1.1", "--delta", "1e4")
+    proc = _run_cli_process("synthesize", *target, "--out", str(tmp_path / "a"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "--samples" in proc.stderr
+    out = tmp_path / "b"
+    proc = _run_cli_process("synthesize", *target, "--samples", "8192", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_cli_process("verify", str(out / "pulse.csv"))
+    assert proc.returncode == 0, proc.stderr

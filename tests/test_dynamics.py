@@ -19,6 +19,8 @@ from su2pulse import (
     identity_gate,
     propagate_hopf,
     propagate_law,
+    propagate_law_exact,
+    propagate_pulse,
     propagate_schrodinger,
     read_pulse_csv,
     schedule_from_law,
@@ -199,20 +201,40 @@ def test_adjoint_state_invariants(rng):
 def test_propagate_empty_schedule_is_identity():
     sched = PulseSchedule(np.zeros((0, 3)), delta=0.0)
     assert propagate_schrodinger(sched).quat == identity_gate.quat
+    assert propagate_pulse(sched).quat == identity_gate.quat
+    law = ExtremalLaw(phi0=0.3, p2=0.7, delta=1.5, tf=0.0)
+    assert propagate_law_exact(law).quat == identity_gate.quat
 
 
 def test_propagate_constant_drive_vs_exact_exponential():
     # vy = -1 for pi/2 gives exp(i sy pi/2) = i sy, a pi rotation about y
     t = np.linspace(0.0, math.pi / 2, 64)
     sched = PulseSchedule(np.column_stack([t, 0 * t, -np.ones_like(t)]), delta=0.0)
-    got = propagate_schrodinger(sched)
     want = expm2(-1j * (math.pi / 2) * (-SY))
     from su2pulse import gate_from_matrix, axis_angle_from_gate
     want_g = gate_from_matrix(want)
-    assert gate_distance(got, want_g) < 1e-10
-    aa = axis_angle_from_gate(got)
-    assert abs(aa.alpha - math.pi) < 1e-9
-    assert abs(aa.n[2]) < 1e-9          # axis in the transverse plane
+    for got in (propagate_schrodinger(sched), propagate_pulse(sched)):
+        assert gate_distance(got, want_g) < 1e-10
+        aa = axis_angle_from_gate(got)
+        assert abs(aa.alpha - math.pi) < 1e-9
+        assert abs(aa.n[2]) < 1e-9          # axis in the transverse plane
+
+
+def test_propagate_pulse_matches_rk4_on_law_schedules(rng):
+    for _ in range(4):
+        law = random_law(rng, delta_range=(-2.0, 2.0), p2_range=(-2.0, 2.0))
+        sched = schedule_from_law(law)
+        got = propagate_pulse(sched)
+        assert gate_distance(got, propagate_schrodinger(sched)) < 1e-9
+        assert gate_distance(got, propagate_law_exact(law)) < 1e-9
+
+
+def test_propagate_pulse_amplitude_ramp_uses_rk4():
+    # only RK4 models an amplitude that varies linearly between samples
+    t = np.linspace(0.0, 1.2, 64)
+    amp, mu = np.linspace(0.5, 1.0, 64), 0.3 + 0.8 * t
+    sched = PulseSchedule(np.column_stack([t, amp * np.cos(mu), amp * np.sin(mu)]), delta=0.4)
+    assert propagate_pulse(sched).quat == propagate_schrodinger(sched).quat
 
 
 def test_propagate_z_law_schedule():
@@ -231,13 +253,16 @@ def test_step_too_large():
 
 
 def test_chart_agreement_random_laws(rng):
-    for _ in range(8):
+    for _ in range(20):
         law = random_law(rng, delta_range=(-2.0, 2.0), p2_range=(-2.0, 2.0))
         ga = propagate_law(law)
         gb = gate_from_hopf(propagate_hopf(law))
         gc = gate_at(law, law.tf)
+        gd = propagate_law_exact(law)
         assert gate_distance(ga, gb) < 1e-6
         assert gate_distance(ga, gc) < 1e-6
+        assert gate_distance(gd, ga) < 1e-9
+        assert gate_distance(gd, gc) < 1e-9
 
 
 def test_hopf_chart_z_law_endpoint():
@@ -289,6 +314,14 @@ def test_schedule_invariants(rng):
     assert np.all(np.diff(t) > 0)
     amp = sched.samples[:, 1] ** 2 + sched.samples[:, 2] ** 2
     assert np.abs(amp - 1.0).max() < 1e-12
+
+
+def test_schedule_rejects_phase_aliasing():
+    # three samples of a law with phase slope 2 delta: the step is delta
+    with pytest.raises(DomainError, match="--samples"):
+        schedule_from_law(ExtremalLaw(phi0=0.0, p2=0.0, delta=math.pi, tf=1.0), 3)
+    sched = schedule_from_law(ExtremalLaw(phi0=0.0, p2=0.0, delta=3.1, tf=1.0), 3)
+    assert sched.samples.shape == (3, 3)
 
 
 def test_schedule_validation():

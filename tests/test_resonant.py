@@ -72,6 +72,13 @@ def test_z_phi0_degeneracy():
     assert gate_distance(propagate_law(ra.law), propagate_law(rb.law)) < 1e-9
 
 
+@pytest.mark.parametrize("delta", [1e3, 1e4, -1e4, 1e6])
+def test_large_detuning_verifies(delta):
+    # a fixed-step RK4 verifier cannot resolve a phase slope of 2 delta
+    r = synthesize(gate_from_euler(0.4, 1.2, 1.1), delta, verify=True)
+    assert r.residual < 1e-6
+
+
 def test_z_trajectory_closes_at_pole():
     r = synthesize_z_rotation(1.7)
     assert trajectory_point(r.law, 0.0).euler[1] == 0.0
