@@ -9,6 +9,7 @@ t_phys = 2 t / omega_max).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -81,7 +82,10 @@ def _config_value_ok(f, v) -> bool:
     return isinstance(v, str)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: parse_args leaves
+    it unchanged, so every main call can share it."""
     p = argparse.ArgumentParser(
         prog="su2pulse",
         description="Time-optimal SU(2) pulse synthesis and verification.",
@@ -124,13 +128,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _load_json_object(path, what: str) -> dict:
+    """The JSON object in the file at path; a file that is not readable
+    UTF-8 JSON text with an object at its top level is a DomainError
+    naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            value = json.load(fh)
+    except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise DomainError(f"{what} {path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {k: v for k, v in vars(args).items() if v is not None}
     cfg_path = values.pop("config", None)
     base = {}
     if cfg_path:
-        with open(cfg_path, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
+        base = _load_json_object(cfg_path, "config")
         base.pop("command", None)
     merged = {**base, **values}
     return RunConfig.from_json({"command": args.command, **merged})
@@ -185,11 +202,9 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 
 def _read_pulse(cfg: RunConfig) -> tuple[dynamics.PulseSchedule, dict]:
     csv_path = Path(cfg.pulse)
-    json_path = csv_path.with_suffix(".json")
-    header = {}
-    if json_path.exists():
-        with open(json_path, "r", encoding="utf-8") as fh:
-            header = json.load(fh)
+    # not with_suffix, which raises on a path with an empty name such as "."
+    json_path = csv_path.parent / (csv_path.stem + ".json")
+    header = _load_json_object(json_path, "pulse header") if json_path.exists() else {}
     schedule = dynamics.read_pulse_csv(
         csv_path,
         delta=float(header.get("delta", cfg.delta)),
@@ -294,8 +309,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         code = _COMMANDS[cfg.command](cfg)
-    except (DomainError, NonUnitary, NonUnitDeterminant,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DomainError, NonUnitary, NonUnitDeterminant, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Su2PulseError as exc:

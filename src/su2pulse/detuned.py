@@ -37,7 +37,7 @@ import numpy as np
 
 # propagate_law and euler_from_gate are not called here but stay importable
 # as detuned.<name>: perfbench/tracer.py wraps those bindings
-from .dynamics import ExtremalLaw, propagate_law  # noqa: F401
+from .dynamics import ExtremalLaw, propagate_law, write_csv  # noqa: F401
 from .errors import DomainError, NoConvergence, NoStationaryPoint, TargetUnreached
 from .resonant import (
     SynthesisResult,
@@ -455,8 +455,6 @@ def write_tdiff_csv(report: TdiffReport, path) -> None:
     for d, kind in report.events:
         idx = int(np.searchsorted(report.delta_grid, d))
         marks[idx] = kind
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("delta,t_U,t_negU,tdiff,in_X,event\n")
-        for i, (d, tu, tn, td, inx) in enumerate(report.rows()):
-            ev = marks.get(i, "none")
-            fh.write(f"{d:.17g},{tu:.17g},{tn:.17g},{td:.17g},{int(inx)},{ev}\n")
+    values = [v for i, row in enumerate(report.rows()) for v in (*row, marks.get(i, "none"))]
+    write_csv(path, "delta,t_U,t_negU,tdiff,in_X,event", "%.17g,%.17g,%.17g,%.17g,%d,%s",
+              len(report.delta_grid), values)

@@ -27,6 +27,7 @@ every normal extremal.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -154,7 +155,8 @@ def _circle_azimuth_offset(eta: float, cos_bar: float) -> float:
 
 
 def control_phase(law: ExtremalLaw, t: float) -> float:
-    """mu(t) = phi0 - pi/2 + (2 p2 + 2 delta) t, the drive phase."""
+    """mu(t) = phi0 - pi/2 + (2 p2 + 2 delta) t, the drive phase; t may be
+    an array of times."""
     return law.phi0 - math.pi / 2.0 + (2.0 * law.p2 + 2.0 * law.delta) * t
 
 
@@ -166,35 +168,56 @@ def control_at(law: ExtremalLaw, t: float) -> tuple[float, float]:
     return math.cos(mu), math.sin(mu)
 
 
-def trajectory_point(law: ExtremalLaw, t: float) -> TrajectoryPoint:
-    """Closed-form state at time t.
+def _mapped(f, a: np.ndarray, *args) -> np.ndarray:
+    """f(x, *args) from the math module over the array a. numpy's arcsin
+    and arctan2 differ from libm's in the last bit on some hosts, and the
+    17-digit CSV shows that bit, so every transcendental function of the
+    trajectory goes through math."""
+    return np.fromiter(map(f, a.tolist(), *map(itertools.repeat, args)), float, a.size)
+
+
+def _trajectory_rows(law: ExtremalLaw, t) -> np.ndarray:
+    """Closed-form trajectory at the times t, as (n, 10) rows
+    (t, theta, phi, psi, theta1, theta2, theta3, vx, vy, eta).
 
     theta(t) = acos(1 - sin^2(theta_bar) (1 - cos eta)) with
     eta = 2 t / sin(theta_bar); phi follows the circle azimuth; psi is the
-    resonant value minus 2*delta*t (detuning shifts psi only). The p2 = 0
-    limit degenerates to a great circle with phi(t) = phi0.
+    resonant value minus 2*delta*t (detuning shifts psi only); (vx, vy) is
+    the drive (cos mu, sin mu). The p2 = 0 limit degenerates to a great
+    circle with phi(t) = phi0.
     """
+    t = np.asarray(t, dtype=float)
     tb = math.atan2(1.0, law.p2)
     sb, cb = math.sin(tb), math.cos(tb)
     eta = 2.0 * t / sb
     # stable form of acos(1 - sin^2(tb) (1 - cos eta)) near the poles
-    theta = 2.0 * math.asin(min(1.0, sb * abs(math.sin(eta / 2.0))))
-    if eta % TWO_PI < 1e-14:
-        # on the pole itself the azimuth is a gauge; take phi0 at t = 0 and
-        # the from-below limit phi0 +- pi after whole revolutions, so that
-        # psi + phi remains the correct accumulated z-angle
-        phi = law.phi0 if eta < 1e-14 else law.phi0 + math.copysign(math.pi, law.p2)
-    else:
-        phi = law.phi0 + math.pi / 2.0 + _circle_azimuth_offset(eta, cb)
+    theta = 2.0 * _mapped(math.asin, np.minimum(1.0, sb * np.abs(_mapped(math.sin, eta / 2.0))))
+    phi = law.phi0 + math.pi / 2.0 + _mapped(_circle_azimuth_offset, eta, cb)
+    # on the pole itself the azimuth is a gauge; take phi0 at t = 0 and the
+    # from-below limit phi0 +- pi after whole revolutions, so that psi + phi
+    # remains the correct accumulated z-angle
+    pole = eta % TWO_PI < 1e-14
+    if pole.any():
+        phi[pole] = np.where(eta[pole] < 1e-14, law.phi0,
+                             law.phi0 + math.copysign(math.pi, law.p2))
     psi = -2.0 * law.phi0 + phi - 2.0 * (law.p2 + law.delta) * t
     mu = control_phase(law, t)
+    return np.column_stack([t, theta, phi, psi, theta / 2.0, (psi + phi) / 2.0,
+                            (psi - phi) / 2.0, _mapped(math.cos, mu), _mapped(math.sin, mu), eta])
+
+
+def trajectory_point(law: ExtremalLaw, t: float) -> TrajectoryPoint:
+    """Closed-form state at time t: the one-row view of the array closed
+    form `_trajectory_rows`, plus the rotated controls u1 = -sin(beta),
+    u2 = -cos(beta) at beta = mu + psi."""
+    _, theta, phi, psi, theta1, theta2, theta3, _, _, eta = _trajectory_rows(law, [t])[0].tolist()
+    mu = control_phase(law, t)
     beta = mu + psi
-    u1, u2 = -math.sin(beta), -math.cos(beta)
     return TrajectoryPoint(
         t=t,
         euler=(psi, theta, phi),
-        hopf=(theta / 2.0, (psi + phi) / 2.0, (psi - phi) / 2.0),
-        controls=(u1, u2, mu, beta, 1.0),
+        hopf=(theta1, theta2, theta3),
+        controls=(-math.sin(beta), -math.cos(beta), mu, beta, 1.0),
         eta=eta,
     )
 
@@ -540,48 +563,69 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
     )
 
 
-def write_pulse_csv(schedule: PulseSchedule, path) -> None:
+def write_csv(path, header: str, row_format: str, n_rows: int, values) -> None:
+    """Write the header line, then n_rows rows as one block: the %-format
+    of one row, repeated n_rows times, applied once to the flat values."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,vx,vy\n")
-        for t, vx, vy in schedule.samples:
-            fh.write(f"{t:.17g},{vx:.17g},{vy:.17g}\n")
+        fh.write(header + "\n")
+        fh.write((row_format + "\n") * n_rows % tuple(values))
+
+
+def write_pulse_csv(schedule: PulseSchedule, path) -> None:
+    s = schedule.samples
+    write_csv(path, "t,vx,vy", "%.17g,%.17g,%.17g", len(s), s.ravel().tolist())
+
+
+def _parse_pulse_lines(lines) -> list[list[float]]:
+    """Rows of a pulse CSV split into lines, checked line by line; the one
+    source of the reader's error messages."""
+    header = lines[0].strip()
+    if header != "t,vx,vy":
+        raise DomainError(f"bad pulse CSV header {header!r}")
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DomainError(f"line {ln}: expected 3 columns")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise DomainError(f"line {ln}: {exc}") from exc
+    return rows
 
 
 def read_pulse_csv(path, delta: float = 0.0,
                    omega_max: float | None = None) -> PulseSchedule:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t,vx,vy":
-            raise DomainError(f"bad pulse CSV header {header!r}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DomainError(f"line {ln}: expected 3 columns")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise DomainError(f"line {ln}: {exc}") from exc
-    return PulseSchedule(np.array(rows).reshape(-1, 3), delta=delta, omega_max=omega_max)
+    """Read a pulse CSV (header t,vx,vy). A body of three values on every
+    non-blank line is parsed in one numpy conversion; any other file goes
+    through the line parser, which names the faulty line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read pulse CSV {path}: {exc}") from exc
+    body = [line for line in lines[1:] if line.strip()]
+    samples = None
+    if lines[0].strip() == "t,vx,vy" and all(line.count(",") == 2 for line in body):
+        try:
+            samples = np.array(",".join(body).split(","), dtype=float)
+        except ValueError:
+            pass
+    if samples is None:
+        samples = np.array(_parse_pulse_lines(lines))
+    return PulseSchedule(samples.reshape(-1, 3), delta=delta, omega_max=omega_max)
 
 
 def write_trajectory_csv(law: ExtremalLaw, path, n_samples: int = DEFAULT_SAMPLES) -> None:
-    """Sampled closed-form trajectory: t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta."""
-    n = max(2, n_samples)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta\n")
-        if law.tf == 0.0:
-            return
-        for t in np.linspace(0.0, law.tf, n):
-            tp = trajectory_point(law, float(t))
-            psi, theta, phi = tp.euler
-            t1, t2, t3 = tp.hopf
-            mu = tp.controls[2]
-            fh.write(
-                f"{t:.17g},{theta:.17g},{phi:.17g},{psi:.17g},"
-                f"{t1:.17g},{t2:.17g},{t3:.17g},"
-                f"{math.cos(mu):.17g},{math.sin(mu):.17g},{tp.eta:.17g}\n"
-            )
+    """Sampled closed-form trajectory: t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta.
+
+    The rows are `_trajectory_rows` at max(2, n_samples) uniform times over
+    [0, tf], the one array closed form; a tf = 0 law writes the header only.
+    """
+    rows = np.zeros((0, 10)) if law.tf == 0.0 else _trajectory_rows(
+        law, np.linspace(0.0, law.tf, max(2, n_samples)))
+    write_csv(path, "t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta",
+              ",".join(["%.17g"] * 10), len(rows), rows.ravel().tolist())

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import write_csv
 from .errors import DomainError
 from .resonant import synthesize_general
 from .su2 import UnitGate, gate_from_axis_angle, hopf_from_gate, negate_gate
@@ -59,10 +60,8 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha,tf_U,tf_negU,chosen\n")
-        for alpha, tu, tn, chosen in rows:
-            fh.write(f"{alpha:.17g},{tu:.17g},{tn:.17g},{chosen}\n")
+    write_csv(path, "alpha,tf_U,tf_negU,chosen", "%.17g,%.17g,%.17g,%s", len(rows),
+              [v for row in rows for v in row])
 
 
 def crossing_angles(rows, tol: float = TIE_TOL) -> list[float]:

@@ -5,16 +5,30 @@ The brute-force minimum-time oracles live here: `brute_force_min_time`
 whole control family on a grid for arrivals at the target, with the
 package's shared mod-4pi root scan, and take the fastest; neither uses
 the solvers' 4pi bookkeeping or the optimal-domain construction.
+
+The CSV oracles are the package's former per-row file code: a scalar
+closed-form trajectory point, f-string writers for the pulse, trajectory
+and sweep files, and the line-by-line pulse reader. The block writers and
+the one-conversion reader must match them byte for byte and error for
+error.
 """
 import math
 
 import numpy as np
 import pytest
 
-from su2pulse import DomainError, ExtremalLaw, TargetUnreached, gate_distance, propagate_law
+from su2pulse import (
+    DomainError,
+    ExtremalLaw,
+    PulseSchedule,
+    TargetUnreached,
+    gate_distance,
+    propagate_law,
+)
+from su2pulse.dynamics import _circle_azimuth_offset, control_phase
 from su2pulse.detuned import _scan_z_roots
 from su2pulse.resonant import _roots_mod_4pi, label_for_phi0, target_gate
-from su2pulse.su2 import POLAR_THETA_TOL, canonical_euler, wrap_4pi, wrap_pi
+from su2pulse.su2 import POLAR_THETA_TOL, TWO_PI, canonical_euler, wrap_4pi, wrap_pi
 
 
 @pytest.fixture
@@ -157,3 +171,83 @@ def scan_family_min_time(target, delta: float, grid: int = 4096) -> float:
     if not roots:
         raise TargetUnreached("family scan found no arrival")
     return min(label_for_phi0(x, e.theta, e.phi)[1] for x in roots)
+
+
+# ---------------------------------------------------------------------------
+# CSV oracles: the former scalar trajectory and per-row file code
+# ---------------------------------------------------------------------------
+
+def trajectory_point_oracle(law: ExtremalLaw, t: float):
+    """Scalar closed-form state at time t: ((psi, theta, phi), (theta1,
+    theta2, theta3), mu, eta), all through the math module."""
+    tb = math.atan2(1.0, law.p2)
+    sb, cb = math.sin(tb), math.cos(tb)
+    eta = 2.0 * t / sb
+    theta = 2.0 * math.asin(min(1.0, sb * abs(math.sin(eta / 2.0))))
+    if eta % TWO_PI < 1e-14:
+        phi = law.phi0 if eta < 1e-14 else law.phi0 + math.copysign(math.pi, law.p2)
+    else:
+        phi = law.phi0 + math.pi / 2.0 + _circle_azimuth_offset(eta, cb)
+    psi = -2.0 * law.phi0 + phi - 2.0 * (law.p2 + law.delta) * t
+    mu = control_phase(law, t)
+    return (psi, theta, phi), (theta / 2.0, (psi + phi) / 2.0, (psi - phi) / 2.0), mu, eta
+
+
+def write_trajectory_csv_oracle(law: ExtremalLaw, path, n_samples: int) -> None:
+    n = max(2, n_samples)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta\n")
+        if law.tf == 0.0:
+            return
+        for t in np.linspace(0.0, law.tf, n):
+            (psi, theta, phi), (t1, t2, t3), mu, eta = trajectory_point_oracle(law, float(t))
+            fh.write(
+                f"{t:.17g},{theta:.17g},{phi:.17g},{psi:.17g},"
+                f"{t1:.17g},{t2:.17g},{t3:.17g},"
+                f"{math.cos(mu):.17g},{math.sin(mu):.17g},{eta:.17g}\n"
+            )
+
+
+def write_pulse_csv_oracle(schedule: PulseSchedule, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,vx,vy\n")
+        for t, vx, vy in schedule.samples:
+            fh.write(f"{t:.17g},{vx:.17g},{vy:.17g}\n")
+
+
+def read_pulse_csv_oracle(path) -> PulseSchedule:
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "t,vx,vy":
+            raise DomainError(f"bad pulse CSV header {header!r}")
+        for ln, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DomainError(f"line {ln}: expected 3 columns")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise DomainError(f"line {ln}: {exc}") from exc
+    return PulseSchedule(np.array(rows).reshape(-1, 3), delta=0.0)
+
+
+def write_sweep_csv_oracle(rows, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("alpha,tf_U,tf_negU,chosen\n")
+        for alpha, tu, tn, chosen in rows:
+            fh.write(f"{alpha:.17g},{tu:.17g},{tn:.17g},{chosen}\n")
+
+
+def write_tdiff_csv_oracle(report, path) -> None:
+    marks = {}
+    for d, kind in report.events:
+        marks[int(np.searchsorted(report.delta_grid, d))] = kind
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("delta,t_U,t_negU,tdiff,in_X,event\n")
+        for i, (d, tu, tn, td, inx) in enumerate(report.rows()):
+            ev = marks.get(i, "none")
+            fh.write(f"{d:.17g},{tu:.17g},{tn:.17g},{td:.17g},{int(inx)},{ev}\n")

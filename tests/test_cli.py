@@ -86,6 +86,51 @@ def test_parse_error_exit_code(tmp_path):
     assert run_cli("synthesize", "--target", "junk", "--out", str(tmp_path)) == 2
 
 
+def test_parser_is_built_once(tmp_path, capsys):
+    from su2pulse.cli import build_parser
+    assert build_parser() is build_parser()
+    assert run_cli("so3-select", "--target", "zrot:1.0") == 0
+    assert "chosen = " in capsys.readouterr().out
+    assert run_cli("synthesize", "--target", "zrot:1.0", "--out", str(tmp_path)) == 0
+    assert "phi0 = " in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synthesize", "--bogus")
+    assert exc.value.code == 2
+    assert run_cli("verify", str(tmp_path / "pulse.csv")) == 0
+
+
+@pytest.mark.parametrize("kind,content", [
+    pytest.param("config", b"[1]", id="config-array"),
+    pytest.param("config", b'"abc"', id="config-string"),
+    pytest.param("config", None, id="config-directory"),
+    pytest.param("config", b'\xff\xfe{"delta": 0.5}', id="config-not-utf8"),
+    pytest.param("pulse", None, id="pulse-directory"),
+    pytest.param("pulse", b"t,vx,vy\n0,1,0\n\xff\n", id="pulse-not-utf8"),
+])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, kind, content):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if kind == "config":
+        args = ("synthesize", "--config", str(path), "--target", "zrot:1.0",
+                "--out", str(tmp_path / "out"))
+    else:
+        args = ("verify", str(path))
+    code = run_cli(*args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and str(path) in err
+
+
+def test_verify_current_directory_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # "." has an empty name, so no sidecar name can be derived from it
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("verify", ".") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_sweep_angle_single_row(tmp_path, capsys):
     code = run_cli("sweep-angle", "--axis", "y", "--alpha-steps", "1",
                    "--out", str(tmp_path))
