@@ -205,12 +205,11 @@ def _read_pulse(cfg: RunConfig) -> tuple[dynamics.PulseSchedule, dict]:
     # not with_suffix, which raises on a path with an empty name such as "."
     json_path = csv_path.parent / (csv_path.stem + ".json")
     header = _load_json_object(json_path, "pulse header") if json_path.exists() else {}
-    schedule = dynamics.read_pulse_csv(
-        csv_path,
-        delta=float(header.get("delta", cfg.delta)),
-        omega_max=header.get("omega_max"),
-    )
-    return schedule, header
+    delta = header.get("delta", cfg.delta)
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not math.isfinite(delta):
+        raise DomainError(f"pulse header {json_path}: delta = {delta!r} is not a finite number")
+    return dynamics.read_pulse_csv(csv_path, delta=float(delta),
+                                   omega_max=header.get("omega_max")), header
 
 
 def cmd_propagate(cfg: RunConfig) -> int:
@@ -244,7 +243,10 @@ def _parse_axis(text: str):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 3:
         raise DomainError(f"axis {text!r}: expected x/y/z/yz or nx,ny,nz")
-    v = np.array([float(p) for p in parts])
+    try:
+        v = np.array([float(p) for p in parts])
+    except ValueError as exc:
+        raise DomainError(f"axis {text!r}: {exc}") from exc
     n = float(np.linalg.norm(v))
     if n == 0.0:
         raise DomainError("axis must be nonzero")

@@ -42,8 +42,11 @@ from .errors import DomainError, NoConvergence, NoStationaryPoint, TargetUnreach
 from .resonant import (
     SynthesisResult,
     _bisect,
+    _bisect_many,
+    _f_gaps,
     _roots_mod_4pi,
     _solve_label,
+    _solve_labels,
     _verify,
     label_for_phi0,
     synthesize_general,
@@ -126,11 +129,15 @@ def build_psi_family(theta_star: float, phi_star: float,
     if theta_star < POLAR_THETA_TOL and phi_star != 0.0:
         raise DomainError("z-rotation families use the phi* = 0 convention")
     labels = np.linspace(-phi_star - TWO_PI, -phi_star + TWO_PI, resolution)
-    phi0 = np.empty(resolution)
-    p2 = np.empty(resolution)
-    dur = np.empty(resolution)
-    for i, lab in enumerate(labels):
-        phi0[i], p2[i], dur[i] = _control_at_label(theta_star, phi_star, float(lab))
+    if theta_star < POLAR_THETA_TOL:
+        rows = [_z_label_params(lab) for lab in labels.tolist()]
+    else:
+        # _control_at_label at every label: one array solve, then label_for_phi0
+        rows = []
+        for x in _solve_labels(labels, theta_star, phi_star, 1e-12).tolist():
+            _, tf, p2, _ = label_for_phi0(x, theta_star, phi_star)
+            rows.append((x, p2, tf))
+    phi0, p2, dur = np.array(rows).T
     return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
 
 
@@ -293,6 +300,16 @@ def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, OptimalD
             EulerTarget(wrap_4pi(-2.0 * e.phi - e.psi), e.theta, e.phi), -delta)
         return -psi_m - 2.0 * e.phi, tf, _mirrored(dom_m)
     dom = optimal_domain(e.theta, e.phi, delta)
+    target_f, lo, hi, lift = _f_bracket(e, delta, dom)
+    phi0 = _bisect_f(target_f, lo, hi, e.theta, e.phi, delta)
+    label, tf, _, _ = label_for_phi0(phi0, e.theta, e.phi)
+    return label - lift, tf, dom
+
+
+def _f_bracket(e: EulerTarget, delta: float, dom: OptimalDomain
+               ) -> tuple[float, float, float, float]:
+    """(f value, phi0 bracket, lift) for delta > 0 on the optimal domain
+    dom: the label is the root of f_delta = f value in the bracket, minus lift."""
     # unique lift of psi* into the arc's f-range (width 4pi)
     n = math.floor((dom.f_max - e.psi) / FOUR_PI)
     v = e.psi + FOUR_PI * n
@@ -304,15 +321,10 @@ def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, OptimalD
     if dom.wrapped and v < _f_of_phi0(e.phi + math.pi, e.theta, e.phi, delta)[0] - 1e-12:
         # lower wrapped piece: invert at the raw (unlifted) f value
         phi0_b2 = e.phi - math.pi + math.asin(math.tan(e.theta / 2.0) / delta)
-        phi0 = _bisect_f(v + FOUR_PI, e.phi - math.pi, phi0_b2, e.theta, e.phi, delta)
-        lift = FOUR_PI
-    else:
-        lo_phi0 = e.phi - math.pi if dom.psi_bullet is None else \
-            e.phi - math.asin(math.tan(e.theta / 2.0) / delta)
-        phi0 = _bisect_f(v, lo_phi0, e.phi + math.pi, e.theta, e.phi, delta)
-        lift = 0.0
-    label, tf, _, _ = label_for_phi0(phi0, e.theta, e.phi)
-    return label - lift, tf, dom
+        return v + FOUR_PI, e.phi - math.pi, phi0_b2, FOUR_PI
+    lo_phi0 = e.phi - math.pi if dom.psi_bullet is None else \
+        e.phi - math.asin(math.tan(e.theta / 2.0) / delta)
+    return v, lo_phi0, e.phi + math.pi, 0.0
 
 
 def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
@@ -397,27 +409,41 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
         raise DomainError("delta grid must be finite, sorted and 1-d")
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
     n = grid.size
-    t_u = np.empty(n)
-    t_n = np.empty(n)
+    t_u, t_n, psi_u, psi_n = np.empty((4, n))
     in_x = np.zeros(n, dtype=bool)
-    psi_u = np.empty(n)
-    psi_n = np.empty(n)
     bounds = np.empty((n, 2))
     psi_plus = -e.phi + math.pi
     psi_minus = -e.phi - math.pi
-    for i, d in enumerate(grid):
-        d = float(d)
-        pu, tu, dom_u = _solve_detuned(e, d) if d != 0.0 else _resonant_entry(e)
-        pn, tn, _ = _solve_detuned(e_neg, d) if d != 0.0 else _resonant_entry(e_neg)
-        t_u[i], t_n[i] = tu, tn
-        psi_u[i], psi_n[i] = pu, pn
-        if dom_u is None:
-            lo, hi = -e.phi - TWO_PI, -e.phi + TWO_PI
+    # _solve_detuned at every nonzero delta, for U then -U, with the domain
+    # found once per delta: brackets here, then one array inversion
+    solves = []                     # (grid index, delta, f value, lo, hi, lift)
+    for i, d in enumerate(grid.tolist()):
+        if d == 0.0:
+            psi_u[i], t_u[i], _ = _resonant_entry(e)
+            psi_n[i], t_n[i], _ = _resonant_entry(e_neg)
             in_x[i] = True
-        else:
-            lo, hi = dom_u.psi_min, dom_u.psi_max
-            in_x[i] = dom_u.contains(psi_plus) and dom_u.contains(psi_minus)
-        bounds[i] = (lo, hi)
+            bounds[i] = (-e.phi - TWO_PI, -e.phi + TWO_PI)
+            continue
+        dom = optimal_domain(e.theta, e.phi, abs(d))
+        for ek in (e, e_neg):
+            # negative detuning: mirror about the phi* meridian
+            em = ek if d > 0.0 else EulerTarget(wrap_4pi(-2.0 * e.phi - ek.psi), e.theta, e.phi)
+            solves.append((i, d, *_f_bracket(em, abs(d), dom)))
+        dom_u = dom if d > 0.0 else _mirrored(dom)
+        bounds[i] = (dom_u.psi_min, dom_u.psi_max)
+        in_x[i] = dom_u.contains(psi_plus) and dom_u.contains(psi_minus)
+    # _bisect_f for every solve at once, then label_for_phi0 at each root
+    idx, ds, target_f, lo, hi, lift = np.array(solves).reshape(-1, 6).T
+    ga, gb = ([_f_of_phi0(x, e.theta, e.phi, d)[0] - t for x, d, t in
+               zip(ends.tolist(), np.abs(ds).tolist(), target_f.tolist())] for ends in (lo, hi))
+    phi0 = _bisect_many(_f_gaps(e.theta, e.phi, np.abs(ds), target_f, _F_SOLVE_TOL),
+                        lo, hi, ga, gb, _F_SOLVE_TOL, slack=1e-9)
+    label, tf = np.array([label_for_phi0(x, e.theta, e.phi)[:2]
+                          for x in phi0.tolist()]).reshape(-1, 2).T
+    psi = np.where(ds > 0.0, label - lift, -(label - lift) - 2.0 * e.phi)
+    rows = idx[::2].astype(int)                 # U and -U alternate
+    psi_u[rows], psi_n[rows] = psi.reshape(-1, 2).T
+    t_u[rows], t_n[rows] = tf.reshape(-1, 2).T
     # duration of the symmetric pair (equal by symmetry)
     _, _, t_pair = _control_at_label(e.theta, e.phi, psi_plus)
     predicted = []

@@ -8,8 +8,8 @@ pins p2 = sin(phi* - phi0) / tan(theta*/2) so the projected circle passes
 through (theta*, phi*); the arrival time follows analytically from the
 circle; the one remaining scalar equation matches the accumulated psi to
 psi* mod 4pi and is monotone in phi0, so a bracketing sweep plus bisection
-finds the unique root. The bisection (`_bisect`) and the mod-4pi root scan
-(`_roots_mod_4pi`) defined here are the only root finders of the package.
+finds the unique root. `_bisect` (array form `_bisect_many`) and the
+mod-4pi scan `_roots_mod_4pi` here are the package's only root finders.
 """
 from __future__ import annotations
 
@@ -44,6 +44,9 @@ from .su2 import (
 
 _PSI_SOLVE_TOL = 1e-10
 _MAX_BISECT = 200
+# bound on |f| from the array label map against label_for_phi0, per unit
+# of 1 + 2|delta|; the largest seen over 1e5 seeded draws was 5e-15
+_ARRAY_ROUNDOFF = 1e-13
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,43 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float
     return label, tf, p2, best_eta
 
 
+def _labels_for_phi0(phi0, theta_star, phi_star):
+    """Array form of label_for_phi0 over broadcast phi0, theta* (outside the
+    polar band) and phi*. numpy's arccos and arctan2 differ from math's in
+    the last bit, so it agrees with the scalar map to roundoff: the grid
+    solves steer brackets with it and report label_for_phi0's values."""
+    s = np.sin(phi_star - phi0)
+    p2 = s / np.tan(theta_star / 2.0)
+    tb = np.arctan2(1.0, p2)
+    # where p2 < -1, sin(tb) magnifies the last bit of tb by about |p2|,
+    # and numpy's arctan2 and math's differ there: take math's
+    steep = np.flatnonzero(p2 < -1.0)
+    tb[steep] = [math.atan2(1.0, v) for v in p2[steep].tolist()]
+    sb, cb = np.sin(tb), np.cos(tb)
+    arg = np.cos(theta_star) - 2.0 * s * s * np.cos(theta_star / 2.0) ** 2
+    ea = np.arccos(np.minimum(1.0, np.maximum(-1.0, arg)))
+    # dynamics._circle_azimuth_offset at both crossings, eta = ea and 2pi - ea
+    er = np.stack([ea, (TWO_PI - ea) % TWO_PI])
+    raw = np.arctan2(-np.sin(er), cb * (1.0 - np.cos(er)))
+    raw = np.where((cb < 0.0) & (raw > 0.0), raw - TWO_PI, raw)
+    raw = np.where(np.abs(cb) < 1e-15, np.where(er <= math.pi, -math.pi / 2.0, math.pi / 2.0), raw)
+    offset = np.where(er < 1e-14, -math.pi / 2.0, raw)
+    d_a, d_b = np.abs(wrap_pi(phi0 + math.pi / 2.0 + offset - phi_star))
+    miss = np.minimum(d_a, d_b)
+    crossing = (miss < 1e-6) | (miss < 0.25 * np.maximum(d_a, d_b))
+    south = theta_star >= math.pi - POLAR_THETA_TOL
+    bad = ~(crossing | (np.abs(ea - math.pi) < 0.05) | south)
+    if bad.any():
+        x, th, m = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in (phi0, theta_star, miss))
+        raise NoConvergence(f"no circle branch arrives at phi* (miss {m:.3e}); "
+                            f"phi0 = {x:.6g}, theta* = {th:.6g}")
+    # South Pole: the label reduces to -2 phi0 + phi* (see label_for_phi0)
+    eta = np.where(south, math.pi, np.where(crossing & (d_a > d_b), TWO_PI - ea, ea))
+    p2 = np.where(south, 0.0, p2)
+    tf = np.where(south, math.pi / 2.0, eta * sb / 2.0)
+    return -2.0 * phi0 + phi_star - 2.0 * p2 * tf, tf, p2, eta
+
+
 def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
             slack: float = 0.0) -> float:
     """Root of g on [a, b] by bisection on the sign of g.
@@ -189,6 +229,41 @@ def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
         else:
             return mid
     raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
+
+
+def _bisect_many(g, a, b, ga, gb, tol: float, slack: float = 0.0) -> np.ndarray:
+    """Array form of `_bisect`, one bracket per element of the broadcast
+    1-d a, b, ga, gb: _bisect's end tests, midpoints, sign ordering and
+    stop rules, so each element gets _bisect's float for the same g values.
+    g(x, i) evaluates g at x for the still open brackets i."""
+    a, b, ga, gb = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, ga, gb))
+    out = np.where(np.abs(ga) <= tol, a, b)
+    todo = (np.abs(ga) > tol) & (np.abs(gb) > tol)
+    flat = todo & ((np.minimum(ga, gb) > slack) | (np.maximum(ga, gb) < -slack))
+    if flat.any():
+        k = int(np.argmax(flat))
+        raise NoConvergence(f"no sign change on [{a[k]:.9g}, {b[k]:.9g}]: "
+                            f"g = {ga[k]:.3e}, {gb[k]:.3e}")
+    i = np.flatnonzero(todo)
+    rising = ga[i] < gb[i]
+    lo = np.where(rising, a[i], b[i])     # g < 0 at lo, g > 0 at hi
+    hi = np.where(rising, b[i], a[i])
+    for _ in range(_MAX_BISECT):
+        if i.size == 0:
+            return out
+        mid = 0.5 * (lo + hi)
+        gm = np.zeros(i.size)             # a bracket under 1e-15 stops at its midpoint
+        wide = np.flatnonzero(np.abs(hi - lo) >= 1e-15)
+        if wide.size:
+            gm[wide] = g(mid[wide], i[wide])
+        hi = np.where(gm > tol, mid, hi)
+        lo = np.where(gm < -tol, mid, lo)
+        out[i] = mid
+        going = (gm > tol) | (gm < -tol)
+        i, lo, hi = i[going], lo[going], hi[going]
+    if i.size:
+        raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
+    return out
 
 
 def _roots_mod_4pi(f, xs, fs, target: float, tol: float) -> list[float]:
@@ -222,6 +297,49 @@ def _solve_label(target_label: float, theta_star: float, phi_star: float,
                    -phi_star + TWO_PI - target_label, -phi_star - TWO_PI - target_label, tol)
 
 
+def _f_gaps(theta_star, phi_star, delta, target, tol: float):
+    """g(x, i) = label - 2 delta tf - target over broadcast 1-d arguments, for
+    `_bisect_many`, from the array label map; a value within roundoff of
+    +-tol, where the map's last bits could flip _bisect's decision, is
+    recomputed by label_for_phi0. At delta = 0 it is the label mismatch."""
+    th, ph, d, t = np.broadcast_arrays(theta_star, phi_star, delta, target)
+
+    def g(x, i):
+        label, tf, _, _ = _labels_for_phi0(x, th[i], ph[i])
+        gm = label - 2.0 * d[i] * tf - t[i]
+        near = np.abs(np.abs(gm) - tol) <= _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d[i]))
+        for k, j in zip(np.flatnonzero(near).tolist(), i[near].tolist()):
+            label, tf, _, _ = label_for_phi0(float(x[k]), float(th[j]), float(ph[j]))
+            gm[k] = label - 2.0 * float(d[j]) * tf - float(t[j])
+        return gm
+
+    return g
+
+
+def _solve_labels(target_label, theta_star, phi_star, tol: float = _PSI_SOLVE_TOL) -> np.ndarray:
+    """Array form of `_solve_label` over broadcast 1-d arguments: the same
+    brackets and end values, solved together by `_bisect_many`."""
+    v, th, ph = np.broadcast_arrays(target_label, theta_star, phi_star)
+    return _bisect_many(_f_gaps(th, ph, 0.0, v, tol), ph - math.pi, ph + math.pi,
+                        -ph + TWO_PI - v, -ph - TWO_PI - v, tol)
+
+
+def _window_label(e: EulerTarget) -> float:
+    """psi* shifted by the unique multiple of 4pi into the label window."""
+    return e.psi + FOUR_PI * round((-e.phi - e.psi) / FOUR_PI)
+
+
+def _resonant_durations(targets: list[EulerTarget]) -> list[float]:
+    """synthesize_general's durations for canonical targets, bit for bit: the
+    tilted ones by one array solve, each root finished by label_for_phi0."""
+    polar = [e.theta < POLAR_THETA_TOL for e in targets]
+    es = [e for e, p in zip(targets, polar) if not p]
+    phi0 = _solve_labels([_window_label(e) for e in es], [e.theta for e in es],
+                         [e.phi for e in es])
+    tilted = iter([label_for_phi0(x, e.theta, e.phi)[1] for x, e in zip(phi0.tolist(), es)])
+    return [z_rotation_parameters(e.psi)[1] if p else next(tilted) for e, p in zip(targets, polar)]
+
+
 def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> SynthesisResult:
     """Time-optimal law for an arbitrary SU(2) target.
 
@@ -232,9 +350,7 @@ def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> S
     e = canonical_euler(target)
     if e.theta < POLAR_THETA_TOL:
         return synthesize_z_rotation(e.psi, verify=verify)
-    # shift psi* by the unique multiple of 4pi into the reachable label window
-    v = e.psi + FOUR_PI * round((-e.phi - e.psi) / FOUR_PI)
-    phi0 = _solve_label(v, e.theta, e.phi)
+    phi0 = _solve_label(_window_label(e), e.theta, e.phi)
     label, tf, p2, eta = label_for_phi0(phi0, e.theta, e.phi)
     law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=0.0, tf=tf)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .dynamics import write_csv
 from .errors import DomainError
-from .resonant import synthesize_general
-from .su2 import UnitGate, gate_from_axis_angle, hopf_from_gate, negate_gate
+from .resonant import _resonant_durations, synthesize_general
+from .su2 import UnitGate, canonical_euler, gate_from_axis_angle, hopf_from_gate, negate_gate
 
 TIE_TOL = 1e-8
 
@@ -29,13 +29,17 @@ class So3Decision:
     theta2: float               # Hopf theta2 of U, the decision angle
 
 
+def _faster(tp: float, tm: float) -> tuple[str, bool]:
+    """(chosen, tie) for durations tp of U and tm of -U; ties report "U"."""
+    tie = abs(tp - tm) < TIE_TOL
+    return ("U" if (tie or tp < tm) else "-U"), tie
+
+
 def select_faster(g: UnitGate) -> So3Decision:
     """Synthesize U and -U at zero detuning and pick the faster one."""
-    r_plus = synthesize_general(g, verify=False)
-    r_minus = synthesize_general(negate_gate(g), verify=False)
-    tp, tm = r_plus.law.tf, r_minus.law.tf
-    tie = abs(tp - tm) < TIE_TOL
-    chosen = "U" if (tie or tp < tm) else "-U"
+    tp = synthesize_general(g, verify=False).law.tf
+    tm = synthesize_general(negate_gate(g), verify=False).law.tf
+    chosen, tie = _faster(tp, tm)
     return So3Decision(chosen, tp, tm, tie, hopf_from_gate(g).theta2)
 
 
@@ -43,20 +47,22 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
     """Durations for rotations of each angle alpha in [0, 4pi] about a fixed
     axis, for both SU(2) representatives.
 
-    Returns rows (alpha, tf_U, tf_negU, chosen). The two curves cross only
-    at alpha = pi + 2 pi k.
+    Returns rows (alpha, tf_U, tf_negU, chosen) as select_faster gives
+    them, all angles in one array solve. The two curves cross only at
+    alpha = pi + 2 pi k.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,) or abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
         raise DomainError("axis must be a unit 3-vector")
-    rows = []
-    for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
-        a = float(alpha)
+    angles = np.atleast_1d(np.asarray(alphas, dtype=float)).tolist()
+    targets = []
+    for a in angles:
         if not (0.0 <= a <= 4.0 * math.pi + 1e-12):
             raise DomainError(f"alpha = {a:.12g} outside [0, 4pi]")
-        dec = select_faster(gate_from_axis_angle(min(a, 4.0 * math.pi - 1e-15), ax))
-        rows.append((a, dec.tf_plus, dec.tf_minus, dec.chosen))
-    return rows
+        g = gate_from_axis_angle(min(a, 4.0 * math.pi - 1e-15), ax)
+        targets += [canonical_euler(g), canonical_euler(negate_gate(g))]
+    tf = _resonant_durations(targets)
+    return [(a, tp, tm, _faster(tp, tm)[0]) for a, tp, tm in zip(angles, tf[::2], tf[1::2])]
 
 
 def write_sweep_csv(rows, path) -> None:

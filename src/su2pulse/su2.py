@@ -390,5 +390,5 @@ def target_to_json(e: EulerTarget) -> dict:
 def target_from_json(d: dict) -> EulerTarget:
     try:
         return euler_target(float(d["psi"]), float(d["theta"]), float(d["phi"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad target record: {json.dumps(d)[:80]}") from exc

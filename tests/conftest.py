@@ -6,6 +6,9 @@ whole control family on a grid for arrivals at the target, with the
 package's shared mod-4pi root scan, and take the fastest; neither uses
 the solvers' 4pi bookkeeping or the optimal-domain construction.
 
+The sweep oracles are the package's former per-point sweep loops; the
+array sweeps must match them bit for bit.
+
 The CSV oracles are the package's former per-row file code: a scalar
 closed-form trajectory point, f-string writers for the pulse, trajectory
 and sweep files, and the line-by-line pulse reader. The block writers and
@@ -26,9 +29,27 @@ from su2pulse import (
     propagate_law,
 )
 from su2pulse.dynamics import _circle_azimuth_offset, control_phase
-from su2pulse.detuned import _scan_z_roots
+from su2pulse.detuned import (
+    PsiFamily,
+    TdiffReport,
+    _control_at_label,
+    _resonant_entry,
+    _scan_z_roots,
+    _solve_detuned,
+    negated_psi,
+)
 from su2pulse.resonant import _roots_mod_4pi, label_for_phi0, target_gate
-from su2pulse.su2 import POLAR_THETA_TOL, TWO_PI, canonical_euler, wrap_4pi, wrap_pi
+from su2pulse.so3 import select_faster
+from su2pulse.su2 import (
+    FOUR_PI,
+    POLAR_THETA_TOL,
+    TWO_PI,
+    EulerTarget,
+    canonical_euler,
+    gate_from_axis_angle,
+    wrap_4pi,
+    wrap_pi,
+)
 
 
 @pytest.fixture
@@ -251,3 +272,91 @@ def write_tdiff_csv_oracle(report, path) -> None:
         for i, (d, tu, tn, td, inx) in enumerate(report.rows()):
             ev = marks.get(i, "none")
             fh.write(f"{d:.17g},{tu:.17g},{tn:.17g},{td:.17g},{int(inx)},{ev}\n")
+
+
+# ---------------------------------------------------------------------------
+# sweep oracles: the former per-point loops of the family, angle and T_diff
+# sweeps, each point solved on its own by the scalar path. The array
+# sweeps must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def build_psi_family_oracle(theta_star: float, phi_star: float,
+                            resolution: int = 1024) -> PsiFamily:
+    if resolution < 256:
+        raise DomainError("resolution must be at least 256")
+    if theta_star < POLAR_THETA_TOL and phi_star != 0.0:
+        raise DomainError("z-rotation families use the phi* = 0 convention")
+    labels = np.linspace(-phi_star - TWO_PI, -phi_star + TWO_PI, resolution)
+    phi0 = np.empty(resolution)
+    p2 = np.empty(resolution)
+    dur = np.empty(resolution)
+    for i, lab in enumerate(labels):
+        phi0[i], p2[i], dur[i] = _control_at_label(theta_star, phi_star, float(lab))
+    return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
+
+
+def sweep_rotation_angle_oracle(axis, alphas):
+    ax = np.asarray(axis, dtype=float)
+    if ax.shape != (3,) or abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
+        raise DomainError("axis must be a unit 3-vector")
+    rows = []
+    for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
+        a = float(alpha)
+        if not (0.0 <= a <= 4.0 * math.pi + 1e-12):
+            raise DomainError(f"alpha = {a:.12g} outside [0, 4pi]")
+        dec = select_faster(gate_from_axis_angle(min(a, 4.0 * math.pi - 1e-15), ax))
+        rows.append((a, dec.tf_plus, dec.tf_minus, dec.chosen))
+    return rows
+
+
+def tdiff_analysis_oracle(target, delta_grid) -> TdiffReport:
+    e = canonical_euler(target)
+    if e.theta < POLAR_THETA_TOL:
+        raise DomainError("tdiff analysis needs theta* > 0")
+    grid = np.asarray(delta_grid, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
+        raise DomainError("delta grid must be finite, sorted and 1-d")
+    e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
+    n = grid.size
+    t_u = np.empty(n)
+    t_n = np.empty(n)
+    in_x = np.zeros(n, dtype=bool)
+    psi_u = np.empty(n)
+    psi_n = np.empty(n)
+    bounds = np.empty((n, 2))
+    psi_plus = -e.phi + math.pi
+    psi_minus = -e.phi - math.pi
+    for i, d in enumerate(grid):
+        d = float(d)
+        pu, tu, dom_u = _solve_detuned(e, d) if d != 0.0 else _resonant_entry(e)
+        pn, tn, _ = _solve_detuned(e_neg, d) if d != 0.0 else _resonant_entry(e_neg)
+        t_u[i], t_n[i] = tu, tn
+        psi_u[i], psi_n[i] = pu, pn
+        if dom_u is None:
+            lo, hi = -e.phi - TWO_PI, -e.phi + TWO_PI
+            in_x[i] = True
+        else:
+            lo, hi = dom_u.psi_min, dom_u.psi_max
+            in_x[i] = dom_u.contains(psi_plus) and dom_u.contains(psi_minus)
+        bounds[i] = (lo, hi)
+    # duration of the symmetric pair (equal by symmetry)
+    _, _, t_pair = _control_at_label(e.theta, e.phi, psi_plus)
+    predicted = []
+    for sign in (+1.0, -1.0):
+        c = e.phi + e.psi + sign * math.pi
+        # -(c + 4 pi n) / (2 t_pair) within the grid range
+        n_lo = math.ceil((-2.0 * t_pair * float(grid[-1]) - c) / FOUR_PI - 1e-9)
+        n_hi = math.floor((-2.0 * t_pair * float(grid[0]) - c) / FOUR_PI + 1e-9)
+        for nn in range(n_lo, n_hi + 1):
+            predicted.append(-(c + FOUR_PI * nn) / (2.0 * t_pair))
+    predicted = sorted(set(round(p, 12) for p in predicted))
+    events = []
+    diff = t_u - t_n
+    for i in range(n - 1):
+        a, b = diff[i], diff[i + 1]
+        if a == 0.0 or a * b >= 0.0:
+            continue
+        mid = 0.5 * (grid[i] + grid[i + 1])
+        kind = "zero_cross" if (in_x[i] and in_x[i + 1]) else "boundary_jump"
+        events.append((float(mid), kind))
+    return TdiffReport(grid, t_u, t_n, in_x, events, predicted, psi_u, psi_n, bounds)

@@ -84,6 +84,7 @@ def test_propagate_prints_gate(tmp_path, capsys):
 def test_parse_error_exit_code(tmp_path):
     assert run_cli("synthesize", "--target", "zrot:9.0", "--out", str(tmp_path)) == 2
     assert run_cli("synthesize", "--target", "junk", "--out", str(tmp_path)) == 2
+    assert run_cli("sweep-angle", "--axis", "a,b,c", "--out", str(tmp_path)) == 2
 
 
 def test_parser_is_built_once(tmp_path, capsys):
@@ -122,6 +123,23 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys, kind, content):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and str(path) in err
+
+
+@pytest.mark.parametrize("command,key,value", [
+    pytest.param(command, "delta", value, id=f"{command}-delta-{name}")
+    for command in ("verify", "propagate")
+    for name, value in (("string", "abc"), ("null", None), ("list", [1]))
+] + [pytest.param("verify", "target", {"psi": "a", "theta": 1, "phi": 0},
+                  id="verify-target-non-numeric")])
+def test_bad_pulse_header_is_a_usage_error(tmp_path, capsys, command, key, value):
+    run_cli("synthesize", "--target", "euler:0.4,1.1,0.2", "--out", str(tmp_path))
+    sidecar = tmp_path / "pulse.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+    capsys.readouterr()
+    code = run_cli(command, str(tmp_path / "pulse.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and key in err
 
 
 def test_verify_current_directory_is_a_usage_error(tmp_path, monkeypatch, capsys):

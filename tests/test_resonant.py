@@ -22,6 +22,9 @@ from su2pulse import (
     parse_target,
 )
 
+from su2pulse.errors import NoConvergence
+from su2pulse.resonant import _labels_for_phi0, label_for_phi0
+
 from conftest import brute_force_min_time
 
 TWO_PI = 2 * math.pi
@@ -253,3 +256,43 @@ def test_synthesize_dispatcher():
     assert r.law.tf == 0.5
     r = synthesize(parse_target("euler:0.5,1.0,-0.5"))
     assert r.residual < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the array label map against the scalar one
+# ---------------------------------------------------------------------------
+
+def test_array_label_map_matches_scalar_map():
+    # theta* on a log grid from 1e-8 to pi; phi0 at the tangency controls
+    # phi* -+ pi/2, at and next to the window ends phi* -+ pi, and seeded
+    # draws between. Next to the polar band the scalar branch test fails
+    # at the window ends for some phi*: the array map must raise there too
+    rng = np.random.default_rng(606)
+    for theta in np.geomspace(1e-8, math.pi, 80).tolist():
+        phi = float(rng.uniform(-math.pi, math.pi))
+        offsets = [-math.pi, -math.pi * (1 - 1e-9), -math.pi / 2.0, 0.0, math.pi / 2.0,
+                   math.pi * (1 - 1e-9), math.pi]
+        phi0 = phi + np.concatenate([offsets, rng.uniform(-math.pi, math.pi, 40)])
+        want, fails = [], []
+        for x in phi0.tolist():
+            try:
+                want.append(label_for_phi0(x, theta, phi))
+            except NoConvergence:
+                fails.append(x)
+                want.append(None)
+        for x in fails:
+            with pytest.raises(NoConvergence):
+                _labels_for_phi0(np.array([x]), theta, phi)
+        ok = np.array([w is not None for w in want])
+        got = np.column_stack(_labels_for_phi0(phi0[ok], np.full(ok.sum(), theta), phi))
+        want = np.array([w for w in want if w is not None])
+        assert np.all(np.abs(got[:, 0] - want[:, 0]) <= 1e-12), theta     # label
+        assert np.all(np.abs(got[:, [1, 3]] - want[:, [1, 3]]) <= 1e-12), theta  # tf, eta
+        assert np.allclose(got[:, 2], want[:, 2], rtol=1e-12, atol=0.0), theta  # p2
+    # draws at which numpy's arctan2(1, p2) and math's differ in the last
+    # bit while p2 < -1, so that sin(tb) magnifies it to a label 2e-12 and
+    # 4e-12 apart, unless the array map takes math's value there
+    for phi0, theta, phi in [(-1.5612578411123716, 0.0004415446204372173, -2.704657950002144),
+                             (4.715637648196324, 0.0015400155731124293, 2.25445054712693)]:
+        got = _labels_for_phi0(np.array([phi0]), theta, phi)[0][0]
+        assert abs(got - label_for_phi0(phi0, theta, phi)[0]) <= 1e-12

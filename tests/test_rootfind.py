@@ -5,13 +5,34 @@ import numpy as np
 import pytest
 
 from su2pulse import NoConvergence
-from su2pulse.resonant import _bisect, _roots_mod_4pi
+from su2pulse.resonant import _bisect, _bisect_many, _roots_mod_4pi
 
 FOUR_PI = 4.0 * math.pi
 
 
+def _bisect_both(g, a, b, ga, gb, tol, **kw):
+    """_bisect's root, once `_bisect_many` on a one-bracket batch, with g
+    evaluated per element, has returned the same float bit for bit, or
+    raised NoConvergence where _bisect raises it."""
+    def gv(x, i):
+        assert i.tolist() == [0]
+        return np.array([g(v) for v in x.tolist()])
+
+    def many():
+        return float(_bisect_many(gv, [a], [b], [ga], [gb], tol, **kw)[0])
+
+    try:
+        x = _bisect(g, a, b, ga, gb, tol, **kw)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            many()
+        raise
+    assert many() == x
+    return x
+
+
 def _call(g, a, b, tol, **kw):
-    return _bisect(g, a, b, g(a), g(b), tol, **kw)
+    return _bisect_both(g, a, b, g(a), g(b), tol, **kw)
 
 
 @pytest.mark.parametrize("g", [lambda x: x * x - 2.0, lambda x: 2.0 - x * x],
@@ -29,7 +50,7 @@ def test_bisect_root_at_an_end(a, b):
         calls.append(x)
         return x - 1.0
 
-    assert _bisect(g, a, b, a - 1.0, b - 1.0, 1e-12) == 1.0
+    assert _bisect_both(g, a, b, a - 1.0, b - 1.0, 1e-12) == 1.0
     assert calls == []          # an end that meets tol is returned unevaluated
 
 
@@ -51,6 +72,27 @@ def test_bisect_slack_admits_a_near_miss():
 def test_bisect_zero_tolerance_reaches_float_resolution():
     x = _call(lambda t: math.cos(t), 1.0, 2.0, 0.0)
     assert abs(x - math.pi / 2.0) < 1e-15
+
+
+def test_bisect_many_solves_each_bracket_as_bisect_does():
+    # one batch whose brackets rise and fall and stop at an end, at
+    # |g| <= tol and at float resolution: each gets _bisect's float
+    shifts = [1.0, -2.0, 0.3, 1.7, 2.0]
+    a, b = [1.0, -3.0, 0.0, 3.0, 1.5], [1.5, -1.0, 1.0, 1.0, 2.5]
+
+    def g(x, c):
+        return math.sin(x) * (x - c)
+
+    ga = [g(x, c) for x, c in zip(a, shifts)]
+    gb = [g(x, c) for x, c in zip(b, shifts)]
+
+    def gv(x, i):
+        return np.array([g(v, shifts[k]) for v, k in zip(x.tolist(), i.tolist())])
+
+    for tol in (1e-12, 0.0):
+        want = [_bisect(lambda x, c=c: g(x, c), *ends, tol)
+                for c, *ends in zip(shifts, a, b, ga, gb)]
+        assert _bisect_many(gv, a, b, ga, gb, tol).tolist() == want
 
 
 def test_scan_finds_every_root_mod_4pi():
