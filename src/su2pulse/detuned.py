@@ -30,8 +30,10 @@ all f_delta roots and taking the fastest.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +67,10 @@ from .su2 import (
 )
 
 _F_SOLVE_TOL = 1e-10
+# _bisect's slack, per unit of 1 + 2 delta, on brackets with a stationary
+# end: near the threshold that end is a tangency control, where acos(-1 + x)
+# in label_for_phi0 turns 8 ulps of x into sqrt(16 eps) of f_delta
+_STATIONARY_SLACK = 4.0 * math.sqrt(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +201,98 @@ def _f_of_phi0(phi0: float, theta_star: float, phi_star: float, delta: float
     return label - 2.0 * delta * tf, label, tf, p2
 
 
-def _bisect_f(target_f: float, lo: float, hi: float, theta_star: float,
-              phi_star: float, delta: float) -> float:
-    """phi0 in [lo, hi] with f(phi0) = target_f; f decreasing in phi0 on
-    any monotone-increasing label arc."""
-    def g(phi0):
-        label, tf, _, _ = label_for_phi0(phi0, theta_star, phi_star)
-        return label - 2.0 * delta * tf - target_f
+@functools.lru_cache(maxsize=2)
+def _window_end(phi0: float, theta_star: float, phi_star: float) -> tuple[float, float]:
+    """(label, tf) at a window end, phi0 = phi* +- pi, kept for the next domain."""
+    return label_for_phi0(phi0, theta_star, phi_star)[:2]
 
-    return _bisect(g, lo, hi, g(lo), g(hi), _F_SOLVE_TOL, slack=1e-9)
+
+class _Arc(NamedTuple):
+    """An optimal domain as phi0 brackets (lo, hi, f_delta at lo, at hi) on
+    which f_delta falls: `top` runs from the highest label to phi* + pi, and
+    `low` is the wrapped part, past the second stationary label and lifted
+    by 4pi. A strict arc's psi_min (nan in dom until solved) is the root of
+    `end`: (f value, bracket, lift)."""
+
+    dom: OptimalDomain
+    top: tuple[float, float, float, float]
+    low: tuple[float, float, float, float] | None
+    end: tuple[float, ...] | None
+    slack: float
+
+
+def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
+    """The _Arc of optimal_domain: the full window at delta, or the strict
+    arc at |delta|, which optimal_domain mirrors for delta < 0."""
+    lo, hi = phi_star - math.pi, phi_star + math.pi
+
+    def f_at(phi0, d):
+        label, tf = _window_end(phi0, theta_star, phi_star)
+        return label - 2.0 * d * tf
+
+    if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
+        f_min, f_max = f_at(hi, delta), f_at(lo, delta)
+        return _Arc(OptimalDomain(-phi_star - TWO_PI, -phi_star + TWO_PI, None, theta_star,
+                                  phi_star, delta, wrapped=False, f_min=f_min, f_max=f_max),
+                    (lo, hi, f_max, f_min), None, None, 1e-9)
+    delta = abs(delta)
+    ratio = math.tan(theta_star / 2.0) / delta
+    if ratio >= 1.0:
+        raise NoStationaryPoint("stationary label requires |delta| > tan(theta*/2)")
+    # stationary label closest to -phi*: p2 = 1/delta on the rising branch
+    phi0_b = phi_star - math.asin(ratio)
+    f_b, psi_b, _, p2_b = _f_of_phi0(phi0_b, theta_star, phi_star, delta)
+    if abs(p2_b - 1.0 / delta) > 1e-8:
+        raise NoStationaryPoint(
+            f"stationary solve inconsistent: p2 = {p2_b:.9g} vs 1/delta = {1.0 / delta:.9g}"
+        )
+    top = (phi0_b, hi, f_b, f_at(hi, delta))
+    dom = OptimalDomain(math.nan, psi_b, psi_b, theta_star, phi_star, delta,
+                        wrapped=f_b - FOUR_PI < top[3] - 1e-12, f_min=f_b - FOUR_PI, f_max=f_b)
+    slack = _STATIONARY_SLACK * (1.0 + 2.0 * delta)
+    if not dom.wrapped:
+        # [f^-1(f_b - 4pi), psi_bullet] inside the window
+        return _Arc(dom, top, None, (dom.f_min, *top, 0.0), slack)
+    # the arc wraps through the identified ends: its lower part lives on the
+    # rightmost increasing piece, beyond the second stationary label
+    phi0_b2 = lo + math.asin(ratio)
+    low = (lo, phi0_b2, f_at(lo, delta), _f_of_phi0(phi0_b2, theta_star, phi_star, delta)[0])
+    return _Arc(dom, top, low, (f_b, *low, FOUR_PI), slack)
+
+
+def _solve_f(arc: _Arc, f: float, lo: float, hi: float, f_lo: float, f_hi: float,
+             lift: float) -> tuple[float, float]:
+    """(label - lift, tf) at the phi0 in [lo, hi] where f_delta = f."""
+    th, ph, d = arc.dom.theta_star, arc.dom.phi_star, arc.dom.delta
+
+    def g(phi0):
+        label, tf, _, _ = label_for_phi0(phi0, th, ph)
+        return label - 2.0 * d * tf - f
+
+    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, _F_SOLVE_TOL, arc.slack)
+    label, tf, _, _ = label_for_phi0(phi0, th, ph)
+    return label - lift, tf
+
+
+def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
+                brackets: list[tuple[_Arc, tuple[float, ...]]]):
+    """Each arc's OptimalDomain, and (label - lift, tf) arrays for the (arc,
+    _f_bracket) pairs: _solve_f's values, from one _bisect_many solve."""
+    rows = [(a, a.end) for a in arcs if a.end] + brackets
+    d, slack, f, lo, hi, f_lo, f_hi, lift = np.array(
+        [(a.dom.delta, a.slack, *b) for a, b in rows]).reshape(-1, 8).T
+    phi0 = _bisect_many(_f_gaps(theta_star, phi_star, d, f, _F_SOLVE_TOL), lo, hi,
+                        f_lo - f, f_hi - f, _F_SOLVE_TOL, slack)
+    label, tf = np.array([label_for_phi0(x, theta_star, phi_star)[:2]
+                          for x in phi0.tolist()]).reshape(-1, 2).T
+    psi = label - lift
+    ends = iter(psi.tolist())
+    k = len(rows) - len(brackets)
+    return [replace(a.dom, psi_min=next(ends)) if a.end else a.dom for a in arcs], psi[k:], tf[k:]
+
+
+def _scalar_domain(arc: _Arc) -> OptimalDomain:
+    return replace(arc.dom, psi_min=_solve_f(arc, *arc.end)[0]) if arc.end else arc.dom
 
 
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:
@@ -214,15 +303,9 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     """
     if not (POLAR_THETA_TOL <= theta_star <= math.pi + 1e-12):
         raise DomainError("theta* must lie in (0, pi]")
-    if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
-        f_lo = _f_of_phi0(phi_star + math.pi, theta_star, phi_star, delta)[0]
-        f_hi = _f_of_phi0(phi_star - math.pi, theta_star, phi_star, delta)[0]
-        return OptimalDomain(-phi_star - TWO_PI, -phi_star + TWO_PI, None,
-                             theta_star, phi_star, delta,
-                             wrapped=False, f_min=f_lo, f_max=f_hi)
-    if delta > 0.0:
-        return _strict_domain_positive(theta_star, phi_star, delta)
-    return _mirrored(_strict_domain_positive(theta_star, phi_star, -delta))
+    arc = _domain_arc(theta_star, phi_star, delta)
+    dom = _scalar_domain(arc)
+    return _mirrored(dom) if delta < 0.0 and arc.end else dom
 
 
 def _mirrored(m: OptimalDomain) -> OptimalDomain:
@@ -238,39 +321,6 @@ def _mirrored(m: OptimalDomain) -> OptimalDomain:
         f_min=-m.f_max - c,
         f_max=-m.f_min - c,
     )
-
-
-def _strict_domain_positive(theta_star: float, phi_star: float,
-                            delta: float) -> OptimalDomain:
-    """Strict sub-arc for delta > |tan(theta*/2)|, ending at psi_bullet."""
-    thr = math.tan(theta_star / 2.0)
-    ratio = thr / delta
-    if ratio >= 1.0:
-        raise NoStationaryPoint("stationary label requires |delta| > tan(theta*/2)")
-    # stationary label closest to -phi*: p2 = 1/delta on the rising branch
-    phi0_b = phi_star - math.asin(ratio)
-    f_b, psi_b, t_b, p2_b = _f_of_phi0(phi0_b, theta_star, phi_star, delta)
-    if abs(p2_b - 1.0 / delta) > 1e-8:
-        raise NoStationaryPoint(
-            f"stationary solve inconsistent: p2 = {p2_b:.9g} vs 1/delta = {1.0 / delta:.9g}"
-        )
-    lo = -phi_star - TWO_PI
-    f_lo = _f_of_phi0(phi_star + math.pi, theta_star, phi_star, delta)[0]
-    if f_b - FOUR_PI >= f_lo - 1e-12:
-        # arc stays inside the window: [f^-1(f_b - 4pi), psi_bullet]
-        phi0_min = _bisect_f(f_b - FOUR_PI, phi0_b, phi_star + math.pi,
-                             theta_star, phi_star, delta)
-        psi_min = label_for_phi0(phi0_min, theta_star, phi_star)[0]
-        return OptimalDomain(psi_min, psi_b, psi_b, theta_star, phi_star, delta,
-                             wrapped=False, f_min=f_b - FOUR_PI, f_max=f_b)
-    # arc wraps through the identified ends: the lower part lives on the
-    # rightmost increasing piece, beyond the second stationary label
-    phi0_b2 = phi_star - math.pi + math.asin(ratio)
-    phi0_min = _bisect_f(f_b, phi_star - math.pi, phi0_b2,
-                         theta_star, phi_star, delta)
-    psi_min = label_for_phi0(phi0_min, theta_star, phi_star)[0] - FOUR_PI
-    return OptimalDomain(psi_min, psi_b, psi_b, theta_star, phi_star, delta,
-                         wrapped=True, f_min=f_b - FOUR_PI, f_max=f_b)
 
 
 # ---------------------------------------------------------------------------
@@ -299,32 +349,28 @@ def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, OptimalD
         psi_m, tf, dom_m = _solve_detuned(
             EulerTarget(wrap_4pi(-2.0 * e.phi - e.psi), e.theta, e.phi), -delta)
         return -psi_m - 2.0 * e.phi, tf, _mirrored(dom_m)
-    dom = optimal_domain(e.theta, e.phi, delta)
-    target_f, lo, hi, lift = _f_bracket(e, delta, dom)
-    phi0 = _bisect_f(target_f, lo, hi, e.theta, e.phi, delta)
-    label, tf, _, _ = label_for_phi0(phi0, e.theta, e.phi)
-    return label - lift, tf, dom
+    arc = _domain_arc(e.theta, e.phi, delta)
+    dom = _scalar_domain(arc)
+    psi, tf = _solve_f(arc, *_f_bracket(e, arc))
+    return psi, tf, dom
 
 
-def _f_bracket(e: EulerTarget, delta: float, dom: OptimalDomain
-               ) -> tuple[float, float, float, float]:
-    """(f value, phi0 bracket, lift) for delta > 0 on the optimal domain
-    dom: the label is the root of f_delta = f value in the bracket, minus lift."""
+def _f_bracket(e: EulerTarget, arc: _Arc) -> tuple[float, ...]:
+    """(f value, phi0 bracket, f_delta at its ends, lift) for the canonical
+    target on the arc (delta > 0): the label is the root of f_delta = f
+    value in the bracket, minus lift."""
     # unique lift of psi* into the arc's f-range (width 4pi)
-    n = math.floor((dom.f_max - e.psi) / FOUR_PI)
+    n = math.floor((arc.dom.f_max - e.psi) / FOUR_PI)
     v = e.psi + FOUR_PI * n
-    if v < dom.f_min - 1e-9:
+    if v < arc.dom.f_min - 1e-9:
         v += FOUR_PI
-    if not (dom.f_min - 1e-9 <= v <= dom.f_max + 1e-9):
+    if not (arc.dom.f_min - 1e-9 <= v <= arc.dom.f_max + 1e-9):
         raise NoConvergence(f"no 4pi lift of psi* fits the domain range "
-                            f"[{dom.f_min:.6g}, {dom.f_max:.6g}]")
-    if dom.wrapped and v < _f_of_phi0(e.phi + math.pi, e.theta, e.phi, delta)[0] - 1e-12:
+                            f"[{arc.dom.f_min:.6g}, {arc.dom.f_max:.6g}]")
+    if arc.low is not None and v < arc.top[3] - 1e-12:
         # lower wrapped piece: invert at the raw (unlifted) f value
-        phi0_b2 = e.phi - math.pi + math.asin(math.tan(e.theta / 2.0) / delta)
-        return v + FOUR_PI, e.phi - math.pi, phi0_b2, FOUR_PI
-    lo_phi0 = e.phi - math.pi if dom.psi_bullet is None else \
-        e.phi - math.asin(math.tan(e.theta / 2.0) / delta)
-    return v, lo_phi0, e.phi + math.pi, 0.0
+        return (v + FOUR_PI, *arc.low, FOUR_PI)
+    return (v, *arc.top, 0.0)
 
 
 def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
@@ -333,10 +379,11 @@ def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
 
     The law reuses the resonant control of the selected label (its drive
     phase picks up the extra 2*delta*t slope), so only psi is shifted at
-    arrival, by -2*delta*tf. A non-finite delta raises DomainError.
+    arrival, by -2*delta*tf. A delta with 2 pi |delta| not finite raises
+    DomainError.
     """
-    if not math.isfinite(delta):
-        raise DomainError(f"detuning delta = {delta!r} must be finite")
+    if not math.isfinite(2.0 * math.pi * delta):
+        raise DomainError(f"detuning delta = {delta!r}: 2 pi |delta| must be finite")
     e = canonical_euler(target)
     if delta == 0.0:
         return synthesize_general(e, verify=verify)
@@ -407,43 +454,34 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     grid = np.asarray(delta_grid, dtype=float)
     if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
         raise DomainError("delta grid must be finite, sorted and 1-d")
+    big = [d for d in grid.tolist() if not math.isfinite(2.0 * math.pi * d)]
+    if big:
+        raise DomainError(f"detuning delta = {big[0]!r}: 2 pi |delta| must be finite")
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
     n = grid.size
     t_u, t_n, psi_u, psi_n = np.empty((4, n))
-    in_x = np.zeros(n, dtype=bool)
-    bounds = np.empty((n, 2))
-    psi_plus = -e.phi + math.pi
-    psi_minus = -e.phi - math.pi
-    # _solve_detuned at every nonzero delta, for U then -U, with the domain
-    # found once per delta: brackets here, then one array inversion
-    solves = []                     # (grid index, delta, f value, lo, hi, lift)
-    for i, d in enumerate(grid.tolist()):
-        if d == 0.0:
-            psi_u[i], t_u[i], _ = _resonant_entry(e)
-            psi_n[i], t_n[i], _ = _resonant_entry(e_neg)
-            in_x[i] = True
-            bounds[i] = (-e.phi - TWO_PI, -e.phi + TWO_PI)
-            continue
-        dom = optimal_domain(e.theta, e.phi, abs(d))
-        for ek in (e, e_neg):
-            # negative detuning: mirror about the phi* meridian
-            em = ek if d > 0.0 else EulerTarget(wrap_4pi(-2.0 * e.phi - ek.psi), e.theta, e.phi)
-            solves.append((i, d, *_f_bracket(em, abs(d), dom)))
+    in_x = np.ones(n, dtype=bool)
+    bounds = np.tile((-e.phi - TWO_PI, -e.phi + TWO_PI), (n, 1))     # the full window at 0
+    psi_plus, psi_minus = -e.phi + math.pi, -e.phi - math.pi
+    for i in np.flatnonzero(grid == 0.0).tolist():
+        psi_u[i], t_u[i], _ = _resonant_entry(e)
+        psi_n[i], t_n[i], _ = _resonant_entry(e_neg)
+    # _solve_detuned for U and -U at every nonzero delta: the domains' strict
+    # ends and the inversions of f_delta in one array solve
+    nz = np.flatnonzero(grid != 0.0)
+    ds = grid[nz].tolist()
+    arcs = [_domain_arc(e.theta, e.phi, abs(d)) for d in ds]
+    # negative detuning: mirror the targets about the phi* meridian
+    mirror = [EulerTarget(wrap_4pi(-2.0 * e.phi - ek.psi), e.theta, e.phi) for ek in (e, e_neg)]
+    doms, psi, tf = _solve_arcs(e.theta, e.phi, arcs, [
+        (a, _f_bracket(ek, a)) for d, a in zip(ds, arcs) for ek in ((e, e_neg) if d > 0.0 else mirror)])
+    psi = np.where(np.repeat(grid[nz], 2) > 0.0, psi, -psi - 2.0 * e.phi)
+    psi_u[nz], psi_n[nz] = psi.reshape(-1, 2).T          # U and -U alternate
+    t_u[nz], t_n[nz] = tf.reshape(-1, 2).T
+    for i, d, dom in zip(nz.tolist(), ds, doms):
         dom_u = dom if d > 0.0 else _mirrored(dom)
         bounds[i] = (dom_u.psi_min, dom_u.psi_max)
         in_x[i] = dom_u.contains(psi_plus) and dom_u.contains(psi_minus)
-    # _bisect_f for every solve at once, then label_for_phi0 at each root
-    idx, ds, target_f, lo, hi, lift = np.array(solves).reshape(-1, 6).T
-    ga, gb = ([_f_of_phi0(x, e.theta, e.phi, d)[0] - t for x, d, t in
-               zip(ends.tolist(), np.abs(ds).tolist(), target_f.tolist())] for ends in (lo, hi))
-    phi0 = _bisect_many(_f_gaps(e.theta, e.phi, np.abs(ds), target_f, _F_SOLVE_TOL),
-                        lo, hi, ga, gb, _F_SOLVE_TOL, slack=1e-9)
-    label, tf = np.array([label_for_phi0(x, e.theta, e.phi)[:2]
-                          for x in phi0.tolist()]).reshape(-1, 2).T
-    psi = np.where(ds > 0.0, label - lift, -(label - lift) - 2.0 * e.phi)
-    rows = idx[::2].astype(int)                 # U and -U alternate
-    psi_u[rows], psi_n[rows] = psi.reshape(-1, 2).T
-    t_u[rows], t_n[rows] = tf.reshape(-1, 2).T
     # duration of the symmetric pair (equal by symmetry)
     _, _, t_pair = _control_at_label(e.theta, e.phi, psi_plus)
     predicted = []

@@ -231,11 +231,12 @@ def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
     raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
 
 
-def _bisect_many(g, a, b, ga, gb, tol: float, slack: float = 0.0) -> np.ndarray:
+def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     """Array form of `_bisect`, one bracket per element of the broadcast
-    1-d a, b, ga, gb: _bisect's end tests, midpoints, sign ordering and
-    stop rules, so each element gets _bisect's float for the same g values.
-    g(x, i) evaluates g at x for the still open brackets i."""
+    1-d a, b, ga, gb (and slack, if an array): _bisect's end tests,
+    midpoints, sign ordering and stop rules, so each element gets _bisect's
+    float for the same g values. g(x, i) evaluates g at x for the still
+    open brackets i."""
     a, b, ga, gb = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, ga, gb))
     out = np.where(np.abs(ga) <= tol, a, b)
     todo = (np.abs(ga) > tol) & (np.abs(gb) > tol)

@@ -257,6 +257,18 @@ def test_non_finite_delta_is_a_usage_error(tmp_path, delta):
     assert "finite" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("synthesize", "--target", "euler:0.4,1.2,1.1", "--delta", "1e308"),
+    ("sweep-detuning", "--target", "euler:0.4,2.2689,0.3",
+     "--delta-min", "1e308", "--delta-max", "1.7e308"),
+])
+def test_detuning_whose_phase_overflows_is_a_usage_error(tmp_path, capsys, args):
+    # 2 |delta| pi overflows: this ended in an OverflowError traceback
+    assert run_cli(*args, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "delta = 1e+308" in err
+
+
 def test_verify_rejects_nan_pulse_row(tmp_path):
     run_cli("synthesize", "--target", "zrot:1.5", "--out", str(tmp_path))
     csv_path = tmp_path / "pulse.csv"

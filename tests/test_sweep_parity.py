@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from su2pulse import build_psi_family, gate_from_euler, sweep_rotation_angle, tdiff_analysis
-from su2pulse.detuned import optimal_domain
+from su2pulse import (build_psi_family, detuned, gate_from_euler, sweep_rotation_angle,
+                      tdiff_analysis)
+from su2pulse.detuned import _domain_arc, _solve_arcs, optimal_domain
+from su2pulse.su2 import canonical_euler
 
 from conftest import build_psi_family_oracle, sweep_rotation_angle_oracle, tdiff_analysis_oracle
 
@@ -92,3 +94,48 @@ def test_tdiff_matches_per_delta_solves(target, grid):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.events == want.events
     assert got.predicted_zero_crossings == want.predicted_zero_crossings
+
+
+def _domain_cases():
+    rng = np.random.default_rng(6063)
+    wide = np.linspace(-3.0, 3.0, 241)
+    cases = [(math.acos(float(rng.uniform(-1.0, 1.0))), float(rng.uniform(-math.pi, math.pi)), wide)
+             for _ in range(12)]
+    cases += [(float(t), float(rng.uniform(-math.pi, math.pi)), wide) for t in (2e-8, 1e-3, 2.49)]
+    for target, grid in TDIFF_CASES:
+        e = canonical_euler(gate_from_euler(*target))
+        cases.append((e.theta, e.phi, grid))
+    # and every grid through the threshold: at it, and above it by 1e-12
+    out = []
+    for theta, phi, grid in cases:
+        thr = math.tan(theta / 2.0)
+        extra = [s * thr * (1.0 + eps) for s in (1.0, -1.0) for eps in (0.0, 1e-12)]
+        out.append((theta, phi, np.unique(np.concatenate([grid, extra]))))
+    return out
+
+
+@pytest.mark.parametrize("theta, phi, grid", _domain_cases())
+def test_grid_domains_match_scalar_domains(theta, phi, grid):
+    # T_diff builds each domain at |delta| and mirrors it for delta < 0
+    deltas = [abs(d) for d in grid.tolist() if d != 0.0]
+
+    def grid_domains():
+        return _solve_arcs(theta, phi, [_domain_arc(theta, phi, d) for d in deltas], [])[0]
+
+    want = [_outcome(optimal_domain, theta, phi, d) for d in deltas]
+    got = _outcome(grid_domains)
+    if isinstance(got, type):
+        assert got in want
+    else:
+        assert got == want
+
+
+def test_tdiff_is_one_array_solve(monkeypatch):
+    # the strict domain ends too: no scalar f_delta bisection
+    calls = []
+    bisect_many = detuned._bisect_many
+    monkeypatch.setattr(detuned, "_bisect_many", lambda *a: calls.append(1) or bisect_many(*a))
+    monkeypatch.setattr(detuned, "_bisect", None)
+    for target, grid in TDIFF_CASES:
+        tdiff_analysis(gate_from_euler(*target), grid)
+    assert len(calls) == len(TDIFF_CASES)
