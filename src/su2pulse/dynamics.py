@@ -541,7 +541,8 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
 
     Raises DomainError when the drive phase advances by pi or more per
     sample: the unwrapped phase that replays the pulse could not tell the
-    sampled law from an aliased one.
+    sampled law from an aliased one. When even the sample count that would
+    avoid it exceeds any array length, the error names the detuning.
     """
     if law.tf == 0.0:
         return PulseSchedule(np.zeros((0, 3)), delta=law.delta, omega_max=omega_max)
@@ -550,6 +551,11 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
     slope = 2.0 * law.p2 + 2.0 * law.delta
     turn = abs(slope) * law.tf / math.pi
     if not turn / (n_samples - 1) < 1.0:
+        if not turn + 2.0 <= np.iinfo(np.intp).max:
+            raise DomainError(
+                f"detuning delta = {law.delta!r} is out of range: the drive phase turns "
+                f"{math.pi * turn:.3g} rad over the pulse, more samples than an array can hold"
+            )
         raise DomainError(
             f"the drive phase advances {math.pi * turn / (n_samples - 1):.3g} rad per "
             f"sample (pi or more) and would alias; use --samples {int(turn) + 2} or more"

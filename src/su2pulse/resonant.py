@@ -6,7 +6,12 @@ everything else.
 The solve exploits the circle geometry: fixing the initial azimuth phi0
 pins p2 = sin(phi* - phi0) / tan(theta*/2) so the projected circle passes
 through (theta*, phi*); the arrival time follows analytically from the
-circle; the one remaining scalar equation matches the accumulated psi to
+circle. The circle crosses latitude theta* at eta = ea and 2pi - ea, and
+the two crossings are mirror images about the circle's axis meridian
+phi0 + pi/2, so the first one (eta = ea <= pi) is the one on phi0's side
+of it: the arrival is at ea if cos(phi* - phi0) >= 0, else at 2pi - ea.
+At tangency (|sin(phi* - phi0)| = 1) ea = pi and the two coincide.
+The one remaining scalar equation matches the accumulated psi to
 psi* mod 4pi and is monotone in phi0, so a bracketing sweep plus bisection
 finds the unique root. `_bisect` (array form `_bisect_many`) and the
 mod-4pi scan `_roots_mod_4pi` here are the package's only root finders.
@@ -22,7 +27,6 @@ import numpy as np
 # resonant.propagate_law: perfbench/tracer.py wraps that binding
 from .dynamics import (  # noqa: F401
     ExtremalLaw,
-    _circle_azimuth_offset,
     propagate_law,
     propagate_law_exact,
 )
@@ -136,30 +140,23 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float
         # in time pi/2; the azimuth there is a gauge and the label reduces to
         # psi - phi = -2 phi0.
         return -2.0 * phi0 + phi_star, math.pi / 2.0, 0.0, math.pi
-    s = math.sin(phi_star - phi0)
+    d = phi_star - phi0
+    s = math.sin(d)
     p2 = s / math.tan(theta_star / 2.0)
-    tb = math.atan2(1.0, p2)
-    sb, cb = math.sin(tb), math.cos(tb)
+    sb = math.sin(math.atan2(1.0, p2))
     # cancellation-free form of 1 - (1 - cos theta*)/sin^2(theta_bar):
     # exactly -1 at tangency (|s| = 1)
     arg = math.cos(theta_star) - 2.0 * s * s * math.cos(theta_star / 2.0) ** 2
     ea = math.acos(min(1.0, max(-1.0, arg)))
-    d_a = abs(wrap_pi(phi0 + math.pi / 2.0 + _circle_azimuth_offset(ea, cb) - phi_star))
-    d_b = abs(wrap_pi(phi0 + math.pi / 2.0 + _circle_azimuth_offset(TWO_PI - ea, cb) - phi_star))
-    if min(d_a, d_b) < 1e-6 or min(d_a, d_b) < 0.25 * max(d_a, d_b):
-        best_eta = ea if d_a <= d_b else TWO_PI - ea
-    elif abs(ea - math.pi) < 0.05:
-        # tangency: the crossing branches coincide and the azimuth test
-        # loses meaning; either branch is the grazing point
-        best_eta = ea
-    else:
-        raise NoConvergence(
-            f"no circle branch arrives at phi* (miss {min(d_a, d_b):.3e}); "
-            f"phi0 = {phi0:.6g}, theta* = {theta_star:.6g}"
-        )
-    tf = best_eta * sb / 2.0
+    # the circle crosses latitude theta* at eta = ea and 2pi - ea, mirror
+    # images about its axis meridian phi0 + pi/2, and the first (ea <= pi)
+    # lies on phi0's side of it: phi* is that crossing when
+    # cos(phi* - phi0) >= 0. At tangency (|s| = 1) cos = 0 and ea = pi, so
+    # the two crossings coincide
+    eta = ea if math.cos(d) >= 0.0 else TWO_PI - ea
+    tf = eta * sb / 2.0
     label = -2.0 * phi0 + phi_star - 2.0 * p2 * tf
-    return label, tf, p2, best_eta
+    return label, tf, p2, eta
 
 
 def _labels_for_phi0(phi0, theta_star, phi_star):
@@ -167,33 +164,21 @@ def _labels_for_phi0(phi0, theta_star, phi_star):
     polar band) and phi*. numpy's arccos and arctan2 differ from math's in
     the last bit, so it agrees with the scalar map to roundoff: the grid
     solves steer brackets with it and report label_for_phi0's values."""
-    s = np.sin(phi_star - phi0)
+    d = phi_star - phi0
+    s = np.sin(d)
     p2 = s / np.tan(theta_star / 2.0)
     tb = np.arctan2(1.0, p2)
     # where p2 < -1, sin(tb) magnifies the last bit of tb by about |p2|,
     # and numpy's arctan2 and math's differ there: take math's
     steep = np.flatnonzero(p2 < -1.0)
     tb[steep] = [math.atan2(1.0, v) for v in p2[steep].tolist()]
-    sb, cb = np.sin(tb), np.cos(tb)
+    sb = np.sin(tb)
     arg = np.cos(theta_star) - 2.0 * s * s * np.cos(theta_star / 2.0) ** 2
     ea = np.arccos(np.minimum(1.0, np.maximum(-1.0, arg)))
-    # dynamics._circle_azimuth_offset at both crossings, eta = ea and 2pi - ea
-    er = np.stack([ea, (TWO_PI - ea) % TWO_PI])
-    raw = np.arctan2(-np.sin(er), cb * (1.0 - np.cos(er)))
-    raw = np.where((cb < 0.0) & (raw > 0.0), raw - TWO_PI, raw)
-    raw = np.where(np.abs(cb) < 1e-15, np.where(er <= math.pi, -math.pi / 2.0, math.pi / 2.0), raw)
-    offset = np.where(er < 1e-14, -math.pi / 2.0, raw)
-    d_a, d_b = np.abs(wrap_pi(phi0 + math.pi / 2.0 + offset - phi_star))
-    miss = np.minimum(d_a, d_b)
-    crossing = (miss < 1e-6) | (miss < 0.25 * np.maximum(d_a, d_b))
+    # the first crossing, as in label_for_phi0; South Pole: the label
+    # reduces to -2 phi0 + phi*
     south = theta_star >= math.pi - POLAR_THETA_TOL
-    bad = ~(crossing | (np.abs(ea - math.pi) < 0.05) | south)
-    if bad.any():
-        x, th, m = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in (phi0, theta_star, miss))
-        raise NoConvergence(f"no circle branch arrives at phi* (miss {m:.3e}); "
-                            f"phi0 = {x:.6g}, theta* = {th:.6g}")
-    # South Pole: the label reduces to -2 phi0 + phi* (see label_for_phi0)
-    eta = np.where(south, math.pi, np.where(crossing & (d_a > d_b), TWO_PI - ea, ea))
+    eta = np.where(south, math.pi, np.where(np.cos(d) >= 0.0, ea, TWO_PI - ea))
     p2 = np.where(south, 0.0, p2)
     tf = np.where(south, math.pi / 2.0, eta * sb / 2.0)
     return -2.0 * phi0 + phi_star - 2.0 * p2 * tf, tf, p2, eta

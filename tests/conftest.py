@@ -6,6 +6,9 @@ whole control family on a grid for arrivals at the target, with the
 package's shared mod-4pi root scan, and take the fastest; neither uses
 the solvers' 4pi bookkeeping or the optimal-domain construction.
 
+`crossing_eta_oracle` is the label map's former arrival test, which
+compared the circle's azimuth at both latitude crossings with phi*.
+
 The sweep oracles are the package's former per-point sweep loops; the
 array sweeps must match them bit for bit.
 
@@ -29,6 +32,7 @@ from su2pulse import (
     propagate_law,
 )
 from su2pulse.dynamics import _circle_azimuth_offset, control_phase
+from su2pulse.errors import NoConvergence
 from su2pulse.detuned import (
     PsiFamily,
     TdiffReport,
@@ -131,6 +135,26 @@ def gamma_points(law: ExtremalLaw, t: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(theta) * np.cos(phi),
                      np.sin(theta) * np.sin(phi),
                      np.cos(theta)], axis=1)
+
+
+def crossing_eta_oracle(phi0: float, theta_star: float, phi_star: float) -> float:
+    """The label map's former arrival test, for theta* outside both polar
+    bands: the circle's azimuth at both crossings of latitude theta*
+    (eta = ea and 2pi - ea), the closer one to phi* taken when its miss is
+    under 1e-6 or a quarter of the other's, ea itself near tangency, and
+    NoConvergence ("no circle branch arrives") otherwise."""
+    s = math.sin(phi_star - phi0)
+    cb = math.cos(math.atan2(1.0, s / math.tan(theta_star / 2.0)))
+    arg = math.cos(theta_star) - 2.0 * s * s * math.cos(theta_star / 2.0) ** 2
+    ea = math.acos(min(1.0, max(-1.0, arg)))
+    d_a = abs(wrap_pi(phi0 + math.pi / 2.0 + _circle_azimuth_offset(ea, cb) - phi_star))
+    d_b = abs(wrap_pi(phi0 + math.pi / 2.0 + _circle_azimuth_offset(TWO_PI - ea, cb) - phi_star))
+    if min(d_a, d_b) < 1e-6 or min(d_a, d_b) < 0.25 * max(d_a, d_b):
+        return ea if d_a <= d_b else TWO_PI - ea
+    if abs(ea - math.pi) < 0.05:
+        return ea
+    raise NoConvergence(f"no circle branch arrives at phi* (miss {min(d_a, d_b):.3e}); "
+                        f"phi0 = {phi0:.6g}, theta* = {theta_star:.6g}")
 
 
 def brute_force_min_time(target, grid: int = 4096) -> float:

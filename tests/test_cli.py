@@ -269,6 +269,14 @@ def test_detuning_whose_phase_overflows_is_a_usage_error(tmp_path, capsys, args)
     assert "Traceback" not in err and "delta = 1e+308" in err
 
 
+def test_detuning_past_any_sample_count_is_a_usage_error(tmp_path, capsys):
+    # the aliasing hint quoted a 306-digit --samples count here
+    assert run_cli("synthesize", "--target", "euler:0.4,1.2,1.1", "--delta", "1e307",
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "delta = 1e+307" in err and "--samples" not in err
+
+
 def test_verify_rejects_nan_pulse_row(tmp_path):
     run_cli("synthesize", "--target", "zrot:1.5", "--out", str(tmp_path))
     csv_path = tmp_path / "pulse.csv"

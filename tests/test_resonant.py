@@ -5,6 +5,7 @@ import pytest
 
 from su2pulse import (
     DomainError,
+    ExtremalLaw,
     euler_from_gate,
     gate_at,
     gate_distance,
@@ -20,12 +21,13 @@ from su2pulse import (
     zrot_gate,
     z_rotation_parameters,
     parse_target,
+    propagate_law_exact,
 )
 
 from su2pulse.errors import NoConvergence
 from su2pulse.resonant import _labels_for_phi0, label_for_phi0
 
-from conftest import brute_force_min_time
+from conftest import brute_force_min_time, crossing_eta_oracle
 
 TWO_PI = 2 * math.pi
 
@@ -265,8 +267,8 @@ def test_synthesize_dispatcher():
 def test_array_label_map_matches_scalar_map():
     # theta* on a log grid from 1e-8 to pi; phi0 at the tangency controls
     # phi* -+ pi/2, at and next to the window ends phi* -+ pi, and seeded
-    # draws between. Next to the polar band the scalar branch test fails
-    # at the window ends for some phi*: the array map must raise there too
+    # draws between. Neither map raises anywhere on the grid; were the
+    # scalar map to raise, the array map would have to raise there too
     rng = np.random.default_rng(606)
     for theta in np.geomspace(1e-8, math.pi, 80).tolist():
         phi = float(rng.uniform(-math.pi, math.pi))
@@ -280,6 +282,7 @@ def test_array_label_map_matches_scalar_map():
             except NoConvergence:
                 fails.append(x)
                 want.append(None)
+        assert not fails, (theta, fails)
         for x in fails:
             with pytest.raises(NoConvergence):
                 _labels_for_phi0(np.array([x]), theta, phi)
@@ -296,3 +299,51 @@ def test_array_label_map_matches_scalar_map():
                              (4.715637648196324, 0.0015400155731124293, 2.25445054712693)]:
         got = _labels_for_phi0(np.array([phi0]), theta, phi)[0][0]
         assert abs(got - label_for_phi0(phi0, theta, phi)[0]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the arrival crossing against the former azimuth test
+# ---------------------------------------------------------------------------
+
+def test_arrival_crossing_matches_azimuth_test_away_from_poles():
+    # 2e5 draws with theta* at least 1e-5 from both poles, half uniform in
+    # theta*, half log-uniform up to 1: the side-of-meridian rule picks the
+    # crossing the azimuth test picked, bit for bit
+    rng = np.random.default_rng(808)
+    n = 100_000
+    theta = np.concatenate([rng.uniform(1e-5, math.pi - 1e-5, n),
+                            np.exp(rng.uniform(math.log(1e-5), 0.0, n))])
+    phi = rng.uniform(-math.pi, math.pi, 2 * n)
+    phi0 = phi + rng.uniform(-math.pi, math.pi, 2 * n)
+    for x, th, ph in zip(phi0.tolist(), theta.tolist(), phi.tolist()):
+        assert label_for_phi0(x, th, ph)[3] == crossing_eta_oracle(x, th, ph), (x, th, ph)
+
+
+def test_arrival_crossing_near_poles_lands_no_farther_than_azimuth_test():
+    # theta* within 1e-5 of either pole (outside the polar bands): where
+    # the two rules pick different crossings, the law from the map's pick
+    # ends no farther from its label's gate than the azimuth test's law
+    rng = np.random.default_rng(809)
+    n = 60_000
+    small = np.exp(rng.uniform(math.log(1e-8), math.log(1e-5), 2 * n))
+    theta = np.concatenate([small[:n], math.pi - small[n:]])
+    phi = rng.uniform(-math.pi, math.pi, 2 * n)
+    phi0 = phi + rng.uniform(-math.pi, math.pi, 2 * n)
+    split = 0
+    for x, th, ph in zip(phi0.tolist(), theta.tolist(), phi.tolist()):
+        if th >= math.pi - 1e-8:
+            continue
+        label, tf, p2, eta = label_for_phi0(x, th, ph)
+        eta_old = crossing_eta_oracle(x, th, ph)
+        if eta == eta_old:
+            continue
+        split += 1
+        assert abs(eta - eta_old) < 1e-7
+        tf_old = eta_old * math.sin(math.atan2(1.0, p2)) / 2.0
+        label_old = -2.0 * x + ph - 2.0 * p2 * tf_old
+        new = gate_distance(propagate_law_exact(ExtremalLaw(x, p2, 0.0, tf)),
+                            gate_from_euler(label, th, ph))
+        old = gate_distance(propagate_law_exact(ExtremalLaw(x, p2, 0.0, tf_old)),
+                            gate_from_euler(label_old, th, ph))
+        assert new <= old, (x, th, ph, new, old)
+    assert split > 0
