@@ -32,7 +32,6 @@ from su2pulse import (
     propagate_law,
 )
 from su2pulse.dynamics import _circle_azimuth_offset, control_phase
-from su2pulse.errors import NoConvergence
 from su2pulse.detuned import (
     PsiFamily,
     TdiffReport,
@@ -42,6 +41,7 @@ from su2pulse.detuned import (
     _solve_detuned,
     negated_psi,
 )
+from su2pulse.errors import NoConvergence
 from su2pulse.resonant import _roots_mod_4pi, label_for_phi0, target_gate
 from su2pulse.so3 import select_faster
 from su2pulse.su2 import (
