@@ -49,6 +49,7 @@ from .resonant import (
     _roots_mod_4pi,
     _solve_label,
     _solve_labels,
+    _theta_factors,
     _verify,
     label_for_phi0,
     synthesize_general,
@@ -139,9 +140,9 @@ def build_psi_family(theta_star: float, phi_star: float,
         rows = [_z_label_params(lab) for lab in labels.tolist()]
     else:
         # _control_at_label at every label: one array solve, then label_for_phi0
-        rows = []
+        rows, k = [], _theta_factors(theta_star)
         for x in _solve_labels(labels, theta_star, phi_star, 1e-12).tolist():
-            _, tf, p2, _ = label_for_phi0(x, theta_star, phi_star)
+            _, tf, p2, _ = label_for_phi0(x, theta_star, phi_star, k)
             rows.append((x, p2, tf))
     phi0, p2, dur = np.array(rows).T
     return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
@@ -194,13 +195,6 @@ class OptimalDomain:
         return False
 
 
-def _f_of_phi0(phi0: float, theta_star: float, phi_star: float, delta: float
-               ) -> tuple[float, float, float, float]:
-    """(f, label, tf, p2) at one initial azimuth."""
-    label, tf, p2, _ = label_for_phi0(phi0, theta_star, phi_star)
-    return label - 2.0 * delta * tf, label, tf, p2
-
-
 @functools.lru_cache(maxsize=2)
 def _window_end(phi0: float, theta_star: float, phi_star: float) -> tuple[float, float]:
     """(label, tf) at a window end, phi0 = phi* +- pi, kept for the next domain."""
@@ -226,8 +220,8 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
     arc at |delta|, which optimal_domain mirrors for delta < 0."""
     lo, hi = phi_star - math.pi, phi_star + math.pi
 
-    def f_at(phi0, d):
-        label, tf = _window_end(phi0, theta_star, phi_star)
+    def f_at(phi0, d, label_map=_window_end):
+        label, tf = label_map(phi0, theta_star, phi_star)[:2]
         return label - 2.0 * d * tf
 
     if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
@@ -241,7 +235,8 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
         raise NoStationaryPoint("stationary label requires |delta| > tan(theta*/2)")
     # stationary label closest to -phi*: p2 = 1/delta on the rising branch
     phi0_b = phi_star - math.asin(ratio)
-    f_b, psi_b, _, p2_b = _f_of_phi0(phi0_b, theta_star, phi_star, delta)
+    psi_b, tf_b, p2_b, _ = label_for_phi0(phi0_b, theta_star, phi_star)
+    f_b = psi_b - 2.0 * delta * tf_b
     if abs(p2_b - 1.0 / delta) > 1e-8:
         raise NoStationaryPoint(
             f"stationary solve inconsistent: p2 = {p2_b:.9g} vs 1/delta = {1.0 / delta:.9g}"
@@ -256,7 +251,7 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
     # the arc wraps through the identified ends: its lower part lives on the
     # rightmost increasing piece, beyond the second stationary label
     phi0_b2 = lo + math.asin(ratio)
-    low = (lo, phi0_b2, f_at(lo, delta), _f_of_phi0(phi0_b2, theta_star, phi_star, delta)[0])
+    low = (lo, phi0_b2, f_at(lo, delta), f_at(phi0_b2, delta, label_for_phi0))
     return _Arc(dom, top, low, (f_b, *low, FOUR_PI), slack)
 
 
@@ -264,13 +259,14 @@ def _solve_f(arc: _Arc, f: float, lo: float, hi: float, f_lo: float, f_hi: float
              lift: float) -> tuple[float, float]:
     """(label - lift, tf) at the phi0 in [lo, hi] where f_delta = f."""
     th, ph, d = arc.dom.theta_star, arc.dom.phi_star, arc.dom.delta
+    k = _theta_factors(th)
 
     def g(phi0):
-        label, tf, _, _ = label_for_phi0(phi0, th, ph)
+        label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
         return label - 2.0 * d * tf - f
 
     phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, _F_SOLVE_TOL, arc.slack)
-    label, tf, _, _ = label_for_phi0(phi0, th, ph)
+    label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
     return label - lift, tf
 
 
@@ -283,7 +279,8 @@ def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
         [(a.dom.delta, a.slack, *b) for a, b in rows]).reshape(-1, 8).T
     phi0 = _bisect_many(_f_gaps(theta_star, phi_star, d, f, _F_SOLVE_TOL), lo, hi,
                         f_lo - f, f_hi - f, _F_SOLVE_TOL, slack)
-    label, tf = np.array([label_for_phi0(x, theta_star, phi_star)[:2]
+    fac = _theta_factors(theta_star)
+    label, tf = np.array([label_for_phi0(x, theta_star, phi_star, fac)[:2]
                           for x in phi0.tolist()]).reshape(-1, 2).T
     psi = label - lift
     ends = iter(psi.tolist())

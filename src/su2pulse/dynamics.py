@@ -541,8 +541,9 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
 
     Raises DomainError when the drive phase advances by pi or more per
     sample: the unwrapped phase that replays the pulse could not tell the
-    sampled law from an aliased one. When even the sample count that would
-    avoid it exceeds any array length, the error names the detuning.
+    sampled law from an aliased one. The error quotes the least count that
+    avoids it, or names the detuning when that count is 2**53 or more, past
+    the integers a float resolves.
     """
     if law.tf == 0.0:
         return PulseSchedule(np.zeros((0, 3)), delta=law.delta, omega_max=omega_max)
@@ -551,14 +552,15 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
     slope = 2.0 * law.p2 + 2.0 * law.delta
     turn = abs(slope) * law.tf / math.pi
     if not turn / (n_samples - 1) < 1.0:
-        if not turn + 2.0 <= np.iinfo(np.intp).max:
+        need = int(turn) + 2 if turn < 2.0 ** 53 else 2 ** 53
+        if need >= 2 ** 53 or not turn / (need - 1) < 1.0:
             raise DomainError(
                 f"detuning delta = {law.delta!r} is out of range: the drive phase turns "
-                f"{math.pi * turn:.3g} rad over the pulse, more samples than an array can hold"
+                f"{math.pi * turn:.3g} rad over the pulse, more samples than a schedule can hold"
             )
         raise DomainError(
             f"the drive phase advances {math.pi * turn / (n_samples - 1):.3g} rad per "
-            f"sample (pi or more) and would alias; use --samples {int(turn) + 2} or more"
+            f"sample (pi or more) and would alias; use --samples {need} or more"
         )
     t = np.linspace(0.0, law.tf, n_samples)
     mu = law.phi0 - math.pi / 2.0 + slope * t

@@ -126,61 +126,67 @@ def synthesize_xy_rotation(a: float, b: float, verify: bool = True) -> Synthesis
 # general targets: label map and 1-d solve
 # ---------------------------------------------------------------------------
 
-def label_for_phi0(phi0: float, theta_star: float, phi_star: float
+def _theta_factors(theta_star):
+    """The label map's theta*-only factors (tan(theta*/2), cos theta*,
+    cos^2(theta*/2)): numpy's for an ndarray, else math's, as the map's own."""
+    m = np if isinstance(theta_star, np.ndarray) else math
+    return m.tan(theta_star / 2.0), m.cos(theta_star), m.cos(theta_star / 2.0) ** 2
+
+
+def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
                    ) -> tuple[float, float, float, float]:
     """(label, tf, p2, eta_f) for the circle from azimuth phi0 through
-    (theta*, phi*), arriving the first time the azimuth matches.
+    (theta*, phi*), arriving the first time the azimuth matches; k is
+    _theta_factors(theta*), which a caller mapping many phi0 passes once.
 
     The label is the accumulated psi at arrival; as phi0 runs over
     [phi* - pi, phi* + pi] it sweeps [-phi* + 2pi, -phi* - 2pi]
     monotonically, covering every SU(2) element over (theta*, phi*) once.
+    tf = eta sin(theta_bar)/2 with cot(theta_bar) = p2, formed as
+    eta / (2 sqrt(1 + p2^2)) by correctly rounded operations only: no atan2,
+    whose last bit sin(atan2(1, p2)) magnifies by about |p2| for p2 << -1.
     """
     if theta_star >= math.pi - POLAR_THETA_TOL:
         # South Pole targets: every meridian great circle arrives at eta = pi
         # in time pi/2; the azimuth there is a gauge and the label reduces to
         # psi - phi = -2 phi0.
         return -2.0 * phi0 + phi_star, math.pi / 2.0, 0.0, math.pi
+    tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
     s = math.sin(d)
-    p2 = s / math.tan(theta_star / 2.0)
-    sb = math.sin(math.atan2(1.0, p2))
+    p2 = s / tan_half
     # cancellation-free form of 1 - (1 - cos theta*)/sin^2(theta_bar):
-    # exactly -1 at tangency (|s| = 1)
-    arg = math.cos(theta_star) - 2.0 * s * s * math.cos(theta_star / 2.0) ** 2
-    ea = math.acos(min(1.0, max(-1.0, arg)))
+    # exactly -1 at tangency (|s| = 1), and never above cos theta*
+    arg = cos_t - 2.0 * s * s * cos2_half
+    ea = math.acos(arg) if arg > -1.0 else math.pi
     # the circle crosses latitude theta* at eta = ea and 2pi - ea, mirror
     # images about its axis meridian phi0 + pi/2, and the first (ea <= pi)
     # lies on phi0's side of it: phi* is that crossing when
     # cos(phi* - phi0) >= 0. At tangency (|s| = 1) cos = 0 and ea = pi, so
     # the two crossings coincide
     eta = ea if math.cos(d) >= 0.0 else TWO_PI - ea
-    tf = eta * sb / 2.0
+    tf = eta / (2.0 * math.sqrt(1.0 + p2 * p2))
     label = -2.0 * phi0 + phi_star - 2.0 * p2 * tf
     return label, tf, p2, eta
 
 
-def _labels_for_phi0(phi0, theta_star, phi_star):
+def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
     """Array form of label_for_phi0 over broadcast phi0, theta* (outside the
-    polar band) and phi*. numpy's arccos and arctan2 differ from math's in
-    the last bit, so it agrees with the scalar map to roundoff: the grid
-    solves steer brackets with it and report label_for_phi0's values."""
+    polar band) and phi*, k as there. numpy's sin, cos, tan and arccos differ
+    from math's in the last bit, so it agrees with the scalar map to roundoff:
+    the grid solves steer brackets with it and report label_for_phi0's."""
+    tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
     s = np.sin(d)
-    p2 = s / np.tan(theta_star / 2.0)
-    tb = np.arctan2(1.0, p2)
-    # where p2 < -1, sin(tb) magnifies the last bit of tb by about |p2|,
-    # and numpy's arctan2 and math's differ there: take math's
-    steep = np.flatnonzero(p2 < -1.0)
-    tb[steep] = [math.atan2(1.0, v) for v in p2[steep].tolist()]
-    sb = np.sin(tb)
-    arg = np.cos(theta_star) - 2.0 * s * s * np.cos(theta_star / 2.0) ** 2
-    ea = np.arccos(np.minimum(1.0, np.maximum(-1.0, arg)))
+    p2 = s / tan_half
+    arg = cos_t - 2.0 * s * s * cos2_half
+    ea = np.arccos(np.maximum(-1.0, arg))
     # the first crossing, as in label_for_phi0; South Pole: the label
     # reduces to -2 phi0 + phi*
     south = theta_star >= math.pi - POLAR_THETA_TOL
     eta = np.where(south, math.pi, np.where(np.cos(d) >= 0.0, ea, TWO_PI - ea))
     p2 = np.where(south, 0.0, p2)
-    tf = np.where(south, math.pi / 2.0, eta * sb / 2.0)
+    tf = eta / (2.0 * np.sqrt(1.0 + p2 * p2))          # exactly pi/2 at the South Pole
     return -2.0 * phi0 + phi_star - 2.0 * p2 * tf, tf, p2, eta
 
 
@@ -276,8 +282,10 @@ def _solve_label(target_label: float, theta_star: float, phi_star: float,
                  tol: float = _PSI_SOLVE_TOL) -> float:
     """phi0 with label(phi0) = target_label; the label map falls from
     -phi* + 2pi at phi0 = phi* - pi to -phi* - 2pi at phi0 = phi* + pi."""
+    k = _theta_factors(theta_star)
+
     def g(phi0):
-        return label_for_phi0(phi0, theta_star, phi_star)[0] - target_label
+        return label_for_phi0(phi0, theta_star, phi_star, k)[0] - target_label
 
     return _bisect(g, phi_star - math.pi, phi_star + math.pi,
                    -phi_star + TWO_PI - target_label, -phi_star - TWO_PI - target_label, tol)
@@ -289,9 +297,10 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float):
     +-tol, where the map's last bits could flip _bisect's decision, is
     recomputed by label_for_phi0. At delta = 0 it is the label mismatch."""
     th, ph, d, t = np.broadcast_arrays(theta_star, phi_star, delta, target)
+    fac = _theta_factors(th)
 
     def g(x, i):
-        label, tf, _, _ = _labels_for_phi0(x, th[i], ph[i])
+        label, tf, _, _ = _labels_for_phi0(x, th[i], ph[i], [v[i] for v in fac])
         gm = label - 2.0 * d[i] * tf - t[i]
         near = np.abs(np.abs(gm) - tol) <= _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d[i]))
         for k, j in zip(np.flatnonzero(near).tolist(), i[near].tolist()):
@@ -310,20 +319,20 @@ def _solve_labels(target_label, theta_star, phi_star, tol: float = _PSI_SOLVE_TO
                         -ph + TWO_PI - v, -ph - TWO_PI - v, tol)
 
 
-def _window_label(e: EulerTarget) -> float:
+def _window_label(psi: float, phi: float) -> float:
     """psi* shifted by the unique multiple of 4pi into the label window."""
-    return e.psi + FOUR_PI * round((-e.phi - e.psi) / FOUR_PI)
+    return psi + FOUR_PI * round((-phi - psi) / FOUR_PI)
 
 
-def _resonant_durations(targets: list[EulerTarget]) -> list[float]:
-    """synthesize_general's durations for canonical targets, bit for bit: the
-    tilted ones by one array solve, each root finished by label_for_phi0."""
-    polar = [e.theta < POLAR_THETA_TOL for e in targets]
-    es = [e for e, p in zip(targets, polar) if not p]
-    phi0 = _solve_labels([_window_label(e) for e in es], [e.theta for e in es],
-                         [e.phi for e in es])
-    tilted = iter([label_for_phi0(x, e.theta, e.phi)[1] for x, e in zip(phi0.tolist(), es)])
-    return [z_rotation_parameters(e.psi)[1] if p else next(tilted) for e, p in zip(targets, polar)]
+def _resonant_durations(targets: list[tuple[float, float, float]]) -> list[float]:
+    """synthesize_general's durations for canonical (psi, theta, phi) targets,
+    bit for bit: the tilted ones by one array solve, finished by label_for_phi0."""
+    es = [e for e in targets if e[1] >= POLAR_THETA_TOL]
+    _, th, ph = np.array(es).reshape(-1, 3).T
+    phi0 = _solve_labels([_window_label(p, f) for p, _, f in es], th, ph)
+    tilted = iter([label_for_phi0(x, t, f)[1] for x, (_, t, f) in zip(phi0.tolist(), es)])
+    return [next(tilted) if t >= POLAR_THETA_TOL else z_rotation_parameters(p)[1]
+            for p, t, _ in targets]
 
 
 def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> SynthesisResult:
@@ -336,7 +345,7 @@ def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> S
     e = canonical_euler(target)
     if e.theta < POLAR_THETA_TOL:
         return synthesize_z_rotation(e.psi, verify=verify)
-    phi0 = _solve_label(_window_label(e), e.theta, e.phi)
+    phi0 = _solve_label(_window_label(e.psi, e.phi), e.theta, e.phi)
     label, tf, p2, eta = label_for_phi0(phi0, e.theta, e.phi)
     law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=0.0, tf=tf)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)

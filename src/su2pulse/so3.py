@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import write_csv
 from .errors import DomainError
 from .resonant import _resonant_durations, synthesize_general
-from .su2 import UnitGate, canonical_euler, gate_from_axis_angle, hopf_from_gate, negate_gate
+from .su2 import UnitGate, _axis_angle_quat, _euler_quat, _unit_quat, hopf_from_gate, negate_gate
 
 TIE_TOL = 1e-8
 
@@ -55,12 +55,12 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
     if ax.shape != (3,) or abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
         raise DomainError("axis must be a unit 3-vector")
     angles = np.atleast_1d(np.asarray(alphas, dtype=float)).tolist()
-    targets = []
+    n, targets = ax.tolist(), []
     for a in angles:
         if not (0.0 <= a <= 4.0 * math.pi + 1e-12):
             raise DomainError(f"alpha = {a:.12g} outside [0, 4pi]")
-        g = gate_from_axis_angle(min(a, 4.0 * math.pi - 1e-15), ax)
-        targets += [canonical_euler(g), canonical_euler(negate_gate(g))]
+        q = _unit_quat(_axis_angle_quat(min(a, 4.0 * math.pi - 1e-15), n))
+        targets += [_euler_quat(q), _euler_quat(_unit_quat(tuple(-x for x in q)))]
     tf = _resonant_durations(targets)
     return [(a, tp, tm, _faster(tp, tm)[0]) for a, tp, tm in zip(angles, tf[::2], tf[1::2])]
 

@@ -56,14 +56,8 @@ class UnitGate:
     x4: float
 
     def __post_init__(self):
-        n = math.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2 + self.x4 ** 2)
-        if not (n > 0.0) or not math.isfinite(n):
-            raise DomainError("quaternion has zero or non-finite norm")
-        if abs(n - 1.0) > 1e-15:
-            object.__setattr__(self, "x1", self.x1 / n)
-            object.__setattr__(self, "x2", self.x2 / n)
-            object.__setattr__(self, "x3", self.x3 / n)
-            object.__setattr__(self, "x4", self.x4 / n)
+        for name, v in zip(("x1", "x2", "x3", "x4"), _unit_quat(self.quat)):
+            object.__setattr__(self, name, v)
 
     @property
     def quat(self) -> tuple[float, float, float, float]:
@@ -111,6 +105,51 @@ class EulerTarget:
     def lambda_star(self) -> float:
         """z-rotation angle for theta = 0 targets (canonical form (lambda, 0, 0))."""
         return self.psi
+
+
+# tuple kernels, the one copy of each formula below: the gate classes and
+# functions wrap them, and sweeps call them without building objects
+def _unit_quat(q: tuple) -> tuple:
+    """q rescaled to unit norm (unchanged within 1e-15 of it)."""
+    n = math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2)
+    if not (n > 0.0) or not math.isfinite(n):
+        raise DomainError("quaternion has zero or non-finite norm")
+    return q if abs(n - 1.0) <= 1e-15 else tuple(x / n for x in q)
+
+
+def _axis_angle_quat(alpha: float, n) -> tuple:
+    nx, ny, nz = float(n[0]), float(n[1]), float(n[2])
+    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if abs(nn - 1.0) > 1e-9:
+        raise DomainError(f"axis norm {nn:.12g} != 1")
+    c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
+    return c, s * nz / nn, s * ny / nn, s * nx / nn
+
+
+def _hopf_quat(q: tuple) -> tuple:
+    """(theta1, theta2, theta3, gauge) of a unit quaternion."""
+    m12, m34 = math.hypot(q[0], q[1]), math.hypot(q[2], q[3])
+    theta1 = math.atan2(m34, m12)
+    if m34 < GAUGE_TOL:
+        return theta1, math.atan2(q[1], q[0]), 0.0, True
+    if m12 < GAUGE_TOL:
+        return theta1, 0.0, math.atan2(q[3], q[2]), True
+    return theta1, math.atan2(q[1], q[0]), math.atan2(q[3], q[2]), False
+
+
+def _euler_quat(q: tuple) -> tuple[float, float, float]:
+    """Canonical (psi, theta, phi) of a unit quaternion, as euler_from_gate."""
+    theta1, theta2, theta3, _ = _hopf_quat(q)
+    psi, theta, phi = theta2 + theta3, 2.0 * theta1, theta2 - theta3
+    if phi >= math.pi:
+        phi, psi = phi - TWO_PI, psi - TWO_PI
+    elif phi < -math.pi:
+        phi, psi = phi + TWO_PI, psi + TWO_PI
+    if theta < POLAR_THETA_TOL:
+        return wrap_4pi(psi + phi), 0.0, 0.0
+    if theta > math.pi - POLAR_THETA_TOL:
+        return wrap_4pi(psi - phi), math.pi, 0.0
+    return wrap_4pi(psi), theta, phi
 
 
 identity_gate = UnitGate(1.0, 0.0, 0.0, 0.0)
@@ -166,23 +205,11 @@ def axis_angle_from_gate(g: UnitGate) -> AxisAngle:
 
 def gate_from_axis_angle(alpha: float, n) -> UnitGate:
     """Gate for a rotation of alpha in [0, 4pi) about unit axis n."""
-    nx, ny, nz = float(n[0]), float(n[1]), float(n[2])
-    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if abs(nn - 1.0) > 1e-9:
-        raise DomainError(f"axis norm {nn:.12g} != 1")
-    c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
-    return UnitGate(c, s * nz / nn, s * ny / nn, s * nx / nn)
+    return UnitGate(*_axis_angle_quat(alpha, n))
 
 
 def hopf_from_gate(g: UnitGate) -> HopfCoords:
-    m12 = math.hypot(g.x1, g.x2)
-    m34 = math.hypot(g.x3, g.x4)
-    theta1 = math.atan2(m34, m12)
-    if m34 < GAUGE_TOL:
-        return HopfCoords(theta1, math.atan2(g.x2, g.x1), 0.0, gauge=True)
-    if m12 < GAUGE_TOL:
-        return HopfCoords(theta1, 0.0, math.atan2(g.x4, g.x3), gauge=True)
-    return HopfCoords(theta1, math.atan2(g.x2, g.x1), math.atan2(g.x4, g.x3))
+    return HopfCoords(*_hopf_quat(g.quat))
 
 
 def gate_from_hopf(h: HopfCoords | tuple[float, float, float]) -> UnitGate:
@@ -202,21 +229,7 @@ def euler_from_gate(g: UnitGate) -> EulerTarget:
     theta = 0 gates come out as (lambda, 0, 0) and theta = pi gates as
     (psi - phi, pi, 0); both polar forms fix the azimuthal gauge.
     """
-    h = hopf_from_gate(g)
-    psi = h.theta2 + h.theta3
-    theta = 2.0 * h.theta1
-    phi = h.theta2 - h.theta3
-    if phi >= math.pi:
-        phi -= TWO_PI
-        psi -= TWO_PI
-    elif phi < -math.pi:
-        phi += TWO_PI
-        psi += TWO_PI
-    if theta < POLAR_THETA_TOL:
-        return EulerTarget(wrap_4pi(psi + phi), 0.0, 0.0)
-    if theta > math.pi - POLAR_THETA_TOL:
-        return EulerTarget(wrap_4pi(psi - phi), math.pi, 0.0)
-    return EulerTarget(wrap_4pi(psi), theta, phi)
+    return EulerTarget(*_euler_quat(g.quat))
 
 
 def canonical_euler(target: EulerTarget | UnitGate) -> EulerTarget:
@@ -255,7 +268,7 @@ def euler_from_hopf(h: HopfCoords) -> EulerTarget:
 
 def negate_gate(g: UnitGate) -> UnitGate:
     """The opposite SU(2) element -U (same SO(3) rotation)."""
-    return UnitGate(-g.x1, -g.x2, -g.x3, -g.x4)
+    return UnitGate(*(-x for x in g.quat))
 
 
 def gate_distance(a: UnitGate, b: UnitGate) -> float:

@@ -33,3 +33,37 @@ def test_tables_are_not_empty():
 def test_binding_resolves(module, attr):
     mod = importlib.import_module(f"su2pulse.{module}")
     assert callable(getattr(mod, attr, None)), f"su2pulse.{module}.{attr} is missing"
+
+
+def test_solvers_call_the_label_map_through_its_bindings(monkeypatch):
+    # the tracer counts resonant.label_for_phi0 by wrapping the module
+    # attributes resonant.label_for_phi0 and detuned.label_for_phi0; a
+    # solver that reached the map another way would drop out of that count
+    import math
+
+    import numpy as np
+
+    from su2pulse import detuned, resonant, so3
+    from su2pulse.su2 import gate_from_euler
+
+    calls = {"resonant": 0, "detuned": 0}
+    for mod, name in ((resonant, "resonant"), (detuned, "detuned")):
+        def counted(*args, _fn=mod.label_for_phi0, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, "label_for_phi0", counted)
+
+    def through(fn, *args):
+        before = dict(calls)
+        fn(*args)
+        return {k: calls[k] - before[k] for k in calls}
+
+    gate = gate_from_euler(0.4, 2.2689, 0.3)
+    assert through(resonant.synthesize, gate, 0.0)["resonant"] > 10
+    assert through(resonant.synthesize, gate, 3.0)["detuned"] > 10
+    assert through(detuned.optimal_domain, 2.2689, 0.3, 3.0)["detuned"] > 10
+    assert through(detuned.build_psi_family, 2.2689, 0.3, 256)["detuned"] >= 256
+    # 9 angles, 3 of them +-identity: U and -U at the other 6
+    assert through(so3.sweep_rotation_angle, (0.6, 0.0, 0.8),
+                   np.linspace(0.0, 4.0 * math.pi, 9))["resonant"] >= 12
+    assert through(detuned.tdiff_analysis, gate, np.linspace(-3.0, 3.0, 7))["detuned"] >= 12

@@ -277,6 +277,24 @@ def test_detuning_past_any_sample_count_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err and "delta = 1e+307" in err and "--samples" not in err
 
 
+def test_aliasing_hint_past_float_resolution_names_delta(tmp_path, capsys):
+    # at delta = 1e17 the least count that passes the aliasing check is
+    # about 3.8e16, past 2**53; the hint quoted 38197186342054882, which
+    # failed the same check. At 1e14 the quoted count passes it
+    target = ("synthesize", "--target", "euler:0.4,1.2,1.1", "--out", str(tmp_path))
+    assert run_cli(*target, "--delta", "1e17") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "delta = 1e+17 is out of range" in err
+    assert "--samples" not in err
+    assert run_cli(*target, "--delta", "1e14") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    n = int(err.split("--samples ")[1].split()[0])
+    law = su2pulse.synthesize(su2pulse.parse_target("euler:0.4,1.2,1.1"), 1e14, verify=False).law
+    turn = abs(2.0 * law.p2 + 2.0 * law.delta) * law.tf / math.pi
+    assert turn / (n - 1) < 1.0 <= turn / (n - 2)
+
+
 def test_verify_rejects_nan_pulse_row(tmp_path):
     run_cli("synthesize", "--target", "zrot:1.5", "--out", str(tmp_path))
     csv_path = tmp_path / "pulse.csv"

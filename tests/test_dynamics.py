@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -358,3 +359,30 @@ def test_trajectory_csv_columns(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta"
     assert len(lines) == 33
+
+
+def test_aliasing_hint_quotes_the_least_count_that_passes_its_check():
+    # the check is turn / (n_samples - 1) < 1; the quoted count must pass it
+    # and one fewer must fail it. From 2**53 - 2 on, that count is not
+    # resolved by floats and the error names delta instead. Only failing
+    # counts are tried, so no schedule is ever built
+    rng = np.random.default_rng(814)
+    turns = (10.0 ** rng.uniform(0.0, 18.0, 300)).tolist()
+    turns += [2.0 ** 52 - 0.5, 2.0 ** 52, 2.0 ** 53 - 4.0, 2.0 ** 53 - 2.0, 2.0 ** 53, 1e307]
+    quoted = 0
+    for turn in turns:
+        law = ExtremalLaw(0.0, 0.0, turn * math.pi / 2.0, 1.0)
+        t = abs(2.0 * law.p2 + 2.0 * law.delta) * law.tf / math.pi
+        with pytest.raises(DomainError) as exc:
+            schedule_from_law(law, 2)
+        hint = re.search(r"--samples (\d+) or more", str(exc.value))
+        assert (hint is not None) == (t < 2.0 ** 53 - 2.0), (t, str(exc.value))
+        if hint is None:
+            assert f"delta = {law.delta!r} is out of range" in str(exc.value)
+            continue
+        quoted += 1
+        n = int(hint.group(1))
+        assert t / (n - 1) < 1.0 and not t / (n - 2) < 1.0, (t, n)
+        with pytest.raises(DomainError, match="would alias"):
+            schedule_from_law(law, n - 1)
+    assert quoted > 200 and len(turns) - quoted > 20

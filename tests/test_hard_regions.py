@@ -7,7 +7,8 @@ reach the gate the caller asked for, checked by the exact propagator.
 
 Just above the polar band theta* = 1e-8 the label map's former azimuth
 test found no arriving crossing at some window ends and raised
-NoConvergence; no solve there may raise it now.
+NoConvergence; no solve there may raise it now, and no law it returns may
+miss the caller's gate.
 """
 import math
 
@@ -74,18 +75,32 @@ def test_just_above_polar_band_reaches_callers_gate(theta, delta):
 def test_near_pole_grid_raises_no_noconvergence():
     # theta* on a log grid from 1e-8 to 1e-3, four seeded (psi*, phi*)
     # draws each, four detunings: 1488 solves, none may end in
-    # NoConvergence or an untyped exception. Still open (ROADMAP item 1):
-    # 36 NoStationaryPoint from the strict solve, and one law at delta = 50
-    # (theta* = 2.2e-4) that misses its gate by 2.1e-6
+    # NoConvergence or an untyped exception, and every law returned must
+    # reach the caller's gate within 1e-6 (the law at delta = 50, theta* =
+    # 2.2e-4 missed it by 2.1e-6 while tf took sin(atan2(1, p2))). Still
+    # open (ROADMAP item 1): 36 NoStationaryPoint from the strict solve
     rng = np.random.default_rng(8101)
-    raised = []
+    raised, missed = [], []
     for theta in np.geomspace(1e-8, 1e-3, 93).tolist():
         for _ in range(4):
             gate = gate_from_euler(float(rng.uniform(-2 * math.pi, 2 * math.pi)), theta,
                                    float(rng.uniform(-math.pi, math.pi)))
             for delta in (0.0, 0.7, -2.0, 50.0):
                 try:
-                    synthesize(gate, delta)
+                    r = synthesize(gate, delta)
                 except Su2PulseError as exc:
                     raised.append(exc)
+                    continue
+                residual = gate_distance(propagate_law_exact(r.law), gate)
+                if residual >= 1e-6:
+                    missed.append((theta, delta, residual))
     assert not [e for e in raised if isinstance(e, NoConvergence)]
+    assert not missed
+
+
+def test_near_pole_large_detuning_reaches_callers_gate():
+    # p2 = -7458 here: sin(atan2(1, p2)) magnified atan2's last bit by
+    # |p2|, and the law missed the caller's gate by 2.1e-6
+    gate = gate_from_euler(-2.860456781163321, 0.00022275429519995563, 2.831480940112918)
+    r = synthesize(gate, 50.0)
+    assert gate_distance(propagate_law_exact(r.law), gate) < 1e-6

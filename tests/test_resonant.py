@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from su2pulse import (
 )
 
 from su2pulse.errors import NoConvergence
-from su2pulse.resonant import _labels_for_phi0, label_for_phi0
+from su2pulse.resonant import _labels_for_phi0, _theta_factors, label_for_phi0
 
 from conftest import brute_force_min_time, crossing_eta_oracle
 
@@ -293,8 +294,8 @@ def test_array_label_map_matches_scalar_map():
         assert np.all(np.abs(got[:, [1, 3]] - want[:, [1, 3]]) <= 1e-12), theta  # tf, eta
         assert np.allclose(got[:, 2], want[:, 2], rtol=1e-12, atol=0.0), theta  # p2
     # draws at which numpy's arctan2(1, p2) and math's differ in the last
-    # bit while p2 < -1, so that sin(tb) magnifies it to a label 2e-12 and
-    # 4e-12 apart, unless the array map takes math's value there
+    # bit while p2 < -1, which sin(atan2(1, p2)) magnified to labels 2e-12
+    # and 4e-12 apart; both maps now form tf without atan2
     for phi0, theta, phi in [(-1.5612578411123716, 0.0004415446204372173, -2.704657950002144),
                              (4.715637648196324, 0.0015400155731124293, 2.25445054712693)]:
         got = _labels_for_phi0(np.array([phi0]), theta, phi)[0][0]
@@ -347,3 +348,46 @@ def test_arrival_crossing_near_poles_lands_no_farther_than_azimuth_test():
                             gate_from_euler(label_old, th, ph))
         assert new <= old, (x, th, ph, new, old)
     assert split > 0
+
+
+# ---------------------------------------------------------------------------
+# the theta*-only factors and tf = eta / (2 sqrt(1 + p2^2))
+# ---------------------------------------------------------------------------
+
+def test_passed_theta_factors_keep_the_scalar_maps_bits():
+    # floats, ints and np.float64 all take math's factors, so a solve that
+    # passes them once gets label_for_phi0's own bits at every phi0
+    rng = np.random.default_rng(810)
+    thetas = np.geomspace(1e-8, math.pi, 60).tolist() + rng.uniform(0.0, math.pi, 60).tolist()
+    for theta in thetas + [1, 2, np.float64(0.3), math.pi - 1e-9]:
+        phi = float(rng.uniform(-math.pi, math.pi))
+        k = _theta_factors(theta)
+        assert all(type(v) is float for v in k)
+        for x in (phi + rng.uniform(-math.pi, math.pi, 20)).tolist():
+            assert label_for_phi0(x, theta, phi, k) == label_for_phi0(x, theta, phi)
+
+
+def test_tf_is_within_a_few_ulps_for_steep_p2():
+    # tf = eta sin(theta_bar) / 2 with cot(theta_bar) = p2, at the map's own
+    # eta and p2, against a 50-digit decimal evaluation, for p2 in
+    # +-[1, 1e8]. theta* = 2 atan(|sin(phi* - phi0)| / |p2|) with
+    # |sin(phi* - phi0)| >= 1/2 stays above the polar band
+    rng = np.random.default_rng(811)
+    eps = np.finfo(float).eps
+    worst, worst_old = 0.0, 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for _ in range(4000):
+            mag = 10.0 ** float(rng.uniform(0.0, 8.0))
+            d = float(rng.choice([-1.0, 1.0]) * rng.uniform(math.pi / 6.0, 5.0 * math.pi / 6.0))
+            phi = float(rng.uniform(-math.pi, math.pi))
+            theta = 2.0 * math.atan(abs(math.sin(d)) / mag)
+            _, tf, p2, eta = label_for_phi0(phi - d, theta, phi)
+            exact = decimal.Decimal(eta) / (2 * (1 + decimal.Decimal(p2) ** 2).sqrt())
+            worst = max(worst, float(abs(decimal.Decimal(tf) - exact) / exact))
+            if p2 < -1e4:
+                old = eta * math.sin(math.atan2(1.0, p2)) / 2.0
+                worst_old = max(worst_old, float(abs(decimal.Decimal(old) - exact) / exact))
+    assert worst <= 4.0 * eps
+    # the former sin(atan2(1, p2)) form magnifies atan2's last bit by |p2|
+    assert worst_old > 1e3 * eps

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from su2pulse import (
     xyrot_gate,
     zrot_gate,
 )
+
+from su2pulse.su2 import _axis_angle_quat, _euler_quat, _hopf_quat, _unit_quat, canonical_euler
 
 from conftest import expm2
 
@@ -251,3 +254,41 @@ def test_euler_target_theta_domain():
     e = euler_target(5.0 * math.pi, 1.0, 2.5 * math.pi)
     assert -2 * math.pi <= e.psi < 2 * math.pi
     assert -math.pi <= e.phi < math.pi
+
+
+# ---------------------------------------------------------------------------
+# tuple kernels: the sweeps' object-free path against the gate objects
+# ---------------------------------------------------------------------------
+
+def test_tuple_kernels_match_the_gate_objects_bit_for_bit():
+    # seeded quaternions, plus quaternions with |(x3, x4)| or |(x1, x2)|
+    # on a log grid around GAUGE_TOL (both gauges, both polar bands), each
+    # also scaled off unit norm; U and -U as sweep_rotation_angle forms them
+    rng = np.random.default_rng(812)
+    quats = [tuple(v) for v in rng.normal(size=(2000, 4)).tolist()]
+    for small in np.geomspace(1e-11, 1e-6, 41).tolist():
+        a, b = rng.uniform(-math.pi, math.pi, 2).tolist()
+        big, tiny = (math.cos(a), math.sin(a)), (small * math.cos(b), small * math.sin(b))
+        quats += [big + tiny, tiny + big]
+    scales = [0.5, 3.0, 1.0 + 1e-15, 1.0 + 3e-15]
+    quats += [tuple(s * x for x in q) for i, q in enumerate(quats) for s in [scales[i % 4]]]
+    gauges = set()
+    for q in quats:
+        g = UnitGate(*q)
+        u = _unit_quat(q)
+        assert u == g.quat
+        assert _hopf_quat(u) == astuple(hopf_from_gate(g))
+        assert _euler_quat(u) == astuple(canonical_euler(g))
+        assert _euler_quat(_unit_quat(tuple(-x for x in u))) == astuple(canonical_euler(negate_gate(g)))
+        h = hopf_from_gate(g)
+        gauges.add((h.gauge, h.theta1 < math.pi / 4.0))
+    assert gauges == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_axis_angle_kernel_matches_gate_from_axis_angle():
+    rng = np.random.default_rng(813)
+    for n in rng.normal(size=(50, 3)):
+        n = n / np.linalg.norm(n)
+        for alpha in rng.uniform(0.0, 4.0 * math.pi, 20).tolist():
+            assert _unit_quat(_axis_angle_quat(alpha, n.tolist())) == \
+                gate_from_axis_angle(alpha, n).quat
