@@ -49,7 +49,7 @@ from .su2 import (
 _PSI_SOLVE_TOL = 1e-10
 _MAX_BISECT = 200
 # bound on |f| from the array label map against label_for_phi0, per unit
-# of 1 + 2|delta|; the largest seen over 1e5 seeded draws was 5e-15
+# of 1 + 2|delta|; the largest seen over 1e5 seeded draws was 1.7e-15
 _ARRAY_ROUNDOFF = 1e-13
 
 
@@ -127,8 +127,9 @@ def synthesize_xy_rotation(a: float, b: float, verify: bool = True) -> Synthesis
 # ---------------------------------------------------------------------------
 
 def _theta_factors(theta_star):
-    """The label map's theta*-only factors (tan(theta*/2), cos theta*,
-    cos^2(theta*/2)): numpy's for an ndarray, else math's, as the map's own."""
+    """(tan(theta*/2), cos theta*, cos^2(theta*/2)), the label map's factors
+    that depend on theta* alone: numpy's for an ndarray, else math's, which
+    label_for_phi0 computes when not given them."""
     m = np if isinstance(theta_star, np.ndarray) else math
     return m.tan(theta_star / 2.0), m.cos(theta_star), m.cos(theta_star / 2.0) ** 2
 

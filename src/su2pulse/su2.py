@@ -268,7 +268,7 @@ def euler_from_hopf(h: HopfCoords) -> EulerTarget:
 
 def negate_gate(g: UnitGate) -> UnitGate:
     """The opposite SU(2) element -U (same SO(3) rotation)."""
-    return UnitGate(*(-x for x in g.quat))
+    return UnitGate(-g.x1, -g.x2, -g.x3, -g.x4)
 
 
 def gate_distance(a: UnitGate, b: UnitGate) -> float:
