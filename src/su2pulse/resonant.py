@@ -174,8 +174,9 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
 def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
     """Array form of label_for_phi0 over broadcast phi0, theta* (outside the
     polar band) and phi*, k as there. numpy's sin, cos, tan and arccos differ
-    from math's in the last bit, so it agrees with the scalar map to roundoff:
-    the grid solves steer brackets with it and report label_for_phi0's."""
+    from math's in the last bit, so it agrees with the scalar map to
+    roundoff: the grid solves steer brackets with it and report
+    label_for_phi0's values."""
     tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
     s = np.sin(d)

@@ -3,13 +3,20 @@
 `perfbench/run.py --trace 1` replaces each (module, attribute) pair listed
 in the tracer's SPANNED and COUNTED tables with a wrapper, so a refactor
 that drops one of those names (say, an import another module no longer
-calls) breaks the traced run. The tables are read, not changed.
+calls) breaks the traced run. The tables are read, not changed. The
+solvers must also reach the label map through the bindings the tracer
+counts, or its `resonant.label_for_phi0.calls` would miss their calls.
 """
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from su2pulse import detuned, resonant, so3
+from su2pulse.su2 import gate_from_euler
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,13 +46,6 @@ def test_solvers_call_the_label_map_through_its_bindings(monkeypatch):
     # the tracer counts resonant.label_for_phi0 by wrapping the module
     # attributes resonant.label_for_phi0 and detuned.label_for_phi0; a
     # solver that reached the map another way would drop out of that count
-    import math
-
-    import numpy as np
-
-    from su2pulse import detuned, resonant, so3
-    from su2pulse.su2 import gate_from_euler
-
     calls = {"resonant": 0, "detuned": 0}
     for mod, name in ((resonant, "resonant"), (detuned, "detuned")):
         def counted(*args, _fn=mod.label_for_phi0, _name=name):
