@@ -12,27 +12,22 @@ from .errors import (
     NonUnitary,
     NonUnitDeterminant,
     NoStationaryPoint,
-    PoleEncountered,
     StepTooLarge,
     Su2PulseError,
     TargetUnreached,
 )
 from .su2 import (
-    AxisAngle,
     EulerTarget,
     HopfCoords,
     ParsedTarget,
     UnitGate,
-    axis_angle_from_gate,
     euler_from_gate,
-    euler_from_hopf,
     euler_target,
     gate_distance,
     gate_from_axis_angle,
     gate_from_euler,
     gate_from_hopf,
     gate_from_matrix,
-    hopf_from_euler,
     hopf_from_gate,
     identity_gate,
     matrix_from_gate,
@@ -45,25 +40,15 @@ from .su2 import (
     zrot_gate,
 )
 from .dynamics import (
-    AdjointState,
-    CircleGeometry,
     ExtremalLaw,
     PulseSchedule,
-    TrajectoryPoint,
-    adjoint_at,
-    circle_geometry,
-    control_at,
     control_phase,
-    gate_at,
-    hamiltonian_residual,
-    propagate_hopf,
     propagate_law,
     propagate_law_exact,
     propagate_pulse,
     propagate_schrodinger,
     read_pulse_csv,
     schedule_from_law,
-    trajectory_point,
     write_pulse_csv,
     write_trajectory_csv,
 )
@@ -81,7 +66,6 @@ from .detuned import (
     PsiFamily,
     TdiffReport,
     build_psi_family,
-    endpoint_map,
     optimal_domain,
     synthesize_detuned,
     tdiff_analysis,

@@ -102,10 +102,6 @@ class PsiFamily:
     p2: np.ndarray
     duration: np.ndarray
 
-    @property
-    def window(self) -> tuple[float, float]:
-        return (-self.phi_star - TWO_PI, -self.phi_star + TWO_PI)
-
     def solve(self, psi_label: float) -> tuple[float, float, float]:
         """(phi0, p2, duration) for one label, refined (not interpolated)."""
         return _control_at_label(self.theta_star, self.phi_star, psi_label)
@@ -146,14 +142,6 @@ def build_psi_family(theta_star: float, phi_star: float,
             rows.append((x, p2, tf))
     phi0, p2, dur = np.array(rows).T
     return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
-
-
-def endpoint_map(family: PsiFamily, delta: float, psi=None):
-    """f_delta over the family table (or at one label): Psi - 2 delta T."""
-    if psi is None:
-        return family.psi - 2.0 * delta * family.duration
-    _, _, tf = family.solve(float(psi))
-    return float(psi) - 2.0 * delta * tf
 
 
 # ---------------------------------------------------------------------------

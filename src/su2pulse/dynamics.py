@@ -1,8 +1,8 @@
-"""Extremal trajectories in closed form, an exact propagator, and
-independent ODE cross-checks.
+"""Extremal trajectories in closed form, an exact propagator, and an
+independent ODE cross-check.
 
 The controlled Schrodinger equation i dU/dt = (vx sx + vy sy + delta sz) U
-is solved in four ways:
+is solved in three ways:
 
   * closed form: the projected trajectory (theta(t), phi(t)) is a circle
     around the axis (theta_bar, phi_bar) traversed at speed 2, and psi(t)
@@ -17,9 +17,6 @@ is solved in four ways:
     the controls, not the circle geometry.
   * quaternion RK4: the linear 4d ODE xdot = L x, a cross-check of the
     exact product and the one model of a linear amplitude ramp.
-  * Hopf RK4: the (theta1, theta2, theta3) chart with tan/cot poles at
-    theta1 in {0, pi/2}, a cross-check whose agreement with the quaternion
-    chart is the executable form of the coordinate-change derivation.
 
 An extremal is pinned by (phi0, p2, delta, tf). Time is normalized:
 t here is (omega_max/2) * t_physical, and the drive amplitude is 1 for
@@ -33,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleEncountered, StepTooLarge
-from .su2 import TWO_PI, HopfCoords, UnitGate, gate_from_hopf, identity_gate
+from .errors import DomainError, StepTooLarge
+from .su2 import TWO_PI, UnitGate, identity_gate
 
 DEFAULT_STEPS = 10_000          # RK4 steps per propagation, step = tf / this
 DEFAULT_SAMPLES = 2048          # samples per exported pulse schedule
@@ -59,37 +56,6 @@ class ExtremalLaw:
             raise DomainError(f"tf = {self.tf!r} must be finite and >= 0")
         if not math.isfinite(self.p2):
             raise DomainError("p2 must be finite")
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    """Adjoint variables at one instant; p1..p3 are N-normalized, N carries
-    the overall scale fixed by the zero-Hamiltonian condition."""
-
-    p1: float
-    p2: float
-    p3: float
-    p0: float
-    N: float
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    euler: tuple[float, float, float]      # (psi, theta, phi), running values
-    hopf: tuple[float, float, float]       # (theta1, theta2, theta3)
-    controls: tuple[float, float, float, float, float]  # (u1, u2, mu, beta, v0)
-    eta: float
-
-
-@dataclass(frozen=True)
-class CircleGeometry:
-    """Axis of the projected circle: inclination theta_bar = atan2(1, p2) in
-    (0, pi), azimuth phi_bar = phi0 + pi/2, unit vector n_bar."""
-
-    theta_bar: float
-    phi_bar: float
-    n_bar: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -130,13 +96,6 @@ class PulseSchedule:
 # closed-form trajectory
 # ---------------------------------------------------------------------------
 
-def circle_geometry(law: ExtremalLaw) -> CircleGeometry:
-    tb = math.atan2(1.0, law.p2)
-    pb = law.phi0 + math.pi / 2.0
-    sb = math.sin(tb)
-    return CircleGeometry(tb, pb, (sb * math.cos(pb), sb * math.sin(pb), math.cos(tb)))
-
-
 def _circle_azimuth_offset(eta: float, cos_bar: float) -> float:
     """Azimuth of the projected point relative to phi0 + pi/2.
 
@@ -158,14 +117,6 @@ def control_phase(law: ExtremalLaw, t: float) -> float:
     """mu(t) = phi0 - pi/2 + (2 p2 + 2 delta) t, the drive phase; t may be
     an array of times."""
     return law.phi0 - math.pi / 2.0 + (2.0 * law.p2 + 2.0 * law.delta) * t
-
-
-def control_at(law: ExtremalLaw, t: float) -> tuple[float, float]:
-    """Physical controls (vx, vy) = (cos mu, sin mu) at time t."""
-    if not (0.0 <= t <= law.tf + 1e-12):
-        raise DomainError(f"t = {t:.12g} outside [0, tf = {law.tf:.12g}]")
-    mu = control_phase(law, t)
-    return math.cos(mu), math.sin(mu)
 
 
 def _mapped(f, a: np.ndarray, *args) -> np.ndarray:
@@ -204,58 +155,6 @@ def _trajectory_rows(law: ExtremalLaw, t) -> np.ndarray:
     mu = control_phase(law, t)
     return np.column_stack([t, theta, phi, psi, theta / 2.0, (psi + phi) / 2.0,
                             (psi - phi) / 2.0, _mapped(math.cos, mu), _mapped(math.sin, mu), eta])
-
-
-def trajectory_point(law: ExtremalLaw, t: float) -> TrajectoryPoint:
-    """Closed-form state at time t: the one-row view of the array closed
-    form `_trajectory_rows`, plus the rotated controls u1 = -sin(beta),
-    u2 = -cos(beta) at beta = mu + psi."""
-    _, theta, phi, psi, theta1, theta2, theta3, _, _, eta = _trajectory_rows(law, [t])[0].tolist()
-    mu = control_phase(law, t)
-    beta = mu + psi
-    return TrajectoryPoint(
-        t=t,
-        euler=(psi, theta, phi),
-        hopf=(theta1, theta2, theta3),
-        controls=(-math.sin(beta), -math.cos(beta), mu, beta, 1.0),
-        eta=eta,
-    )
-
-
-def gate_at(law: ExtremalLaw, t: float) -> UnitGate:
-    """Closed-form gate at time t."""
-    tp = trajectory_point(law, t)
-    return gate_from_hopf(tp.hopf)
-
-
-def adjoint_at(law: ExtremalLaw, t: float, p2: float | None = None) -> AdjointState:
-    """Adjoint state along the trajectory; p1 is read off the closed form
-    (p1 = u1), p3 vanishes identically, and N is the unnormalized scale
-    1 / (1 - p2 * delta) times the normalized magnitude."""
-    p2c = law.p2 if p2 is None else p2
-    tp = trajectory_point(law, t)
-    theta1 = tp.hopf[0]
-    p1 = tp.controls[0]
-    tan1 = math.tan(theta1)
-    norm = math.hypot(p1, p2c * tan1) if p2c != 0.0 else abs(p1)
-    scale = 1.0 / (1.0 - p2c * law.delta)
-    return AdjointState(p1=p1, p2=p2c, p3=0.0, p0=-1.0, N=scale * norm)
-
-
-def hamiltonian_residual(law: ExtremalLaw, t: float, p2: float | None = None) -> float:
-    """|maximized Pontryagin Hamiltonian| at time t with p0 = -1.
-
-    The unnormalized value is scale*(norm - p2*delta) - 1, where norm is the
-    normalized adjoint magnitude (identically 1 on a consistent extremal) and
-    scale = 1/(1 - p2*delta) fixes the adjoint ray. Zero along the law;
-    passing an inconsistent p2 override exposes the gap.
-    """
-    p2c = law.p2 if p2 is None else p2
-    tp = trajectory_point(law, t)
-    p1 = tp.controls[0]
-    norm = math.hypot(p1, p2c * math.tan(tp.hopf[0])) if p2c != 0.0 else abs(p1)
-    scale = 1.0 / (1.0 - p2c * law.delta)
-    return abs(scale * (norm - p2c * law.delta) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,100 +334,6 @@ def propagate_schrodinger(schedule: PulseSchedule, dt: float | None = None) -> U
         return a * math.cos(m), a * math.sin(m)
 
     return _rk4_quat(control, schedule.delta, tf, n_steps)
-
-
-# ---------------------------------------------------------------------------
-# Hopf-chart RK4 propagation (cross-check)
-# ---------------------------------------------------------------------------
-
-def hopf_rates(state, u1: float, u2: float, delta: float):
-    """Right-hand side of the Hopf-chart ODE for rotated controls (u1, u2)."""
-    theta1 = state[0]
-    return (u1, -math.tan(theta1) * u2 - delta, 1.0 / math.tan(theta1) * u2 - delta)
-
-
-def _exact_step_hopf(state, vx, vy, delta, h):
-    """Advance the gate by exp(-i h H) for constant H, in the Hopf chart.
-
-    Used to bootstrap the integration off the theta1 = 0 pole at t = 0,
-    where cot(theta1) is singular. Exact for constant controls.
-    """
-    if vx == 0.0 and vy == 0.0 and delta == 0.0:
-        return state
-    step = _segment_factors([math.hypot(vx, vy)], [math.atan2(vy, vx)], [0.0], [h], delta)
-    g2 = UnitGate(*(float(c) for c in _quat_mul(step[:, 0], gate_from_hopf(state).quat)))
-    m12 = math.hypot(g2.x1, g2.x2)
-    m34 = math.hypot(g2.x3, g2.x4)
-    return (math.atan2(m34, m12), math.atan2(g2.x2, g2.x1), math.atan2(g2.x4, g2.x3))
-
-
-def propagate_hopf(law: ExtremalLaw, n_steps: int = DEFAULT_STEPS,
-                   control_fn=None) -> HopfCoords:
-    """Integrate the Hopf-chart ODE driven by physical controls.
-
-    Independent of the closed form: the rotated controls are recomputed from
-    (vx, vy) and the running theta2 + theta3 at every stage. The first step
-    leaves the theta1 = 0 pole with an exact constant-field step. A rate
-    blow-up at a tan/cot pole mid-trajectory (which a normal extremal never
-    produces) raises PoleEncountered. control_fn overrides the law's
-    analytic controls with an arbitrary t -> (vx, vy) map.
-    """
-    if law.tf == 0.0:
-        return HopfCoords(0.0, 0.0, 0.0, gauge=True)
-    mu0 = law.phi0 - math.pi / 2.0
-    slope = 2.0 * law.p2 + 2.0 * law.delta
-    delta = law.delta
-
-    if control_fn is None:
-        def vxy(t):
-            m = mu0 + slope * t
-            return math.cos(m), math.sin(m)
-    else:
-        vxy = control_fn
-
-    def rotated_controls(t, st):
-        vx, vy = vxy(t)
-        ps = st[1] + st[2]
-        cps, sps = math.cos(ps), math.sin(ps)
-        return -vx * sps - vy * cps, -vx * cps + vy * sps
-
-    def rhs(t, st):
-        u1, u2 = rotated_controls(t, st)
-        tan1 = math.tan(st[0])
-        return (u1, -tan1 * u2 - delta, u2 / tan1 - delta)
-
-    h = law.tf / n_steps
-    vx0, vy0 = vxy(h / 2.0)
-    state = _exact_step_hopf((0.0, 0.0, math.atan2(-vxy(0.0)[0], -vxy(0.0)[1])),
-                             vx0, vy0, delta, h)
-    t = h
-    for _ in range(n_steps - 1):
-        k1 = rhs(t, state)
-        s2 = tuple(state[i] + h / 2.0 * k1[i] for i in range(3))
-        k2 = rhs(t + h / 2.0, s2)
-        s3 = tuple(state[i] + h / 2.0 * k2[i] for i in range(3))
-        k3 = rhs(t + h / 2.0, s3)
-        s4 = tuple(state[i] + h * k3[i] for i in range(3))
-        k4 = rhs(t + h, s4)
-        new = tuple(
-            state[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(3)
-        )
-        t += h
-        # crossing a tan/cot pole (theta1 = k pi/2) with the rotated u2
-        # switched on blows the chart up; a normal extremal has u2 -> 0 at
-        # its poles, so its angles stay slow there. A macroscopic single-step
-        # jump in theta2/theta3 on a crossing step is the breakdown signature.
-        crossed = (math.sin(2.0 * new[0]) * math.sin(2.0 * state[0]) < 0.0 and
-                   abs(new[0] - state[0]) < 0.5)
-        if crossed and max(abs(new[1] - state[1]), abs(new[2] - state[2])) > 0.3:
-            raise PoleEncountered(
-                f"theta1 pole crossed near t = {t:.6g} with residual drive on it"
-            )
-        if not all(math.isfinite(c) for c in new):
-            raise PoleEncountered(f"chart state diverged near t = {t:.6g}")
-        state = new
-    return HopfCoords(state[0], state[1], state[2])
 
 
 # ---------------------------------------------------------------------------

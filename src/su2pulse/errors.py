@@ -21,16 +21,13 @@ class StepTooLarge(Su2PulseError):
     """Integrator step fails the local truncation bound."""
 
 
-class PoleEncountered(Su2PulseError):
-    """Hopf-chart integration hit a coordinate pole mid-trajectory."""
-
-
 class NoConvergence(Su2PulseError):
     """Scalar solve failed to converge; indicates a bracketing bug."""
 
 
 class TargetUnreached(Su2PulseError):
-    """Brute-force scan found no control arriving at the target."""
+    """The z-family scan of a detuned z-rotation found no control arriving
+    at the target."""
 
 
 class NoStationaryPoint(Su2PulseError):

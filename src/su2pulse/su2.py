@@ -8,8 +8,8 @@ A gate is stored as a unit quaternion (x1, x2, x3, x4) over the basis
 
 Note the component ordering: x2 pairs with the z axis, x3 with y, x4
 with x. The quaternion is the only chart without coordinate
-singularities, so it is the canonical internal form; matrix, axis-angle,
-Hopf and zyz Euler forms are all views derived from it.
+singularities, so it is the canonical internal form; matrix, Hopf and
+zyz Euler forms are views derived from it, and axis-angle is an input form.
 
 Angle domains: Euler psi in [-2pi, 2pi), theta in [0, pi], phi in
 [-pi, pi); Hopf theta1 in [0, pi/2]. Pure z-rotations are canonicalized
@@ -63,21 +63,6 @@ class UnitGate:
     def quat(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
 
-    def matrix(self) -> np.ndarray:
-        return matrix_from_gate(self)
-
-
-@dataclass(frozen=True)
-class AxisAngle:
-    """Rotation angle alpha about unit axis n = (nx, ny, nz).
-
-    `gauge` marks +-identity, where the axis is arbitrary (set to z).
-    """
-
-    alpha: float
-    n: tuple[float, float, float]
-    gauge: bool = False
-
 
 @dataclass(frozen=True)
 class HopfCoords:
@@ -100,11 +85,6 @@ class EulerTarget:
     psi: float
     theta: float
     phi: float
-
-    @property
-    def lambda_star(self) -> float:
-        """z-rotation angle for theta = 0 targets (canonical form (lambda, 0, 0))."""
-        return self.psi
 
 
 # tuple kernels, the one copy of each formula below: the gate classes and
@@ -193,16 +173,6 @@ def gate_from_matrix(m) -> UnitGate:
     return g
 
 
-def axis_angle_from_gate(g: UnitGate) -> AxisAngle:
-    """Rotation angle/axis view; alpha in [0, 2pi], axis gauge at +-identity."""
-    s = math.sqrt(g.x2 ** 2 + g.x3 ** 2 + g.x4 ** 2)
-    alpha = 2.0 * math.atan2(s, g.x1)
-    if s < GAUGE_TOL:
-        return AxisAngle(alpha, (0.0, 0.0, 1.0), gauge=True)
-    # component pairing: x2 <-> nz, x3 <-> ny, x4 <-> nx
-    return AxisAngle(alpha, (g.x4 / s, g.x3 / s, g.x2 / s))
-
-
 def gate_from_axis_angle(alpha: float, n) -> UnitGate:
     """Gate for a rotation of alpha in [0, 4pi) about unit axis n."""
     return UnitGate(*_axis_angle_quat(alpha, n))
@@ -244,26 +214,6 @@ def euler_target(psi: float, theta: float, phi: float) -> EulerTarget:
     if not (-1e-12 <= theta <= math.pi + 1e-12):
         raise DomainError(f"theta = {theta:.12g} outside [0, pi]")
     return euler_from_gate(gate_from_euler(psi, min(max(theta, 0.0), math.pi), phi))
-
-
-def hopf_from_euler(psi: float, theta: float, phi: float) -> HopfCoords:
-    """Hopf view (theta1, theta2, theta3) = (theta/2, (psi+phi)/2, (psi-phi)/2)."""
-    if not (-1e-12 <= theta <= math.pi + 1e-12):
-        raise DomainError(f"theta = {theta:.12g} outside [0, pi]")
-    psi = wrap_4pi(psi)
-    phi = wrap_pi(phi)
-    t1 = min(max(theta, 0.0), math.pi) / 2.0
-    if t1 < GAUGE_TOL:
-        return HopfCoords(t1, (psi + phi) / 2.0, 0.0, gauge=True)
-    if t1 > math.pi / 2.0 - GAUGE_TOL:
-        return HopfCoords(t1, 0.0, (psi - phi) / 2.0, gauge=True)
-    return HopfCoords(t1, (psi + phi) / 2.0, (psi - phi) / 2.0)
-
-
-def euler_from_hopf(h: HopfCoords) -> EulerTarget:
-    if not (-1e-12 <= h.theta1 <= math.pi / 2.0 + 1e-12):
-        raise DomainError(f"theta1 = {h.theta1:.12g} outside [0, pi/2]")
-    return euler_from_gate(gate_from_hopf(h))
 
 
 def negate_gate(g: UnitGate) -> UnitGate:

@@ -17,8 +17,17 @@ closed-form trajectory point, f-string writers for the pulse, trajectory
 and sweep files, and the line-by-line pulse reader. The block writers and
 the one-conversion reader must match them byte for byte and error for
 error.
+
+The Hopf-chart, adjoint and gate-view oracles are former package code
+that only tests called: `propagate_hopf` (RK4 in the Hopf chart, with
+`hopf_rates` and `PoleEncountered`), the PMP checks `adjoint_at` and
+`hamiltonian_residual`, the closed-form views `trajectory_point`,
+`gate_at`, `control_at` and `circle_geometry`, and the conversions
+`axis_angle_from_gate`, `hopf_from_euler`, `euler_from_hopf` and
+`endpoint_map`.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -31,7 +40,8 @@ from su2pulse import (
     gate_distance,
     propagate_law,
 )
-from su2pulse.dynamics import _circle_azimuth_offset, control_phase
+from su2pulse.dynamics import (DEFAULT_STEPS, _circle_azimuth_offset, _quat_mul,
+                                _segment_factors, _trajectory_rows, control_phase)
 from su2pulse.detuned import (
     PsiFamily,
     TdiffReport,
@@ -41,19 +51,12 @@ from su2pulse.detuned import (
     _solve_detuned,
     negated_psi,
 )
-from su2pulse.errors import NoConvergence
+from su2pulse.errors import NoConvergence, Su2PulseError
 from su2pulse.resonant import _roots_mod_4pi, label_for_phi0, target_gate
 from su2pulse.so3 import select_faster
-from su2pulse.su2 import (
-    FOUR_PI,
-    POLAR_THETA_TOL,
-    TWO_PI,
-    EulerTarget,
-    canonical_euler,
-    gate_from_axis_angle,
-    wrap_4pi,
-    wrap_pi,
-)
+from su2pulse.su2 import (FOUR_PI, GAUGE_TOL, POLAR_THETA_TOL, TWO_PI, EulerTarget, HopfCoords,
+                          UnitGate, canonical_euler, euler_from_gate, gate_from_axis_angle,
+                          gate_from_hopf, wrap_4pi, wrap_pi)
 
 
 @pytest.fixture
@@ -384,3 +387,251 @@ def tdiff_analysis_oracle(target, delta_grid) -> TdiffReport:
         kind = "zero_cross" if (in_x[i] and in_x[i + 1]) else "boundary_jump"
         events.append((float(mid), kind))
     return TdiffReport(grid, t_u, t_n, in_x, events, predicted, psi_u, psi_n, bounds)
+
+
+# ---------------------------------------------------------------------------
+# Hopf-chart, adjoint and gate-view oracles: former package code that only
+# tests called
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AxisAngle:
+    """Rotation angle alpha about unit axis n = (nx, ny, nz).
+
+    `gauge` marks +-identity, where the axis is arbitrary (set to z).
+    """
+
+    alpha: float
+    n: tuple[float, float, float]
+    gauge: bool = False
+
+
+def axis_angle_from_gate(g: UnitGate) -> AxisAngle:
+    """Rotation angle/axis view; alpha in [0, 2pi], axis gauge at +-identity."""
+    s = math.sqrt(g.x2 ** 2 + g.x3 ** 2 + g.x4 ** 2)
+    alpha = 2.0 * math.atan2(s, g.x1)
+    if s < GAUGE_TOL:
+        return AxisAngle(alpha, (0.0, 0.0, 1.0), gauge=True)
+    # component pairing: x2 <-> nz, x3 <-> ny, x4 <-> nx
+    return AxisAngle(alpha, (g.x4 / s, g.x3 / s, g.x2 / s))
+
+
+def hopf_from_euler(psi: float, theta: float, phi: float) -> HopfCoords:
+    """Hopf view (theta1, theta2, theta3) = (theta/2, (psi+phi)/2, (psi-phi)/2)."""
+    if not (-1e-12 <= theta <= math.pi + 1e-12):
+        raise DomainError(f"theta = {theta:.12g} outside [0, pi]")
+    psi = wrap_4pi(psi)
+    phi = wrap_pi(phi)
+    t1 = min(max(theta, 0.0), math.pi) / 2.0
+    if t1 < GAUGE_TOL:
+        return HopfCoords(t1, (psi + phi) / 2.0, 0.0, gauge=True)
+    if t1 > math.pi / 2.0 - GAUGE_TOL:
+        return HopfCoords(t1, 0.0, (psi - phi) / 2.0, gauge=True)
+    return HopfCoords(t1, (psi + phi) / 2.0, (psi - phi) / 2.0)
+
+
+def euler_from_hopf(h: HopfCoords) -> EulerTarget:
+    if not (-1e-12 <= h.theta1 <= math.pi / 2.0 + 1e-12):
+        raise DomainError(f"theta1 = {h.theta1:.12g} outside [0, pi/2]")
+    return euler_from_gate(gate_from_hopf(h))
+
+
+def endpoint_map(family: PsiFamily, delta: float, psi=None):
+    """f_delta over the family table (or at one label): Psi - 2 delta T."""
+    if psi is None:
+        return family.psi - 2.0 * delta * family.duration
+    _, _, tf = family.solve(float(psi))
+    return float(psi) - 2.0 * delta * tf
+
+
+@dataclass(frozen=True)
+class AdjointState:
+    """Adjoint variables at one instant; p1..p3 are N-normalized, N carries
+    the overall scale fixed by the zero-Hamiltonian condition."""
+
+    p1: float
+    p2: float
+    p3: float
+    p0: float
+    N: float
+
+
+@dataclass(frozen=True)
+class TrajectoryPoint:
+    t: float
+    euler: tuple[float, float, float]      # (psi, theta, phi), running values
+    hopf: tuple[float, float, float]       # (theta1, theta2, theta3)
+    controls: tuple[float, float, float, float, float]  # (u1, u2, mu, beta, v0)
+    eta: float
+
+
+@dataclass(frozen=True)
+class CircleGeometry:
+    """Axis of the projected circle: inclination theta_bar = atan2(1, p2) in
+    (0, pi), azimuth phi_bar = phi0 + pi/2, unit vector n_bar."""
+
+    theta_bar: float
+    phi_bar: float
+    n_bar: tuple[float, float, float]
+
+
+def circle_geometry(law: ExtremalLaw) -> CircleGeometry:
+    tb = math.atan2(1.0, law.p2)
+    pb = law.phi0 + math.pi / 2.0
+    sb = math.sin(tb)
+    return CircleGeometry(tb, pb, (sb * math.cos(pb), sb * math.sin(pb), math.cos(tb)))
+
+
+def control_at(law: ExtremalLaw, t: float) -> tuple[float, float]:
+    """Physical controls (vx, vy) = (cos mu, sin mu) at time t."""
+    if not (0.0 <= t <= law.tf + 1e-12):
+        raise DomainError(f"t = {t:.12g} outside [0, tf = {law.tf:.12g}]")
+    mu = control_phase(law, t)
+    return math.cos(mu), math.sin(mu)
+
+
+def trajectory_point(law: ExtremalLaw, t: float) -> TrajectoryPoint:
+    """Closed-form state at time t: the one-row view of the array closed
+    form `_trajectory_rows`, plus the rotated controls u1 = -sin(beta),
+    u2 = -cos(beta) at beta = mu + psi."""
+    _, theta, phi, psi, theta1, theta2, theta3, _, _, eta = _trajectory_rows(law, [t])[0].tolist()
+    mu = control_phase(law, t)
+    beta = mu + psi
+    return TrajectoryPoint(
+        t=t,
+        euler=(psi, theta, phi),
+        hopf=(theta1, theta2, theta3),
+        controls=(-math.sin(beta), -math.cos(beta), mu, beta, 1.0),
+        eta=eta,
+    )
+
+
+def gate_at(law: ExtremalLaw, t: float) -> UnitGate:
+    """Closed-form gate at time t."""
+    tp = trajectory_point(law, t)
+    return gate_from_hopf(tp.hopf)
+
+
+def adjoint_at(law: ExtremalLaw, t: float, p2: float | None = None) -> AdjointState:
+    """Adjoint state along the trajectory; p1 is read off the closed form
+    (p1 = u1), p3 vanishes identically, and N is the unnormalized scale
+    1 / (1 - p2 * delta) times the normalized magnitude."""
+    p2c = law.p2 if p2 is None else p2
+    tp = trajectory_point(law, t)
+    theta1 = tp.hopf[0]
+    p1 = tp.controls[0]
+    tan1 = math.tan(theta1)
+    norm = math.hypot(p1, p2c * tan1) if p2c != 0.0 else abs(p1)
+    scale = 1.0 / (1.0 - p2c * law.delta)
+    return AdjointState(p1=p1, p2=p2c, p3=0.0, p0=-1.0, N=scale * norm)
+
+
+def hamiltonian_residual(law: ExtremalLaw, t: float, p2: float | None = None) -> float:
+    """|maximized Pontryagin Hamiltonian| at time t with p0 = -1.
+
+    The unnormalized value is scale*(norm - p2*delta) - 1, where norm is the
+    normalized adjoint magnitude (identically 1 on a consistent extremal) and
+    scale = 1/(1 - p2*delta) fixes the adjoint ray. Zero along the law;
+    passing an inconsistent p2 override exposes the gap.
+    """
+    p2c = law.p2 if p2 is None else p2
+    tp = trajectory_point(law, t)
+    p1 = tp.controls[0]
+    norm = math.hypot(p1, p2c * math.tan(tp.hopf[0])) if p2c != 0.0 else abs(p1)
+    scale = 1.0 / (1.0 - p2c * law.delta)
+    return abs(scale * (norm - p2c * law.delta) - 1.0)
+
+
+class PoleEncountered(Su2PulseError):
+    """Hopf-chart integration hit a coordinate pole mid-trajectory."""
+
+
+def hopf_rates(state, u1: float, u2: float, delta: float):
+    """Right-hand side of the Hopf-chart ODE for rotated controls (u1, u2)."""
+    theta1 = state[0]
+    return (u1, -math.tan(theta1) * u2 - delta, 1.0 / math.tan(theta1) * u2 - delta)
+
+
+def _exact_step_hopf(state, vx, vy, delta, h):
+    """Advance the gate by exp(-i h H) for constant H, in the Hopf chart.
+
+    Used to bootstrap the integration off the theta1 = 0 pole at t = 0,
+    where cot(theta1) is singular. Exact for constant controls.
+    """
+    if vx == 0.0 and vy == 0.0 and delta == 0.0:
+        return state
+    step = _segment_factors([math.hypot(vx, vy)], [math.atan2(vy, vx)], [0.0], [h], delta)
+    g2 = UnitGate(*(float(c) for c in _quat_mul(step[:, 0], gate_from_hopf(state).quat)))
+    m12 = math.hypot(g2.x1, g2.x2)
+    m34 = math.hypot(g2.x3, g2.x4)
+    return (math.atan2(m34, m12), math.atan2(g2.x2, g2.x1), math.atan2(g2.x4, g2.x3))
+
+
+def propagate_hopf(law: ExtremalLaw, n_steps: int = DEFAULT_STEPS,
+                   control_fn=None) -> HopfCoords:
+    """Integrate the Hopf-chart ODE driven by physical controls: the
+    (theta1, theta2, theta3) chart with tan/cot poles at theta1 in
+    {0, pi/2}, whose agreement with the quaternion chart is the executable
+    form of the coordinate-change derivation.
+
+    Independent of the closed form: the rotated controls are recomputed from
+    (vx, vy) and the running theta2 + theta3 at every stage. The first step
+    leaves the theta1 = 0 pole with an exact constant-field step. A rate
+    blow-up at a tan/cot pole mid-trajectory (which a normal extremal never
+    produces) raises PoleEncountered. control_fn overrides the law's
+    analytic controls with an arbitrary t -> (vx, vy) map.
+    """
+    if law.tf == 0.0:
+        return HopfCoords(0.0, 0.0, 0.0, gauge=True)
+    mu0 = law.phi0 - math.pi / 2.0
+    slope = 2.0 * law.p2 + 2.0 * law.delta
+    delta = law.delta
+
+    if control_fn is None:
+        def vxy(t):
+            m = mu0 + slope * t
+            return math.cos(m), math.sin(m)
+    else:
+        vxy = control_fn
+
+    def rotated_controls(t, st):
+        vx, vy = vxy(t)
+        ps = st[1] + st[2]
+        cps, sps = math.cos(ps), math.sin(ps)
+        return -vx * sps - vy * cps, -vx * cps + vy * sps
+
+    def rhs(t, st):
+        return hopf_rates(st, *rotated_controls(t, st), delta)
+
+    h = law.tf / n_steps
+    vx0, vy0 = vxy(h / 2.0)
+    state = _exact_step_hopf((0.0, 0.0, math.atan2(-vxy(0.0)[0], -vxy(0.0)[1])),
+                             vx0, vy0, delta, h)
+    t = h
+    for _ in range(n_steps - 1):
+        k1 = rhs(t, state)
+        s2 = tuple(state[i] + h / 2.0 * k1[i] for i in range(3))
+        k2 = rhs(t + h / 2.0, s2)
+        s3 = tuple(state[i] + h / 2.0 * k2[i] for i in range(3))
+        k3 = rhs(t + h / 2.0, s3)
+        s4 = tuple(state[i] + h * k3[i] for i in range(3))
+        k4 = rhs(t + h, s4)
+        new = tuple(
+            state[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+            for i in range(3)
+        )
+        t += h
+        # crossing a tan/cot pole (theta1 = k pi/2) with the rotated u2
+        # switched on blows the chart up; a normal extremal has u2 -> 0 at
+        # its poles, so its angles stay slow there. A macroscopic single-step
+        # jump in theta2/theta3 on a crossing step is the breakdown signature.
+        crossed = (math.sin(2.0 * new[0]) * math.sin(2.0 * state[0]) < 0.0 and
+                   abs(new[0] - state[0]) < 0.5)
+        if crossed and max(abs(new[1] - state[1]), abs(new[2] - state[2])) > 0.3:
+            raise PoleEncountered(
+                f"theta1 pole crossed near t = {t:.6g} with residual drive on it"
+            )
+        if not all(math.isfinite(c) for c in new):
+            raise PoleEncountered(f"chart state diverged near t = {t:.6g}")
+        state = new
+    return HopfCoords(state[0], state[1], state[2])

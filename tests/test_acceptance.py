@@ -8,13 +8,10 @@ import pytest
 
 from su2pulse import (
     build_psi_family,
-    circle_geometry,
     crossing_angles,
-    gate_at,
     gate_distance,
     gate_from_euler,
     gate_from_hopf,
-    propagate_hopf,
     propagate_law,
     propagate_schrodinger,
     random_gate,
@@ -26,14 +23,14 @@ from su2pulse import (
     synthesize_xy_rotation,
     synthesize_z_rotation,
     tdiff_analysis,
-    trajectory_point,
     xyrot_gate,
     zrot_gate,
 )
 from su2pulse.detuned import _control_at_label, optimal_domain
 from su2pulse.resonant import label_for_phi0
 
-from conftest import brute_force_min_time, gamma_points, random_law, scan_family_min_time
+from conftest import (brute_force_min_time, circle_geometry, gamma_points, gate_at,
+                      propagate_hopf, random_law, scan_family_min_time, trajectory_point)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi

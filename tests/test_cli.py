@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import su2pulse
+from su2pulse import NoConvergence, NoStationaryPoint, StepTooLarge, TargetUnreached, resonant
 from su2pulse.cli import RunConfig, main
 
 
@@ -85,6 +86,18 @@ def test_parse_error_exit_code(tmp_path):
     assert run_cli("synthesize", "--target", "zrot:9.0", "--out", str(tmp_path)) == 2
     assert run_cli("synthesize", "--target", "junk", "--out", str(tmp_path)) == 2
     assert run_cli("sweep-angle", "--axis", "a,b,c", "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("error", [NoConvergence, NoStationaryPoint, TargetUnreached,
+                                   StepTooLarge])
+def test_synthesis_error_exit_code(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(resonant, "synthesize", fail)
+    assert run_cli("synthesize", "--target", "zrot:1.0", "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "synthesis error: forced" in err and "Traceback" not in err
 
 
 def test_parser_is_built_once(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import (
     read_pulse_csv_oracle,
+    trajectory_point,
     trajectory_point_oracle,
     write_pulse_csv_oracle,
     write_sweep_csv_oracle,
@@ -25,7 +26,6 @@ from su2pulse import (
     synthesize,
     sweep_rotation_angle,
     tdiff_analysis,
-    trajectory_point,
     write_pulse_csv,
     write_trajectory_csv,
 )

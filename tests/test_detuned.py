@@ -6,7 +6,6 @@ import pytest
 from su2pulse import (
     DomainError,
     build_psi_family,
-    endpoint_map,
     euler_from_gate,
     gate_distance,
     gate_from_axis_angle,
@@ -23,7 +22,7 @@ from su2pulse import (
 )
 from su2pulse.detuned import _control_at_label, negated_psi
 
-from conftest import scan_family_min_time
+from conftest import endpoint_map, scan_family_min_time
 
 TWO_PI = 2 * math.pi
 FOUR_PI = 4 * math.pi

@@ -7,32 +7,26 @@ import pytest
 from su2pulse import (
     DomainError,
     ExtremalLaw,
-    PoleEncountered,
     PulseSchedule,
     StepTooLarge,
-    adjoint_at,
-    circle_geometry,
-    control_at,
-    gate_at,
     gate_distance,
     gate_from_hopf,
-    hamiltonian_residual,
     identity_gate,
-    propagate_hopf,
     propagate_law,
     propagate_law_exact,
     propagate_pulse,
     propagate_schrodinger,
     read_pulse_csv,
     schedule_from_law,
-    trajectory_point,
     write_pulse_csv,
     zrot_gate,
 )
-from su2pulse.dynamics import hopf_rates
 from su2pulse.resonant import z_rotation_parameters
 
-from conftest import euler_ode_oracle, expm2, gamma_points, random_law
+from conftest import (PoleEncountered, adjoint_at, axis_angle_from_gate, circle_geometry,
+                      control_at, euler_ode_oracle, expm2, gamma_points, gate_at,
+                      hamiltonian_residual, hopf_rates, propagate_hopf, random_law,
+                      trajectory_point)
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -212,7 +206,7 @@ def test_propagate_constant_drive_vs_exact_exponential():
     t = np.linspace(0.0, math.pi / 2, 64)
     sched = PulseSchedule(np.column_stack([t, 0 * t, -np.ones_like(t)]), delta=0.0)
     want = expm2(-1j * (math.pi / 2) * (-SY))
-    from su2pulse import gate_from_matrix, axis_angle_from_gate
+    from su2pulse import gate_from_matrix
     want_g = gate_from_matrix(want)
     for got in (propagate_schrodinger(sched), propagate_pulse(sched)):
         assert gate_distance(got, want_g) < 1e-10

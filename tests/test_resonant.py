@@ -8,7 +8,6 @@ from su2pulse import (
     DomainError,
     ExtremalLaw,
     euler_from_gate,
-    gate_at,
     gate_distance,
     gate_from_euler,
     propagate_law,
@@ -17,7 +16,6 @@ from su2pulse import (
     synthesize_general,
     synthesize_xy_rotation,
     synthesize_z_rotation,
-    trajectory_point,
     xyrot_gate,
     zrot_gate,
     z_rotation_parameters,
@@ -28,7 +26,7 @@ from su2pulse import (
 from su2pulse.errors import NoConvergence
 from su2pulse.resonant import _labels_for_phi0, _theta_factors, label_for_phi0
 
-from conftest import brute_force_min_time, crossing_eta_oracle
+from conftest import brute_force_min_time, crossing_eta_oracle, gate_at, trajectory_point
 
 TWO_PI = 2 * math.pi
 

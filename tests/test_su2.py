@@ -9,15 +9,12 @@ from su2pulse import (
     NonUnitary,
     NonUnitDeterminant,
     UnitGate,
-    axis_angle_from_gate,
     euler_from_gate,
-    euler_from_hopf,
     gate_distance,
     gate_from_axis_angle,
     gate_from_euler,
     gate_from_hopf,
     gate_from_matrix,
-    hopf_from_euler,
     hopf_from_gate,
     identity_gate,
     matrix_from_gate,
@@ -30,7 +27,7 @@ from su2pulse import (
 
 from su2pulse.su2 import _axis_angle_quat, _euler_quat, _hopf_quat, _unit_quat, canonical_euler
 
-from conftest import expm2
+from conftest import axis_angle_from_gate, euler_from_hopf, expm2, hopf_from_euler
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
