@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +49,6 @@ class RunConfig:
     delta_min: float = -3.0
     delta_max: float = 3.0
     delta_steps: int = 241
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "RunConfig":

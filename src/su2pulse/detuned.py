@@ -244,8 +244,8 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
 
 
 def _solve_f(arc: _Arc, f: float, lo: float, hi: float, f_lo: float, f_hi: float,
-             lift: float) -> tuple[float, float]:
-    """(label - lift, tf) at the phi0 in [lo, hi] where f_delta = f."""
+             lift: float) -> tuple[float, float, float]:
+    """(label - lift, tf, phi0) at the phi0 in [lo, hi] where f_delta = f."""
     th, ph, d = arc.dom.theta_star, arc.dom.phi_star, arc.dom.delta
     k = _theta_factors(th)
 
@@ -255,7 +255,7 @@ def _solve_f(arc: _Arc, f: float, lo: float, hi: float, f_lo: float, f_hi: float
 
     phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, _F_SOLVE_TOL, arc.slack)
     label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
-    return label - lift, tf
+    return label - lift, tf, phi0
 
 
 def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
@@ -312,32 +312,22 @@ def _mirrored(m: OptimalDomain) -> OptimalDomain:
 # detuned synthesis
 # ---------------------------------------------------------------------------
 
-def _law_for_label(theta_star: float, phi_star: float, psi_label: float,
-                   delta: float) -> tuple[ExtremalLaw, float]:
-    if theta_star < POLAR_THETA_TOL:
-        _, p2, tf = _z_label_params(psi_label)
-        return ExtremalLaw(phi0=0.0, p2=p2, delta=delta, tf=tf), \
-            math.copysign(TWO_PI, psi_label) if tf > 0.0 else 0.0
-    phi0, p2, tf = _control_at_label(theta_star, phi_star, psi_label)
-    eta = label_for_phi0(phi0, theta_star, phi_star)[3]
-    return ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=delta, tf=tf), eta
-
-
-def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, OptimalDomain | None]:
-    """(optimal label, duration) for the canonical target under delta."""
+def _solve_detuned(e: EulerTarget, delta: float
+                   ) -> tuple[float, float, float, OptimalDomain | None]:
+    """(optimal label, duration, initial azimuth phi0) for the canonical
+    target under delta, and the optimal domain; z-rotations take phi0 = 0."""
     if e.theta < POLAR_THETA_TOL:
         psi, tf = _scan_z_roots(e.psi, delta)
-        return psi, tf, None
+        return psi, tf, 0.0, None
     if delta < 0.0:
         # mirror about the phi* meridian: labels and spin targets negate
-        # (up to the -2 phi* shift), detuning flips sign
-        psi_m, tf, dom_m = _solve_detuned(
+        # (up to the -2 phi* shift), azimuths reflect, detuning flips sign
+        psi_m, tf, phi0_m, dom_m = _solve_detuned(
             EulerTarget(wrap_4pi(-2.0 * e.phi - e.psi), e.theta, e.phi), -delta)
-        return -psi_m - 2.0 * e.phi, tf, _mirrored(dom_m)
+        return -psi_m - 2.0 * e.phi, tf, 2.0 * e.phi - phi0_m, _mirrored(dom_m)
     arc = _domain_arc(e.theta, e.phi, delta)
     dom = _scalar_domain(arc)
-    psi, tf = _solve_f(arc, *_f_bracket(e, arc))
-    return psi, tf, dom
+    return (*_solve_f(arc, *_f_bracket(e, arc)), dom)
 
 
 def _f_bracket(e: EulerTarget, arc: _Arc) -> tuple[float, ...]:
@@ -372,10 +362,14 @@ def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
     e = canonical_euler(target)
     if delta == 0.0:
         return synthesize_general(e, verify=verify)
-    psi_label, tf, _ = _solve_detuned(e, delta)
-    base = psi_label if e.theta < POLAR_THETA_TOL else \
-        -e.phi + wrap_4pi(psi_label + e.phi)
-    law, eta = _law_for_label(e.theta, e.phi, base, delta)
+    psi_label, _, phi0, _ = _solve_detuned(e, delta)
+    if e.theta < POLAR_THETA_TOL:
+        _, p2, tf = _z_label_params(psi_label)
+        eta = math.copysign(TWO_PI, psi_label) if tf > 0.0 else 0.0
+    else:
+        # the f_delta root is the control itself: no second solve for its label
+        _, tf, p2, eta = label_for_phi0(phi0, e.theta, e.phi)
+    law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=delta, tf=tf)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)
 
 

@@ -49,8 +49,12 @@ from .su2 import (
 _PSI_SOLVE_TOL = 1e-10
 _MAX_BISECT = 200
 # bound on |f| from the array label map against label_for_phi0, per unit
-# of 1 + 2|delta|; the largest seen over 1e5 seeded draws was 1.7e-15
-_ARRAY_ROUNDOFF = 1e-13
+# of 1 + 2|delta|; the largest seen over 1e5 seeded draws was 1.7e-15, so
+# 1e-14 keeps a 6x margin while few midpoints fall inside it
+_ARRAY_ROUNDOFF = 1e-14
+# a law is certified when its verified residual, and the change in it that
+# one ulp of tf makes at this detuning (2|delta| ulp(tf)), stay within this
+_OK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,14 @@ class SynthesisResult:
     target: EulerTarget
     residual: float
     eta_final: float
+
+    @property
+    def ok(self) -> bool:
+        """Whether the law is certified: verified (residual not nan) within
+        1e-6 of the target, with tf fine enough that one ulp of it moves the
+        endpoint by at most 1e-6, which fails above about |delta| = 1e9."""
+        return (self.residual <= _OK_TOL and
+                2.0 * abs(self.law.delta) * math.ulp(self.law.tf) <= _OK_TOL)
 
 
 def target_gate(e: EulerTarget) -> UnitGate:

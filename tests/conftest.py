@@ -355,8 +355,8 @@ def tdiff_analysis_oracle(target, delta_grid) -> TdiffReport:
     psi_minus = -e.phi - math.pi
     for i, d in enumerate(grid):
         d = float(d)
-        pu, tu, dom_u = _solve_detuned(e, d) if d != 0.0 else _resonant_entry(e)
-        pn, tn, _ = _solve_detuned(e_neg, d) if d != 0.0 else _resonant_entry(e_neg)
+        pu, tu, *_, dom_u = _solve_detuned(e, d) if d != 0.0 else _resonant_entry(e)
+        pn, tn, *_ = _solve_detuned(e_neg, d) if d != 0.0 else _resonant_entry(e_neg)
         t_u[i], t_n[i] = tu, tn
         psi_u[i], psi_n[i] = pu, pn
         if dom_u is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -234,7 +235,7 @@ def test_config_value_types_are_checked(tmp_path, capsys, bad):
 
 def test_config_round_trip():
     cfg = RunConfig(command="synthesize", target="zrot:1.0", delta=0.5)
-    assert RunConfig.from_json(cfg.to_json()) == cfg
+    assert RunConfig.from_json(dataclasses.asdict(cfg)) == cfg
 
 
 def test_config_rejects_unknown_keys():

@@ -13,14 +13,19 @@ from su2pulse import (
     negate_gate,
     optimal_domain,
     propagate_law,
+    propagate_law_exact,
     random_gate,
     synthesize,
     synthesize_detuned,
     synthesize_general,
     tdiff_analysis,
+    wrap_4pi,
+    wrap_pi,
     zrot_gate,
 )
+from su2pulse import detuned
 from su2pulse.detuned import _control_at_label, negated_psi
+from su2pulse.resonant import label_for_phi0
 
 from conftest import endpoint_map, scan_family_min_time
 
@@ -351,3 +356,59 @@ def test_non_finite_detuning_rejected(delta):
         synthesize_detuned(g, delta)
     with pytest.raises(DomainError):
         tdiff_analysis(g, [-1.0, 0.5, delta] if delta > 0 else [delta, 0.5, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the law is built from the f_delta root itself
+# ---------------------------------------------------------------------------
+
+def _domain_kind(theta, phi, delta):
+    dom = optimal_domain(theta, phi, delta)
+    return "full" if dom.psi_bullet is None else ("wrapped" if dom.wrapped else "strict")
+
+
+def _detuned_cases(n, seed):
+    """Seeded Haar targets, each at a full-domain detuning and at two strict
+    ones, with both signs: (gate, canonical target, delta, domain kind)."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        gate = random_gate(rng)
+        e = euler_from_gate(gate)
+        thr = math.tan(e.theta / 2.0)
+        for mag in (thr * rng.uniform(0.05, 1.0), thr * (1.0 + rng.uniform(1e-3, 0.5)),
+                    thr + rng.uniform(0.5, 5.0)):
+            for delta in (mag, -mag):
+                cases.append((gate, e, delta, _domain_kind(e.theta, e.phi, delta)))
+    return cases
+
+
+DETUNED_CASES = _detuned_cases(80, 1111)
+
+
+def test_detuned_cases_cover_every_domain_kind():
+    kinds = {(delta > 0.0, kind) for *_, delta, kind in DETUNED_CASES}
+    assert kinds == {(s, k) for s in (True, False) for k in ("full", "strict", "wrapped")}
+
+
+def test_detuned_law_reaches_callers_gate_and_matches_its_label():
+    # the law is the control the f_delta solve found: it reaches the gate,
+    # and a separate solve of its own label gives back the same phi0
+    worst_gate = worst_phi0 = 0.0
+    for gate, e, delta, _ in DETUNED_CASES:
+        law = synthesize_detuned(gate, delta, verify=False).law
+        worst_gate = max(worst_gate, gate_distance(propagate_law_exact(law), gate))
+        label = label_for_phi0(law.phi0, e.theta, e.phi)[0]
+        phi0, p2, tf = _control_at_label(e.theta, e.phi, -e.phi + wrap_4pi(label + e.phi))
+        worst_phi0 = max(worst_phi0, abs(wrap_pi(phi0 - law.phi0)))
+    assert worst_gate < 1e-9
+    assert worst_phi0 < 1e-9
+
+
+def test_detuned_synthesis_solves_no_label(monkeypatch):
+    def no_label_solve(*args, **kwargs):
+        raise AssertionError("synthesize_detuned re-solved a label")
+
+    monkeypatch.setattr(detuned, "_solve_label", no_label_solve)
+    for gate, _, delta, _ in DETUNED_CASES:
+        synthesize_detuned(gate, delta, verify=False)

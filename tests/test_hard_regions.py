@@ -10,6 +10,7 @@ test found no arriving crossing at some window ends and raised
 NoConvergence; no solve there may raise it now, and no law it returns may
 miss the caller's gate.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -104,3 +105,19 @@ def test_near_pole_large_detuning_reaches_callers_gate():
     gate = gate_from_euler(-2.860456781163321, 0.00022275429519995563, 2.831480940112918)
     r = synthesize(gate, 50.0)
     assert gate_distance(propagate_law_exact(r.law), gate) < 1e-6
+
+
+@pytest.mark.parametrize("delta, ok", [(1e6, True), (1e9, True), (-1e9, True), (1e10, False),
+                                       (-1e10, False), (1e12, False)])
+def test_ok_flags_detunings_past_double_precision(delta, ok):
+    # one ulp of tf moves the endpoint by about 2|delta| ulp(tf): 2.2e-7
+    # at |delta| = 1e9 and 2.2e-6 at 1e10, so no law there is certified
+    r = synthesize(gate_from_euler(0.4, 1.2, 1.1), delta)
+    assert r.ok is ok
+
+
+def test_ok_needs_a_verified_residual_within_bound():
+    r = synthesize(gate_from_euler(0.4, 1.2, 1.1), 3.0)
+    assert r.ok
+    assert not synthesize(gate_from_euler(0.4, 1.2, 1.1), 3.0, verify=False).ok
+    assert not dataclasses.replace(r, residual=2e-6).ok
