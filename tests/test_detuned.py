@@ -368,8 +368,8 @@ def _domain_kind(theta, phi, delta):
 
 
 def _detuned_cases(n, seed):
-    """Seeded Haar targets, each at a full-domain detuning and at two strict
-    ones, with both signs: (gate, canonical target, delta, domain kind)."""
+    """Seeded Haar targets, each at one detuning below tan(theta*/2) and two
+    above it, with both signs: (gate, canonical target, delta, domain kind)."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n):
@@ -399,7 +399,7 @@ def test_detuned_law_reaches_callers_gate_and_matches_its_label():
         law = synthesize_detuned(gate, delta, verify=False).law
         worst_gate = max(worst_gate, gate_distance(propagate_law_exact(law), gate))
         label = label_for_phi0(law.phi0, e.theta, e.phi)[0]
-        phi0, p2, tf = _control_at_label(e.theta, e.phi, -e.phi + wrap_4pi(label + e.phi))
+        phi0 = _control_at_label(e.theta, e.phi, -e.phi + wrap_4pi(label + e.phi))[0]
         worst_phi0 = max(worst_phi0, abs(wrap_pi(phi0 - law.phi0)))
     assert worst_gate < 1e-9
     assert worst_phi0 < 1e-9
