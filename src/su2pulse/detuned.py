@@ -24,9 +24,9 @@ Negative detuning is handled by reflecting azimuths about phi*, which maps
 (delta, psi*) to (-delta, -2 phi* - psi*) and labels to -2 phi* - Psi.
 
 Pure z-rotation targets (theta* = 0) keep phi* = 0 by convention. Their
-duration-vs-label curve has a cusp at the identity, the monotone-arc
-construction above does not apply, and synthesis falls back to scanning
-all f_delta roots and taking the fastest.
+duration curve T = sqrt(4 pi |Psi| - Psi^2)/2 has a cusp at the identity,
+the monotone-arc construction above does not apply, and synthesis takes
+the smallest valid root of the quadratic that f_delta = psi* squares to.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ from .resonant import (
     _bisect,
     _bisect_many,
     _f_gaps,
-    _roots_mod_4pi,
     _solve_label,
     _solve_labels,
     _theta_factors,
@@ -107,18 +106,13 @@ class PsiFamily:
         return _control_at_label(self.theta_star, self.phi_star, psi_label)
 
 
-def _z_label_params(psi_label: float) -> tuple[float, float, float]:
-    p2, tf = z_rotation_parameters(psi_label)
-    return 0.0, p2, tf
-
-
 def _control_at_label(theta_star: float, phi_star: float,
                       psi_label: float) -> tuple[float, float, float]:
     lo, hi = -phi_star - TWO_PI, -phi_star + TWO_PI
     if not (lo - 1e-9 <= psi_label <= hi + 1e-9):
         raise DomainError(f"label {psi_label:.12g} outside [{lo:.12g}, {hi:.12g}]")
     if theta_star < POLAR_THETA_TOL:
-        return _z_label_params(psi_label)
+        return (0.0, *z_rotation_parameters(psi_label))
     phi0 = _solve_label(min(max(psi_label, lo), hi), theta_star, phi_star, 1e-12)
     _, tf, p2, _ = label_for_phi0(phi0, theta_star, phi_star)
     return phi0, p2, tf
@@ -133,7 +127,7 @@ def build_psi_family(theta_star: float, phi_star: float,
         raise DomainError("z-rotation families use the phi* = 0 convention")
     labels = np.linspace(-phi_star - TWO_PI, -phi_star + TWO_PI, resolution)
     if theta_star < POLAR_THETA_TOL:
-        rows = [_z_label_params(lab) for lab in labels.tolist()]
+        rows = [(0.0, *z_rotation_parameters(lab)) for lab in labels.tolist()]
     else:
         # _control_at_label at every label: one array solve, then label_for_phi0
         rows, k = [], _theta_factors(theta_star)
@@ -284,7 +278,7 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     """Optimal label arc for fixed (theta*, phi*) and detuning delta.
 
     theta* must lie in (0, pi]; z-rotation targets have a cusp in the
-    duration curve and are handled by root scanning in synthesize_detuned.
+    duration curve and are solved in closed form by synthesize_detuned.
     """
     if not (POLAR_THETA_TOL <= theta_star <= math.pi + 1e-12):
         raise DomainError("theta* must lie in (0, pi]")
@@ -313,12 +307,10 @@ def _mirrored(m: OptimalDomain) -> OptimalDomain:
 # ---------------------------------------------------------------------------
 
 def _solve_detuned(e: EulerTarget, delta: float
-                   ) -> tuple[float, float, float, OptimalDomain | None]:
+                   ) -> tuple[float, float, float, OptimalDomain]:
     """(optimal label, duration, initial azimuth phi0) for the canonical
-    target under delta, and the optimal domain; z-rotations take phi0 = 0."""
-    if e.theta < POLAR_THETA_TOL:
-        psi, tf = _scan_z_roots(e.psi, delta)
-        return psi, tf, 0.0, None
+    target (theta* outside the polar band) under delta, and the optimal
+    domain."""
     if delta < 0.0:
         # mirror about the phi* meridian: labels and spin targets negate
         # (up to the -2 phi* shift), azimuths reflect, detuning flips sign
@@ -362,31 +354,48 @@ def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
     e = canonical_euler(target)
     if delta == 0.0:
         return synthesize_general(e, verify=verify)
-    psi_label, _, phi0, _ = _solve_detuned(e, delta)
     if e.theta < POLAR_THETA_TOL:
-        _, p2, tf = _z_label_params(psi_label)
+        psi_label, phi0 = _z_label(e.psi, delta), 0.0
+        p2, tf = z_rotation_parameters(psi_label)
         eta = math.copysign(TWO_PI, psi_label) if tf > 0.0 else 0.0
     else:
         # the f_delta root is the control itself: no second solve for its label
+        phi0 = _solve_detuned(e, delta)[2]
         _, tf, p2, eta = label_for_phi0(phi0, e.theta, e.phi)
     law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=delta, tf=tf)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)
 
 
-def _scan_z_roots(lam: float, delta: float, grid: int = 4096) -> tuple[float, float]:
-    """All labels with f_delta = lam mod 4pi over the z family; fastest wins."""
-    labels = np.linspace(-TWO_PI, TWO_PI, grid)
-    absl = np.abs(labels)
-    tf = 0.5 * np.sqrt(np.maximum(0.0, 4.0 * math.pi * absl - absl * absl))
+def _z_label(lam: float, delta: float) -> float:
+    """The fastest z-family label whose f_delta is lam mod 4pi (delta != 0).
 
-    def f(label):
-        return label - 2.0 * delta * z_rotation_parameters(label)[1]
-
-    roots = _roots_mod_4pi(f, labels, labels - 2.0 * delta * tf, lam, 0.0)
-    if not roots:
-        raise TargetUnreached("no z-family control reaches the target")
-    root = min(roots, key=lambda r: z_rotation_parameters(r)[1])
-    return root, z_rotation_parameters(root)[1]
+    With u = |label|, s = sgn(label), squaring s u - c = 2 delta T(u) for
+    c = lam + 4 pi n gives (1 + delta^2) u^2 - 2 (s c + 2 pi delta^2) u + c^2
+    = 0; a root counts when 0 <= u <= 2pi and delta (s u - c) >= 0. T rises
+    with u, and f_delta leaves u = 0 towards -sgn(delta) on both branches,
+    so the fastest root lies on one of the two c nearest 0. Dividing by
+    max(1, |delta|)^2 and taking roots q/a and c^2/q, nothing overflows or
+    cancels."""
+    t = min(abs(delta), 1.0)                  # |delta| / max(1, |delta|)
+    r2, t2 = (1.0 / max(abs(delta), 1.0)) ** 2, t * t
+    a, sd = r2 + t2, math.copysign(1.0, delta)
+    best, sign = math.inf, 1.0
+    for c in (lam, lam - math.copysign(FOUR_PI, lam)):
+        # a sign within roundoff of the squared-away one still counts
+        tol = 4e-15 * (abs(c) + TWO_PI)
+        cr2 = c * c * r2
+        for s in (1.0, -1.0):
+            w = FOUR_PI * math.pi * t2 + FOUR_PI * s * c * r2 - cr2
+            if w < 0.0:
+                continue
+            b = s * c * r2 + TWO_PI * t2
+            q = b + math.copysign(t * math.sqrt(w), b)
+            for u in (q / a, cr2 / q if q else 0.0):
+                if u < best and u <= TWO_PI + tol and sd * (s * u - c) >= -tol:
+                    best, sign = u, s
+    if best == math.inf:
+        raise TargetUnreached(f"no z-family root reaches lambda* = {lam!r} at delta = {delta!r}")
+    return sign * min(best, TWO_PI)
 
 
 # ---------------------------------------------------------------------------

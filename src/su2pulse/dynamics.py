@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StepTooLarge
-from .su2 import TWO_PI, UnitGate, identity_gate
+from .su2 import TWO_PI, UnitGate, _unit_quat, identity_gate
 
 DEFAULT_STEPS = 10_000          # RK4 steps per propagation, step = tf / this
 DEFAULT_SAMPLES = 2048          # samples per exported pulse schedule
@@ -265,8 +265,7 @@ def _rk4_quat(control, delta: float, tf: float, n_steps: int,
                     f"local truncation estimate {err:.3e} > {_TRUNC_LIMIT:g} at t = {t:.6g}; "
                     f"reduce the step (h = {h:.3e})"
                 )
-        nrm = math.sqrt(x_new[0] ** 2 + x_new[1] ** 2 + x_new[2] ** 2 + x_new[3] ** 2)
-        x = (x_new[0] / nrm, x_new[1] / nrm, x_new[2] / nrm, x_new[3] / nrm)
+        x = _unit_quat(x_new)
     return UnitGate(*x)
 
 

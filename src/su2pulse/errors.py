@@ -26,8 +26,8 @@ class NoConvergence(Su2PulseError):
 
 
 class TargetUnreached(Su2PulseError):
-    """The z-family scan of a detuned z-rotation found no control arriving
-    at the target."""
+    """No root of a detuned z-rotation's quadratic passes its validity
+    test, which exact arithmetic rules out: a numerical fault."""
 
 
 class NoStationaryPoint(Su2PulseError):

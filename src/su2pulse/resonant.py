@@ -13,8 +13,8 @@ of it: the arrival is at ea if cos(phi* - phi0) >= 0, else at 2pi - ea.
 At tangency (|sin(phi* - phi0)| = 1) ea = pi and the two coincide.
 The one remaining scalar equation matches the accumulated psi to
 psi* mod 4pi and is monotone in phi0, so a bracketing sweep plus bisection
-finds the unique root. `_bisect` (array form `_bisect_many`) and the
-mod-4pi scan `_roots_mod_4pi` here are the package's only root finders.
+finds the unique root. `_bisect` and its array form `_bisect_many` here
+are the package's only root finders.
 """
 from __future__ import annotations
 
@@ -96,7 +96,8 @@ def z_rotation_parameters(lambda_star: float) -> tuple[float, float]:
 
     p2 = sgn(lambda) * cot(acos(1 - |lambda|/2pi)); the projected trajectory
     is one full circle through the North Pole and tf = half its length,
-    tf = sqrt(4 pi |lambda| - lambda^2) / 2.
+    tf = sqrt(4 pi |lambda| - lambda^2) / 2. sin(theta_bar) = sqrt(x (2 - x))
+    with x = |lambda|/2pi, where sqrt(1 - cos^2) would cancel at small x.
     """
     if abs(lambda_star) > TWO_PI + 1e-12:
         raise DomainError(f"|lambda*| = {abs(lambda_star):.12g} exceeds 2pi")
@@ -104,9 +105,9 @@ def z_rotation_parameters(lambda_star: float) -> tuple[float, float]:
     if lam == 0.0:
         return 0.0, 0.0
     tf = 0.5 * math.sqrt(4.0 * math.pi * lam - lam * lam)
-    cos_bar = 1.0 - lam / TWO_PI
-    sin_bar = math.sqrt(max(0.0, 1.0 - cos_bar * cos_bar))
-    p2 = math.copysign(cos_bar / sin_bar, lambda_star) if sin_bar > 0.0 else 0.0
+    x = lam / TWO_PI
+    sin_bar = math.sqrt(max(0.0, x * (2.0 - x)))
+    p2 = math.copysign((1.0 - x) / sin_bar, lambda_star) if sin_bar > 0.0 else 0.0
     return p2, tf
 
 
@@ -270,26 +271,6 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     if i.size:
         raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
     return out
-
-
-def _roots_mod_4pi(f, xs, fs, target: float, tol: float) -> list[float]:
-    """Every x in [xs[0], xs[-1]] where f(x) = target mod 4pi.
-
-    fs holds f on the grid xs. Grid points where the wrapped mismatch is
-    exactly zero are roots as they are; a sign change across a grid step
-    is refined by `_bisect`, unless the step is pi or more: that is a
-    mod-4pi wrap jump, not a root.
-    """
-    m = (np.asarray(fs, dtype=float) - target + TWO_PI) % FOUR_PI - TWO_PI
-    ma, mb = m[:-1], m[1:]
-    hits = np.flatnonzero((ma == 0.0) | ((ma * mb < 0.0) & (np.abs(ma - mb) < math.pi)))
-
-    def g(x):
-        return wrap_4pi(f(x) - target)
-
-    return [float(xs[i]) if ma[i] == 0.0 else
-            _bisect(g, float(xs[i]), float(xs[i + 1]), float(ma[i]), float(mb[i]), tol)
-            for i in hits]
 
 
 def _solve_label(target_label: float, theta_star: float, phi_star: float,

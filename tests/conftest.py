@@ -2,9 +2,13 @@
 
 The brute-force minimum-time oracles live here: `brute_force_min_time`
 (zero detuning) and `scan_family_min_time` (any detuning). Both scan a
-whole control family on a grid for arrivals at the target, with the
-package's shared mod-4pi root scan, and take the fastest; neither uses
-the solvers' 4pi bookkeeping or the optimal-domain construction.
+whole control family on a grid for arrivals at the target with the
+mod-4pi root scan `_roots_mod_4pi`, and take the fastest; neither uses
+the solvers' 4pi bookkeeping, the optimal-domain construction or the
+closed form of the detuned z family. `_roots_mod_4pi` and the z-family
+scan `_scan_z_roots` are the package's former solver for detuned
+z-rotations. `first_z_crossing` bounds that closed form's label from
+above by scanning f_delta on a grid geometric in |label|.
 
 `crossing_eta_oracle` is the label map's former arrival test, which
 compared the circle's azimuth at both latitude crossings with phi*.
@@ -47,12 +51,11 @@ from su2pulse.detuned import (
     TdiffReport,
     _control_at_label,
     _resonant_entry,
-    _scan_z_roots,
     _solve_detuned,
     negated_psi,
 )
 from su2pulse.errors import NoConvergence, Su2PulseError
-from su2pulse.resonant import _roots_mod_4pi, label_for_phi0, target_gate
+from su2pulse.resonant import _bisect, label_for_phi0, target_gate, z_rotation_parameters
 from su2pulse.so3 import select_faster
 from su2pulse.su2 import (FOUR_PI, GAUGE_TOL, POLAR_THETA_TOL, TWO_PI, EulerTarget, HopfCoords,
                           UnitGate, canonical_euler, euler_from_gate, gate_from_axis_angle,
@@ -158,6 +161,62 @@ def crossing_eta_oracle(phi0: float, theta_star: float, phi_star: float) -> floa
         return ea
     raise NoConvergence(f"no circle branch arrives at phi* (miss {min(d_a, d_b):.3e}); "
                         f"phi0 = {phi0:.6g}, theta* = {theta_star:.6g}")
+
+
+def _roots_mod_4pi(f, xs, fs, target: float, tol: float) -> list[float]:
+    """Every x in [xs[0], xs[-1]] where f(x) = target mod 4pi.
+
+    fs holds f on the grid xs. Grid points where the wrapped mismatch is
+    exactly zero are roots as they are; a sign change across a grid step
+    is refined by `_bisect`, unless the step is pi or more: that is a
+    mod-4pi wrap jump, not a root.
+    """
+    m = (np.asarray(fs, dtype=float) - target + TWO_PI) % FOUR_PI - TWO_PI
+    ma, mb = m[:-1], m[1:]
+    hits = np.flatnonzero((ma == 0.0) | ((ma * mb < 0.0) & (np.abs(ma - mb) < math.pi)))
+
+    def g(x):
+        return wrap_4pi(f(x) - target)
+
+    return [float(xs[i]) if ma[i] == 0.0 else
+            _bisect(g, float(xs[i]), float(xs[i + 1]), float(ma[i]), float(mb[i]), tol)
+            for i in hits]
+
+
+def _scan_z_roots(lam: float, delta: float, grid: int = 4096) -> tuple[float, float]:
+    """All labels with f_delta = lam mod 4pi over the z family; fastest wins."""
+    labels = np.linspace(-TWO_PI, TWO_PI, grid)
+    absl = np.abs(labels)
+    tf = 0.5 * np.sqrt(np.maximum(0.0, 4.0 * math.pi * absl - absl * absl))
+
+    def f(label):
+        return label - 2.0 * delta * z_rotation_parameters(label)[1]
+
+    roots = _roots_mod_4pi(f, labels, labels - 2.0 * delta * tf, lam, 0.0)
+    if not roots:
+        raise TargetUnreached("no z-family control reaches the target")
+    root = min(roots, key=lambda r: z_rotation_parameters(r)[1])
+    return root, z_rotation_parameters(root)[1]
+
+
+def first_z_crossing(lam: float, delta: float, grid: int = 4001) -> float:
+    """An upper bound on the smallest |label| of the z family with
+    f_delta = lam mod 4pi: the far end of the first grid step, on either
+    branch, over which the wrapped mismatch reaches zero or changes sign
+    (a step of pi or more is a wrap jump, as in `_roots_mod_4pi`), or 2pi
+    if the grid resolves none. The grid is 0 and |label| geometric from
+    1e-16 to 2pi."""
+    if wrap_4pi(-lam) == 0.0:
+        return 0.0
+    u = np.concatenate(([0.0], np.geomspace(1e-16, TWO_PI, grid)))
+    tf = 0.5 * np.sqrt(np.maximum(0.0, 4.0 * math.pi * u - u * u))
+    ends = []
+    for s in (1.0, -1.0):
+        m = (s * u - 2.0 * delta * tf - lam + TWO_PI) % FOUR_PI - TWO_PI
+        ma, mb = m[:-1], m[1:]
+        hit = np.flatnonzero((mb == 0.0) | ((ma * mb < 0.0) & (np.abs(ma - mb) < math.pi)))
+        ends += u[hit[:1] + 1].tolist()
+    return min(ends, default=TWO_PI)
 
 
 def brute_force_min_time(target, grid: int = 4096) -> float:

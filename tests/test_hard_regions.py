@@ -9,6 +9,12 @@ Just above the polar band theta* = 1e-8 the label map's former azimuth
 test found no arriving crossing at some window ends and raised
 NoConvergence; no solve there may raise it now, and no law it returns may
 miss the caller's gate.
+
+Detuned z-rotations were solved by a 4096-label scan that could not
+resolve roots near |label| = c^2 / (4 pi delta^2), and returned laws far
+from the shortest. Their closed form must reach the caller's gate at every
+detuning up to |delta| = 1e10, at no label beyond the first lattice
+crossing of f_delta and never slower than the scan.
 """
 import dataclasses
 import math
@@ -19,12 +25,17 @@ import pytest
 from su2pulse import (
     gate_distance,
     gate_from_euler,
+    identity_gate,
     propagate_law_exact,
     synthesize,
     tdiff_analysis,
+    zrot_gate,
 )
 from su2pulse.errors import NoConvergence, NoStationaryPoint, Su2PulseError
+from su2pulse.resonant import z_rotation_parameters
 from su2pulse.su2 import canonical_euler
+
+from conftest import first_z_crossing, scan_family_min_time
 
 
 def _haar_targets(n, seed):
@@ -121,3 +132,40 @@ def test_ok_needs_a_verified_residual_within_bound():
     assert r.ok
     assert not synthesize(gate_from_euler(0.4, 1.2, 1.1), 3.0, verify=False).ok
     assert not dataclasses.replace(r, residual=2e-6).ok
+
+
+@pytest.mark.parametrize("delta", [0.5, -2.0, 4.5, 50.0])
+def test_detuned_identity_takes_no_time(delta):
+    # the scan returned tf = 2.513 at delta = 2
+    assert synthesize(identity_gate, delta).law.tf == 0.0
+
+
+def test_detuned_small_z_rotation_is_short():
+    # f_delta reaches -0.01 at tf = 0.01 / (2 delta); the scan returned 2.515
+    r = synthesize(zrot_gate(-0.01), 2.0)
+    assert r.law.tf < 0.003 and r.ok
+
+
+def test_detuned_z_rotation_at_large_detuning_is_certified():
+    # the scan's law missed the gate by 2.8
+    r = synthesize(zrot_gate(0.5), 1e6)
+    assert r.ok and r.law.tf < 1e-5
+
+
+Z_DELTAS = [s * d for d in (1e-300, 1e-12, 0.3, 2.0, 5.0, 50.0, 1e3, 1e6, 1e10)
+            for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("delta", Z_DELTAS)
+def test_detuned_z_rotation_sweep_is_minimal_and_certified(delta):
+    # lambda* uniform in (-2pi, 2pi); seeded per detuning
+    rng = np.random.default_rng([8401, Z_DELTAS.index(delta)])
+    for lam in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 70).tolist():
+        gate = zrot_gate(lam)
+        r = synthesize(gate, delta)
+        assert r.ok and gate_distance(propagate_law_exact(r.law), gate) < 1e-6
+        psi = canonical_euler(gate).psi
+        # no lattice crossing of f_delta lies below the law's label
+        assert r.law.tf <= z_rotation_parameters(first_z_crossing(psi, delta))[1] * (1.0 + 1e-12)
+        if abs(delta) <= 5.0:
+            assert r.law.tf <= scan_family_min_time(gate, delta) + 1e-9

@@ -95,6 +95,16 @@ def test_z_tf_monotone_in_lambda():
     assert all(b > a - 1e-15 for a, b in zip(tfs, tfs[1:]))
 
 
+def test_z_p2_keeps_relative_precision_at_small_labels():
+    # cos(theta_bar) = 1 - x with x = |lambda|/2pi, so theta_bar =
+    # 2 asin(sqrt(x/2)); sqrt(1 - cos^2) lost 1.8% of p2 at |lambda| = 1e-13
+    for lam in np.geomspace(1e-14, TWO_PI, 200).tolist():
+        want = 1.0 / math.tan(2.0 * math.asin(math.sqrt(lam / TWO_PI / 2.0)))
+        for sign in (1.0, -1.0):
+            p2 = z_rotation_parameters(sign * lam)[0]
+            assert abs(p2 - sign * want) <= 1e-14 * max(1.0, abs(want))
+
+
 # ---------------------------------------------------------------------------
 # transverse-plane closed form
 # ---------------------------------------------------------------------------

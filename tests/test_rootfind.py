@@ -1,11 +1,14 @@
-"""The shared root finders: bracketed bisection and the mod-4pi root scan."""
+"""The shared root finders: bracketed bisection, and the mod-4pi root scan
+of the test oracles."""
 import math
 
 import numpy as np
 import pytest
 
 from su2pulse import NoConvergence
-from su2pulse.resonant import _bisect, _bisect_many, _roots_mod_4pi
+from su2pulse.resonant import _bisect, _bisect_many
+
+from conftest import _roots_mod_4pi
 
 FOUR_PI = 4.0 * math.pi
 
