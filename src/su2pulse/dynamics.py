@@ -179,7 +179,10 @@ def _segment_factors(amp, mu0, slope, h, delta: float) -> np.ndarray:
     phase mu0, phase slope and length h per segment, detuning delta."""
     amp, mu0, slope, h = (np.asarray(v, dtype=float) for v in (amp, mu0, slope, h))
     az = delta - slope / 2.0
-    w = np.sqrt(amp * amp + az * az)
+    with np.errstate(over="ignore"):
+        w = np.sqrt(amp * amp + az * az)
+    # past |az| = 1e154 the square overflows; hypot there, the same bits elsewhere
+    w = np.where(np.isinf(w), np.hypot(amp, az), w)
     c = np.cos(w * h)
     s = np.divide(np.sin(w * h), w, out=h.copy(), where=w > 0.0)   # sin(w h) / w
     half = slope * h / 2.0

@@ -169,3 +169,11 @@ def test_detuned_z_rotation_sweep_is_minimal_and_certified(delta):
         assert r.law.tf <= z_rotation_parameters(first_z_crossing(psi, delta))[1] * (1.0 + 1e-12)
         if abs(delta) <= 5.0:
             assert r.law.tf <= scan_family_min_time(gate, delta) + 1e-9
+
+
+@pytest.mark.parametrize("delta", [1e160, -1e200, 1e307])
+def test_detuned_z_rotation_past_double_precision_is_flagged(delta):
+    # |label| ~ c^2 / (4 pi delta^2) is subnormal or zero here, and the
+    # exact propagator's az = -p2 ~ 1e160 overflowed when squared
+    r = synthesize(zrot_gate(0.5), delta)
+    assert math.isfinite(r.residual) and not r.ok
