@@ -270,21 +270,21 @@ def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
     return [replace(a.dom, psi_min=next(ends)) if a.end else a.dom for a in arcs], psi[k:], tf[k:]
 
 
-def _scalar_domain(arc: _Arc) -> OptimalDomain:
-    return replace(arc.dom, psi_min=_solve_f(arc, *arc.end)[0]) if arc.end else arc.dom
-
-
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:
     """Optimal label arc for fixed (theta*, phi*) and detuning delta.
 
     theta* must lie in (0, pi]; z-rotation targets have a cusp in the
     duration curve and are solved in closed form by synthesize_detuned.
+    A strict arc's far end psi_min is solved here alone: synthesis needs
+    only the stationary end, which fixes the arc's f-range.
     """
     if not (POLAR_THETA_TOL <= theta_star <= math.pi + 1e-12):
         raise DomainError("theta* must lie in (0, pi]")
     arc = _domain_arc(theta_star, phi_star, delta)
-    dom = _scalar_domain(arc)
-    return _mirrored(dom) if delta < 0.0 and arc.end else dom
+    if arc.end is None:
+        return arc.dom
+    dom = replace(arc.dom, psi_min=_solve_f(arc, *arc.end)[0])
+    return _mirrored(dom) if delta < 0.0 else dom
 
 
 def _mirrored(m: OptimalDomain) -> OptimalDomain:
@@ -306,20 +306,20 @@ def _mirrored(m: OptimalDomain) -> OptimalDomain:
 # detuned synthesis
 # ---------------------------------------------------------------------------
 
-def _solve_detuned(e: EulerTarget, delta: float
-                   ) -> tuple[float, float, float, OptimalDomain]:
+def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, float]:
     """(optimal label, duration, initial azimuth phi0) for the canonical
-    target (theta* outside the polar band) under delta, and the optimal
-    domain."""
+    target (theta* outside the polar band) under delta.
+
+    Only the arc's stationary end is needed: it fixes the f-range, so the
+    strict arc's far end psi_min is never solved here (optimal_domain does)."""
     if delta < 0.0:
         # mirror about the phi* meridian: labels and spin targets negate
         # (up to the -2 phi* shift), azimuths reflect, detuning flips sign
-        psi_m, tf, phi0_m, dom_m = _solve_detuned(
+        psi_m, tf, phi0_m = _solve_detuned(
             EulerTarget(wrap_4pi(-2.0 * e.phi - e.psi), e.theta, e.phi), -delta)
-        return -psi_m - 2.0 * e.phi, tf, 2.0 * e.phi - phi0_m, _mirrored(dom_m)
+        return -psi_m - 2.0 * e.phi, tf, 2.0 * e.phi - phi0_m
     arc = _domain_arc(e.theta, e.phi, delta)
-    dom = _scalar_domain(arc)
-    return (*_solve_f(arc, *_f_bracket(e, arc)), dom)
+    return _solve_f(arc, *_f_bracket(e, arc))
 
 
 def _f_bracket(e: EulerTarget, arc: _Arc) -> tuple[float, ...]:
@@ -454,8 +454,8 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     for i in np.flatnonzero(grid == 0.0).tolist():
         psi_u[i], t_u[i], _ = _resonant_entry(e)
         psi_n[i], t_n[i], _ = _resonant_entry(e_neg)
-    # _solve_detuned for U and -U at every nonzero delta: the domains' strict
-    # ends and the inversions of f_delta in one array solve
+    # at every nonzero delta, the domain's strict end and _solve_detuned's
+    # inversions of f_delta for U and -U, in one array solve
     nz = np.flatnonzero(grid != 0.0)
     ds = grid[nz].tolist()
     arcs = [_domain_arc(e.theta, e.phi, abs(d)) for d in ds]

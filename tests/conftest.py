@@ -50,9 +50,11 @@ from su2pulse.detuned import (
     PsiFamily,
     TdiffReport,
     _control_at_label,
+    _mirrored,
     _resonant_entry,
     _solve_detuned,
     negated_psi,
+    optimal_domain,
 )
 from su2pulse.errors import NoConvergence, Su2PulseError
 from su2pulse.resonant import _bisect, label_for_phi0, target_gate, z_rotation_parameters
@@ -414,10 +416,13 @@ def tdiff_analysis_oracle(target, delta_grid) -> TdiffReport:
     psi_minus = -e.phi - math.pi
     for i, d in enumerate(grid):
         d = float(d)
-        pu, tu, *_, dom_u = _solve_detuned(e, d) if d != 0.0 else _resonant_entry(e)
+        pu, tu, *_ = _solve_detuned(e, d) if d != 0.0 else _resonant_entry(e)
         pn, tn, *_ = _solve_detuned(e_neg, d) if d != 0.0 else _resonant_entry(e_neg)
         t_u[i], t_n[i] = tu, tn
         psi_u[i], psi_n[i] = pu, pn
+        # the domain at |delta|, mirrored for delta < 0
+        dom_u = None if d == 0.0 else optimal_domain(e.theta, e.phi, abs(d))
+        dom_u = _mirrored(dom_u) if d < 0.0 else dom_u
         if dom_u is None:
             lo, hi = -e.phi - TWO_PI, -e.phi + TWO_PI
             in_x[i] = True

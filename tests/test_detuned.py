@@ -412,3 +412,22 @@ def test_detuned_synthesis_solves_no_label(monkeypatch):
     monkeypatch.setattr(detuned, "_solve_label", no_label_solve)
     for gate, _, delta, _ in DETUNED_CASES:
         synthesize_detuned(gate, delta, verify=False)
+
+
+def test_detuned_synthesis_solves_one_root(monkeypatch):
+    # a strict arc's f-range is fixed by its stationary end, so synthesis
+    # inverts f_delta once and never solves the arc's far end psi_min
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bisect(*args, **kwargs)
+
+    bisect = detuned._bisect
+    monkeypatch.setattr(detuned, "_bisect", counted)
+    for gate, e, delta, kind in DETUNED_CASES:
+        calls.clear()
+        synthesize_detuned(gate, delta, verify=False)
+        assert len(calls) == 1, (e, delta, kind)
+        if kind == "strict":
+            assert math.isfinite(optimal_domain(e.theta, e.phi, delta).psi_min)
