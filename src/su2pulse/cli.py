@@ -50,6 +50,19 @@ class RunConfig:
     delta_max: float = 3.0
     delta_steps: int = 241
 
+    def __post_init__(self):
+        # a tolerance and a drive scale that compare and divide, and counts
+        # that numpy can size; each error names the option's flag
+        for name in ("tol", "omega_max"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v > 0.0):
+                raise DomainError(f"--{name.replace('_', '-')} = {v!r}: must be finite and > 0")
+        for name, least in (("samples", -math.inf), ("alpha_steps", 1), ("delta_steps", 2)):
+            v = getattr(self, name)
+            if not least <= v <= _MAX_COUNT:
+                bound = f"at most {_MAX_COUNT}" if v > _MAX_COUNT else f"at least {least}"
+                raise DomainError(f"--{name.replace('_', '-')} = {v}: must be {bound}")
+
     @classmethod
     def from_json(cls, d: dict) -> "RunConfig":
         names = {f.name for f in fields(cls)}
@@ -62,6 +75,8 @@ class RunConfig:
         return cls(**d)
 
 
+# numpy refuses a larger array length before allocating anything
+_MAX_COUNT = int(np.iinfo(np.intp).max)
 _FLOAT_KEYS = {"delta", "tol", "omega_max", "delta_min", "delta_max"}
 _INT_KEYS = {"samples", "alpha_steps", "delta_steps"}
 
@@ -190,7 +205,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     print(f"phi0 = {law.phi0:.12g}")
     print(f"p2 = {law.p2:.12g}")
     print(f"tf = {law.tf:.12g}")
-    if cfg.omega_max:
+    if cfg.omega_max is not None:
         print(f"tf_physical = {2.0 * law.tf / cfg.omega_max:.12g} s")
     print(f"residual = {result.residual:.3e}")
     print(f"wrote {csv_path}, {json_path}, {traj_path}")
@@ -252,7 +267,7 @@ def _parse_axis(text: str):
 
 def cmd_sweep_angle(cfg: RunConfig) -> int:
     axis = _parse_axis(cfg.axis)
-    alphas = np.linspace(0.0, 4.0 * math.pi, max(1, cfg.alpha_steps))
+    alphas = np.linspace(0.0, 4.0 * math.pi, cfg.alpha_steps)
     rows = so3.sweep_rotation_angle(axis, alphas)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,7 +283,7 @@ def cmd_sweep_detuning(cfg: RunConfig) -> int:
     if not cfg.target:
         raise DomainError("--target is required")
     parsed = su2.parse_target(cfg.target)
-    grid = np.linspace(cfg.delta_min, cfg.delta_max, max(2, cfg.delta_steps))
+    grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps)
     report = detuned.tdiff_analysis(parsed.gate, grid)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

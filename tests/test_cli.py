@@ -329,3 +329,60 @@ def test_phase_aliasing_needs_more_samples(tmp_path):
     assert proc.returncode == 0, proc.stderr
     proc = _run_cli_process("verify", str(out / "pulse.csv"))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("synthesize", "--target", "zrot:1.0", "--omega-max", "nan"),
+    ("synthesize", "--target", "zrot:1.0", "--omega-max", "inf"),
+    ("synthesize", "--target", "zrot:1.0", "--omega-max", "-1"),
+    ("synthesize", "--target", "zrot:1.0", "--omega-max", "0"),
+    ("synthesize", "--target", "zrot:1.0", "--tol", "-1"),
+    ("synthesize", "--target", "zrot:1.0", "--tol", "nan"),
+    ("synthesize", "--target", "zrot:1.0", "--tol", "0"),
+])
+def test_scale_and_tolerance_must_be_finite_and_positive(tmp_path, capsys, args):
+    # nan went into pulse.json as NaN (not JSON), -1 gave negative seconds,
+    # 0 dropped the physical time, and a bad --tol failed every command
+    assert run_cli(*args, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and args[3] in err
+    assert not (tmp_path / "pulse.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [("omega_max", -2.0), ("tol", 0.0)])
+def test_config_scale_and_tolerance_are_checked(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run_cli("synthesize", "--config", str(cfg), "--target", "zrot:1.0",
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--" + key.replace("_", "-") in err
+
+
+def test_verify_tolerance_is_checked(tmp_path, capsys):
+    assert run_cli("synthesize", "--target", "zrot:1.0", "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", str(tmp_path / "pulse.csv"), "--tol", "nan") == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+# counts past np.iinfo(np.intp).max (sys.maxsize), which numpy refuses
+# before allocating
+_HUGE = str(sys.maxsize + 1)
+
+
+@pytest.mark.parametrize("args", [
+    ("synthesize", "--target", "zrot:1.0", "--samples", _HUGE),
+    ("synthesize", "--target", "zrot:1.0", "--samples", "100000000000000000000"),
+    ("sweep-angle", "--alpha-steps", "100000000000000000000"),
+    ("sweep-detuning", "--target", "euler:0.4,2.2,0.3", "--delta-steps", "100000000000000000000"),
+    ("sweep-angle", "--alpha-steps", "0"),
+    ("sweep-angle", "--alpha-steps", "-3"),
+    ("sweep-detuning", "--target", "euler:0.4,2.2,0.3", "--delta-steps", "1"),
+])
+def test_counts_out_of_range_are_usage_errors(tmp_path, capsys, args):
+    # too large ended in a numpy ValueError traceback; too small was clamped
+    assert run_cli(*args, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and args[-2] in err
+    assert not list(tmp_path.iterdir())
