@@ -83,12 +83,15 @@ _INT_KEYS = {"samples", "alpha_steps", "delta_steps"}
 
 def _config_value_ok(f, v) -> bool:
     """Whether v fits RunConfig field f: a number (not a bool) for the float
-    fields, an int for the int fields, a str otherwise; None only where the
-    field's default is None."""
+    fields, with an int only where it converts to a float, an int for the
+    int fields, a str otherwise; None only where the field's default is
+    None."""
     if v is None:
         return f.default is None
     if f.name in _FLOAT_KEYS:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
+        if isinstance(v, int) and not isinstance(v, bool):
+            return abs(v) <= sys.float_info.max
+        return isinstance(v, float)
     if f.name in _INT_KEYS:
         return isinstance(v, int) and not isinstance(v, bool)
     return isinstance(v, str)

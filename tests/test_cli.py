@@ -359,13 +359,6 @@ def test_config_scale_and_tolerance_are_checked(tmp_path, capsys, key, value):
     assert "Traceback" not in err and "--" + key.replace("_", "-") in err
 
 
-def test_verify_tolerance_is_checked(tmp_path, capsys):
-    assert run_cli("synthesize", "--target", "zrot:1.0", "--out", str(tmp_path)) == 0
-    capsys.readouterr()
-    assert run_cli("verify", str(tmp_path / "pulse.csv"), "--tol", "nan") == 2
-    assert "--tol" in capsys.readouterr().err
-
-
 # counts past np.iinfo(np.intp).max (sys.maxsize), which numpy refuses
 # before allocating
 _HUGE = str(sys.maxsize + 1)
@@ -386,3 +379,14 @@ def test_counts_out_of_range_are_usage_errors(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "Traceback" not in err and args[-2] in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", ["delta", "tol", "omega_max"])
+def test_config_int_past_float_range_is_a_usage_error(tmp_path, capsys, key):
+    # a JSON int such as 10**400 ended in an OverflowError traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: 10 ** 400}))
+    assert run_cli("synthesize", "--config", str(cfg), "--target", "zrot:1.0",
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and key in err
