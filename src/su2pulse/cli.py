@@ -147,10 +147,12 @@ def _load_json_object(path, what: str) -> dict:
     """The JSON object in the file at path; a file that is not readable
     UTF-8 JSON text with an object at its top level is a DomainError
     naming it."""
+    # ValueError covers UnicodeDecodeError, json.JSONDecodeError and an int
+    # literal longer than Python converts (sys.get_int_max_str_digits())
     try:
         with open(path, "r", encoding="utf-8") as fh:
             value = json.load(fh)
-    except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (IsADirectoryError, ValueError) as exc:
         raise DomainError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(value, dict):
         raise DomainError(f"{what} {path}: expected a JSON object, got {type(value).__name__}")
@@ -221,7 +223,9 @@ def _read_pulse(cfg: RunConfig) -> tuple[dynamics.PulseSchedule, dict]:
     json_path = csv_path.parent / (csv_path.stem + ".json")
     header = _load_json_object(json_path, "pulse header") if json_path.exists() else {}
     delta = header.get("delta", cfg.delta)
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not math.isfinite(delta):
+    # abs(v) <= max float is False for nan, inf and ints past the float range
+    if (isinstance(delta, bool) or not isinstance(delta, (int, float))
+            or not abs(delta) <= sys.float_info.max):
         raise DomainError(f"pulse header {json_path}: delta = {delta!r} is not a finite number")
     return dynamics.read_pulse_csv(csv_path, delta=float(delta),
                                    omega_max=header.get("omega_max")), header

@@ -353,5 +353,5 @@ def target_to_json(e: EulerTarget) -> dict:
 def target_from_json(d: dict) -> EulerTarget:
     try:
         return euler_target(float(d["psi"]), float(d["theta"]), float(d["phi"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad target record: {json.dumps(d)[:80]}") from exc

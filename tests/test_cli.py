@@ -381,12 +381,35 @@ def test_counts_out_of_range_are_usage_errors(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("key", ["delta", "tol", "omega_max"])
-def test_config_int_past_float_range_is_a_usage_error(tmp_path, capsys, key):
-    # a JSON int such as 10**400 ended in an OverflowError traceback
+_BIG = "1" + "0" * 400                  # an int past the float range
+_LONG = "9" * 5000                      # past Python's default digit limit
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"delta": %s}' % _BIG, id="delta-past-float-range"),
+    pytest.param('{"tol": %s}' % _BIG, id="tol-past-float-range"),
+    pytest.param('{"omega_max": %s}' % _BIG, id="omega-max-past-float-range"),
+    pytest.param('{"delta": %s}' % _LONG, id="int-past-digit-limit"),
+])
+def test_config_number_out_of_range_is_a_usage_error(tmp_path, capsys, text):
+    # each ended in an OverflowError or ValueError traceback
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({key: 10 ** 400}))
+    cfg.write_text(text)
     assert run_cli("synthesize", "--config", str(cfg), "--target", "zrot:1.0",
                    "--out", str(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and key in err
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"delta": %s}' % _BIG, id="delta-past-float-range"),
+    pytest.param('{"delta": 0.0, "target": {"psi": %s, "theta": 0.0, "phi": 0.0}}' % _BIG,
+                 id="target-past-float-range"),
+    pytest.param('{"delta": %s}' % _LONG, id="int-past-digit-limit"),
+])
+def test_pulse_header_number_out_of_range_is_a_usage_error(tmp_path, capsys, text):
+    # each ended in an OverflowError or ValueError traceback
+    assert run_cli("synthesize", "--target", "zrot:1.0", "--out", str(tmp_path)) == 0
+    (tmp_path / "pulse.json").write_text(text)
+    capsys.readouterr()
+    assert run_cli("verify", str(tmp_path / "pulse.csv")) == 2
+    assert "Traceback" not in capsys.readouterr().err
