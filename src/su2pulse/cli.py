@@ -57,7 +57,7 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"--{name.replace('_', '-')} = {v!r}: must be finite and > 0")
-        for name, least in (("samples", -math.inf), ("alpha_steps", 1), ("delta_steps", 2)):
+        for name, least in (("samples", 2), ("alpha_steps", 1), ("delta_steps", 2)):
             v = getattr(self, name)
             if not least <= v <= _MAX_COUNT:
                 bound = f"at most {_MAX_COUNT}" if v > _MAX_COUNT else f"at least {least}"

@@ -15,13 +15,18 @@ time optimal:
   * |delta| <= |tan(theta*/2)|: f' = 1 - delta p2 never goes negative and
     the whole label circle is the optimal domain.
   * otherwise the domain is the widest arc on which f_delta is monotone
-    increasing, ending at the stationary label closest to -phi* (where
-    p2 = 1/delta). Its f-range is exactly 4pi wide. The arc may wrap
-    through the identified ends of the label window; bounds are then
-    reported lifted by 4pi so psi_min < psi_max always holds.
+    increasing with one end at the stationary label closest to -phi*
+    (where p2 = 1/delta): psi_max for delta > 0, psi_min for delta < 0.
+    Its f-range is exactly 4pi wide. The arc may wrap through the
+    identified ends of the label window; bounds are then reported lifted
+    by 4pi so psi_min < psi_max always holds.
 
-Negative detuning is handled by reflecting azimuths about phi*, which maps
-(delta, psi*) to (-delta, -2 phi* - psi*) and labels to -2 phi* - Psi.
+Both signs of delta are solved as they are. The label map continues past
+the window by label(phi0 + 2pi) = label(phi0) - 4pi, so each domain is one
+monotone phi0 bracket, from the stationary end to the next stationary
+label, and a wrapped arc's labels come out lifted. Reflecting azimuths
+about phi* maps (delta, psi*) to (-delta, -2 phi* - psi*) and labels to
+-2 phi* - Psi; the domains and laws at -delta are those reflections.
 
 Pure z-rotation targets (theta* = 0) keep phi* = 0 by convention. Their
 duration curve T = sqrt(4 pi |Psi| - Psi^2)/2 has a cusp at the identity,
@@ -42,6 +47,7 @@ import numpy as np
 from .dynamics import ExtremalLaw, propagate_law, write_csv  # noqa: F401
 from .errors import DomainError, NoConvergence, NoStationaryPoint, TargetUnreached
 from .resonant import (
+    _PSI_SOLVE_TOL,
     SynthesisResult,
     _bisect,
     _bisect_many,
@@ -66,8 +72,7 @@ from .su2 import (
     wrap_pi,
 )
 
-_F_SOLVE_TOL = 1e-10
-# _bisect's slack, per unit of 1 + 2 delta, on brackets with a stationary
+# _bisect's slack, per unit of 1 + 2|delta|, on brackets with a stationary
 # end: near the threshold that end is a tangency control, where acos(-1 + x)
 # in label_for_phi0 turns 8 ulps of x into sqrt(16 eps) of f_delta
 _STATIONARY_SLACK = 4.0 * math.sqrt(np.finfo(float).eps)
@@ -184,62 +189,64 @@ def _window_end(phi0: float, theta_star: float, phi_star: float) -> tuple[float,
 
 
 class _Arc(NamedTuple):
-    """An optimal domain as phi0 brackets (lo, hi, f_delta at lo, at hi) on
-    which f_delta falls: `top` runs from the highest label to phi* + pi, and
-    `low` is the wrapped part, past the second stationary label and lifted
-    by 4pi. A strict arc's psi_min (nan in dom until solved) is the root of
-    `end`: (f value, bracket, lift)."""
+    """An optimal domain as one phi0 bracket (lo, hi, f_delta at lo, at hi)
+    on which f_delta is monotone. A strict arc's bracket runs from its
+    stationary end to the next stationary label, past a window end, where
+    label(phi0 + 2pi) = label(phi0) - 4pi lifts the labels of a wrapped arc
+    by itself. Its far end (nan in dom until solved) is the root of
+    f_delta = `far`, None for the full window."""
 
     dom: OptimalDomain
-    top: tuple[float, float, float, float]
-    low: tuple[float, float, float, float] | None
-    end: tuple[float, ...] | None
+    bracket: tuple[float, float, float, float]
+    far: float | None
     slack: float
 
 
 def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
-    """The _Arc of optimal_domain: the full window at delta, or the strict
-    arc at |delta|, which optimal_domain mirrors for delta < 0."""
+    """The _Arc of optimal_domain at delta, of either sign."""
     lo, hi = phi_star - math.pi, phi_star + math.pi
 
-    def f_at(phi0, d, label_map=_window_end):
+    def f_at(phi0, label_map=_window_end):
         label, tf = label_map(phi0, theta_star, phi_star)[:2]
-        return label - 2.0 * d * tf
+        return label - 2.0 * delta * tf
 
     if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
-        f_min, f_max = f_at(hi, delta), f_at(lo, delta)
+        f_min, f_max = f_at(hi), f_at(lo)
         return _Arc(OptimalDomain(-phi_star - TWO_PI, -phi_star + TWO_PI, None, theta_star,
                                   phi_star, delta, wrapped=False, f_min=f_min, f_max=f_max),
-                    (lo, hi, f_max, f_min), None, None, 1e-9)
-    delta = abs(delta)
-    ratio = math.tan(theta_star / 2.0) / delta
+                    (lo, hi, f_max, f_min), None, 1e-9)
+    s = math.copysign(1.0, delta)
+    ratio = math.tan(theta_star / 2.0) / abs(delta)
     if ratio >= 1.0:
         raise NoStationaryPoint("stationary label requires |delta| > tan(theta*/2)")
-    # stationary label closest to -phi*: p2 = 1/delta on the rising branch
-    phi0_b = phi_star - math.asin(ratio)
+    # stationary label closest to -phi*, where p2 = 1/delta: f_delta falls
+    # as s phi0 rises from it to the next stationary label
+    phi0_b = phi_star - s * math.asin(ratio)
     psi_b, tf_b, p2_b, _ = label_for_phi0(phi0_b, theta_star, phi_star)
     f_b = psi_b - 2.0 * delta * tf_b
     if abs(p2_b - 1.0 / delta) > 1e-8:
         raise NoStationaryPoint(
             f"stationary solve inconsistent: p2 = {p2_b:.9g} vs 1/delta = {1.0 / delta:.9g}"
         )
-    top = (phi0_b, hi, f_b, f_at(hi, delta))
-    dom = OptimalDomain(math.nan, psi_b, psi_b, theta_star, phi_star, delta,
-                        wrapped=f_b - FOUR_PI < top[3] - 1e-12, f_min=f_b - FOUR_PI, f_max=f_b)
-    slack = _STATIONARY_SLACK * (1.0 + 2.0 * delta)
-    if not dom.wrapped:
-        # [f^-1(f_b - 4pi), psi_bullet] inside the window
-        return _Arc(dom, top, None, (dom.f_min, *top, 0.0), slack)
-    # the arc wraps through the identified ends: its lower part lives on the
-    # rightmost increasing piece, beyond the second stationary label
-    phi0_b2 = lo + math.asin(ratio)
-    low = (lo, phi0_b2, f_at(lo, delta), f_at(phi0_b2, delta, label_for_phi0))
-    return _Arc(dom, top, low, (f_b, *low, FOUR_PI), slack)
+    phi0_c = phi_star + s * (math.pi + math.asin(ratio))
+    far = f_b - s * FOUR_PI
+    f_min, f_max = sorted((f_b, far))
+    # the arc wraps when its far end lies past the window end phi* + s pi
+    wrapped = s * far < s * f_at(hi if s > 0.0 else lo) - 1e-12
+    psi_min, psi_max = (math.nan, psi_b) if s > 0.0 else (psi_b, math.nan)
+    dom = OptimalDomain(psi_min, psi_max, psi_b, theta_star, phi_star, delta,
+                        wrapped=wrapped, f_min=f_min, f_max=f_max)
+    return _Arc(dom, (phi0_b, phi0_c, f_b, f_at(phi0_c, label_for_phi0)), far,
+                _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)))
 
 
-def _solve_f(arc: _Arc, f: float, lo: float, hi: float, f_lo: float, f_hi: float,
-             lift: float) -> tuple[float, float, float]:
-    """(label - lift, tf, phi0) at the phi0 in [lo, hi] where f_delta = f."""
+def _with_far_end(dom: OptimalDomain, psi: float) -> OptimalDomain:
+    """A strict domain with its far end psi: psi_min for delta > 0, else psi_max."""
+    return replace(dom, psi_min=psi) if dom.delta > 0.0 else replace(dom, psi_max=psi)
+
+
+def _solve_f(arc: _Arc, f: float) -> tuple[float, float, float]:
+    """(label, tf, phi0) at the phi0 in the arc's bracket where f_delta = f."""
     th, ph, d = arc.dom.theta_star, arc.dom.phi_star, arc.dom.delta
     k = _theta_factors(th)
 
@@ -247,27 +254,28 @@ def _solve_f(arc: _Arc, f: float, lo: float, hi: float, f_lo: float, f_hi: float
         label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
         return label - 2.0 * d * tf - f
 
-    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, _F_SOLVE_TOL, arc.slack)
+    lo, hi, f_lo, f_hi = arc.bracket
+    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, _PSI_SOLVE_TOL, arc.slack)
     label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
-    return label - lift, tf, phi0
+    return label, tf, phi0
 
 
 def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
-                brackets: list[tuple[_Arc, tuple[float, ...]]]):
-    """Each arc's OptimalDomain, and (label - lift, tf) arrays for the (arc,
-    _f_bracket) pairs: _solve_f's values, from one _bisect_many solve."""
-    rows = [(a, a.end) for a in arcs if a.end] + brackets
-    d, slack, f, lo, hi, f_lo, f_hi, lift = np.array(
-        [(a.dom.delta, a.slack, *b) for a, b in rows]).reshape(-1, 8).T
-    phi0 = _bisect_many(_f_gaps(theta_star, phi_star, d, f, _F_SOLVE_TOL), lo, hi,
-                        f_lo - f, f_hi - f, _F_SOLVE_TOL, slack)
+                targets: list[tuple[_Arc, float]]):
+    """Each arc's OptimalDomain, and (label, tf) arrays for the (arc, f
+    value) pairs: _solve_f's values, from one _bisect_many solve."""
+    rows = [(a, a.far) for a in arcs if a.far is not None] + targets
+    d, slack, f, lo, hi, f_lo, f_hi = np.array(
+        [(a.dom.delta, a.slack, v, *a.bracket) for a, v in rows]).reshape(-1, 7).T
+    phi0 = _bisect_many(_f_gaps(theta_star, phi_star, d, f, _PSI_SOLVE_TOL), lo, hi,
+                        f_lo - f, f_hi - f, _PSI_SOLVE_TOL, slack)
     fac = _theta_factors(theta_star)
     label, tf = np.array([label_for_phi0(x, theta_star, phi_star, fac)[:2]
                           for x in phi0.tolist()]).reshape(-1, 2).T
-    psi = label - lift
-    ends = iter(psi.tolist())
-    k = len(rows) - len(brackets)
-    return [replace(a.dom, psi_min=next(ends)) if a.end else a.dom for a in arcs], psi[k:], tf[k:]
+    ends = iter(label.tolist())
+    k = len(rows) - len(targets)
+    doms = [a.dom if a.far is None else _with_far_end(a.dom, next(ends)) for a in arcs]
+    return doms, label[k:], tf[k:]
 
 
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:
@@ -275,31 +283,16 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
 
     theta* must lie in (0, pi]; z-rotation targets have a cusp in the
     duration curve and are solved in closed form by synthesize_detuned.
-    A strict arc's far end psi_min is solved here alone: synthesis needs
-    only the stationary end, which fixes the arc's f-range.
+    A strict arc's far end (psi_min for delta > 0, psi_max for delta < 0)
+    is solved here alone: synthesis needs only the stationary end, which
+    fixes the arc's f-range.
     """
     if not (POLAR_THETA_TOL <= theta_star <= math.pi + 1e-12):
         raise DomainError("theta* must lie in (0, pi]")
     arc = _domain_arc(theta_star, phi_star, delta)
-    if arc.end is None:
+    if arc.far is None:
         return arc.dom
-    dom = replace(arc.dom, psi_min=_solve_f(arc, *arc.end)[0])
-    return _mirrored(dom) if delta < 0.0 else dom
-
-
-def _mirrored(m: OptimalDomain) -> OptimalDomain:
-    """The domain at -delta: reflecting azimuths about phi* maps labels to
-    -2 phi* - psi within the same family and flips the detuning sign."""
-    c = 2.0 * m.phi_star
-    return OptimalDomain(
-        psi_min=-m.psi_max - c,
-        psi_max=-m.psi_min - c,
-        psi_bullet=None if m.psi_bullet is None else -m.psi_bullet - c,
-        theta_star=m.theta_star, phi_star=m.phi_star, delta=-m.delta,
-        wrapped=m.wrapped,
-        f_min=-m.f_max - c,
-        f_max=-m.f_min - c,
-    )
+    return _with_far_end(arc.dom, _solve_f(arc, arc.far)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +301,18 @@ def _mirrored(m: OptimalDomain) -> OptimalDomain:
 
 def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, float]:
     """(optimal label, duration, initial azimuth phi0) for the canonical
-    target (theta* outside the polar band) under delta.
+    target (theta* outside the polar band) under delta, of either sign.
 
     Only the arc's stationary end is needed: it fixes the f-range, so the
-    strict arc's far end psi_min is never solved here (optimal_domain does)."""
-    if delta < 0.0:
-        # mirror about the phi* meridian: labels and spin targets negate
-        # (up to the -2 phi* shift), azimuths reflect, detuning flips sign
-        psi_m, tf, phi0_m = _solve_detuned(
-            EulerTarget(wrap_4pi(-2.0 * e.phi - e.psi), e.theta, e.phi), -delta)
-        return -psi_m - 2.0 * e.phi, tf, 2.0 * e.phi - phi0_m
+    strict arc's far end (psi_min for delta > 0, psi_max for delta < 0) is
+    never solved here (optimal_domain does)."""
     arc = _domain_arc(e.theta, e.phi, delta)
-    return _solve_f(arc, *_f_bracket(e, arc))
+    return _solve_f(arc, _f_target(e, arc))
 
 
-def _f_bracket(e: EulerTarget, arc: _Arc) -> tuple[float, ...]:
-    """(f value, phi0 bracket, f_delta at its ends, lift) for the canonical
-    target on the arc (delta > 0): the label is the root of f_delta = f
-    value in the bracket, minus lift."""
-    # unique lift of psi* into the arc's f-range (width 4pi)
+def _f_target(e: EulerTarget, arc: _Arc) -> float:
+    """The unique 4pi lift of psi* into the arc's f-range (width 4pi): the
+    f_delta value the target's label reaches."""
     n = math.floor((arc.dom.f_max - e.psi) / FOUR_PI)
     v = e.psi + FOUR_PI * n
     if v < arc.dom.f_min - 1e-9:
@@ -334,10 +320,7 @@ def _f_bracket(e: EulerTarget, arc: _Arc) -> tuple[float, ...]:
     if not (arc.dom.f_min - 1e-9 <= v <= arc.dom.f_max + 1e-9):
         raise NoConvergence(f"no 4pi lift of psi* fits the domain range "
                             f"[{arc.dom.f_min:.6g}, {arc.dom.f_max:.6g}]")
-    if arc.low is not None and v < arc.top[3] - 1e-12:
-        # lower wrapped piece: invert at the raw (unlifted) f value
-        return (v + FOUR_PI, *arc.low, FOUR_PI)
-    return (v, *arc.top, 0.0)
+    return v
 
 
 def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
@@ -447,29 +430,17 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
         raise DomainError(f"detuning delta = {big[0]!r}: 2 pi |delta| must be finite")
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
     n = grid.size
-    t_u, t_n, psi_u, psi_n = np.empty((4, n))
-    in_x = np.ones(n, dtype=bool)
-    bounds = np.tile((-e.phi - TWO_PI, -e.phi + TWO_PI), (n, 1))     # the full window at 0
     psi_plus, psi_minus = -e.phi + math.pi, -e.phi - math.pi
-    for i in np.flatnonzero(grid == 0.0).tolist():
-        psi_u[i], t_u[i], _ = _resonant_entry(e)
-        psi_n[i], t_n[i], _ = _resonant_entry(e_neg)
-    # at every nonzero delta, the domain's strict end and _solve_detuned's
+    # at every delta, 0 included, the domain's strict end and _solve_detuned's
     # inversions of f_delta for U and -U, in one array solve
-    nz = np.flatnonzero(grid != 0.0)
-    ds = grid[nz].tolist()
-    arcs = [_domain_arc(e.theta, e.phi, abs(d)) for d in ds]
-    # negative detuning: mirror the targets about the phi* meridian
-    mirror = [EulerTarget(wrap_4pi(-2.0 * e.phi - ek.psi), e.theta, e.phi) for ek in (e, e_neg)]
-    doms, psi, tf = _solve_arcs(e.theta, e.phi, arcs, [
-        (a, _f_bracket(ek, a)) for d, a in zip(ds, arcs) for ek in ((e, e_neg) if d > 0.0 else mirror)])
-    psi = np.where(np.repeat(grid[nz], 2) > 0.0, psi, -psi - 2.0 * e.phi)
-    psi_u[nz], psi_n[nz] = psi.reshape(-1, 2).T          # U and -U alternate
-    t_u[nz], t_n[nz] = tf.reshape(-1, 2).T
-    for i, d, dom in zip(nz.tolist(), ds, doms):
-        dom_u = dom if d > 0.0 else _mirrored(dom)
-        bounds[i] = (dom_u.psi_min, dom_u.psi_max)
-        in_x[i] = dom_u.contains(psi_plus) and dom_u.contains(psi_minus)
+    arcs = [_domain_arc(e.theta, e.phi, d) for d in grid.tolist()]
+    doms, psi, tf = _solve_arcs(e.theta, e.phi, arcs,
+                                [(a, _f_target(ek, a)) for a in arcs for ek in (e, e_neg)])
+    psi_u, psi_n = psi.reshape(-1, 2).T          # U and -U alternate
+    t_u, t_n = tf.reshape(-1, 2).T
+    bounds = np.array([(dom.psi_min, dom.psi_max) for dom in doms]).reshape(-1, 2)
+    in_x = np.array([dom.contains(psi_plus) and dom.contains(psi_minus) for dom in doms],
+                    dtype=bool)
     # duration of the symmetric pair (equal by symmetry)
     _, _, t_pair = _control_at_label(e.theta, e.phi, psi_plus)
     predicted = []
@@ -491,13 +462,6 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
         kind = "zero_cross" if (in_x[i] and in_x[i + 1]) else "boundary_jump"
         events.append((float(mid), kind))
     return TdiffReport(grid, t_u, t_n, in_x, events, predicted, psi_u, psi_n, bounds)
-
-
-def _resonant_entry(e: EulerTarget) -> tuple[float, float, None]:
-    r = synthesize_general(e, verify=False)
-    # at zero detuning the optimal label is psi* itself, lifted into the window
-    base = -e.phi + wrap_4pi(e.psi + e.phi)
-    return base, r.law.tf, None
 
 
 def write_tdiff_csv(report: TdiffReport, path) -> None:

@@ -50,8 +50,6 @@ from su2pulse.detuned import (
     PsiFamily,
     TdiffReport,
     _control_at_label,
-    _mirrored,
-    _resonant_entry,
     _solve_detuned,
     negated_psi,
     optimal_domain,
@@ -416,20 +414,14 @@ def tdiff_analysis_oracle(target, delta_grid) -> TdiffReport:
     psi_minus = -e.phi - math.pi
     for i, d in enumerate(grid):
         d = float(d)
-        pu, tu, *_ = _solve_detuned(e, d) if d != 0.0 else _resonant_entry(e)
-        pn, tn, *_ = _solve_detuned(e_neg, d) if d != 0.0 else _resonant_entry(e_neg)
+        pu, tu, *_ = _solve_detuned(e, d)
+        pn, tn, *_ = _solve_detuned(e_neg, d)
         t_u[i], t_n[i] = tu, tn
         psi_u[i], psi_n[i] = pu, pn
-        # the domain at |delta|, mirrored for delta < 0
-        dom_u = None if d == 0.0 else optimal_domain(e.theta, e.phi, abs(d))
-        dom_u = _mirrored(dom_u) if d < 0.0 else dom_u
-        if dom_u is None:
-            lo, hi = -e.phi - TWO_PI, -e.phi + TWO_PI
-            in_x[i] = True
-        else:
-            lo, hi = dom_u.psi_min, dom_u.psi_max
-            in_x[i] = dom_u.contains(psi_plus) and dom_u.contains(psi_minus)
-        bounds[i] = (lo, hi)
+        # the domain at the signed delta, the full window at 0
+        dom_u = optimal_domain(e.theta, e.phi, d)
+        in_x[i] = dom_u.contains(psi_plus) and dom_u.contains(psi_minus)
+        bounds[i] = (dom_u.psi_min, dom_u.psi_max)
     # duration of the symmetric pair (equal by symmetry)
     _, _, t_pair = _control_at_label(e.theta, e.phi, psi_plus)
     predicted = []

@@ -372,9 +372,14 @@ _HUGE = str(sys.maxsize + 1)
     ("sweep-angle", "--alpha-steps", "0"),
     ("sweep-angle", "--alpha-steps", "-3"),
     ("sweep-detuning", "--target", "euler:0.4,2.2,0.3", "--delta-steps", "1"),
+    ("synthesize", "--target", "zrot:0", "--samples", "-5"),
+    ("synthesize", "--target", "zrot:1", "--samples", "-5"),
+    ("synthesize", "--target", "zrot:1", "--samples", "1"),
 ])
 def test_counts_out_of_range_are_usage_errors(tmp_path, capsys, args):
-    # too large ended in a numpy ValueError traceback; too small was clamped
+    # too large ended in a numpy ValueError traceback; too small was clamped,
+    # or for --samples wrote a header-only pulse (identity target) or failed
+    # without naming the flag
     assert run_cli(*args, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and args[-2] in err

@@ -5,6 +5,7 @@ import pytest
 
 from su2pulse import (
     DomainError,
+    EulerTarget,
     build_psi_family,
     euler_from_gate,
     gate_distance,
@@ -154,10 +155,27 @@ def test_domain_monotone_on_arc():
 
 
 def test_domain_mirror_symmetry():
-    dp = optimal_domain(TS, PS, 2.5)
-    dm = optimal_domain(TS, PS, -2.5)
-    assert abs(dm.psi_max - (-dp.psi_min - 2.0 * PS)) < 1e-9
-    assert abs(dm.psi_min - (-dp.psi_max - 2.0 * PS)) < 1e-9
+    # each sign of delta is solved as it is; reflecting azimuths about phi*
+    # maps the domain and law at delta to those at -delta: labels and f
+    # values to -2 phi* - Psi, phi0 to 2 phi* - phi0
+    cases = [(e, delta) for _, e, delta, _ in DETUNED_CASES]
+    for e, delta in cases + [(EulerTarget(1.0, TS, PS), 2.5)]:
+        c = 2.0 * e.phi
+        dp = optimal_domain(e.theta, e.phi, delta)
+        dm = optimal_domain(e.theta, e.phi, -delta)
+        pairs = [(dm.psi_min, dp.psi_max), (dm.psi_max, dp.psi_min),
+                 (dm.f_min, dp.f_max), (dm.f_max, dp.f_min)]
+        assert (dm.psi_bullet is None) == (dp.psi_bullet is None), (e, delta)
+        if dp.psi_bullet is not None:
+            pairs.append((dm.psi_bullet, dp.psi_bullet))
+        for got, want in pairs:
+            assert abs(got - (-want - c)) < 1e-9, (e, delta)
+        assert dm.wrapped == dp.wrapped, (e, delta)
+        mirror = EulerTarget(wrap_4pi(-c - e.psi), e.theta, e.phi)
+        rp = synthesize_detuned(e, delta, verify=False).law
+        rm = synthesize_detuned(mirror, -delta, verify=False).law
+        assert abs(rm.tf - rp.tf) < 1e-10, (e, delta)
+        assert abs(wrap_pi(rm.phi0 - (c - rp.phi0))) < 1e-9, (e, delta)
 
 
 def test_domain_rejects_z_targets():

@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from su2pulse import (build_psi_family, detuned, gate_from_euler, sweep_rotation_angle,
-                      tdiff_analysis)
+from su2pulse import (build_psi_family, detuned, gate_from_euler, random_gate,
+                      sweep_rotation_angle, synthesize_general, tdiff_analysis)
 from su2pulse.detuned import _domain_arc, _solve_arcs, optimal_domain
-from su2pulse.su2 import canonical_euler
+from su2pulse.su2 import POLAR_THETA_TOL, canonical_euler
 
 from conftest import build_psi_family_oracle, sweep_rotation_angle_oracle, tdiff_analysis_oracle
 
@@ -116,8 +116,8 @@ def _domain_cases():
 
 @pytest.mark.parametrize("theta, phi, grid", _domain_cases())
 def test_grid_domains_match_scalar_domains(theta, phi, grid):
-    # T_diff builds each domain at |delta| and mirrors it for delta < 0
-    deltas = [abs(d) for d in grid.tolist() if d != 0.0]
+    # T_diff builds each domain at the signed delta, 0 included
+    deltas = grid.tolist()
 
     def grid_domains():
         return _solve_arcs(theta, phi, [_domain_arc(theta, phi, d) for d in deltas], [])[0]
@@ -136,6 +136,27 @@ def test_tdiff_is_one_array_solve(monkeypatch):
     bisect_many = detuned._bisect_many
     monkeypatch.setattr(detuned, "_bisect_many", lambda *a: calls.append(1) or bisect_many(*a))
     monkeypatch.setattr(detuned, "_bisect", None)
+    # and the delta = 0 points too: no resonant solve on the side
+    general = detuned.synthesize_general
+    monkeypatch.setattr(detuned, "synthesize_general", None)
+    zeros = 0
     for target, grid in TDIFF_CASES:
-        tdiff_analysis(gate_from_euler(*target), grid)
+        gate = gate_from_euler(*target)
+        report = tdiff_analysis(gate, grid)
+        for i in np.flatnonzero(grid == 0.0).tolist():
+            assert report.t_U[i] == general(gate, verify=False).law.tf
+            zeros += 1
     assert len(calls) == len(TDIFF_CASES)
+    assert zeros
+
+
+def test_tdiff_at_zero_detuning_is_the_resonant_duration():
+    # the arc solve at delta = 0 takes synthesize_general's brackets and
+    # midpoints, so t_U there is its tf bit for bit
+    rng = np.random.default_rng(6064)
+    for _ in range(300):
+        gate = random_gate(rng)
+        if canonical_euler(gate).theta < POLAR_THETA_TOL:
+            continue
+        report = tdiff_analysis(gate, [-1.0, 0.0, 1.0])
+        assert report.t_U[1] == synthesize_general(gate, verify=False).law.tf
