@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -125,9 +125,13 @@ def _control_at_label(theta_star: float, phi_star: float,
 
 def build_psi_family(theta_star: float, phi_star: float,
                      resolution: int = 1024) -> PsiFamily:
-    """Tabulate (phi0, p2, duration) on a uniform label grid."""
+    """Tabulate (phi0, p2, duration) on a uniform label grid; theta* must
+    lie in [0, pi] and phi* be finite."""
     if resolution < 256:
         raise DomainError("resolution must be at least 256")
+    if not (0.0 <= theta_star <= math.pi and math.isfinite(phi_star)):
+        raise DomainError(f"theta* = {theta_star!r} must lie in [0, pi] and "
+                          f"phi* = {phi_star!r} be finite")
     if theta_star < POLAR_THETA_TOL and phi_star != 0.0:
         raise DomainError("z-rotation families use the phi* = 0 convention")
     labels = np.linspace(-phi_star - TWO_PI, -phi_star + TWO_PI, resolution)
@@ -242,7 +246,9 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
 
 def _with_far_end(dom: OptimalDomain, psi: float) -> OptimalDomain:
     """A strict domain with its far end psi: psi_min for delta > 0, else psi_max."""
-    return replace(dom, psi_min=psi) if dom.delta > 0.0 else replace(dom, psi_max=psi)
+    lo, hi = (psi, dom.psi_max) if dom.delta > 0.0 else (dom.psi_min, psi)
+    return OptimalDomain(lo, hi, dom.psi_bullet, dom.theta_star, dom.phi_star, dom.delta,
+                         dom.wrapped, dom.f_min, dom.f_max)
 
 
 def _solve_f(arc: _Arc, f: float) -> tuple[float, float, float]:
@@ -281,14 +287,18 @@ def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:
     """Optimal label arc for fixed (theta*, phi*) and detuning delta.
 
-    theta* must lie in (0, pi]; z-rotation targets have a cusp in the
-    duration curve and are solved in closed form by synthesize_detuned.
-    A strict arc's far end (psi_min for delta > 0, psi_max for delta < 0)
-    is solved here alone: synthesis needs only the stationary end, which
-    fixes the arc's f-range.
+    theta* must lie in (0, pi], phi* be finite and 2 pi |delta| finite;
+    z-rotation targets have a cusp in the duration curve and are solved in
+    closed form by synthesize_detuned. A strict arc's far end (psi_min for
+    delta > 0, psi_max for delta < 0) is solved here alone: synthesis needs
+    only the stationary end, which fixes the arc's f-range.
     """
     if not (POLAR_THETA_TOL <= theta_star <= math.pi + 1e-12):
         raise DomainError("theta* must lie in (0, pi]")
+    if not math.isfinite(phi_star):
+        raise DomainError(f"phi* = {phi_star!r} must be finite")
+    if not math.isfinite(2.0 * math.pi * abs(delta)):
+        raise DomainError(f"detuning delta = {delta!r}: 2 pi |delta| must be finite")
     arc = _domain_arc(theta_star, phi_star, delta)
     if arc.far is None:
         return arc.dom
@@ -423,8 +433,9 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     if e.theta < POLAR_THETA_TOL:
         raise DomainError("tdiff analysis needs theta* > 0")
     grid = np.asarray(delta_grid, dtype=float)
-    if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
-        raise DomainError("delta grid must be finite, sorted and 1-d")
+    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
+            or np.any(np.diff(grid) <= 0.0)):
+        raise DomainError("delta grid must be non-empty, finite, sorted and 1-d")
     big = [d for d in grid.tolist() if not math.isfinite(2.0 * math.pi * d)]
     if big:
         raise DomainError(f"detuning delta = {big[0]!r}: 2 pi |delta| must be finite")

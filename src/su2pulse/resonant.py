@@ -49,8 +49,9 @@ from .su2 import (
 _PSI_SOLVE_TOL = 1e-10
 _MAX_BISECT = 200
 # bound on |f| from the array label map against label_for_phi0, per unit
-# of 1 + 2|delta|; the largest seen over 1e5 seeded draws was 1.7e-15, so
-# 1e-14 keeps a 6x margin while few midpoints fall inside it
+# of 1 + 2|delta|; the largest seen over the 1e5 seeded draws of
+# tests/test_rootfind.py (|delta| <= 50) is 2.3e-15, and the test holds it
+# to half of 1e-14, which few midpoints fall inside
 _ARRAY_ROUNDOFF = 1e-14
 # a law is certified when its verified residual, and the change in it that
 # one ulp of tf makes at this detuning (2|delta| ulp(tf)), stay within this
@@ -185,24 +186,40 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
 
 
 def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
-    """Array form of label_for_phi0 over broadcast phi0, theta* (outside the
-    polar band) and phi*, k as there. numpy's sin, cos, tan and arccos differ
-    from math's in the last bit, so it agrees with the scalar map to
-    roundoff: the grid solves steer brackets with it and report
-    label_for_phi0's values."""
+    """Array form of label_for_phi0 over the 1-d phi0, with theta* and phi*
+    scalars or of phi0's shape (theta* outside the North polar band), k as
+    there: label_for_phi0's operations in its order, on in-place
+    temporaries. numpy's sin, cos, tan and arccos differ from math's in the
+    last bit, so it agrees with the scalar map to roundoff: the grid solves
+    steer brackets with it and report label_for_phi0's values."""
     tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
     s = np.sin(d)
     p2 = s / tan_half
-    arg = cos_t - 2.0 * s * s * cos2_half
-    ea = np.arccos(np.maximum(-1.0, arg))
-    # the first crossing, as in label_for_phi0; South Pole: the label
-    # reduces to -2 phi0 + phi*
+    eta = np.multiply(s, 2.0)
+    eta *= s
+    eta *= cos2_half
+    np.subtract(cos_t, eta, out=eta)
+    np.maximum(eta, -1.0, out=eta)
+    np.arccos(eta, out=eta)
+    # the first crossing, as in label_for_phi0
+    eta = np.where(np.cos(d, out=d) >= 0.0, eta, TWO_PI - eta)
     south = theta_star >= math.pi - POLAR_THETA_TOL
-    eta = np.where(south, math.pi, np.where(np.cos(d) >= 0.0, ea, TWO_PI - ea))
-    p2 = np.where(south, 0.0, p2)
-    tf = eta / (2.0 * np.sqrt(1.0 + p2 * p2))          # exactly pi/2 at the South Pole
-    return -2.0 * phi0 + phi_star - 2.0 * p2 * tf, tf, p2, eta
+    if np.count_nonzero(south):
+        # South Pole: the label reduces to -2 phi0 + phi*
+        np.copyto(eta, math.pi, where=south)
+        np.copyto(p2, 0.0, where=south)
+    tf = np.multiply(p2, p2)
+    tf += 1.0
+    np.sqrt(tf, out=tf)
+    tf *= 2.0
+    np.divide(eta, tf, out=tf)          # exactly pi/2 at the South Pole
+    label = np.multiply(phi0, -2.0)
+    label += phi_star
+    np.multiply(p2, 2.0, out=d)
+    d *= tf
+    label -= d
+    return label, tf, p2, eta
 
 
 def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
@@ -241,8 +258,13 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     """Array form of `_bisect`, one bracket per element of the broadcast
     1-d a, b, ga, gb (and slack, if an array): _bisect's end tests,
     midpoints, sign ordering and stop rules, so each element gets _bisect's
-    float for the same g values. g(x, i) evaluates g at x for the still
-    open brackets i."""
+    float for the same g values.
+
+    g(i) binds the still open brackets i and returns the evaluator of g at
+    their midpoints. Each step evaluates it once and moves lo and hi in
+    place; only in a step where a bracket closes (|g| <= tol, or narrower
+    than 1e-15 before it is evaluated) are the open set and its evaluator
+    rebuilt."""
     a, b, ga, gb = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, ga, gb))
     out = np.where(np.abs(ga) <= tol, a, b)
     todo = (np.abs(ga) > tol) & (np.abs(gb) > tol)
@@ -255,19 +277,27 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     rising = ga[i] < gb[i]
     lo = np.where(rising, a[i], b[i])     # g < 0 at lo, g > 0 at hi
     hi = np.where(rising, b[i], a[i])
+    ev = None
     for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        shut = np.abs(hi - lo) < 1e-15    # stops at its midpoint, unevaluated
+        if np.count_nonzero(shut):
+            out[i[shut]] = mid[shut]
+            keep = ~shut
+            i, lo, hi, mid, ev = i[keep], lo[keep], hi[keep], mid[keep], None
         if i.size == 0:
             return out
-        mid = 0.5 * (lo + hi)
-        gm = np.zeros(i.size)             # a bracket under 1e-15 stops at its midpoint
-        wide = np.flatnonzero(np.abs(hi - lo) >= 1e-15)
-        if wide.size:
-            gm[wide] = g(mid[wide], i[wide])
-        hi = np.where(gm > tol, mid, hi)
-        lo = np.where(gm < -tol, mid, lo)
-        out[i] = mid
-        going = (gm > tol) | (gm < -tol)
-        i, lo, hi = i[going], lo[going], hi[going]
+        if ev is None:
+            ev = g(i)
+        gm = ev(mid)
+        up, down = gm > tol, gm < -tol
+        np.putmask(hi, up, mid)
+        np.putmask(lo, down, mid)
+        if np.count_nonzero(up) + np.count_nonzero(down) < i.size:
+            shut = ~(up | down)
+            out[i[shut]] = mid[shut]
+            keep = ~shut
+            i, lo, hi, ev = i[keep], lo[keep], hi[keep], None
     if i.size:
         raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
     return out
@@ -287,21 +317,38 @@ def _solve_label(target_label: float, theta_star: float, phi_star: float,
 
 
 def _f_gaps(theta_star, phi_star, delta, target, tol: float):
-    """g(x, i) = label - 2 delta tf - target over broadcast 1-d arguments, for
-    `_bisect_many`, from the array label map; a value within roundoff of
-    +-tol, where the map's last bits could flip _bisect's decision, is
-    recomputed by label_for_phi0. At delta = 0 it is the label mismatch."""
-    th, ph, d, t = np.broadcast_arrays(theta_star, phi_star, delta, target)
+    """g(i) for `_bisect_many`: label - 2 delta tf - target from the array
+    label map, at delta = 0 the label mismatch, over broadcast 1-d
+    arguments. Each open set i binds its brackets' theta*-factors, phi*,
+    delta, target and roundoff band once; a scalar argument (one theta* for
+    a family or a T_diff grid, delta = 0) stays scalar. A value within
+    roundoff of +-tol, where the map's last bits could flip _bisect's
+    decision, is recomputed by label_for_phi0."""
+    th, ph, d, t = (np.asarray(v, dtype=float) for v in (theta_star, phi_star, delta, target))
     fac = _theta_factors(th)
+    twice_d = 2.0 * d
+    band = _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d))
+    full = np.broadcast_arrays(th, ph, d, t)     # views, for the scalar recompute
 
-    def g(x, i):
-        label, tf, _, _ = _labels_for_phi0(x, th[i], ph[i], [v[i] for v in fac])
-        gm = label - 2.0 * d[i] * tf - t[i]
-        near = np.abs(np.abs(gm) - tol) <= _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d[i]))
-        for k, j in zip(np.flatnonzero(near).tolist(), i[near].tolist()):
-            label, tf, _, _ = label_for_phi0(float(x[k]), float(th[j]), float(ph[j]))
-            gm[k] = label - 2.0 * float(d[j]) * tf - float(t[j])
-        return gm
+    def g(i):
+        th_i, ph_i, d2_i, t_i, band_i, *fac_i = (v if v.ndim == 0 else v[i]
+                                                for v in (th, ph, twice_d, t, band, *fac))
+
+        def ev(x):
+            gm, tf, _, _ = _labels_for_phi0(x, th_i, ph_i, fac_i)
+            tf *= d2_i
+            gm -= tf
+            gm -= t_i
+            near = np.abs(np.abs(gm) - tol) <= band_i
+            if not np.count_nonzero(near):
+                return gm
+            for k, j in zip(np.flatnonzero(near).tolist(), i[near].tolist()):
+                th_j, ph_j, d_j, t_j = (float(v[j]) for v in full)
+                label, tf, _, _ = label_for_phi0(float(x[k]), th_j, ph_j)
+                gm[k] = label - 2.0 * d_j * tf - t_j
+            return gm
+
+        return ev
 
     return g
 
@@ -309,8 +356,8 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float):
 def _solve_labels(target_label, theta_star, phi_star, tol: float = _PSI_SOLVE_TOL) -> np.ndarray:
     """Array form of `_solve_label` over broadcast 1-d arguments: the same
     brackets and end values, solved together by `_bisect_many`."""
-    v, th, ph = np.broadcast_arrays(target_label, theta_star, phi_star)
-    return _bisect_many(_f_gaps(th, ph, 0.0, v, tol), ph - math.pi, ph + math.pi,
+    v, ph = np.asarray(target_label, dtype=float), np.asarray(phi_star, dtype=float)
+    return _bisect_many(_f_gaps(theta_star, ph, 0.0, v, tol), ph - math.pi, ph + math.pi,
                         -ph + TWO_PI - v, -ph - TWO_PI - v, tol)
 
 

@@ -364,6 +364,12 @@ def test_near_polar_target_reaches_callers_gate(delta):
     assert gate_distance(propagate_law(r.law), g) < 1e-6
 
 
+def test_tdiff_empty_grid_is_a_domain_error():
+    # was a bare IndexError from grid[-1] in the predicted-crossing loop
+    with pytest.raises(DomainError, match="non-empty"):
+        tdiff_analysis(gate_from_euler(0.4, 2.2, 0.3), [])
+
+
 # 2 pi |delta| overflows at 1e308: that was an OverflowError
 @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan, 1e308, -1e308])
 def test_non_finite_detuning_rejected(delta):

@@ -23,9 +23,12 @@ import numpy as np
 import pytest
 
 from su2pulse import (
+    DomainError,
+    build_psi_family,
     gate_distance,
     gate_from_euler,
     identity_gate,
+    optimal_domain,
     propagate_law_exact,
     synthesize,
     tdiff_analysis,
@@ -177,3 +180,21 @@ def test_detuned_z_rotation_past_double_precision_is_flagged(delta):
     # exact propagator's az = -p2 ~ 1e160 overflowed when squared
     r = synthesize(zrot_gate(0.5), delta)
     assert math.isfinite(r.residual) and not r.ok
+
+
+# each returned an all-nan domain or table, a domain with f_min = f_max =
+# -inf, or a South-Pole or z-family table for a theta* outside [0, pi]
+@pytest.mark.parametrize("theta, phi, delta", [
+    (1.0, 0.2, math.nan), (1.0, 0.2, math.inf), (1.0, 0.2, -math.inf), (1.0, 0.2, 1e308),
+    (1.0, 0.2, -1e308), (1.0, math.nan, 3.0), (1.0, math.inf, 0.5), (math.nan, 0.2, 1.0)])
+def test_optimal_domain_rejects_non_finite_input(theta, phi, delta):
+    with pytest.raises(DomainError):
+        optimal_domain(theta, phi, delta)
+
+
+@pytest.mark.parametrize("theta, phi", [
+    (math.nan, 0.2), (1.0, math.nan), (1.0, math.inf), (math.inf, 0.0), (3.5, 0.2),
+    (-0.5, 0.0), (-1e-300, 0.0), (math.pi + 1e-12, 0.0)])
+def test_psi_family_rejects_theta_outside_zero_pi_and_non_finite_phi(theta, phi):
+    with pytest.raises(DomainError):
+        build_psi_family(theta, phi)

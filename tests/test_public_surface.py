@@ -1,6 +1,10 @@
-"""The package exports README's Library entry points, and the test oracles
-that live in conftest are no longer package attributes."""
+"""The package exports README's Library entry points, README names every
+export, and the test oracles that live in conftest are no longer package
+attributes."""
 import importlib
+import re
+import types
+from pathlib import Path
 
 import su2pulse
 
@@ -21,3 +25,13 @@ def test_public_surface():
                  "su2pulse.errors"):
         module = importlib.import_module(name)
         assert [n for n in TEST_ORACLES if hasattr(module, n)] == [], name
+
+
+def test_readme_names_every_export():
+    # as code: in an inline `...` span or a fenced block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = " ".join(re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S))
+    exports = [n for n, v in vars(su2pulse).items()
+               if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+    assert len(exports) == 57
+    assert [n for n in exports if not re.search(rf"\b{n}\b", code)] == []

@@ -1,12 +1,15 @@
-"""The shared root finders: bracketed bisection, and the mod-4pi root scan
-of the test oracles."""
+"""The shared root finders: bracketed bisection, its array form with the
+bound evaluator of the f_delta gaps, and the mod-4pi root scan of the test
+oracles."""
 import math
 
 import numpy as np
 import pytest
 
 from su2pulse import NoConvergence
-from su2pulse.resonant import _bisect, _bisect_many
+from su2pulse.detuned import _domain_arc
+from su2pulse.resonant import _ARRAY_ROUNDOFF, _bisect, _bisect_many, _f_gaps, label_for_phi0
+from su2pulse.su2 import POLAR_THETA_TOL
 
 from conftest import _roots_mod_4pi
 
@@ -17,9 +20,9 @@ def _bisect_both(g, a, b, ga, gb, tol, **kw):
     """_bisect's root, once `_bisect_many` on a one-bracket batch, with g
     evaluated per element, has returned the same float bit for bit, or
     raised NoConvergence where _bisect raises it."""
-    def gv(x, i):
+    def gv(i):
         assert i.tolist() == [0]
-        return np.array([g(v) for v in x.tolist()])
+        return lambda x: np.array([g(v) for v in x.tolist()])
 
     def many():
         return float(_bisect_many(gv, [a], [b], [ga], [gb], tol, **kw)[0])
@@ -89,13 +92,161 @@ def test_bisect_many_solves_each_bracket_as_bisect_does():
     ga = [g(x, c) for x, c in zip(a, shifts)]
     gb = [g(x, c) for x, c in zip(b, shifts)]
 
-    def gv(x, i):
-        return np.array([g(v, shifts[k]) for v, k in zip(x.tolist(), i.tolist())])
+    def gv(i):
+        return lambda x: np.array([g(v, shifts[k]) for v, k in zip(x.tolist(), i.tolist())])
 
     for tol in (1e-12, 0.0):
         want = [_bisect(lambda x, c=c: g(x, c), *ends, tol)
                 for c, *ends in zip(shifts, a, b, ga, gb)]
         assert _bisect_many(gv, a, b, ga, gb, tol).tolist() == want
+
+
+def test_bisect_many_binds_each_open_set_once():
+    # brackets that close at different steps: an end root, |g| <= tol after
+    # a few steps and after many, a jump that narrows below 1e-15 before
+    # |g| <= tol, and a near miss at one end that only its own slack admits
+    tol = 1e-12
+    fs = [lambda x: x - 1.0,
+          lambda x: x - 0.375,
+          lambda x: 2.0 - x * x,
+          lambda x: 1.0 if x > 0.3 else -1.0,
+          lambda x: -x - 5e-10,
+          lambda x: math.cos(x)]
+    a = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    b = [3.0, 1.0, 3.0, 1.0, 1.0, 2.0]
+    slack = [0.0, 0.0, 0.0, 0.0, 1e-9, 0.0]
+    ga = [f(x) for f, x in zip(fs, a)]
+    gb = [f(x) for f, x in zip(fs, b)]
+    binds, steps = [], []
+
+    def gv(i):
+        binds.append(i.tolist())
+
+        def ev(x):
+            steps.append(len(binds))
+            return np.array([fs[k](v) for v, k in zip(x.tolist(), i.tolist())])
+
+        return ev
+
+    got = _bisect_many(gv, a, b, ga, gb, tol, np.array(slack)).tolist()
+    assert got == [_bisect(*args, tol, sl) for *args, sl in zip(fs, a, b, ga, gb, slack)]
+    assert got[0] == 1.0 and abs(got[3] - 0.3) < 1e-15
+    # one bind per open set, each a strict subset of the one before, and
+    # a new one only after a step in which a bracket closed
+    assert binds[0] == [1, 2, 3, 4, 5] and len(binds) >= 4
+    assert all(set(new) < set(old) for old, new in zip(binds, binds[1:]))
+    assert steps == sorted(steps) and len(set(steps)) == len(binds)
+    with pytest.raises(NoConvergence):
+        _bisect_many(gv, a, b, ga, gb, tol)        # the near miss needs its slack
+
+
+def _scalar_gap(theta, phi, delta, f):
+    def g(x):
+        label, tf, _, _ = label_for_phi0(x, theta, phi)
+        return label - 2.0 * delta * tf - f
+    return g
+
+
+def _solve_both(theta, phi, delta, frac, tol=1e-10):
+    """Solve f_delta = f on each (theta*, phi*, delta)'s optimal-domain
+    bracket, f at `frac` of the way through the arc's f-range, by one
+    `_bisect_many` call over `_f_gaps` and by `_bisect` per element with
+    label_for_phi0; theta*, phi* and delta may be scalars."""
+    th, ph, d = np.broadcast_arrays(theta, phi, delta)
+    rows = []
+    for t, p, dd, q in zip(th.tolist(), ph.tolist(), d.tolist(), frac):
+        arc = _domain_arc(t, p, dd)
+        rows.append((*arc.bracket, arc.slack,
+                     arc.dom.f_min + q * (arc.dom.f_max - arc.dom.f_min)))
+    lo, hi, f_lo, f_hi, slack, f = np.array(rows).T
+    got = _bisect_many(_f_gaps(theta, phi, delta, f, tol), lo, hi, f_lo - f, f_hi - f,
+                       tol, slack)
+    want = [_bisect(_scalar_gap(t, p, dd, v), a, b, ga - v, gb - v, tol, sl)
+            for t, p, dd, a, b, ga, gb, sl, v in zip(th.tolist(), ph.tolist(), d.tolist(),
+                                                      lo, hi, f_lo, f_hi, slack, f)]
+    return got.tolist(), want
+
+
+def test_f_gaps_with_south_pole_and_tilted_rows_match_bisect():
+    # South Pole rows (label -2 phi0 + phi*, tf = pi/2) among tilted ones,
+    # at delta = 0, on full windows and on strict arcs
+    rng = np.random.default_rng(6071)
+    south = [math.pi, math.pi - 0.5 * POLAR_THETA_TOL]
+    theta = np.array(south * 4 + rng.uniform(0.05, 3.0, 24).tolist())
+    rng.shuffle(theta)
+    phi = rng.uniform(-math.pi, math.pi, theta.size)
+    frac = rng.uniform(0.0, 1.0, theta.size)
+    assert 0 < np.count_nonzero(theta >= math.pi - POLAR_THETA_TOL) < theta.size
+    for delta in (0.0, rng.uniform(-6.0, 6.0, theta.size)):
+        got, want = _solve_both(theta, phi, delta, frac)
+        assert got == want
+
+
+def test_f_gaps_with_one_theta_at_nonzero_detuning_match_bisect():
+    # one scalar theta* and phi* over a detuning grid that holds full,
+    # strict and wrapped arcs of both signs, as a T_diff solve does
+    rng = np.random.default_rng(6072)
+    for theta, phi in [(2.2689, 0.3), (0.7, -2.5), (math.pi, 1.1)]:
+        delta = np.concatenate([np.linspace(-5.0, -0.05, 40), np.linspace(0.05, 5.0, 40)])
+        got, want = _solve_both(theta, phi, delta, rng.uniform(0.0, 1.0, delta.size))
+        assert got == want
+
+
+def _gap_ratio(theta, phi, delta, target, x):
+    """max |array gap - label_for_phi0's gap| over the roundoff band
+    _ARRAY_ROUNDOFF (1 + 2|delta|), from the bound evaluator with tol = inf,
+    which leaves every array value unreplaced."""
+    got = _f_gaps(theta, phi, delta, target, math.inf)(np.arange(x.size))(x)
+    th, ph, d, t = (v.tolist() for v in np.broadcast_arrays(theta, phi, delta, target))
+    want = np.array([_scalar_gap(*args)(v) for *args, v in zip(th, ph, d, t, x.tolist())])
+    return float(np.max(np.abs(got - want) / (_ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d)))))
+
+
+def test_array_gap_stays_within_half_the_roundoff_band():
+    # sweep parity rests on this margin: a value outside the band around
+    # +-tol is within half the band of label_for_phi0's, so it decides as
+    # the scalar map does. 1e5 draws, |delta| <= 50, phi0 past the window
+    # too (strict brackets run there); half with one array of theta*, half
+    # with one scalar theta* per batch of 500
+    rng = np.random.default_rng(6073)
+
+    def thetas(n):
+        return np.concatenate([rng.uniform(POLAR_THETA_TOL, math.pi, n // 2),
+                               np.exp(rng.uniform(math.log(POLAR_THETA_TOL), 0.0, n // 2))])
+
+    def draw(phi, n):
+        x = phi + rng.uniform(-1.5 * math.pi, 1.5 * math.pi, n)
+        return rng.uniform(-50.0, 50.0, n), rng.uniform(-15.0, 15.0, n), x
+
+    n = 50_000
+    phi = rng.uniform(-math.pi, math.pi, n)
+    ratios = [_gap_ratio(thetas(n), phi, *draw(phi, n))]
+    for theta in thetas(100).tolist():
+        phi = float(rng.uniform(-math.pi, math.pi))
+        ratios.append(_gap_ratio(theta, phi, *draw(phi, 500)))
+    assert max(ratios) <= 0.5, ratios
+
+
+def test_gap_near_tol_is_label_for_phi0s():
+    # where the array and scalar gaps differ, a tol halfway between their
+    # magnitudes puts them on opposite sides of it: only label_for_phi0's
+    # value decides as _bisect does, so the evaluator must return it
+    rng = np.random.default_rng(6074)
+    n = 4000
+    theta, phi = rng.uniform(0.01, 3.0, n), rng.uniform(-math.pi, math.pi, n)
+    delta, target = rng.uniform(-5.0, 5.0, n), rng.uniform(-15.0, 15.0, n)
+    x = phi + rng.uniform(-1.5 * math.pi, 1.5 * math.pi, n)
+    array = _f_gaps(theta, phi, delta, target, math.inf)(np.arange(n))(x)
+    scalar = np.array([_scalar_gap(*args)(v) for *args, v in
+                       zip(theta.tolist(), phi.tolist(), delta.tolist(), target.tolist(),
+                           x.tolist())])
+    differ = np.flatnonzero(array != scalar)[:50]
+    assert differ.size == 50
+    for k in differ.tolist():
+        tol = 0.5 * (abs(array[k]) + abs(scalar[k]))
+        one = slice(k, k + 1)
+        got = _f_gaps(theta[one], phi[one], delta[one], target[one], tol)(np.arange(1))(x[one])
+        assert got[0] == scalar[k]
 
 
 def test_scan_finds_every_root_mod_4pi():
