@@ -68,6 +68,7 @@ from .su2 import (
     UnitGate,
     canonical_euler,
     euler_from_gate,  # noqa: F401
+    negated_psi,
     wrap_4pi,
     wrap_pi,
 )
@@ -194,15 +195,21 @@ def _window_end(phi0: float, theta_star: float, phi_star: float) -> tuple[float,
 
 class _Arc(NamedTuple):
     """An optimal domain as one phi0 bracket (lo, hi, f_delta at lo, at hi)
-    on which f_delta is monotone. A strict arc's bracket runs from its
-    stationary end to the next stationary label, past a window end, where
-    label(phi0 + 2pi) = label(phi0) - 4pi lifts the labels of a wrapped arc
-    by itself. Its far end (nan in dom until solved) is the root of
-    f_delta = `far`, None for the full window."""
+    on which f_delta is monotone, with the arc's f-range. A strict arc's
+    bracket runs from its stationary end psi_b to the next stationary
+    label, past a window end, where label(phi0 + 2pi) = label(phi0) - 4pi
+    lifts the labels of a wrapped arc by itself. Its far end is the root of
+    f_delta = `far`; psi_b and far are None for the full window."""
 
-    dom: OptimalDomain
+    theta_star: float
+    phi_star: float
+    delta: float
     bracket: tuple[float, float, float, float]
+    f_min: float
+    f_max: float
+    psi_b: float | None
     far: float | None
+    wrapped: bool
     slack: float
 
 
@@ -216,9 +223,8 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
 
     if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
         f_min, f_max = f_at(hi), f_at(lo)
-        return _Arc(OptimalDomain(-phi_star - TWO_PI, -phi_star + TWO_PI, None, theta_star,
-                                  phi_star, delta, wrapped=False, f_min=f_min, f_max=f_max),
-                    (lo, hi, f_max, f_min), None, 1e-9)
+        return _Arc(theta_star, phi_star, delta, (lo, hi, f_max, f_min), f_min, f_max,
+                    None, None, False, 1e-9)
     s = math.copysign(1.0, delta)
     ratio = math.tan(theta_star / 2.0) / abs(delta)
     if ratio >= 1.0:
@@ -237,23 +243,24 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
     f_min, f_max = sorted((f_b, far))
     # the arc wraps when its far end lies past the window end phi* + s pi
     wrapped = s * far < s * f_at(hi if s > 0.0 else lo) - 1e-12
-    psi_min, psi_max = (math.nan, psi_b) if s > 0.0 else (psi_b, math.nan)
-    dom = OptimalDomain(psi_min, psi_max, psi_b, theta_star, phi_star, delta,
-                        wrapped=wrapped, f_min=f_min, f_max=f_max)
-    return _Arc(dom, (phi0_b, phi0_c, f_b, f_at(phi0_c, label_for_phi0)), far,
-                _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)))
+    return _Arc(theta_star, phi_star, delta, (phi0_b, phi0_c, f_b, f_at(phi0_c, label_for_phi0)),
+                f_min, f_max, psi_b, far, wrapped, _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)))
 
 
-def _with_far_end(dom: OptimalDomain, psi: float) -> OptimalDomain:
-    """A strict domain with its far end psi: psi_min for delta > 0, else psi_max."""
-    lo, hi = (psi, dom.psi_max) if dom.delta > 0.0 else (dom.psi_min, psi)
-    return OptimalDomain(lo, hi, dom.psi_bullet, dom.theta_star, dom.phi_star, dom.delta,
-                         dom.wrapped, dom.f_min, dom.f_max)
+def _domain(arc: _Arc, psi_far: float | None = None) -> OptimalDomain:
+    """The arc's OptimalDomain; a strict one's far end is psi_far, psi_min
+    for delta > 0, else psi_max."""
+    th, ph, d = arc.theta_star, arc.phi_star, arc.delta
+    if arc.psi_b is None:
+        return OptimalDomain(-ph - TWO_PI, -ph + TWO_PI, None, th, ph, d, False,
+                             arc.f_min, arc.f_max)
+    lo, hi = (psi_far, arc.psi_b) if d > 0.0 else (arc.psi_b, psi_far)
+    return OptimalDomain(lo, hi, arc.psi_b, th, ph, d, arc.wrapped, arc.f_min, arc.f_max)
 
 
 def _solve_f(arc: _Arc, f: float) -> tuple[float, float, float]:
     """(label, tf, phi0) at the phi0 in the arc's bracket where f_delta = f."""
-    th, ph, d = arc.dom.theta_star, arc.dom.phi_star, arc.dom.delta
+    th, ph, d = arc.theta_star, arc.phi_star, arc.delta
     k = _theta_factors(th)
 
     def g(phi0):
@@ -272,7 +279,7 @@ def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
     value) pairs: _solve_f's values, from one _bisect_many solve."""
     rows = [(a, a.far) for a in arcs if a.far is not None] + targets
     d, slack, f, lo, hi, f_lo, f_hi = np.array(
-        [(a.dom.delta, a.slack, v, *a.bracket) for a, v in rows]).reshape(-1, 7).T
+        [(a.delta, a.slack, v, *a.bracket) for a, v in rows]).reshape(-1, 7).T
     phi0 = _bisect_many(_f_gaps(theta_star, phi_star, d, f, _PSI_SOLVE_TOL), lo, hi,
                         f_lo - f, f_hi - f, _PSI_SOLVE_TOL, slack)
     fac = _theta_factors(theta_star)
@@ -280,7 +287,7 @@ def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
                           for x in phi0.tolist()]).reshape(-1, 2).T
     ends = iter(label.tolist())
     k = len(rows) - len(targets)
-    doms = [a.dom if a.far is None else _with_far_end(a.dom, next(ends)) for a in arcs]
+    doms = [_domain(a, None if a.far is None else next(ends)) for a in arcs]
     return doms, label[k:], tf[k:]
 
 
@@ -300,9 +307,7 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     if not math.isfinite(2.0 * math.pi * abs(delta)):
         raise DomainError(f"detuning delta = {delta!r}: 2 pi |delta| must be finite")
     arc = _domain_arc(theta_star, phi_star, delta)
-    if arc.far is None:
-        return arc.dom
-    return _with_far_end(arc.dom, _solve_f(arc, arc.far)[0])
+    return _domain(arc) if arc.far is None else _domain(arc, _solve_f(arc, arc.far)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +328,13 @@ def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, float]:
 def _f_target(e: EulerTarget, arc: _Arc) -> float:
     """The unique 4pi lift of psi* into the arc's f-range (width 4pi): the
     f_delta value the target's label reaches."""
-    n = math.floor((arc.dom.f_max - e.psi) / FOUR_PI)
+    n = math.floor((arc.f_max - e.psi) / FOUR_PI)
     v = e.psi + FOUR_PI * n
-    if v < arc.dom.f_min - 1e-9:
+    if v < arc.f_min - 1e-9:
         v += FOUR_PI
-    if not (arc.dom.f_min - 1e-9 <= v <= arc.dom.f_max + 1e-9):
+    if not (arc.f_min - 1e-9 <= v <= arc.f_max + 1e-9):
         raise NoConvergence(f"no 4pi lift of psi* fits the domain range "
-                            f"[{arc.dom.f_min:.6g}, {arc.dom.f_max:.6g}]")
+                            f"[{arc.f_min:.6g}, {arc.f_max:.6g}]")
     return v
 
 
@@ -348,15 +353,46 @@ def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
     if delta == 0.0:
         return synthesize_general(e, verify=verify)
     if e.theta < POLAR_THETA_TOL:
-        psi_label, phi0 = _z_label(e.psi, delta), 0.0
-        p2, tf = z_rotation_parameters(psi_label)
-        eta = math.copysign(TWO_PI, psi_label) if tf > 0.0 else 0.0
+        p2, tf, eta = _z_law(e.psi, delta)
+        phi0 = 0.0
     else:
         # the f_delta root is the control itself: no second solve for its label
         phi0 = _solve_detuned(e, delta)[2]
         _, tf, p2, eta = label_for_phi0(phi0, e.theta, e.phi)
     law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=delta, tf=tf)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)
+
+
+# past this |delta| a z law's label c^2/(4 pi delta^2) falls below 1e-298,
+# towards the subnormals where it loses its digits; _z_law forms the law
+# from f_delta = c alone there
+_Z_FAR_DETUNING = 1e150
+
+
+def _z_law(lam: float, delta: float) -> tuple[float, float, float]:
+    """(p2, tf, eta) of the fastest z-family law whose f_delta is lam mod 4pi
+    (delta != 0): _z_label's law up to |delta| = _Z_FAR_DETUNING.
+
+    Past it the label u enters f_delta = s u - 2 delta T = c only through
+    the label's share u / |c| <= |c| / (4 pi delta^2) < 1e-298, so tf =
+    -c / (2 delta), on the lift c of lam of sign -sgn(delta) nearest 0
+    (within _z_label's roundoff), and p2 = sgn(c) pi (1 - u/2pi) / tf =
+    sgn(c) pi / tf, both exact to rounding. The label's sign is sgn(c),
+    whose root is the smaller of the two. Where 2 p2 would overflow (tf
+    below about 3.5e-308) the law is the identity."""
+    if abs(delta) <= _Z_FAR_DETUNING:
+        label = _z_label(lam, delta)
+        p2, tf = z_rotation_parameters(label)
+        return p2, tf, math.copysign(TWO_PI, label) if tf > 0.0 else 0.0
+    sd = math.copysign(1.0, delta)
+    c = lam if sd * lam <= 4e-15 * (abs(lam) + TWO_PI) else lam - math.copysign(FOUR_PI, lam)
+    tf = max(-sd * c, 0.0) / (2.0 * abs(delta))
+    p2 = -sd * math.pi / tf if tf > 0.0 else math.inf
+    if not math.isfinite(2.0 * p2):
+        # no such law is representable: the identity, which verification
+        # certifies only for a target within 1e-6 of it
+        return 0.0, 0.0, 0.0
+    return p2, tf, -sd * TWO_PI
 
 
 def _z_label(lam: float, delta: float) -> float:
@@ -415,11 +451,6 @@ class TdiffReport:
         for i, d in enumerate(self.delta_grid):
             yield (float(d), float(self.t_U[i]), float(self.t_negU[i]),
                    float(self.t_U[i] - self.t_negU[i]), bool(self.in_X[i]))
-
-
-def negated_psi(psi_star: float) -> float:
-    """Spin label of -U for the same (theta*, phi*): psi* shifted by 2pi."""
-    return wrap_4pi(psi_star + TWO_PI)
 
 
 def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:

@@ -47,6 +47,7 @@ from .su2 import (
 )
 
 _PSI_SOLVE_TOL = 1e-10
+_HALF_PI, _THREE_HALF_PI = math.pi / 2.0, 1.5 * math.pi
 _MAX_BISECT = 200
 # bound on |f| from the array label map against label_for_phi0, per unit
 # of 1 + 2|delta|; the largest seen over the 1e5 seeded draws of
@@ -189,7 +190,7 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
     """Array form of label_for_phi0 over the 1-d phi0, with theta* and phi*
     scalars or of phi0's shape (theta* outside the North polar band), k as
     there: label_for_phi0's operations in its order, on in-place
-    temporaries. numpy's sin, cos, tan and arccos differ from math's in the
+    temporaries. numpy's sin, tan and arccos differ from math's in the
     last bit, so it agrees with the scalar map to roundoff: the grid solves
     steer brackets with it and report label_for_phi0's values."""
     tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
@@ -202,8 +203,11 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
     np.subtract(cos_t, eta, out=eta)
     np.maximum(eta, -1.0, out=eta)
     np.arccos(eta, out=eta)
-    # the first crossing, as in label_for_phi0
-    eta = np.where(np.cos(d, out=d) >= 0.0, eta, TWO_PI - eta)
+    # the first crossing, as in label_for_phi0, without a cos: for
+    # |d| < 5pi/2, cos d < 0 exactly when pi/2 < |d| < 3pi/2, and
+    # _HALF_PI and _THREE_HALF_PI round below pi/2 and 3pi/2
+    np.abs(d, out=d)
+    eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
     south = theta_star >= math.pi - POLAR_THETA_TOL
     if np.count_nonzero(south):
         # South Pole: the label reduces to -2 phi0 + phi*
@@ -361,20 +365,30 @@ def _solve_labels(target_label, theta_star, phi_star, tol: float = _PSI_SOLVE_TO
                         -ph + TWO_PI - v, -ph - TWO_PI - v, tol)
 
 
-def _window_label(psi: float, phi: float) -> float:
-    """psi* shifted by the unique multiple of 4pi into the label window."""
-    return psi + FOUR_PI * round((-phi - psi) / FOUR_PI)
+def _window_label(psi, phi):
+    """psi* shifted by the unique multiple of 4pi into the label window:
+    numpy's for ndarrays, else Python's round; both round half to even."""
+    r = np.round if isinstance(psi, np.ndarray) else round
+    return psi + FOUR_PI * r((-phi - psi) / FOUR_PI)
 
 
-def _resonant_durations(targets: list[tuple[float, float, float]]) -> list[float]:
-    """synthesize_general's durations for canonical (psi, theta, phi) targets,
-    bit for bit: the tilted ones by one array solve, finished by label_for_phi0."""
-    es = [e for e in targets if e[1] >= POLAR_THETA_TOL]
-    _, th, ph = np.array(es).reshape(-1, 3).T
-    phi0 = _solve_labels([_window_label(p, f) for p, _, f in es], th, ph)
-    tilted = iter([label_for_phi0(x, t, f)[1] for x, (_, t, f) in zip(phi0.tolist(), es)])
-    return [next(tilted) if t >= POLAR_THETA_TOL else z_rotation_parameters(p)[1]
-            for p, t, _ in targets]
+def _resonant_durations(psi, theta, phi) -> list[float]:
+    """_synthesize_canonical's durations for the canonical targets (psi[j],
+    theta[j], phi[j]), bit for bit: the tilted ones by one array solve,
+    finished by label_for_phi0 with the theta*-factors bound once per run
+    of equal theta*, such as a U/-U pair."""
+    psi, th, ph = (np.array(v, dtype=float) for v in (psi, theta, phi))
+    tilted = th >= POLAR_THETA_TOL
+    psi_t, th_t, ph_t = psi[tilted], th[tilted], ph[tilted]
+    phi0 = _solve_labels(_window_label(psi_t, ph_t), th_t, ph_t)
+    tf, last, k = [], None, None
+    for x, t, f in zip(phi0.tolist(), th_t.tolist(), ph_t.tolist()):
+        if t != last:
+            last, k = t, _theta_factors(t)
+        tf.append(label_for_phi0(x, t, f, k)[1])
+    tilted_tf = iter(tf)
+    return [next(tilted_tf) if t else z_rotation_parameters(p)[1]
+            for p, t in zip(psi.tolist(), tilted.tolist())]
 
 
 def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> SynthesisResult:
@@ -384,7 +398,13 @@ def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> S
     phi0 in [-pi, pi) is found such that the law's accumulated psi matches
     psi* mod 4pi (the SU(2) double cover), refined to 1e-10.
     """
-    e = canonical_euler(target)
+    return _synthesize_canonical(canonical_euler(target), verify)
+
+
+def _synthesize_canonical(e: EulerTarget, verify: bool = True) -> SynthesisResult:
+    """synthesize_general for a canonical Euler triple, solved as it is:
+    canonical_euler would take it through a gate and back, which can move
+    its last bits."""
     if e.theta < POLAR_THETA_TOL:
         return synthesize_z_rotation(e.psi, verify=verify)
     phi0 = _solve_label(_window_label(e.psi, e.phi), e.theta, e.phi)

@@ -14,8 +14,9 @@ import numpy as np
 
 from .dynamics import write_csv
 from .errors import DomainError
-from .resonant import _resonant_durations, synthesize_general
-from .su2 import UnitGate, _axis_angle_quat, _euler_quat, _unit_quat, hopf_from_gate, negate_gate
+from .resonant import _resonant_durations, _synthesize_canonical, synthesize_general
+from .su2 import (EulerTarget, UnitGate, _axis_angle_quats, _euler_quat, _unit_quat,
+                  euler_from_gate, hopf_from_gate, negated_psi)
 
 TIE_TOL = 1e-8
 
@@ -36,9 +37,14 @@ def _faster(tp: float, tm: float) -> tuple[str, bool]:
 
 
 def select_faster(g: UnitGate) -> So3Decision:
-    """Synthesize U and -U at zero detuning and pick the faster one."""
+    """Synthesize U and -U at zero detuning and pick the faster one.
+
+    -U's canonical Euler triple is U's with psi + 2pi (negated_psi) and
+    the same theta and phi; that triple is solved as it is."""
+    e = euler_from_gate(g)
     tp = synthesize_general(g, verify=False).law.tf
-    tm = synthesize_general(negate_gate(g), verify=False).law.tf
+    e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
+    tm = _synthesize_canonical(e_neg, verify=False).law.tf
     chosen, tie = _faster(tp, tm)
     return So3Decision(chosen, tp, tm, tie, hopf_from_gate(g).theta2)
 
@@ -48,20 +54,25 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
     axis, for both SU(2) representatives.
 
     Returns rows (alpha, tf_U, tf_negU, chosen) as select_faster gives
-    them, all angles in one array solve. The two curves cross only at
-    alpha = pi + 2 pi k.
+    them, all angles in one array solve. Each rotation is canonicalized
+    once, for U; -U's triple is U's with psi + 2pi. The two curves cross
+    only at alpha = pi + 2 pi k.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,) or abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
         raise DomainError("axis must be a unit 3-vector")
     angles = np.atleast_1d(np.asarray(alphas, dtype=float)).tolist()
-    n, targets = ax.tolist(), []
-    for a in angles:
-        if not (0.0 <= a <= 4.0 * math.pi + 1e-12):
-            raise DomainError(f"alpha = {a:.12g} outside [0, 4pi]")
-        q = _unit_quat(_axis_angle_quat(min(a, 4.0 * math.pi - 1e-15), n))
-        targets += [_euler_quat(q), _euler_quat(_unit_quat(tuple(-x for x in q)))]
-    tf = _resonant_durations(targets)
+    bad = [a for a in angles if not (0.0 <= a <= 4.0 * math.pi + 1e-12)]
+    if bad:
+        raise DomainError(f"alpha = {bad[0]:.12g} outside [0, 4pi]")
+    top = 4.0 * math.pi - 1e-15
+    psi, theta, phi = [], [], []
+    for q in _axis_angle_quats([min(a, top) for a in angles], ax.tolist()):
+        p, t, f = _euler_quat(_unit_quat(q))
+        psi += (p, negated_psi(p))
+        theta += (t, t)
+        phi += (f, f)
+    tf = _resonant_durations(psi, theta, phi)
     return [(a, tp, tm, _faster(tp, tm)[0]) for a, tp, tm in zip(angles, tf[::2], tf[1::2])]
 
 

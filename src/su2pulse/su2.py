@@ -97,13 +97,18 @@ def _unit_quat(q: tuple) -> tuple:
     return q if abs(n - 1.0) <= 1e-15 else tuple(x / n for x in q)
 
 
-def _axis_angle_quat(alpha: float, n) -> tuple:
+def _axis_angle_quats(alphas, n) -> list:
+    """Quaternions of the rotations by each alpha about the axis n, whose
+    norm is checked once."""
     nx, ny, nz = float(n[0]), float(n[1]), float(n[2])
     nn = math.sqrt(nx * nx + ny * ny + nz * nz)
     if abs(nn - 1.0) > 1e-9:
         raise DomainError(f"axis norm {nn:.12g} != 1")
-    c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
-    return c, s * nz / nn, s * ny / nn, s * nx / nn
+    out = []
+    for alpha in alphas:
+        c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
+        out.append((c, s * nz / nn, s * ny / nn, s * nx / nn))
+    return out
 
 
 def _hopf_quat(q: tuple) -> tuple:
@@ -175,7 +180,7 @@ def gate_from_matrix(m) -> UnitGate:
 
 def gate_from_axis_angle(alpha: float, n) -> UnitGate:
     """Gate for a rotation of alpha in [0, 4pi) about unit axis n."""
-    return UnitGate(*_axis_angle_quat(alpha, n))
+    return UnitGate(*_axis_angle_quats((alpha,), n)[0])
 
 
 def hopf_from_gate(g: UnitGate) -> HopfCoords:
@@ -219,6 +224,14 @@ def euler_target(psi: float, theta: float, phi: float) -> EulerTarget:
 def negate_gate(g: UnitGate) -> UnitGate:
     """The opposite SU(2) element -U (same SO(3) rotation)."""
     return UnitGate(-g.x1, -g.x2, -g.x3, -g.x4)
+
+
+def negated_psi(psi_star: float) -> float:
+    """Spin label of -U for the same (theta*, phi*): psi* shifted by 2pi.
+
+    The canonical Euler triple of -U is U's with this psi, and the same
+    theta* and phi*; deriving it so canonicalizes the rotation once."""
+    return wrap_4pi(psi_star + TWO_PI)
 
 
 def gate_distance(a: UnitGate, b: UnitGate) -> float:

@@ -14,7 +14,9 @@ above by scanning f_delta on a grid geometric in |label|.
 compared the circle's azimuth at both latitude crossings with phi*.
 
 The sweep oracles are the package's former per-point sweep loops; the
-array sweeps must match them bit for bit.
+array sweeps must match them bit for bit. `select_faster_oracle` is the
+former U/-U selection, which canonicalized -U from the negated gate
+instead of deriving its Euler triple from U's.
 
 The CSV oracles are the package's former per-row file code: a scalar
 closed-form trajectory point, f-string writers for the pulse, trajectory
@@ -42,7 +44,10 @@ from su2pulse import (
     PulseSchedule,
     TargetUnreached,
     gate_distance,
+    hopf_from_gate,
+    negate_gate,
     propagate_law,
+    synthesize_general,
 )
 from su2pulse.dynamics import (DEFAULT_STEPS, _circle_azimuth_offset, _quat_mul,
                                 _segment_factors, _trajectory_rows, control_phase)
@@ -56,7 +61,7 @@ from su2pulse.detuned import (
 )
 from su2pulse.errors import NoConvergence, Su2PulseError
 from su2pulse.resonant import _bisect, label_for_phi0, target_gate, z_rotation_parameters
-from su2pulse.so3 import select_faster
+from su2pulse.so3 import So3Decision, _faster, select_faster
 from su2pulse.su2 import (FOUR_PI, GAUGE_TOL, POLAR_THETA_TOL, TWO_PI, EulerTarget, HopfCoords,
                           UnitGate, canonical_euler, euler_from_gate, gate_from_axis_angle,
                           gate_from_hopf, wrap_4pi, wrap_pi)
@@ -393,6 +398,13 @@ def sweep_rotation_angle_oracle(axis, alphas):
         dec = select_faster(gate_from_axis_angle(min(a, 4.0 * math.pi - 1e-15), ax))
         rows.append((a, dec.tf_plus, dec.tf_minus, dec.chosen))
     return rows
+
+
+def select_faster_oracle(g: UnitGate) -> So3Decision:
+    tp = synthesize_general(g, verify=False).law.tf
+    tm = synthesize_general(negate_gate(g), verify=False).law.tf
+    chosen, tie = _faster(tp, tm)
+    return So3Decision(chosen, tp, tm, tie, hopf_from_gate(g).theta2)
 
 
 def tdiff_analysis_oracle(target, delta_grid) -> TdiffReport:

@@ -262,6 +262,16 @@ def _run_cli_process(*args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_sweep_angle_runs_are_byte_identical(tmp_path):
+    # two fresh interpreters, at the default 721 angles
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        proc = _run_cli_process("sweep-angle", "--axis", "0.3,-0.4,0.866", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    a, b = ((out / "sweep_angle.csv").read_bytes() for out in outs)
+    assert a == b and a.count(b"\n") == 722
+
+
 @pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
 def test_non_finite_delta_is_a_usage_error(tmp_path, delta):
     proc = _run_cli_process("synthesize", "--target", "euler:0.4,1.1,0.2",

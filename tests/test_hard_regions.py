@@ -14,7 +14,9 @@ Detuned z-rotations were solved by a 4096-label scan that could not
 resolve roots near |label| = c^2 / (4 pi delta^2), and returned laws far
 from the shortest. Their closed form must reach the caller's gate at every
 detuning up to |delta| = 1e10, at no label beyond the first lattice
-crossing of f_delta and never slower than the scan.
+crossing of f_delta and never slower than the scan. Past |delta| = 1e150,
+where that label runs into the subnormals, the law formed from f_delta
+alone must be certified up to 1e300.
 """
 import dataclasses
 import math
@@ -121,6 +123,15 @@ def test_near_pole_large_detuning_reaches_callers_gate():
     assert gate_distance(propagate_law_exact(r.law), gate) < 1e-6
 
 
+@pytest.mark.parametrize("delta", [50.0, -50.0, 1e3, -1e3])
+def test_near_pole_strict_solve_reaches_callers_gate(delta):
+    # a strict solve at theta* = 3.2e-7 returned p2 = -6.3e6 with residual
+    # 8.16e-3 at delta = 50 and 7.8e-3 at 1e3; now 1.4e-11 to 4.7e-10
+    gate = gate_from_euler(-0.40338655, 3.16227766e-7, 0.39182483)
+    r = synthesize(gate, delta)
+    assert r.ok and gate_distance(propagate_law_exact(r.law), gate) < 1e-9
+
+
 @pytest.mark.parametrize("delta, ok", [(1e6, True), (1e9, True), (-1e9, True), (1e10, False),
                                        (-1e10, False), (1e12, False)])
 def test_ok_flags_detunings_past_double_precision(delta, ok):
@@ -175,11 +186,48 @@ def test_detuned_z_rotation_sweep_is_minimal_and_certified(delta):
 
 
 @pytest.mark.parametrize("delta", [1e160, -1e200, 1e307])
-def test_detuned_z_rotation_past_double_precision_is_flagged(delta):
-    # |label| ~ c^2 / (4 pi delta^2) is subnormal or zero here, and the
-    # exact propagator's az = -p2 ~ 1e160 overflowed when squared
-    r = synthesize(zrot_gate(0.5), delta)
-    assert math.isfinite(r.residual) and not r.ok
+def test_detuned_z_rotation_past_1e158_is_certified(delta):
+    # |label| ~ c^2 / (4 pi delta^2) is subnormal or zero here: the label's
+    # closed form missed the gate by 2.6e-5 at 1e160 and took tf = 0 at
+    # -1e200; tf = |c| / (2 |delta|) and p2 = pi / tf are representable
+    gate = zrot_gate(0.5)
+    r = synthesize(gate, delta)
+    assert r.ok and gate_distance(propagate_law_exact(r.law), gate) <= 1e-6
+    assert r.law.tf > 0.0
+
+
+FAR_Z_DELTAS = [s * d for d in (1e150, 1.5e150, 1e154, 1e156, 1e158, 1e159, 1e160, 1e200, 1e250,
+                                1e300) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("delta", FAR_Z_DELTAS)
+def test_detuned_z_rotation_sweep_past_1e150_is_certified(delta):
+    # lambda* uniform in (-2pi, 2pi); seeded per detuning
+    rng = np.random.default_rng([8402, FAR_Z_DELTAS.index(delta)])
+    for lam in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 70).tolist():
+        gate = zrot_gate(lam)
+        r = synthesize(gate, delta)
+        assert r.ok and gate_distance(propagate_law_exact(r.law), gate) <= 1e-6
+        # f_delta = c at tf = |c| / (2 |delta|), c the lift of lambda* of
+        # sign -sgn(delta)
+        c = lam if lam * delta < 0.0 else lam - math.copysign(4.0 * math.pi, lam)
+        assert r.law.tf == pytest.approx(abs(c) / (2.0 * abs(delta)), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam, delta", [(-0.5, 1e307), (0.5, -1e307), (-1e-3, 2.8e307)])
+def test_detuned_z_rotation_past_double_precision_is_flagged(lam, delta):
+    # tf = |c| / (2 |delta|) is below 3.5e-308, so 2 p2 = 2 pi / tf
+    # overflows: the identity law is returned, and not certified
+    r = synthesize(zrot_gate(lam), delta)
+    assert r.law.tf == 0.0 and math.isfinite(r.residual) and not r.ok
+
+
+@pytest.mark.parametrize("delta", [1e160, -1e300, 2.8e307])
+def test_detuned_near_identity_z_rotation_past_double_precision_is_the_identity(delta):
+    # within 1e-6 of the identity the identity law is certified
+    gate = zrot_gate(1e-20)
+    r = synthesize(gate, delta)
+    assert r.ok and gate_distance(propagate_law_exact(r.law), gate) <= 1e-6
 
 
 # each returned an all-nan domain or table, a domain with f_min = f_max =

@@ -24,7 +24,8 @@ from su2pulse import (
 )
 
 from su2pulse.errors import NoConvergence
-from su2pulse.resonant import _labels_for_phi0, _theta_factors, label_for_phi0
+from su2pulse.resonant import (_HALF_PI, _THREE_HALF_PI, _labels_for_phi0, _theta_factors,
+                               label_for_phi0)
 
 from conftest import brute_force_min_time, crossing_eta_oracle, gate_at, trajectory_point
 
@@ -308,6 +309,23 @@ def test_array_label_map_matches_scalar_map():
                              (4.715637648196324, 0.0015400155731124293, 2.25445054712693)]:
         got = _labels_for_phi0(np.array([phi0]), theta, phi)[0][0]
         assert abs(got - label_for_phi0(phi0, theta, phi)[0]) <= 1e-12
+
+
+def test_array_first_crossing_is_the_sign_of_cos():
+    # the array map takes the far crossing where pi/2 < |d| <= 3pi/2 by
+    # comparison; label_for_phi0 where cos(d) < 0. They agree on the
+    # doubles around pi/2 and 3pi/2 and on seeded d with |d| < 5pi/2, and
+    # so do the two maps' arrival angles
+    edges = [math.pi / 2.0, math.pi, 1.5 * math.pi]
+    d = [x for e in edges for x in np.nextafter(e, [-np.inf, np.inf]).tolist() + [e]]
+    d += np.random.default_rng(607).uniform(-2.5 * math.pi, 2.5 * math.pi, 4000).tolist()
+    d = np.array(d + [-x for x in d])
+    assert np.array_equal((np.abs(d) > _HALF_PI) & (np.abs(d) <= _THREE_HALF_PI),
+                          np.array([math.cos(x) < 0.0 for x in d.tolist()]))
+    theta, phi = 1.3, 0.0
+    eta = _labels_for_phi0(phi - d, theta, phi)[3]
+    want = [label_for_phi0(phi - x, theta, phi)[3] for x in d.tolist()]
+    assert np.all(np.abs(eta - want) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

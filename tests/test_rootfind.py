@@ -157,7 +157,7 @@ def _solve_both(theta, phi, delta, frac, tol=1e-10):
     for t, p, dd, q in zip(th.tolist(), ph.tolist(), d.tolist(), frac):
         arc = _domain_arc(t, p, dd)
         rows.append((*arc.bracket, arc.slack,
-                     arc.dom.f_min + q * (arc.dom.f_max - arc.dom.f_min)))
+                     arc.f_min + q * (arc.f_max - arc.f_min)))
     lo, hi, f_lo, f_hi, slack, f = np.array(rows).T
     got = _bisect_many(_f_gaps(theta, phi, delta, f, tol), lo, hi, f_lo - f, f_hi - f,
                        tol, slack)

@@ -5,6 +5,7 @@ import pytest
 
 from su2pulse import (
     DomainError,
+    random_gate,
     crossing_angles,
     gate_from_axis_angle,
     hopf_from_gate,
@@ -14,6 +15,8 @@ from su2pulse import (
     zrot_gate,
 )
 from su2pulse.so3 import write_sweep_csv
+
+from conftest import select_faster_oracle
 
 TWO_PI = 2 * math.pi
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -59,6 +62,37 @@ def test_hadamard_tie():
     d = select_faster(gate_from_axis_angle(math.pi, DIAG_AXIS))
     assert d.tie
     assert abs(abs(d.theta2) - math.pi / 2.0) < 1e-12
+
+
+def _polar_gauge_gates():
+    # z-rotations, identity and -identity included, and pi-rotations about
+    # transverse axes (X, Y and others), where -U sits in the other polar
+    # band or is U's own tie
+    lams = [0.0, -0.0, TWO_PI, -TWO_PI, math.pi, -math.pi, 0.3, -5.0, 6.0]
+    gates = [zrot_gate(lam) for lam in lams]
+    gates += [xyrot_gate(a, math.pi) for a in (0.0, math.pi / 2.0, -math.pi, math.pi, 0.4, -2.2)]
+    return gates + [xyrot_gate(0.4, b) for b in (0.5, 6.0)]
+
+
+def test_negated_triple_matches_negated_gate():
+    # -U's triple is derived from U's (psi + 2pi), not canonicalized from
+    # the negated gate; the solve of either lands within 1e-12
+    rng = np.random.default_rng(6065)
+    gates = [random_gate(rng) for _ in range(400)] + _polar_gauge_gates()
+    for g in gates:
+        got, want = select_faster(g), select_faster_oracle(g)
+        assert got.tf_plus == want.tf_plus
+        assert abs(got.tf_minus - want.tf_minus) <= 1e-12
+        assert (got.chosen, got.tie, got.theta2) == (want.chosen, want.tie, want.theta2)
+
+
+@pytest.mark.parametrize("a", [0.0, math.pi / 2.0, -math.pi, 0.4])
+def test_transverse_pi_rotations_tie(a):
+    # X (a = 0), Y (a = pi/2) and any xyrot(a, pi): -U is U rotated by
+    # 2pi, of the same duration
+    d = select_faster(xyrot_gate(a, math.pi))
+    assert d.tie and d.chosen == "U"
+    assert abs(d.tf_plus - math.pi / 2.0) < 1e-12
 
 
 def test_decision_matches_theta2_criterion(rng):

@@ -25,7 +25,7 @@ from su2pulse import (
     zrot_gate,
 )
 
-from su2pulse.su2 import _axis_angle_quat, _euler_quat, _hopf_quat, _unit_quat, canonical_euler
+from su2pulse.su2 import _axis_angle_quats, _euler_quat, _hopf_quat, _unit_quat, canonical_euler
 
 from conftest import axis_angle_from_gate, euler_from_hopf, expm2, hopf_from_euler
 
@@ -260,7 +260,7 @@ def test_euler_target_theta_domain():
 def test_tuple_kernels_match_the_gate_objects_bit_for_bit():
     # seeded quaternions, plus quaternions with |(x3, x4)| or |(x1, x2)|
     # on a log grid around GAUGE_TOL (both gauges, both polar bands), each
-    # also scaled off unit norm; U and -U as sweep_rotation_angle forms them
+    # also scaled off unit norm; U and -U
     rng = np.random.default_rng(812)
     quats = [tuple(v) for v in rng.normal(size=(2000, 4)).tolist()]
     for small in np.geomspace(1e-11, 1e-6, 41).tolist():
@@ -286,6 +286,6 @@ def test_axis_angle_kernel_matches_gate_from_axis_angle():
     rng = np.random.default_rng(813)
     for n in rng.normal(size=(50, 3)):
         n = n / np.linalg.norm(n)
-        for alpha in rng.uniform(0.0, 4.0 * math.pi, 20).tolist():
-            assert _unit_quat(_axis_angle_quat(alpha, n.tolist())) == \
-                gate_from_axis_angle(alpha, n).quat
+        alphas = rng.uniform(0.0, 4.0 * math.pi, 20).tolist()
+        for alpha, q in zip(alphas, _axis_angle_quats(alphas, n.tolist())):
+            assert _unit_quat(q) == gate_from_axis_angle(alpha, n).quat
