@@ -65,9 +65,10 @@ def test_hadamard_tie():
 
 
 def _polar_gauge_gates():
-    # z-rotations, identity and -identity included, and pi-rotations about
-    # transverse axes (X, Y and others), where -U sits in the other polar
-    # band or is U's own tie
+    # z-rotations, identity and -identity included (theta = 0), and
+    # pi-rotations about transverse axes (X, Y and others; theta = pi),
+    # whose canonical triples fix the azimuth gauge, and two transverse
+    # rotations short of and past pi
     lams = [0.0, -0.0, TWO_PI, -TWO_PI, math.pi, -math.pi, 0.3, -5.0, 6.0]
     gates = [zrot_gate(lam) for lam in lams]
     gates += [xyrot_gate(a, math.pi) for a in (0.0, math.pi / 2.0, -math.pi, math.pi, 0.4, -2.2)]
