@@ -28,6 +28,11 @@ label, and a wrapped arc's labels come out lifted. Reflecting azimuths
 about phi* maps (delta, psi*) to (-delta, -2 phi* - psi*) and labels to
 -2 phi* - Psi; the domains and laws at -delta are those reflections.
 
+At delta = 0 the domain is the full window and inverting f_delta is the
+resonant label solve, so the arcs and their one scalar and one array solve
+live in resonant.py; this module builds the family, the domains, detuned
+synthesis and the T_diff report on them.
+
 Pure z-rotation targets (theta* = 0) keep phi* = 0 by convention. Their
 duration curve T = sqrt(4 pi |Psi| - Psi^2)/2 has a cusp at the identity,
 the monotone-arc construction above does not apply, and synthesis takes
@@ -35,28 +40,27 @@ the smallest valid root of the quadratic that f_delta = psi* squares to.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-# propagate_law and euler_from_gate are not called here but stay importable
-# as detuned.<name>: perfbench/tracer.py wraps those bindings
+# propagate_law, euler_from_gate and label_for_phi0 are not called here but
+# stay importable as detuned.<name>: perfbench/tracer.py wraps those bindings
 from .dynamics import ExtremalLaw, propagate_law, write_csv  # noqa: F401
-from .errors import DomainError, NoConvergence, NoStationaryPoint, TargetUnreached
+from .errors import DomainError, TargetUnreached
 from .resonant import (
-    _PSI_SOLVE_TOL,
+    _FULL_SLACK,
     SynthesisResult,
-    _bisect,
-    _bisect_many,
-    _f_gaps,
-    _solve_label,
-    _solve_labels,
-    _theta_factors,
+    _Arc,
+    _domain_arc,
+    _f_target,
+    _full_arc,
+    _solve_arcs,
+    _solve_f,
+    _solve_target,
     _verify,
-    label_for_phi0,
+    label_for_phi0,  # noqa: F401
     synthesize_general,
     z_rotation_parameters,
 )
@@ -72,12 +76,6 @@ from .su2 import (
     wrap_4pi,
     wrap_pi,
 )
-
-# _bisect's slack, per unit of 1 + 2|delta|, on brackets with a stationary
-# end: near the threshold that end is a tangency control, where acos(-1 + x)
-# in label_for_phi0 turns 8 ulps of x into sqrt(16 eps) of f_delta
-_STATIONARY_SLACK = 4.0 * math.sqrt(np.finfo(float).eps)
-
 
 # ---------------------------------------------------------------------------
 # tabulated family of resonant controls toward a fixed (theta*, phi*)
@@ -119,8 +117,8 @@ def _control_at_label(theta_star: float, phi_star: float,
         raise DomainError(f"label {psi_label:.12g} outside [{lo:.12g}, {hi:.12g}]")
     if theta_star < POLAR_THETA_TOL:
         return (0.0, *z_rotation_parameters(psi_label))
-    phi0 = _solve_label(min(max(psi_label, lo), hi), theta_star, phi_star, 1e-12)
-    _, tf, p2, _ = label_for_phi0(phi0, theta_star, phi_star)
+    arc = _domain_arc(theta_star, phi_star, 0.0)
+    _, tf, p2, _, phi0 = _solve_f(arc, min(max(psi_label, lo), hi), 1e-12)
     return phi0, p2, tf
 
 
@@ -137,15 +135,14 @@ def build_psi_family(theta_star: float, phi_star: float,
         raise DomainError("z-rotation families use the phi* = 0 convention")
     labels = np.linspace(-phi_star - TWO_PI, -phi_star + TWO_PI, resolution)
     if theta_star < POLAR_THETA_TOL:
-        rows = [(0.0, *z_rotation_parameters(lab)) for lab in labels.tolist()]
+        phi0, p2, dur = np.array([(0.0, *z_rotation_parameters(lab))
+                                  for lab in labels.tolist()]).T
     else:
-        # _control_at_label at every label: one array solve, then label_for_phi0
-        rows, k = [], _theta_factors(theta_star)
-        for x in _solve_labels(labels, theta_star, phi_star, 1e-12).tolist():
-            _, tf, p2, _ = label_for_phi0(x, theta_star, phi_star, k)
-            rows.append((x, p2, tf))
-    phi0, p2, dur = np.array(rows).T
-    return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
+        # _control_at_label at every label, by one array solve
+        _, dur, p2, _, phi0 = _solve_arcs(theta_star, phi_star, 0.0, labels,
+                                          _full_arc(theta_star, phi_star, 0.0), _FULL_SLACK,
+                                          1e-12)
+    return PsiFamily(theta_star, phi_star, labels, phi0, np.array(p2), np.array(dur))
 
 
 # ---------------------------------------------------------------------------
@@ -187,66 +184,6 @@ class OptimalDomain:
         return False
 
 
-@functools.lru_cache(maxsize=2)
-def _window_end(phi0: float, theta_star: float, phi_star: float) -> tuple[float, float]:
-    """(label, tf) at a window end, phi0 = phi* +- pi, kept for the next domain."""
-    return label_for_phi0(phi0, theta_star, phi_star)[:2]
-
-
-class _Arc(NamedTuple):
-    """An optimal domain as one phi0 bracket (lo, hi, f_delta at lo, at hi)
-    on which f_delta is monotone, with the arc's f-range. A strict arc's
-    bracket runs from its stationary end psi_b to the next stationary
-    label, past a window end, where label(phi0 + 2pi) = label(phi0) - 4pi
-    lifts the labels of a wrapped arc by itself. Its far end is the root of
-    f_delta = `far`; psi_b and far are None for the full window."""
-
-    theta_star: float
-    phi_star: float
-    delta: float
-    bracket: tuple[float, float, float, float]
-    f_min: float
-    f_max: float
-    psi_b: float | None
-    far: float | None
-    wrapped: bool
-    slack: float
-
-
-def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
-    """The _Arc of optimal_domain at delta, of either sign."""
-    lo, hi = phi_star - math.pi, phi_star + math.pi
-
-    def f_at(phi0, label_map=_window_end):
-        label, tf = label_map(phi0, theta_star, phi_star)[:2]
-        return label - 2.0 * delta * tf
-
-    if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
-        f_min, f_max = f_at(hi), f_at(lo)
-        return _Arc(theta_star, phi_star, delta, (lo, hi, f_max, f_min), f_min, f_max,
-                    None, None, False, 1e-9)
-    s = math.copysign(1.0, delta)
-    ratio = math.tan(theta_star / 2.0) / abs(delta)
-    if ratio >= 1.0:
-        raise NoStationaryPoint("stationary label requires |delta| > tan(theta*/2)")
-    # stationary label closest to -phi*, where p2 = 1/delta: f_delta falls
-    # as s phi0 rises from it to the next stationary label
-    phi0_b = phi_star - s * math.asin(ratio)
-    psi_b, tf_b, p2_b, _ = label_for_phi0(phi0_b, theta_star, phi_star)
-    f_b = psi_b - 2.0 * delta * tf_b
-    if abs(p2_b - 1.0 / delta) > 1e-8:
-        raise NoStationaryPoint(
-            f"stationary solve inconsistent: p2 = {p2_b:.9g} vs 1/delta = {1.0 / delta:.9g}"
-        )
-    phi0_c = phi_star + s * (math.pi + math.asin(ratio))
-    far = f_b - s * FOUR_PI
-    f_min, f_max = sorted((f_b, far))
-    # the arc wraps when its far end lies past the window end phi* + s pi
-    wrapped = s * far < s * f_at(hi if s > 0.0 else lo) - 1e-12
-    return _Arc(theta_star, phi_star, delta, (phi0_b, phi0_c, f_b, f_at(phi0_c, label_for_phi0)),
-                f_min, f_max, psi_b, far, wrapped, _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)))
-
-
 def _domain(arc: _Arc, psi_far: float | None = None) -> OptimalDomain:
     """The arc's OptimalDomain; a strict one's far end is psi_far, psi_min
     for delta > 0, else psi_max."""
@@ -258,37 +195,22 @@ def _domain(arc: _Arc, psi_far: float | None = None) -> OptimalDomain:
     return OptimalDomain(lo, hi, arc.psi_b, th, ph, d, arc.wrapped, arc.f_min, arc.f_max)
 
 
-def _solve_f(arc: _Arc, f: float) -> tuple[float, float, float]:
-    """(label, tf, phi0) at the phi0 in the arc's bracket where f_delta = f."""
-    th, ph, d = arc.theta_star, arc.phi_star, arc.delta
-    k = _theta_factors(th)
-
-    def g(phi0):
-        label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
-        return label - 2.0 * d * tf - f
-
-    lo, hi, f_lo, f_hi = arc.bracket
-    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, _PSI_SOLVE_TOL, arc.slack)
-    label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
-    return label, tf, phi0
-
-
-def _solve_arcs(theta_star: float, phi_star: float, arcs: list[_Arc],
-                targets: list[tuple[_Arc, float]]):
-    """Each arc's OptimalDomain, and (label, tf) arrays for the (arc, f
-    value) pairs: _solve_f's values, from one _bisect_many solve."""
-    rows = [(a, a.far) for a in arcs if a.far is not None] + targets
-    d, slack, f, lo, hi, f_lo, f_hi = np.array(
-        [(a.delta, a.slack, v, *a.bracket) for a, v in rows]).reshape(-1, 7).T
-    phi0 = _bisect_many(_f_gaps(theta_star, phi_star, d, f, _PSI_SOLVE_TOL), lo, hi,
-                        f_lo - f, f_hi - f, _PSI_SOLVE_TOL, slack)
-    fac = _theta_factors(theta_star)
-    label, tf = np.array([label_for_phi0(x, theta_star, phi_star, fac)[:2]
-                          for x in phi0.tolist()]).reshape(-1, 2).T
-    ends = iter(label.tolist())
-    k = len(rows) - len(targets)
+def _solve_grid(theta_star: float, phi_star: float, arcs: list[_Arc], psis):
+    """Each arc's OptimalDomain, and (label, tf) arrays of shape (len(psis),
+    len(arcs)) for every psi* in psis on every arc: _solve_f's values, from
+    one array solve over the strict arcs' far ends and the lifted targets."""
+    n = len(arcs)
+    d, slack, f_min, f_max, *bracket = np.array(
+        [(a.delta, a.slack, a.f_min, a.f_max, *a.bracket) for a in arcs]).reshape(-1, 8).T
+    strict = np.flatnonzero([a.far is not None for a in arcs])
+    rows = np.concatenate([strict, np.tile(np.arange(n), len(psis))])
+    f = np.concatenate([np.array([arcs[i].far for i in strict.tolist()], dtype=float),
+                        *(_f_target(np.full(n, psi), f_min, f_max) for psi in psis)])
+    label, tf, *_ = _solve_arcs(theta_star, phi_star, d[rows], f,
+                                [col[rows] for col in bracket], slack[rows])
+    ends = iter(label[:strict.size])
     doms = [_domain(a, None if a.far is None else next(ends)) for a in arcs]
-    return doms, label[k:], tf[k:]
+    return doms, *(np.array(v[strict.size:]).reshape(-1, n) for v in (label, tf))
 
 
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:
@@ -314,30 +236,6 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
 # detuned synthesis
 # ---------------------------------------------------------------------------
 
-def _solve_detuned(e: EulerTarget, delta: float) -> tuple[float, float, float]:
-    """(optimal label, duration, initial azimuth phi0) for the canonical
-    target (theta* outside the polar band) under delta, of either sign.
-
-    Only the arc's stationary end is needed: it fixes the f-range, so the
-    strict arc's far end (psi_min for delta > 0, psi_max for delta < 0) is
-    never solved here (optimal_domain does)."""
-    arc = _domain_arc(e.theta, e.phi, delta)
-    return _solve_f(arc, _f_target(e, arc))
-
-
-def _f_target(e: EulerTarget, arc: _Arc) -> float:
-    """The unique 4pi lift of psi* into the arc's f-range (width 4pi): the
-    f_delta value the target's label reaches."""
-    n = math.floor((arc.f_max - e.psi) / FOUR_PI)
-    v = e.psi + FOUR_PI * n
-    if v < arc.f_min - 1e-9:
-        v += FOUR_PI
-    if not (arc.f_min - 1e-9 <= v <= arc.f_max + 1e-9):
-        raise NoConvergence(f"no 4pi lift of psi* fits the domain range "
-                            f"[{arc.f_min:.6g}, {arc.f_max:.6g}]")
-    return v
-
-
 def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
                        verify: bool = True) -> SynthesisResult:
     """Time-optimal law reaching the target under constant detuning delta.
@@ -356,9 +254,8 @@ def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
         p2, tf, eta = _z_law(e.psi, delta)
         phi0 = 0.0
     else:
-        # the f_delta root is the control itself: no second solve for its label
-        phi0 = _solve_detuned(e, delta)[2]
-        _, tf, p2, eta = label_for_phi0(phi0, e.theta, e.phi)
+        # the f_delta root is the control itself, with its label map values
+        _, tf, p2, eta, phi0 = _solve_target(e, delta)
     law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=delta, tf=tf)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)
 
@@ -473,13 +370,10 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
     n = grid.size
     psi_plus, psi_minus = -e.phi + math.pi, -e.phi - math.pi
-    # at every delta, 0 included, the domain's strict end and _solve_detuned's
+    # at every delta, 0 included, the domain's strict end and _solve_target's
     # inversions of f_delta for U and -U, in one array solve
     arcs = [_domain_arc(e.theta, e.phi, d) for d in grid.tolist()]
-    doms, psi, tf = _solve_arcs(e.theta, e.phi, arcs,
-                                [(a, _f_target(ek, a)) for a in arcs for ek in (e, e_neg)])
-    psi_u, psi_n = psi.reshape(-1, 2).T          # U and -U alternate
-    t_u, t_n = tf.reshape(-1, 2).T
+    doms, (psi_u, psi_n), (t_u, t_n) = _solve_grid(e.theta, e.phi, arcs, (e.psi, e_neg.psi))
     bounds = np.array([(dom.psi_min, dom.psi_max) for dom in doms]).reshape(-1, 2)
     in_x = np.array([dom.contains(psi_plus) and dom.contains(psi_minus) for dom in doms],
                     dtype=bool)

@@ -1,4 +1,5 @@
-"""Time-optimal synthesis at zero detuning.
+"""Time-optimal synthesis at zero detuning, and the one arc solve behind
+every tilted target at every detuning.
 
 Closed forms for z-axis and transverse-plane targets, and a 1-d solve for
 everything else.
@@ -11,15 +12,19 @@ the two crossings are mirror images about the circle's axis meridian
 phi0 + pi/2, so the first one (eta = ea <= pi) is the one on phi0's side
 of it: the arrival is at ea if cos(phi* - phi0) >= 0, else at 2pi - ea.
 At tangency (|sin(phi* - phi0)| = 1) ea = pi and the two coincide.
-The one remaining scalar equation matches the accumulated psi to
-psi* mod 4pi and is monotone in phi0, so a bracketing sweep plus bisection
-finds the unique root. `_bisect` and its array form `_bisect_many` here
-are the package's only root finders.
+Under a detuning delta the control ends at f_delta = label - 2 delta tf,
+the label being its accumulated psi. An optimal arc (`_domain_arc`) is a
+phi0 bracket on which f_delta is monotone, and psi* lifted into its f-range
+of width 4pi (`_f_target`) is the root's f_delta. At delta = 0 the arc is
+the full label window and f_delta the label: the resonant solve. `_solve_f`
+and its array form `_solve_arcs` solve every tilted target; their
+`_bisect` and `_bisect_many` are the package's only root finders.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .dynamics import (  # noqa: F401
     propagate_law,
     propagate_law_exact,
 )
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, NoStationaryPoint
 from .su2 import (
     FOUR_PI,
     POLAR_THETA_TOL,
@@ -307,19 +312,6 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     return out
 
 
-def _solve_label(target_label: float, theta_star: float, phi_star: float,
-                 tol: float = _PSI_SOLVE_TOL) -> float:
-    """phi0 with label(phi0) = target_label; the label map falls from
-    -phi* + 2pi at phi0 = phi* - pi to -phi* - 2pi at phi0 = phi* + pi."""
-    k = _theta_factors(theta_star)
-
-    def g(phi0):
-        return label_for_phi0(phi0, theta_star, phi_star, k)[0] - target_label
-
-    return _bisect(g, phi_star - math.pi, phi_star + math.pi,
-                   -phi_star + TWO_PI - target_label, -phi_star - TWO_PI - target_label, tol)
-
-
 def _f_gaps(theta_star, phi_star, delta, target, tol: float):
     """g(i) for `_bisect_many`: label - 2 delta tf - target from the array
     label map, at delta = 0 the label mismatch, over broadcast 1-d
@@ -357,36 +349,147 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float):
     return g
 
 
-def _solve_labels(target_label, theta_star, phi_star, tol: float = _PSI_SOLVE_TOL) -> np.ndarray:
-    """Array form of `_solve_label` over broadcast 1-d arguments: the same
-    brackets and end values, solved together by `_bisect_many`."""
-    v, ph = np.asarray(target_label, dtype=float), np.asarray(phi_star, dtype=float)
-    return _bisect_many(_f_gaps(theta_star, ph, 0.0, v, tol), ph - math.pi, ph + math.pi,
-                        -ph + TWO_PI - v, -ph - TWO_PI - v, tol)
+# ---------------------------------------------------------------------------
+# optimal arcs: one solve for every tilted target at every detuning
+# ---------------------------------------------------------------------------
+
+# _bisect's slack, per unit of 1 + 2|delta|, on brackets with a stationary
+# end: near the threshold that end is a tangency control, where acos(-1 + x)
+# in label_for_phi0 turns 8 ulps of x into sqrt(16 eps) of f_delta
+_STATIONARY_SLACK = 4.0 * math.sqrt(np.finfo(float).eps)
+_FULL_SLACK = 1e-9
 
 
-def _window_label(psi, phi):
-    """psi* shifted by the unique multiple of 4pi into the label window:
-    numpy's for ndarrays, else Python's round; both round half to even."""
-    r = np.round if isinstance(psi, np.ndarray) else round
-    return psi + FOUR_PI * r((-phi - psi) / FOUR_PI)
+class _Arc(NamedTuple):
+    """An optimal domain as one phi0 bracket (lo, hi, f_delta at lo, at hi)
+    on which f_delta = label - 2 delta tf is monotone, with the arc's
+    f-range. A strict arc's bracket runs from its stationary end psi_b to
+    the next stationary label, past a window end, where label(phi0 + 2pi)
+    = label(phi0) - 4pi lifts the labels of a wrapped arc by itself. Its
+    far end is the root of f_delta = `far`; psi_b and far are None for the
+    full window, which at delta = 0 is the resonant label solve."""
+
+    theta_star: float
+    phi_star: float
+    delta: float
+    bracket: tuple[float, float, float, float]
+    f_min: float
+    f_max: float
+    psi_b: float | None
+    far: float | None
+    wrapped: bool
+    slack: float
+
+
+def _full_arc(theta_star, phi_star, delta):
+    """The full window's bracket (phi* - pi, phi* + pi, f_delta at each), in
+    closed form: scalars or ndarrays, as _theta_factors. Both ends are the
+    long great-circle arc, of labels -phi* +- 2pi and duration pi - theta*/2,
+    or pi/2 on label_for_phi0's South-Pole branch."""
+    south = math.pi - POLAR_THETA_TOL
+    if isinstance(theta_star, np.ndarray):
+        t_end = np.where(theta_star >= south, _HALF_PI, math.pi - theta_star / 2.0)
+    else:
+        t_end = _HALF_PI if theta_star >= south else math.pi - theta_star / 2.0
+    shift = 2.0 * delta * t_end
+    return (phi_star - math.pi, phi_star + math.pi,
+            (-phi_star + TWO_PI) - shift, (-phi_star - TWO_PI) - shift)
+
+
+def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
+    """The _Arc of the optimal domain at delta, of either sign, 0 included."""
+    full = _full_arc(theta_star, phi_star, delta)
+    if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
+        return _Arc(theta_star, phi_star, delta, full, full[3], full[2], None, None, False,
+                    _FULL_SLACK)
+    s = math.copysign(1.0, delta)
+    ratio = math.tan(theta_star / 2.0) / abs(delta)
+    if ratio >= 1.0:
+        raise NoStationaryPoint("stationary label requires |delta| > tan(theta*/2)")
+    # stationary label closest to -phi*, where p2 = 1/delta: f_delta falls
+    # as s phi0 rises from it to the next stationary label
+    phi0_b = phi_star - s * math.asin(ratio)
+    psi_b, tf_b, p2_b, _ = label_for_phi0(phi0_b, theta_star, phi_star)
+    f_b = psi_b - 2.0 * delta * tf_b
+    if abs(p2_b - 1.0 / delta) > 1e-8:
+        raise NoStationaryPoint(
+            f"stationary solve inconsistent: p2 = {p2_b:.9g} vs 1/delta = {1.0 / delta:.9g}"
+        )
+    phi0_c = phi_star + s * (math.pi + math.asin(ratio))
+    label_c, tf_c, _, _ = label_for_phi0(phi0_c, theta_star, phi_star)
+    far = f_b - s * FOUR_PI
+    f_min, f_max = sorted((f_b, far))
+    # the arc wraps when its far end lies past the window end phi* + s pi
+    wrapped = s * far < s * full[3 if s > 0.0 else 2] - 1e-12
+    return _Arc(theta_star, phi_star, delta, (phi0_b, phi0_c, f_b, label_c - 2.0 * delta * tf_c),
+                f_min, f_max, psi_b, far, wrapped, _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)))
+
+
+def _f_target(psi, f_min, f_max):
+    """The unique 4pi lift of psi* into an arc's f-range [f_min, f_max]
+    (width 4pi): the f_delta value the target's label reaches. Scalars, or
+    ndarrays when f_max is one."""
+    many = isinstance(f_max, np.ndarray)
+    v = psi + FOUR_PI * (np if many else math).floor((f_max - psi) / FOUR_PI)
+    v = v + FOUR_PI * (v < f_min - 1e-9)
+    fits = (f_min - 1e-9 <= v) & (v <= f_max + 1e-9)
+    if not (fits.all() if many else fits):
+        raise NoConvergence("no 4pi lift of psi* fits the optimal arc's f-range")
+    return v
+
+
+def _solve_f(arc: _Arc, f: float, tol: float = _PSI_SOLVE_TOL):
+    """(label, tf, p2, eta, phi0): label_for_phi0 at the phi0 in the arc's
+    bracket where f_delta = f, and that phi0."""
+    th, ph, d = arc.theta_star, arc.phi_star, arc.delta
+    k = _theta_factors(th)
+
+    def g(phi0):
+        label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
+        return label - 2.0 * d * tf - f
+
+    lo, hi, f_lo, f_hi = arc.bracket
+    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, tol, arc.slack)
+    return (*label_for_phi0(phi0, th, ph, k), phi0)
+
+
+def _solve_target(e: EulerTarget, delta: float):
+    """_solve_f's (label, tf, p2, eta, phi0) for the canonical target
+    (theta* outside the polar band) under delta, of either sign, 0
+    included. A strict arc's stationary end fixes its f-range, so its far
+    end (psi_min for delta > 0, psi_max for delta < 0) is left unsolved."""
+    arc = _domain_arc(e.theta, e.phi, delta)
+    return _solve_f(arc, _f_target(e.psi, arc.f_min, arc.f_max))
+
+
+def _solve_arcs(theta_star, phi_star, delta, f, bracket, slack, tol: float = _PSI_SOLVE_TOL):
+    """Array form of `_solve_f` over broadcast 1-d arguments, bracket being
+    the columns (lo, hi, f_lo, f_hi): _solve_f's values from one
+    `_bisect_many` solve, as tuples (label, tf, p2, eta) and the phi0
+    array. Each root is finished by label_for_phi0, with the theta*-factors
+    bound once per run of equal theta*, such as a U/-U pair."""
+    lo, hi, f_lo, f_hi = bracket
+    phi0 = _bisect_many(_f_gaps(theta_star, phi_star, delta, f, tol), lo, hi,
+                        f_lo - f, f_hi - f, tol, slack)
+    th, ph = (np.broadcast_to(v, phi0.shape).tolist() for v in (theta_star, phi_star))
+    rows, last, k = [], None, None
+    for x, t, p in zip(phi0.tolist(), th, ph):
+        if t != last:
+            last, k = t, _theta_factors(t)
+        rows.append(label_for_phi0(x, t, p, k))
+    return (*(list(zip(*rows)) or [()] * 4), phi0)
 
 
 def _resonant_durations(psi, theta, phi) -> list[float]:
     """_synthesize_canonical's durations for the canonical targets (psi[j],
-    theta[j], phi[j]), bit for bit: the tilted ones by one array solve,
-    finished by label_for_phi0 with the theta*-factors bound once per run
-    of equal theta*, such as a U/-U pair."""
+    theta[j], phi[j]), bit for bit: the tilted ones on their full arcs at
+    delta = 0, by one array solve."""
     psi, th, ph = (np.array(v, dtype=float) for v in (psi, theta, phi))
     tilted = th >= POLAR_THETA_TOL
-    psi_t, th_t, ph_t = psi[tilted], th[tilted], ph[tilted]
-    phi0 = _solve_labels(_window_label(psi_t, ph_t), th_t, ph_t)
-    tf, last, k = [], None, None
-    for x, t, f in zip(phi0.tolist(), th_t.tolist(), ph_t.tolist()):
-        if t != last:
-            last, k = t, _theta_factors(t)
-        tf.append(label_for_phi0(x, t, f, k)[1])
-    tilted_tf = iter(tf)
+    th_t, ph_t = th[tilted], ph[tilted]
+    bracket = _full_arc(th_t, ph_t, 0.0)
+    f = _f_target(psi[tilted], bracket[3], bracket[2])
+    tilted_tf = iter(_solve_arcs(th_t, ph_t, 0.0, f, bracket, _FULL_SLACK)[1])
     return [next(tilted_tf) if t else z_rotation_parameters(p)[1]
             for p, t in zip(psi.tolist(), tilted.tolist())]
 
@@ -407,8 +510,7 @@ def _synthesize_canonical(e: EulerTarget, verify: bool = True) -> SynthesisResul
     its last bits."""
     if e.theta < POLAR_THETA_TOL:
         return synthesize_z_rotation(e.psi, verify=verify)
-    phi0 = _solve_label(_window_label(e.psi, e.phi), e.theta, e.phi)
-    label, tf, p2, eta = label_for_phi0(phi0, e.theta, e.phi)
+    _, tf, p2, eta, phi0 = _solve_target(e, 0.0)
     law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=0.0, tf=tf)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)
 

@@ -55,12 +55,12 @@ from su2pulse.detuned import (
     PsiFamily,
     TdiffReport,
     _control_at_label,
-    _solve_detuned,
     negated_psi,
     optimal_domain,
 )
 from su2pulse.errors import NoConvergence, Su2PulseError
-from su2pulse.resonant import _bisect, label_for_phi0, target_gate, z_rotation_parameters
+from su2pulse.resonant import (_bisect, _solve_target, label_for_phi0, target_gate,
+                               z_rotation_parameters)
 from su2pulse.so3 import So3Decision, _faster, select_faster
 from su2pulse.su2 import (FOUR_PI, GAUGE_TOL, POLAR_THETA_TOL, TWO_PI, EulerTarget, HopfCoords,
                           UnitGate, canonical_euler, euler_from_gate, gate_from_axis_angle,
@@ -426,8 +426,8 @@ def tdiff_analysis_oracle(target, delta_grid) -> TdiffReport:
     psi_minus = -e.phi - math.pi
     for i, d in enumerate(grid):
         d = float(d)
-        pu, tu, *_ = _solve_detuned(e, d)
-        pn, tn, *_ = _solve_detuned(e_neg, d)
+        pu, tu, *_ = _solve_target(e, d)
+        pn, tn, *_ = _solve_target(e_neg, d)
         t_u[i], t_n[i] = tu, tn
         psi_u[i], psi_n[i] = pu, pn
         # the domain at the signed delta, the full window at 0

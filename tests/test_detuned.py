@@ -24,9 +24,11 @@ from su2pulse import (
     wrap_pi,
     zrot_gate,
 )
-from su2pulse import detuned
+from su2pulse import resonant
 from su2pulse.detuned import _control_at_label, negated_psi
 from su2pulse.resonant import label_for_phi0
+
+from su2pulse.su2 import POLAR_THETA_TOL
 
 from conftest import endpoint_map, scan_family_min_time
 
@@ -176,6 +178,30 @@ def test_domain_mirror_symmetry():
         rm = synthesize_detuned(mirror, -delta, verify=False).law
         assert abs(rm.tf - rp.tf) < 1e-10, (e, delta)
         assert abs(wrap_pi(rm.phi0 - (c - rp.phi0))) < 1e-9, (e, delta)
+
+
+def test_full_arc_ends_are_the_closed_form():
+    # both ends of the full window are the long great-circle arc, of labels
+    # -phi* -+ 2pi and duration pi - theta*/2, or pi/2 on the label map's
+    # South-Pole branch; near the pole label_for_phi0 at phi* +- pi misses
+    # that label by up to 7e-7
+    rng = np.random.default_rng(1731)
+    cases = []
+    for theta in np.geomspace(1e-8, math.pi, 400).tolist():
+        thr = math.tan(theta / 2.0)
+        for delta in (0.0, thr, -thr, float(rng.uniform(-thr, thr))):
+            cases.append((theta, float(rng.uniform(-math.pi, math.pi)), delta))
+    south = math.pi - 0.5 * POLAR_THETA_TOL
+    cases += [(south, float(rng.uniform(-math.pi, math.pi)), d)
+              for d in (1e3, -1e3, 4.5e4, -2.5e6, 1e8)]
+    for theta, phi, delta in cases:
+        dom = optimal_domain(theta, phi, delta)
+        assert dom.psi_bullet is None, (theta, delta)
+        t_end = math.pi - theta / 2.0
+        if theta == south:
+            t_end = math.pi / 2.0
+        assert dom.f_min == (-phi - TWO_PI) - 2.0 * delta * t_end, (theta, phi, delta)
+        assert dom.f_max == (-phi + TWO_PI) - 2.0 * delta * t_end, (theta, phi, delta)
 
 
 def test_domain_rejects_z_targets():
@@ -429,30 +455,27 @@ def test_detuned_law_reaches_callers_gate_and_matches_its_label():
     assert worst_phi0 < 1e-9
 
 
-def test_detuned_synthesis_solves_no_label(monkeypatch):
-    def no_label_solve(*args, **kwargs):
-        raise AssertionError("synthesize_detuned re-solved a label")
-
-    monkeypatch.setattr(detuned, "_solve_label", no_label_solve)
-    for gate, _, delta, _ in DETUNED_CASES:
-        synthesize_detuned(gate, delta, verify=False)
-
-
 def test_detuned_synthesis_solves_one_root(monkeypatch):
     # a strict arc's f-range is fixed by its stationary end, so synthesis
     # inverts f_delta once and leaves the arc's far end psi_min, which
-    # optimal_domain still solves, unsolved
+    # optimal_domain still solves, unsolved; at delta = 0 the same solve on
+    # the full arc is the resonant one
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return bisect(*args, **kwargs)
 
-    bisect = detuned._bisect
-    monkeypatch.setattr(detuned, "_bisect", counted)
+    bisect = resonant._bisect
+    monkeypatch.setattr(resonant, "_bisect", counted)
     for gate, e, delta, kind in DETUNED_CASES:
         calls.clear()
         synthesize_detuned(gate, delta, verify=False)
         assert len(calls) == 1, (e, delta, kind)
         if kind != "full":
             assert math.isfinite(optimal_domain(e.theta, e.phi, delta).psi_min)
+    for gate, e, _, _ in DETUNED_CASES[::6]:          # each target once
+        for solve in (synthesize_general, lambda g, **kw: synthesize_detuned(g, 0.0, **kw)):
+            calls.clear()
+            solve(gate, verify=False)
+            assert len(calls) == 1, e

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from su2pulse import (build_psi_family, detuned, gate_from_euler, random_gate,
+from su2pulse import (build_psi_family, detuned, gate_from_euler, random_gate, resonant,
                       sweep_rotation_angle, synthesize_general, tdiff_analysis)
-from su2pulse.detuned import _domain_arc, _solve_arcs, optimal_domain
+from su2pulse.detuned import _domain_arc, _solve_grid, optimal_domain
 from su2pulse.su2 import POLAR_THETA_TOL, canonical_euler
 
 from conftest import build_psi_family_oracle, sweep_rotation_angle_oracle, tdiff_analysis_oracle
@@ -120,7 +120,7 @@ def test_grid_domains_match_scalar_domains(theta, phi, grid):
     deltas = grid.tolist()
 
     def grid_domains():
-        return _solve_arcs(theta, phi, [_domain_arc(theta, phi, d) for d in deltas], [])[0]
+        return _solve_grid(theta, phi, [_domain_arc(theta, phi, d) for d in deltas], ())[0]
 
     want = [_outcome(optimal_domain, theta, phi, d) for d in deltas]
     got = _outcome(grid_domains)
@@ -131,18 +131,21 @@ def test_grid_domains_match_scalar_domains(theta, phi, grid):
 
 
 def test_tdiff_is_one_array_solve(monkeypatch):
-    # the strict domain ends too: no scalar f_delta bisection
-    calls = []
-    bisect_many = detuned._bisect_many
-    monkeypatch.setattr(detuned, "_bisect_many", lambda *a: calls.append(1) or bisect_many(*a))
-    monkeypatch.setattr(detuned, "_bisect", None)
+    # the strict domain ends too: the one scalar bisection per report is the
+    # delta = 0 solve of the symmetric pair's duration
+    calls, scalar = [], []
+    bisect_many, bisect = resonant._bisect_many, resonant._bisect
+    monkeypatch.setattr(resonant, "_bisect_many", lambda *a: calls.append(1) or bisect_many(*a))
+    monkeypatch.setattr(resonant, "_bisect", lambda *a: scalar.append(1) or bisect(*a))
     # and the delta = 0 points too: no resonant solve on the side
     general = detuned.synthesize_general
     monkeypatch.setattr(detuned, "synthesize_general", None)
     zeros = 0
     for target, grid in TDIFF_CASES:
         gate = gate_from_euler(*target)
+        scalar.clear()
         report = tdiff_analysis(gate, grid)
+        assert len(scalar) == 1
         for i in np.flatnonzero(grid == 0.0).tolist():
             assert report.t_U[i] == general(gate, verify=False).law.tf
             zeros += 1
