@@ -227,11 +227,14 @@ def negate_gate(g: UnitGate) -> UnitGate:
 
 
 def negated_psi(psi_star: float) -> float:
-    """Spin label of -U for the same (theta*, phi*): psi* shifted by 2pi.
+    """Spin label of -U for the same (theta*, phi*): psi* in [-2pi, 2pi)
+    shifted by 2pi within that window, by one subtraction, exact for
+    |psi*| >= pi (a sum that rounds up to 2pi is the window's -2pi).
 
     The canonical Euler triple of -U is U's with this psi, and the same
     theta* and phi*; deriving it so canonicalizes the rotation once."""
-    return wrap_4pi(psi_star + TWO_PI)
+    v = psi_star - TWO_PI if psi_star >= 0.0 else psi_star + TWO_PI
+    return -TWO_PI if v == TWO_PI else v
 
 
 def gate_distance(a: UnitGate, b: UnitGate) -> float:

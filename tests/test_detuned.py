@@ -350,6 +350,13 @@ def test_negated_psi_convention():
     assert negated_psi(0.0) == -TWO_PI
     assert abs(negated_psi(math.pi) - (-math.pi)) < 1e-12
     assert abs(negated_psi(-math.pi / 2) - (3 * math.pi / 2)) < 1e-12
+    # sums that round up to 2pi land on the window's -2pi
+    for psi in (-0.0, -5e-324, -1e-17):
+        assert negated_psi(psi) == -TWO_PI, psi
+    assert negated_psi(-TWO_PI) == 0.0
+    # one subtraction, exact: no rounding through 4pi
+    below = math.nextafter(TWO_PI, 0.0)
+    assert negated_psi(below) == below - TWO_PI == -math.ulp(below)
 
 
 def test_negation_consistency_with_gates(rng):

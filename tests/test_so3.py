@@ -80,6 +80,8 @@ def test_negated_triple_matches_negated_gate():
     # the negated gate; the solve of either lands within 1e-12
     rng = np.random.default_rng(6065)
     gates = [random_gate(rng) for _ in range(400)] + _polar_gauge_gates()
+    # -U near the identity, where tf ~ sqrt(lambda) magnifies its label's roundoff
+    gates += [zrot_gate(TWO_PI - eps) for eps in (3e-14, 1e-12, 1e-10)]
     for g in gates:
         got, want = select_faster(g), select_faster_oracle(g)
         assert got.tf_plus == want.tf_plus
