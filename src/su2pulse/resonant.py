@@ -353,9 +353,9 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float):
 # optimal arcs: one solve for every tilted target at every detuning
 # ---------------------------------------------------------------------------
 
-# _bisect's slack, per unit of 1 + 2|delta|, on brackets with a stationary
-# end: near the threshold that end is a tangency control, where acos(-1 + x)
-# in label_for_phi0 turns 8 ulps of x into sqrt(16 eps) of f_delta
+# _bisect's slack on an arc: _f_target's 1e-9 band on a full one; per unit of
+# 1 + 2|delta| on a stationary end, a tangency control near the threshold, where
+# acos(-1 + x) in label_for_phi0 turns 8 ulps of x into sqrt(16 eps) of f_delta
 _STATIONARY_SLACK = 4.0 * math.sqrt(np.finfo(float).eps)
 _FULL_SLACK = 1e-9
 

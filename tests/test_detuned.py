@@ -27,7 +27,6 @@ from su2pulse import (
 from su2pulse import resonant
 from su2pulse.detuned import _control_at_label, negated_psi
 from su2pulse.resonant import label_for_phi0
-
 from su2pulse.su2 import POLAR_THETA_TOL
 
 from conftest import endpoint_map, scan_family_min_time
@@ -350,7 +349,7 @@ def test_negated_psi_convention():
     assert negated_psi(0.0) == -TWO_PI
     assert abs(negated_psi(math.pi) - (-math.pi)) < 1e-12
     assert abs(negated_psi(-math.pi / 2) - (3 * math.pi / 2)) < 1e-12
-    # sums that round up to 2pi land on the window's -2pi
+    # labels at or just below 0 land on the window's -2pi, not on 2pi
     for psi in (-0.0, -5e-324, -1e-17):
         assert negated_psi(psi) == -TWO_PI, psi
     assert negated_psi(-TWO_PI) == 0.0
