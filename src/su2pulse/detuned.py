@@ -45,10 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# propagate_law, euler_from_gate and label_for_phi0 are not called here but
-# stay importable as detuned.<name>: perfbench/tracer.py wraps those bindings
-from .dynamics import ExtremalLaw, propagate_law, write_csv  # noqa: F401
-from .errors import DomainError, TargetUnreached
+# propagate_law, euler_from_gate, label_for_phi0 and synthesize_general are not
+# called here but stay importable as detuned.<name>: perfbench/tracer.py wraps them
+from .dynamics import propagate_law, write_csv  # noqa: F401
+from .errors import DomainError
 from .resonant import (
     _FULL_SLACK,
     SynthesisResult,
@@ -58,10 +58,9 @@ from .resonant import (
     _full_arc,
     _solve_arcs,
     _solve_f,
-    _solve_target,
-    _verify,
+    _synthesize_canonical,
     label_for_phi0,  # noqa: F401
-    synthesize_general,
+    synthesize_general,  # noqa: F401
     z_rotation_parameters,
 )
 from .su2 import (
@@ -74,7 +73,6 @@ from .su2 import (
     euler_from_gate,  # noqa: F401
     negated_psi,
     wrap_4pi,
-    wrap_pi,
 )
 
 # ---------------------------------------------------------------------------
@@ -242,86 +240,12 @@ def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
 
     The law reuses the resonant control of the selected label (its drive
     phase picks up the extra 2*delta*t slope), so only psi is shifted at
-    arrival, by -2*delta*tf. A delta with 2 pi |delta| not finite raises
-    DomainError.
+    arrival, by -2*delta*tf. At delta = 0 it is synthesize_general's law.
+    A delta with 2 pi |delta| not finite raises DomainError.
     """
     if not math.isfinite(2.0 * math.pi * delta):
         raise DomainError(f"detuning delta = {delta!r}: 2 pi |delta| must be finite")
-    e = canonical_euler(target)
-    if delta == 0.0:
-        return synthesize_general(e, verify=verify)
-    if e.theta < POLAR_THETA_TOL:
-        p2, tf, eta = _z_law(e.psi, delta)
-        phi0 = 0.0
-    else:
-        # the f_delta root is the control itself, with its label map values
-        _, tf, p2, eta, phi0 = _solve_target(e, delta)
-    law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=delta, tf=tf)
-    return SynthesisResult(law, e, _verify(law, e, verify), eta)
-
-
-# past this |delta| a z law's label c^2/(4 pi delta^2) falls below 1e-298,
-# towards the subnormals where it loses its digits; _z_law forms the law
-# from f_delta = c alone there
-_Z_FAR_DETUNING = 1e150
-
-
-def _z_law(lam: float, delta: float) -> tuple[float, float, float]:
-    """(p2, tf, eta) of the fastest z-family law whose f_delta is lam mod 4pi
-    (delta != 0): _z_label's law up to |delta| = _Z_FAR_DETUNING.
-
-    Past it the label u enters f_delta = s u - 2 delta T = c only through
-    the label's share u / |c| <= |c| / (4 pi delta^2) < 1e-298, so tf =
-    -c / (2 delta), on the lift c of lam of sign -sgn(delta) nearest 0
-    (within _z_label's roundoff), and p2 = sgn(c) pi (1 - u/2pi) / tf =
-    sgn(c) pi / tf, both exact to rounding. The label's sign is sgn(c),
-    whose root is the smaller of the two. Where 2 p2 would overflow (tf
-    below about 3.5e-308) the law is the identity."""
-    if abs(delta) <= _Z_FAR_DETUNING:
-        label = _z_label(lam, delta)
-        p2, tf = z_rotation_parameters(label)
-        return p2, tf, math.copysign(TWO_PI, label) if tf > 0.0 else 0.0
-    sd = math.copysign(1.0, delta)
-    c = lam if sd * lam <= 4e-15 * (abs(lam) + TWO_PI) else lam - math.copysign(FOUR_PI, lam)
-    tf = max(-sd * c, 0.0) / (2.0 * abs(delta))
-    p2 = -sd * math.pi / tf if tf > 0.0 else math.inf
-    if not math.isfinite(2.0 * p2):
-        # no such law is representable: the identity, which verification
-        # certifies only for a target within 1e-6 of it
-        return 0.0, 0.0, 0.0
-    return p2, tf, -sd * TWO_PI
-
-
-def _z_label(lam: float, delta: float) -> float:
-    """The fastest z-family label whose f_delta is lam mod 4pi (delta != 0).
-
-    With u = |label|, s = sgn(label), squaring s u - c = 2 delta T(u) for
-    c = lam + 4 pi n gives (1 + delta^2) u^2 - 2 (s c + 2 pi delta^2) u + c^2
-    = 0; a root counts when 0 <= u <= 2pi and delta (s u - c) >= 0. T rises
-    with u, and f_delta leaves u = 0 towards -sgn(delta) on both branches,
-    so the fastest root lies on one of the two c nearest 0. Dividing by
-    max(1, |delta|)^2 and taking roots q/a and c^2/q, nothing overflows or
-    cancels."""
-    t = min(abs(delta), 1.0)                  # |delta| / max(1, |delta|)
-    r2, t2 = (1.0 / max(abs(delta), 1.0)) ** 2, t * t
-    a, sd = r2 + t2, math.copysign(1.0, delta)
-    best, sign = math.inf, 1.0
-    for c in (lam, lam - math.copysign(FOUR_PI, lam)):
-        # a sign within roundoff of the squared-away one still counts
-        tol = 4e-15 * (abs(c) + TWO_PI)
-        cr2 = c * c * r2
-        for s in (1.0, -1.0):
-            w = FOUR_PI * math.pi * t2 + FOUR_PI * s * c * r2 - cr2
-            if w < 0.0:
-                continue
-            b = s * c * r2 + TWO_PI * t2
-            q = b + math.copysign(t * math.sqrt(w), b)
-            for u in (q / a, cr2 / q if q else 0.0):
-                if u < best and u <= TWO_PI + tol and sd * (s * u - c) >= -tol:
-                    best, sign = u, s
-    if best == math.inf:
-        raise TargetUnreached(f"no z-family root reaches lambda* = {lam!r} at delta = {delta!r}")
-    return sign * min(best, TWO_PI)
+    return _synthesize_canonical(canonical_euler(target), delta, verify)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Time-optimal synthesis at zero detuning, and the one arc solve behind
-every tilted target at every detuning.
+"""Time-optimal synthesis: the closed forms at zero detuning, and the one
+canonical solve behind every target at every detuning.
 
-Closed forms for z-axis and transverse-plane targets, and a 1-d solve for
-everything else.
+`_synthesize_canonical` turns a canonical Euler triple into its law at
+any detuning delta, 0 included: a z target takes `_z_law` (at delta = 0
+the label lambda* itself), a tilted one a 1-d solve on its optimal arc.
 
 The solve exploits the circle geometry: fixing the initial azimuth phi0
 pins p2 = sin(phi* - phi0) / tan(theta*/2) so the projected circle passes
@@ -35,12 +36,13 @@ from .dynamics import (  # noqa: F401
     propagate_law,
     propagate_law_exact,
 )
-from .errors import DomainError, NoConvergence, NoStationaryPoint
+from .errors import DomainError, NoConvergence, NoStationaryPoint, TargetUnreached
 from .su2 import (
     FOUR_PI,
     POLAR_THETA_TOL,
     TWO_PI,
     EulerTarget,
+    ParsedTarget,
     UnitGate,
     canonical_euler,
     euler_from_gate,
@@ -122,11 +124,74 @@ def synthesize_z_rotation(lambda_star: float, phi0: float = 0.0,
                           verify: bool = True) -> SynthesisResult:
     """Optimal law for exp(i lambda* sz/2); phi0 is free and does not affect
     the gate or the duration."""
-    p2, tf = z_rotation_parameters(lambda_star)
+    p2, tf, eta = _z_law(lambda_star, 0.0)
     law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=0.0, tf=tf)
     e = EulerTarget(wrap_4pi(lambda_star), 0.0, 0.0)
-    eta = math.copysign(TWO_PI, lambda_star) if tf > 0.0 else 0.0
     return SynthesisResult(law, e, _verify(law, e, verify), eta)
+
+
+# past this |delta| a z law's label c^2/(4 pi delta^2) falls below 1e-298,
+# towards the subnormals where it loses its digits; _z_law forms the law
+# from f_delta = c alone there
+_Z_FAR_DETUNING = 1e150
+
+
+def _z_law(lam: float, delta: float) -> tuple[float, float, float]:
+    """(p2, tf, eta) of the fastest z-family law whose f_delta is lam mod 4pi:
+    the label lam at delta = 0, _z_label's up to |delta| = _Z_FAR_DETUNING.
+
+    Past it the label u enters f_delta = s u - 2 delta T = c only through
+    the label's share u / |c| <= |c| / (4 pi delta^2) < 1e-298, so tf =
+    -c / (2 delta), on the lift c of lam of sign -sgn(delta) nearest 0
+    (within _z_label's roundoff), and p2 = sgn(c) pi (1 - u/2pi) / tf =
+    sgn(c) pi / tf, both exact to rounding. The label's sign is sgn(c),
+    whose root is the smaller of the two. Where 2 p2 would overflow (tf
+    below about 3.5e-308) the law is the identity."""
+    if abs(delta) <= _Z_FAR_DETUNING:
+        label = _z_label(lam, delta) if delta else lam
+        p2, tf = z_rotation_parameters(label)
+        return p2, tf, math.copysign(TWO_PI, label) if tf > 0.0 else 0.0
+    sd = math.copysign(1.0, delta)
+    c = lam if sd * lam <= 4e-15 * (abs(lam) + TWO_PI) else lam - math.copysign(FOUR_PI, lam)
+    tf = max(-sd * c, 0.0) / (2.0 * abs(delta))
+    p2 = -sd * math.pi / tf if tf > 0.0 else math.inf
+    if not math.isfinite(2.0 * p2):
+        # no such law is representable: the identity, which verification
+        # certifies only for a target within 1e-6 of it
+        return 0.0, 0.0, 0.0
+    return p2, tf, -sd * TWO_PI
+
+
+def _z_label(lam: float, delta: float) -> float:
+    """The fastest z-family label whose f_delta is lam mod 4pi (delta != 0).
+
+    With u = |label|, s = sgn(label), squaring s u - c = 2 delta T(u) for
+    c = lam + 4 pi n gives (1 + delta^2) u^2 - 2 (s c + 2 pi delta^2) u + c^2
+    = 0; a root counts when 0 <= u <= 2pi and delta (s u - c) >= 0. T rises
+    with u, and f_delta leaves u = 0 towards -sgn(delta) on both branches,
+    so the fastest root lies on one of the two c nearest 0. Dividing by
+    max(1, |delta|)^2 and taking roots q/a and c^2/q, nothing overflows or
+    cancels."""
+    t = min(abs(delta), 1.0)                  # |delta| / max(1, |delta|)
+    r2, t2 = (1.0 / max(abs(delta), 1.0)) ** 2, t * t
+    a, sd = r2 + t2, math.copysign(1.0, delta)
+    best, sign = math.inf, 1.0
+    for c in (lam, lam - math.copysign(FOUR_PI, lam)):
+        # a sign within roundoff of the squared-away one still counts
+        tol = 4e-15 * (abs(c) + TWO_PI)
+        cr2 = c * c * r2
+        for s in (1.0, -1.0):
+            w = FOUR_PI * math.pi * t2 + FOUR_PI * s * c * r2 - cr2
+            if w < 0.0:
+                continue
+            b = s * c * r2 + TWO_PI * t2
+            q = b + math.copysign(t * math.sqrt(w), b)
+            for u in (q / a, cr2 / q if q else 0.0):
+                if u < best and u <= TWO_PI + tol and sd * (s * u - c) >= -tol:
+                    best, sign = u, s
+    if best == math.inf:
+        raise TargetUnreached(f"no z-family root reaches lambda* = {lam!r} at delta = {delta!r}")
+    return sign * min(best, TWO_PI)
 
 
 def synthesize_xy_rotation(a: float, b: float, verify: bool = True) -> SynthesisResult:
@@ -501,25 +566,26 @@ def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> S
     phi0 in [-pi, pi) is found such that the law's accumulated psi matches
     psi* mod 4pi (the SU(2) double cover), refined to 1e-10.
     """
-    return _synthesize_canonical(canonical_euler(target), verify)
+    return _synthesize_canonical(canonical_euler(target), verify=verify)
 
 
-def _synthesize_canonical(e: EulerTarget, verify: bool = True) -> SynthesisResult:
-    """synthesize_general for a canonical Euler triple, solved as it is:
-    canonical_euler would take it through a gate and back, which can move
-    its last bits."""
+def _synthesize_canonical(e: EulerTarget, delta: float = 0.0,
+                          verify: bool = True) -> SynthesisResult:
+    """The law for a canonical Euler triple under delta, 0 included: _z_law's
+    for a z target, else the f_delta root on its optimal arc. The triple is
+    solved as it is; canonical_euler could move its last bits."""
     if e.theta < POLAR_THETA_TOL:
-        return synthesize_z_rotation(e.psi, verify=verify)
-    _, tf, p2, eta, phi0 = _solve_target(e, 0.0)
-    law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=0.0, tf=tf)
+        p2, tf, eta = _z_law(e.psi, delta)
+        phi0 = 0.0
+    else:
+        _, tf, p2, eta, phi0 = _solve_target(e, delta)
+    law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=delta, tf=tf)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)
 
 
 def synthesize(target, delta: float = 0.0, verify: bool = True) -> SynthesisResult:
     """Dispatch on a ParsedTarget / UnitGate / EulerTarget; delta != 0 routes
     to the detuned solver."""
-    from .su2 import ParsedTarget
-
     if delta != 0.0:
         from .detuned import synthesize_detuned
 
