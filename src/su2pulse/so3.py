@@ -16,7 +16,7 @@ from .dynamics import write_csv
 from .errors import DomainError
 from .resonant import _resonant_durations, _synthesize_canonical, synthesize_general
 from .su2 import (EulerTarget, UnitGate, _axis_angle_quats, _euler_quat, _unit_quat,
-                  euler_from_gate, hopf_from_gate, negated_psi)
+                  euler_from_gate, hopf_from_gate, negate_gate, negated_psi)
 
 TIE_TOL = 1e-8
 
@@ -40,10 +40,13 @@ def select_faster(g: UnitGate) -> So3Decision:
     """Synthesize U and -U at zero detuning and pick the faster one.
 
     -U's canonical Euler triple is U's with psi + 2pi (negated_psi) and
-    the same theta and phi; that triple is solved as it is."""
+    the same theta and phi; that triple is solved as it is. A z-rotation's
+    -U takes its label from the negated quaternion instead: near -U = the
+    identity tf ~ sqrt(lambda) would magnify the ulp(2pi) rounding of U's psi."""
     e = euler_from_gate(g)
     tp = synthesize_general(g, verify=False).law.tf
-    e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
+    e_neg = (euler_from_gate(negate_gate(g)) if e.theta == 0.0 else
+             EulerTarget(negated_psi(e.psi), e.theta, e.phi))
     tm = _synthesize_canonical(e_neg, verify=False).law.tf
     chosen, tie = _faster(tp, tm)
     return So3Decision(chosen, tp, tm, tie, hopf_from_gate(g).theta2)
@@ -55,8 +58,8 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
 
     Returns rows (alpha, tf_U, tf_negU, chosen) as select_faster gives
     them, all angles in one array solve. Each rotation is canonicalized
-    once, for U; -U's triple is U's with psi + 2pi. The two curves cross
-    only at alpha = pi + 2 pi k.
+    once, for U; -U's triple is U's with psi + 2pi, or for a z-rotation the
+    negated quaternion's, as there. The curves cross only at alpha = pi + 2 pi k.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,) or abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
@@ -68,8 +71,9 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
     top = 4.0 * math.pi - 1e-15
     psi, theta, phi = [], [], []
     for q in _axis_angle_quats([min(a, top) for a in angles], ax.tolist()):
-        p, t, f = _euler_quat(_unit_quat(q))
-        psi += (p, negated_psi(p))
+        q = _unit_quat(q)
+        p, t, f = _euler_quat(q)
+        psi += (p, _euler_quat(tuple(-x for x in q))[0] if t == 0.0 else negated_psi(p))
         theta += (t, t)
         phi += (f, f)
     tf = _resonant_durations(psi, theta, phi)

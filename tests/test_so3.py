@@ -76,17 +76,30 @@ def _polar_gauge_gates():
 
 
 def test_negated_triple_matches_negated_gate():
-    # -U's triple is derived from U's (psi + 2pi), not canonicalized from
-    # the negated gate; the solve of either lands within 1e-12
+    # a tilted -U's triple is derived from U's (psi + 2pi), not canonicalized
+    # from the negated gate; the solve of either lands within 1e-12. A
+    # z-rotation's -U is read from the negated quaternion, so its duration
+    # is the negated gate's bit for bit, near -U = identity too, where
+    # tf ~ sqrt(lambda) would magnify U's psi rounding (by up to 5.3e-8)
     rng = np.random.default_rng(6065)
     gates = [random_gate(rng) for _ in range(400)] + _polar_gauge_gates()
-    # -U near the identity, where tf ~ sqrt(lambda) magnifies its label's roundoff
-    gates += [zrot_gate(TWO_PI - eps) for eps in (3e-14, 1e-12, 1e-10)]
-    for g in gates:
+    near = [zrot_gate(s * (TWO_PI - eps)) for eps in np.logspace(-15, -2, 40).tolist()
+            for s in (1.0, -1.0)]
+    for g in gates + near:
         got, want = select_faster(g), select_faster_oracle(g)
         assert got.tf_plus == want.tf_plus
+        if abs(g.x3) + abs(g.x4) == 0.0:
+            assert got.tf_minus == want.tf_minus
         assert abs(got.tf_minus - want.tf_minus) <= 1e-12
         assert (got.chosen, got.tie, got.theta2) == (want.chosen, want.tie, want.theta2)
+
+
+def test_sweep_negated_z_rotation_is_the_negated_gate():
+    # sweep_rotation_angle reads a z-rotation's -U from the negated
+    # quaternion too: its duration is the negated gate's bit for bit
+    alphas = np.concatenate([TWO_PI - np.logspace(-15, -2, 40), np.linspace(0.0, 12.5, 41)])
+    for alpha, _, tm, _ in sweep_rotation_angle(Z_AXIS, alphas):
+        assert tm == select_faster_oracle(gate_from_axis_angle(alpha, Z_AXIS)).tf_minus
 
 
 @pytest.mark.parametrize("a", [0.0, math.pi / 2.0, -math.pi, 0.4])
