@@ -249,8 +249,7 @@ def _quat_rhs(x, vx, vy, d):
     )
 
 
-def _rk4_quat(control, delta: float, tf: float, n_steps: int,
-              check_truncation: bool = True) -> UnitGate:
+def _rk4_quat(control, delta: float, tf: float, n_steps: int) -> UnitGate:
     """Classical RK4 on xdot = L(t) x with per-step renormalization."""
     if tf == 0.0 or n_steps == 0:
         return identity_gate
@@ -259,7 +258,7 @@ def _rk4_quat(control, delta: float, tf: float, n_steps: int,
     for i in range(n_steps):
         t = i * h
         x_new = _rk4_quat_step(x, t, h, control, delta)
-        if check_truncation and i % _TRUNC_CHECK_EVERY == 0:
+        if i % _TRUNC_CHECK_EVERY == 0:
             xa = _rk4_quat_step(x, t, h / 2.0, control, delta)
             xb = _rk4_quat_step(xa, t + h / 2.0, h / 2.0, control, delta)
             err = math.sqrt(sum((x_new[k] - xb[k]) ** 2 for k in range(4))) / 15.0

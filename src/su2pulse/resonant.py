@@ -468,9 +468,8 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
         return _Arc(theta_star, phi_star, delta, full, full[3], full[2], None, None, False,
                     _FULL_SLACK)
     s = math.copysign(1.0, delta)
+    # below 1: here 0 < tan(theta*/2) < |delta|, and a/b rounds below 1 for 0 < a < b
     ratio = math.tan(theta_star / 2.0) / abs(delta)
-    if ratio >= 1.0:
-        raise NoStationaryPoint("stationary label requires |delta| > tan(theta*/2)")
     # stationary label closest to -phi*, where p2 = 1/delta: f_delta falls
     # as s phi0 rises from it to the next stationary label
     phi0_b = phi_star - s * math.asin(ratio)
