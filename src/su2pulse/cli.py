@@ -261,14 +261,19 @@ def _parse_axis(text: str):
         return _AXES[text]
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 3:
-        raise DomainError(f"axis {text!r}: expected x/y/z/yz or nx,ny,nz")
+        raise DomainError(f"--axis {text!r}: expected x/y/z/yz or nx,ny,nz")
     try:
         v = np.array([float(p) for p in parts])
     except ValueError as exc:
-        raise DomainError(f"axis {text!r}: {exc}") from exc
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise DomainError("axis must be nonzero")
+        raise DomainError(f"--axis {text!r}: {exc}") from exc
+    if not np.isfinite(v).all() or not v.any():
+        raise DomainError(f"--axis {text!r}: must be finite and nonzero")
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if not 0.0 < n < math.inf:
+        # the norm over- or underflowed: rescale by the largest component first
+        v /= np.abs(v).max()
+        n = float(np.linalg.norm(v))
     return tuple(v / n)
 
 

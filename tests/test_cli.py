@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -87,6 +88,45 @@ def test_parse_error_exit_code(tmp_path):
     assert run_cli("synthesize", "--target", "zrot:9.0", "--out", str(tmp_path)) == 2
     assert run_cli("synthesize", "--target", "junk", "--out", str(tmp_path)) == 2
     assert run_cli("sweep-angle", "--axis", "a,b,c", "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("command", ["synthesize", "sweep-detuning", "so3-select"])
+def test_missing_target_is_a_usage_error(tmp_path, capsys, command):
+    assert run_cli(command, "--out", str(tmp_path)) == 2
+    assert "--target is required" in capsys.readouterr().err
+
+
+def test_verify_without_target_record(tmp_path, capsys):
+    run_cli("synthesize", "--target", "zrot:1.5", "--out", str(tmp_path))
+    header = json.loads((tmp_path / "pulse.json").read_text())
+    del header["target"]
+    (tmp_path / "pulse.json").write_text(json.dumps(header))
+    capsys.readouterr()
+    assert run_cli("verify", str(tmp_path / "pulse.csv")) == 2
+    assert "lacks a target record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["0,0,0", "1,2", "nan,0,1", "inf,0,0", "1,-inf,0"])
+def test_bad_axis_is_a_usage_error_naming_the_flag(tmp_path, capsys, axis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep-angle", "--axis", axis, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: --axis ")
+    assert not (tmp_path / "sweep_angle.csv").exists()
+
+
+@pytest.mark.parametrize("axis, unit", [("1e200,1e200,0", "1,1,0"), ("1e-200,0,0", "1,0,0"),
+                                        ("0,5e-324,0", "0,1,0")])
+def test_axis_norm_over_and_underflow(tmp_path, axis, unit):
+    # a norm that over- or underflows is rescaled by the largest component:
+    # the sweep is that of the same direction written in unit-sized numbers
+    for a, out in ((axis, "big"), (unit, "unit")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("sweep-angle", "--axis", a, "--alpha-steps", "41",
+                           "--out", str(tmp_path / out)) == 0
+    assert ((tmp_path / "big" / "sweep_angle.csv").read_bytes()
+            == (tmp_path / "unit" / "sweep_angle.csv").read_bytes())
 
 
 @pytest.mark.parametrize("error", [NoConvergence, NoStationaryPoint, TargetUnreached,
