@@ -222,10 +222,18 @@ def test_domain_nonzero_phi_star():
 # ---------------------------------------------------------------------------
 
 def test_detuned_reduces_to_resonant_at_zero():
-    g = random_gate(np.random.default_rng(1))
-    r0 = synthesize_general(g, verify=False)
-    rd = synthesize_detuned(g, 0.0, verify=False)
-    assert rd.law == r0.law
+    # one canonical solve at every delta: at delta = 0 the detuned result is
+    # the resonant one bit for bit, on Haar, near-pole and z-rotation gates
+    rng = np.random.default_rng(1)
+    gates = [random_gate(rng) for _ in range(200)]
+    for theta in np.logspace(-12, -3, 20).tolist():
+        for t in (theta, math.pi - theta):
+            gates.append(gate_from_euler(rng.uniform(-6.0, 6.0), t, rng.uniform(-3.0, 3.0)))
+    lams = np.concatenate([np.linspace(-TWO_PI, TWO_PI, 21), TWO_PI - np.logspace(-15, -2, 10),
+                           np.logspace(-15, -2, 10)])
+    gates += [zrot_gate(s * lam) for lam in lams.tolist() for s in (1.0, -1.0)]
+    for g in gates:
+        assert synthesize_detuned(g, 0.0) == synthesize_general(g)
 
 
 def test_detuned_z_quadruple_distinct_and_verified():

@@ -266,6 +266,10 @@ def test_synthesize_dispatcher():
     assert abs(r.law.tf - z_rotation_parameters(1.0)[1]) < 1e-15
     r = synthesize(parse_target("xyrot:0.0,1.0"))
     assert r.law.tf == 0.5
+    # a rotation by 0 about a transverse axis is the identity law
+    r = synthesize(parse_target("xyrot:0.3,0"))
+    assert r.law == ExtremalLaw(phi0=0.0, p2=0.0, delta=0.0, tf=0.0)
+    assert (r.target, r.residual, r.eta_final) == (euler_from_gate(zrot_gate(0.0)), 0.0, 0.0)
     r = synthesize(parse_target("euler:0.5,1.0,-0.5"))
     assert r.residual < 1e-6
 

@@ -155,6 +155,16 @@ def test_sweep_crossings_at_pi_and_3pi(axis):
     assert abs(cross[1] - 3.0 * math.pi) < 0.05
 
 
+def test_crossing_angles_at_sign_changes_and_ties():
+    # hand-built rows: tf_U - tf_negU = -1, 0.3, 1, -1, 0, 1e-9, 2, so sign
+    # changes at the midpoints 0.5 and 2.5, and a tie at 4 that absorbs the
+    # near tie at 4.05 next to it
+    rows = [(0.0, 1.0, 2.0, "U"), (1.0, 1.5, 1.2, "-U"), (2.0, 2.0, 1.0, "-U"),
+            (3.0, 1.0, 2.0, "U"), (4.0, 1.0, 1.0, "U"), (4.05, 1.0 + 1e-9, 1.0, "U"),
+            (5.0, 3.0, 1.0, "-U")]
+    assert crossing_angles(rows) == [0.5, 2.5, 4.0]
+
+
 def test_sweep_piecewise_monotone_y_axis():
     alphas = np.linspace(0.0, 4.0 * math.pi, 181)
     rows = sweep_rotation_angle(Y_AXIS, alphas)
