@@ -29,14 +29,16 @@ about phi* maps (delta, psi*) to (-delta, -2 phi* - psi*) and labels to
 -2 phi* - Psi; the domains and laws at -delta are those reflections.
 
 At delta = 0 the domain is the full window and inverting f_delta is the
-resonant label solve, so the arcs and their one scalar and one array solve
-live in resonant.py; this module builds the family, the domains, detuned
-synthesis and the T_diff report on them.
+resonant label solve, so the arcs, their solves and the one synthesis of
+a canonical triple at every delta live in resonant.py: synthesize_detuned
+(g, 0.0) is synthesize_general(g) bit for bit. This module builds the
+family, the domains and the T_diff report on them.
 
 Pure z-rotation targets (theta* = 0) keep phi* = 0 by convention. Their
 duration curve T = sqrt(4 pi |Psi| - Psi^2)/2 has a cusp at the identity,
 the monotone-arc construction above does not apply, and synthesis takes
-the smallest valid root of the quadratic that f_delta = psi* squares to.
+the smallest valid root of the quadratic that f_delta = psi* squares to
+(resonant._z_law), or at delta = 0 the label lambda* itself.
 """
 from __future__ import annotations
 
