@@ -56,6 +56,7 @@ from .resonant import (
     SynthesisResult,
     _Arc,
     _domain_arc,
+    _domain_arcs,
     _f_target,
     _full_arc,
     _solve_arcs,
@@ -172,16 +173,23 @@ class OptimalDomain:
     f_max: float
 
     def contains(self, psi_label: float, tol: float = 1e-9) -> bool:
-        lo, hi = -self.phi_star - TWO_PI, -self.phi_star + TWO_PI
-        x = psi_label
-        if x < lo - tol or x > hi + tol:
-            x = -self.phi_star + wrap_4pi(x + self.phi_star)
-        if self.psi_min - tol <= x <= self.psi_max + tol:
-            return True
-        if self.wrapped:
-            return (self.psi_min - tol <= x + FOUR_PI <= self.psi_max + tol or
-                    self.psi_min - tol <= x - FOUR_PI <= self.psi_max + tol)
-        return False
+        return bool(_in_domain(psi_label, self.psi_min, self.psi_max, self.wrapped,
+                               self.phi_star, tol))
+
+
+def _in_domain(psi_label: float, psi_min, psi_max, wrapped, phi_star: float,
+               tol: float = 1e-9):
+    """OptimalDomain.contains for one label, on one domain's bounds and
+    wrapped flag or on arrays of them at one phi*: a label outside the
+    window is first mapped into it mod 4pi, and a wrapped arc also holds
+    the label's 4pi shifts."""
+    x = psi_label
+    if x < -phi_star - TWO_PI - tol or x > -phi_star + TWO_PI + tol:
+        x = -phi_star + wrap_4pi(x + phi_star)
+    lo, hi = psi_min - tol, psi_max + tol
+    return (((lo <= x) & (x <= hi)) |
+            (wrapped & (((lo <= x + FOUR_PI) & (x + FOUR_PI <= hi)) |
+                        ((lo <= x - FOUR_PI) & (x - FOUR_PI <= hi)))))
 
 
 def _domain(arc: _Arc, psi_far: float | None = None) -> OptimalDomain:
@@ -195,22 +203,27 @@ def _domain(arc: _Arc, psi_far: float | None = None) -> OptimalDomain:
     return OptimalDomain(lo, hi, arc.psi_b, th, ph, d, arc.wrapped, arc.f_min, arc.f_max)
 
 
-def _solve_grid(theta_star: float, phi_star: float, arcs: list[_Arc], psis):
-    """Each arc's OptimalDomain, and (label, tf) arrays of shape (len(psis),
-    len(arcs)) for every psi* in psis on every arc: _solve_f's values, from
-    one array solve over the strict arcs' far ends and the lifted targets."""
-    n = len(arcs)
-    d, slack, f_min, f_max, *bracket = np.array(
-        [(a.delta, a.slack, a.f_min, a.f_max, *a.bracket) for a in arcs]).reshape(-1, 8).T
-    strict = np.flatnonzero([a.far is not None for a in arcs])
+def _grid_domains(theta_star: float, phi_star: float, grid: np.ndarray, psis=()):
+    """The optimal domain at every delta of the grid, and _solve_f's roots
+    of every psi* in psis on it, from one array solve over the strict
+    arcs' far ends and the lifted targets: the arcs as _domain_arcs'
+    columns, their (n, 2) lifted bounds [psi_min, psi_max], and (label,
+    tf) arrays of shape (len(psis), n)."""
+    arc = _domain_arcs(theta_star, phi_star, grid)
+    n = grid.size
+    strict = np.flatnonzero(~np.isnan(arc.far))
     rows = np.concatenate([strict, np.tile(np.arange(n), len(psis))])
-    f = np.concatenate([np.array([arcs[i].far for i in strict.tolist()], dtype=float),
-                        *(_f_target(np.full(n, psi), f_min, f_max) for psi in psis)])
-    label, tf, *_ = _solve_arcs(theta_star, phi_star, d[rows], f,
-                                [col[rows] for col in bracket], slack[rows])
-    ends = iter(label[:strict.size])
-    doms = [_domain(a, None if a.far is None else next(ends)) for a in arcs]
-    return doms, *(np.array(v[strict.size:]).reshape(-1, n) for v in (label, tf))
+    f = np.concatenate([arc.far[strict],
+                        *(_f_target(np.full(n, psi), arc.f_min, arc.f_max) for psi in psis)])
+    label, tf, *_ = _solve_arcs(theta_star, phi_star, grid[rows], f,
+                                [col[rows] for col in arc.bracket], arc.slack[rows])
+    # a strict arc's far end is psi_min for delta > 0, else psi_max
+    bounds = np.empty((n, 2))
+    bounds[:] = (-phi_star - TWO_PI, -phi_star + TWO_PI)
+    far, psi_b, up = np.array(label[:strict.size]), arc.psi_b[strict], grid[strict] > 0.0
+    bounds[strict, 0] = np.where(up, far, psi_b)
+    bounds[strict, 1] = np.where(up, psi_b, far)
+    return arc, bounds, *(np.array(v[strict.size:]).reshape(-1, n) for v in (label, tf))
 
 
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:
@@ -298,11 +311,10 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     psi_plus, psi_minus = -e.phi + math.pi, -e.phi - math.pi
     # at every delta, 0 included, the domain's strict end and _solve_target's
     # inversions of f_delta for U and -U, in one array solve
-    arcs = [_domain_arc(e.theta, e.phi, d) for d in grid.tolist()]
-    doms, (psi_u, psi_n), (t_u, t_n) = _solve_grid(e.theta, e.phi, arcs, (e.psi, e_neg.psi))
-    bounds = np.array([(dom.psi_min, dom.psi_max) for dom in doms]).reshape(-1, 2)
-    in_x = np.array([dom.contains(psi_plus) and dom.contains(psi_minus) for dom in doms],
-                    dtype=bool)
+    arc, bounds, (psi_u, psi_n), (t_u, t_n) = _grid_domains(e.theta, e.phi, grid,
+                                                            (e.psi, e_neg.psi))
+    in_x = (_in_domain(psi_plus, *bounds.T, arc.wrapped, e.phi) &
+            _in_domain(psi_minus, *bounds.T, arc.wrapped, e.phi))
     # duration of the symmetric pair (equal by symmetry)
     _, _, t_pair = _control_at_label(e.theta, e.phi, psi_plus)
     predicted = []

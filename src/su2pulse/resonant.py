@@ -33,6 +33,7 @@ import numpy as np
 # resonant.propagate_law: perfbench/tracer.py wraps that binding
 from .dynamics import (  # noqa: F401
     ExtremalLaw,
+    _mapped,
     propagate_law,
     propagate_law_exact,
 )
@@ -256,28 +257,35 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
     return label, tf, p2, eta
 
 
-def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
+def _labels_for_phi0(phi0, theta_star, phi_star, k=None, exact: bool = False):
     """Array form of label_for_phi0 over the 1-d phi0, with theta* and phi*
     scalars or of phi0's shape (theta* outside the North polar band), k as
     there: label_for_phi0's operations in its order, on in-place
     temporaries. numpy's sin, tan and arccos differ from math's in the
     last bit, so it agrees with the scalar map to roundoff: the grid solves
-    steer brackets with it and report label_for_phi0's values."""
+    steer brackets with it and report label_for_phi0's values. With exact,
+    sin, acos and the first crossing's cos are math's, element by element,
+    and with math's k (a float theta*) each value is label_for_phi0's bit
+    for bit."""
     tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
-    s = np.sin(d)
+    s = _mapped(math.sin, d) if exact else np.sin(d)
     p2 = s / tan_half
     eta = np.multiply(s, 2.0)
     eta *= s
     eta *= cos2_half
     np.subtract(cos_t, eta, out=eta)
-    np.maximum(eta, -1.0, out=eta)
-    np.arccos(eta, out=eta)
-    # the first crossing, as in label_for_phi0, without a cos: for
-    # |d| < 5pi/2, cos d < 0 exactly when pi/2 < |d| < 3pi/2, and
-    # _HALF_PI and _THREE_HALF_PI round below pi/2 and 3pi/2
-    np.abs(d, out=d)
-    eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
+    np.maximum(eta, -1.0, out=eta)      # acos(-1) = pi, label_for_phi0's value there
+    if exact:
+        eta = _mapped(math.acos, eta)
+        eta = np.where(_mapped(math.cos, d) >= 0.0, eta, TWO_PI - eta)
+    else:
+        np.arccos(eta, out=eta)
+        # the first crossing, as in label_for_phi0, without a cos: for
+        # |d| < 5pi/2, cos d < 0 exactly when pi/2 < |d| < 3pi/2, and
+        # _HALF_PI and _THREE_HALF_PI round below pi/2 and 3pi/2
+        np.abs(d, out=d)
+        eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
     south = theta_star >= math.pi - POLAR_THETA_TOL
     if np.count_nonzero(south):
         # South Pole: the label reduces to -2 phi0 + phi*
@@ -487,6 +495,45 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
     wrapped = s * far < s * full[3 if s > 0.0 else 2] - 1e-12
     return _Arc(theta_star, phi_star, delta, (phi0_b, phi0_c, f_b, label_c - 2.0 * delta * tf_c),
                 f_min, f_max, psi_b, far, wrapped, _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)))
+
+
+def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
+    """_domain_arc at every delta of the 1-d array, as one _Arc of columns
+    (theta* and phi* stay scalars): its operations in its order, numpy's
+    for the correctly rounded ones and math's asin, sin, acos and cos
+    element by element, so every column is _domain_arc's bit for bit.
+    psi_b and far are nan on the full points."""
+    full = _full_arc(theta_star, phi_star, delta)
+    lo, hi, f_lo, f_hi = (np.array(np.broadcast_to(v, delta.shape)) for v in full)
+    f_min, f_max = f_hi.copy(), f_lo.copy()
+    psi_b, far = np.full(delta.shape, math.nan), np.full(delta.shape, math.nan)
+    wrapped = np.zeros(delta.shape, dtype=bool)
+    slack = np.full(delta.shape, _FULL_SLACK)
+    tan_half = math.tan(theta_star / 2.0)
+    i = np.flatnonzero((delta != 0.0) & (np.abs(delta) > abs(tan_half)))
+    if i.size:
+        d = delta[i]
+        s = np.copysign(1.0, d)
+        asin_r = _mapped(math.asin, tan_half / np.abs(d))
+        k = _theta_factors(theta_star)
+        phi0_b = phi_star - s * asin_r
+        label_b, tf_b, p2_b, _ = _labels_for_phi0(phi0_b, theta_star, phi_star, k, exact=True)
+        f_b = label_b - 2.0 * d * tf_b
+        off = np.abs(p2_b - 1.0 / d) > 1e-8
+        if np.count_nonzero(off):
+            j = int(np.argmax(off))
+            raise NoStationaryPoint(f"stationary solve inconsistent: p2 = {p2_b[j]:.9g} "
+                                    f"vs 1/delta = {1.0 / d[j]:.9g}")
+        phi0_c = phi_star + s * (math.pi + asin_r)
+        label_c, tf_c, _, _ = _labels_for_phi0(phi0_c, theta_star, phi_star, k, exact=True)
+        f_far = f_b - s * FOUR_PI
+        lo[i], hi[i], f_lo[i], f_hi[i] = phi0_b, phi0_c, f_b, label_c - 2.0 * d * tf_c
+        f_min[i], f_max[i] = np.minimum(f_b, f_far), np.maximum(f_b, f_far)
+        psi_b[i], far[i] = label_b, f_far
+        wrapped[i] = s * f_far < s * np.where(s > 0.0, full[3][i], full[2][i]) - 1e-12
+        slack[i] = _STATIONARY_SLACK * (1.0 + 2.0 * np.abs(d))
+    return _Arc(theta_star, phi_star, delta, (lo, hi, f_lo, f_hi), f_min, f_max, psi_b, far,
+                wrapped, slack)
 
 
 def _f_target(psi, f_min, f_max):

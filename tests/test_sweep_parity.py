@@ -11,7 +11,8 @@ import pytest
 
 from su2pulse import (build_psi_family, detuned, gate_from_euler, random_gate, resonant,
                       sweep_rotation_angle, synthesize_general, tdiff_analysis)
-from su2pulse.detuned import _domain_arc, _solve_grid, optimal_domain
+from su2pulse.detuned import OptimalDomain, _grid_domains, optimal_domain
+from su2pulse.resonant import _domain_arc, _domain_arcs
 from su2pulse.su2 import POLAR_THETA_TOL, canonical_euler
 
 from conftest import build_psi_family_oracle, sweep_rotation_angle_oracle, tdiff_analysis_oracle
@@ -116,11 +117,16 @@ def _domain_cases():
 
 @pytest.mark.parametrize("theta, phi, grid", _domain_cases())
 def test_grid_domains_match_scalar_domains(theta, phi, grid):
-    # T_diff builds each domain at the signed delta, 0 included
+    # T_diff builds each domain at the signed delta, 0 included, from the
+    # array arcs and their far ends solved in one array solve
     deltas = grid.tolist()
 
     def grid_domains():
-        return _solve_grid(theta, phi, [_domain_arc(theta, phi, d) for d in deltas], ())[0]
+        arc, bounds, _, _ = _grid_domains(theta, phi, grid)
+        return [OptimalDomain(lo, hi, None if math.isnan(b) else b, theta, phi, d, w, f0, f1)
+                for (lo, hi), b, d, w, f0, f1 in zip(
+                    bounds.tolist(), arc.psi_b.tolist(), deltas, arc.wrapped.tolist(),
+                    arc.f_min.tolist(), arc.f_max.tolist())]
 
     want = [_outcome(optimal_domain, theta, phi, d) for d in deltas]
     got = _outcome(grid_domains)
@@ -128,6 +134,23 @@ def test_grid_domains_match_scalar_domains(theta, phi, grid):
         assert got in want
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("theta, phi, grid", _domain_cases())
+def test_array_arcs_match_scalar_arcs(theta, phi, grid):
+    # every column of the array arcs is _domain_arc's bit for bit, and a
+    # grid raises where a scalar arc does, with its type
+    want = [_outcome(_domain_arc, theta, phi, d) for d in grid.tolist()]
+    got = _outcome(_domain_arcs, theta, phi, grid)
+    if isinstance(got, type):
+        assert got in want
+        return
+    nan = float("nan")
+    cols = [*got.bracket, got.f_min, got.f_max, got.psi_b, got.far, got.wrapped, got.slack]
+    for i, arc in enumerate(want):
+        row = [*arc.bracket, arc.f_min, arc.f_max, arc.psi_b, arc.far, arc.wrapped, arc.slack]
+        row = [nan if v is None else v for v in row]
+        assert np.array_equal([c[i] for c in cols], row, equal_nan=True), (i, arc.delta)
 
 
 def test_tdiff_is_one_array_solve(monkeypatch):
