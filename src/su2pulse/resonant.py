@@ -539,11 +539,16 @@ def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
 def _f_target(psi, f_min, f_max):
     """The unique 4pi lift of psi* into an arc's f-range [f_min, f_max]
     (width 4pi): the f_delta value the target's label reaches. Scalars, or
-    ndarrays when f_max is one."""
+    ndarrays when f_max is one. The range's ends are known to 1e-9, or to
+    a few ulps of them past |f| of about 1e6 (|delta| of about 2e5)."""
     many = isinstance(f_max, np.ndarray)
+    if many:
+        band = np.maximum(1e-9, 4.0 * np.spacing(np.maximum(np.abs(f_min), np.abs(f_max))))
+    else:
+        band = max(1e-9, 4.0 * math.ulp(max(abs(f_min), abs(f_max))))
     v = psi + FOUR_PI * (np if many else math).floor((f_max - psi) / FOUR_PI)
-    v = v + FOUR_PI * (v < f_min - 1e-9)
-    fits = (f_min - 1e-9 <= v) & (v <= f_max + 1e-9)
+    v = v + FOUR_PI * (v < f_min - band)
+    fits = (f_min - band <= v) & (v <= f_max + band)
     if not (fits.all() if many else fits):
         raise NoConvergence("no 4pi lift of psi* fits the optimal arc's f-range")
     return v

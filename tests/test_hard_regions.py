@@ -32,6 +32,7 @@ from su2pulse import (
     identity_gate,
     optimal_domain,
     propagate_law_exact,
+    random_gate,
     synthesize,
     tdiff_analysis,
     zrot_gate,
@@ -139,6 +140,17 @@ def test_ok_flags_detunings_past_double_precision(delta, ok):
     # at |delta| = 1e9 and 2.2e-6 at 1e10, so no law there is certified
     r = synthesize(gate_from_euler(0.4, 1.2, 1.1), delta)
     assert r.ok is ok
+
+
+@pytest.mark.parametrize("delta", [1e15, 1e18, 1e100, -1e200])
+def test_detunings_past_1e15_return_flagged_laws(delta):
+    # past |delta| of about 1e15 one ulp of f_delta exceeds the former
+    # 1e-9 band of the 4pi lift, which then found no lift of psi* in the
+    # arc's f-range for about one tilted target in eight (NoConvergence);
+    # no law is certified there, so each must come back flagged
+    rng = np.random.default_rng(7301)
+    for _ in range(1000):
+        assert not synthesize(random_gate(rng), delta).ok
 
 
 def test_ok_needs_a_verified_residual_within_bound():
