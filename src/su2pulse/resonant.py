@@ -539,13 +539,15 @@ def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
 def _f_target(psi, f_min, f_max):
     """The unique 4pi lift of psi* into an arc's f-range [f_min, f_max]
     (width 4pi): the f_delta value the target's label reaches. Scalars, or
-    ndarrays when f_max is one. The range's ends are known to 1e-9, or to
-    a few ulps of them past |f| of about 1e6 (|delta| of about 2e5)."""
+    ndarrays when f_max is one. The range's ends are known to
+    max(1e-9, 4 ulp) of the larger |end|, max(-f_min, f_max) as f_min <=
+    f_max; 4 ulps exceed 1e-9 from 2**21 on."""
     many = isinstance(f_max, np.ndarray)
     if many:
-        band = np.maximum(1e-9, 4.0 * np.spacing(np.maximum(np.abs(f_min), np.abs(f_max))))
+        band = np.maximum(1e-9, 4.0 * np.spacing(np.maximum(-f_min, f_max)))
     else:
-        band = max(1e-9, 4.0 * math.ulp(max(abs(f_min), abs(f_max))))
+        end = f_max if f_max > -f_min else -f_min
+        band = 4.0 * math.ulp(end) if end >= 2097152.0 else 1e-9
     v = psi + FOUR_PI * (np if many else math).floor((f_max - psi) / FOUR_PI)
     v = v + FOUR_PI * (v < f_min - band)
     fits = (f_min - band <= v) & (v <= f_max + band)
