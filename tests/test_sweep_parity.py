@@ -148,6 +148,7 @@ def test_array_arcs_match_scalar_arcs(theta, phi, grid):
     nan = float("nan")
     cols = [*got.bracket, got.f_min, got.f_max, got.psi_b, got.far, got.wrapped, got.slack]
     for i, arc in enumerate(want):
+        assert not isinstance(arc, type), (i, arc)
         row = [*arc.bracket, arc.f_min, arc.f_max, arc.psi_b, arc.far, arc.wrapped, arc.slack]
         row = [nan if v is None else v for v in row]
         assert np.array_equal([c[i] for c in cols], row, equal_nan=True), (i, arc.delta)
