@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -77,22 +78,21 @@ class RunConfig:
 
 # numpy refuses a larger array length before allocating anything
 _MAX_COUNT = int(np.iinfo(np.intp).max)
-_FLOAT_KEYS = {"delta", "tol", "omega_max", "delta_min", "delta_max"}
-_INT_KEYS = {"samples", "alpha_steps", "delta_steps"}
 
 
 def _config_value_ok(f, v) -> bool:
-    """Whether v fits RunConfig field f: a number (not a bool) for the float
-    fields, with an int only where it converts to a float, an int for the
-    int fields, a str otherwise; None only where the field's default is
-    None."""
+    """Whether v fits RunConfig field f by its annotation: a number (not a
+    bool) for a float field, with an int only where it converts to a
+    float, an int for an int field, a str for a str field; None only
+    where the field's default is None."""
     if v is None:
         return f.default is None
-    if f.name in _FLOAT_KEYS:
+    kind = f.type.partition(" | ")[0]     # the annotation's text: float, int or str
+    if kind == "float":
         if isinstance(v, int) and not isinstance(v, bool):
             return abs(v) <= sys.float_info.max
         return isinstance(v, float)
-    if f.name in _INT_KEYS:
+    if kind == "int":
         return isinstance(v, int) and not isinstance(v, bool)
     return isinstance(v, str)
 
@@ -108,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, target=True):
+        # values such as -1e-3 and -1,0,0, which argparse reads as options
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
         sp.add_argument("--out", help="output directory (default: .)")
         sp.add_argument("--tol", type=float, help="verification tolerance (default 1e-6)")
@@ -174,11 +176,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-def _synthesize(cfg: RunConfig) -> resonant.SynthesisResult:
+def _target(cfg: RunConfig) -> su2.ParsedTarget:
     if not cfg.target:
         raise DomainError("--target is required")
-    parsed = su2.parse_target(cfg.target)
-    return resonant.synthesize(parsed, delta=cfg.delta)
+    return su2.parse_target(cfg.target)
 
 
 def _pulse_paths(out: str) -> tuple[Path, Path, Path]:
@@ -188,7 +189,7 @@ def _pulse_paths(out: str) -> tuple[Path, Path, Path]:
 
 
 def cmd_synthesize(cfg: RunConfig) -> int:
-    result = _synthesize(cfg)
+    result = resonant.synthesize(_target(cfg), delta=cfg.delta)
     law = result.law
     schedule = dynamics.schedule_from_law(law, cfg.samples, omega_max=cfg.omega_max)
     csv_path, json_path, traj_path = _pulse_paths(cfg.out)
@@ -292,11 +293,9 @@ def cmd_sweep_angle(cfg: RunConfig) -> int:
 
 
 def cmd_sweep_detuning(cfg: RunConfig) -> int:
-    if not cfg.target:
-        raise DomainError("--target is required")
-    parsed = su2.parse_target(cfg.target)
+    gate = _target(cfg).gate
     grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps)
-    report = detuned.tdiff_analysis(parsed.gate, grid)
+    report = detuned.tdiff_analysis(gate, grid)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "tdiff.csv"
@@ -308,10 +307,7 @@ def cmd_sweep_detuning(cfg: RunConfig) -> int:
 
 
 def cmd_so3_select(cfg: RunConfig) -> int:
-    if not cfg.target:
-        raise DomainError("--target is required")
-    parsed = su2.parse_target(cfg.target)
-    dec = so3.select_faster(parsed.gate)
+    dec = so3.select_faster(_target(cfg).gate)
     print(f"chosen = {dec.chosen}")
     print(f"tf(U) = {dec.tf_plus:.12g}")
     print(f"tf(-U) = {dec.tf_minus:.12g}")

@@ -54,7 +54,6 @@ from .errors import DomainError
 from .resonant import (
     _FULL_SLACK,
     SynthesisResult,
-    _Arc,
     _domain_arc,
     _domain_arcs,
     _f_target,
@@ -150,6 +149,13 @@ def build_psi_family(theta_star: float, phi_star: float,
 # optimal domain
 # ---------------------------------------------------------------------------
 
+def _check_detunings(*deltas) -> None:
+    """DomainError naming the first delta whose 2 pi |delta| is not finite."""
+    for d in deltas:
+        if not math.isfinite(2.0 * math.pi * d):
+            raise DomainError(f"detuning delta = {d!r}: 2 pi |delta| must be finite")
+
+
 @dataclass(frozen=True)
 class OptimalDomain:
     """Arc [psi_min, psi_max] of labels that stay time optimal at this
@@ -192,17 +198,6 @@ def _in_domain(psi_label: float, psi_min, psi_max, wrapped, phi_star: float,
                         ((lo <= x - FOUR_PI) & (x - FOUR_PI <= hi)))))
 
 
-def _domain(arc: _Arc, psi_far: float | None = None) -> OptimalDomain:
-    """The arc's OptimalDomain; a strict one's far end is psi_far, psi_min
-    for delta > 0, else psi_max."""
-    th, ph, d = arc.theta_star, arc.phi_star, arc.delta
-    if arc.psi_b is None:
-        return OptimalDomain(-ph - TWO_PI, -ph + TWO_PI, None, th, ph, d, False,
-                             arc.f_min, arc.f_max)
-    lo, hi = (psi_far, arc.psi_b) if d > 0.0 else (arc.psi_b, psi_far)
-    return OptimalDomain(lo, hi, arc.psi_b, th, ph, d, arc.wrapped, arc.f_min, arc.f_max)
-
-
 def _grid_domains(theta_star: float, phi_star: float, grid: np.ndarray, psis=()):
     """The optimal domain at every delta of the grid, and _solve_f's roots
     of every psi* in psis on it, from one array solve over the strict
@@ -239,10 +234,14 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
         raise DomainError("theta* must lie in (0, pi]")
     if not math.isfinite(phi_star):
         raise DomainError(f"phi* = {phi_star!r} must be finite")
-    if not math.isfinite(2.0 * math.pi * abs(delta)):
-        raise DomainError(f"detuning delta = {delta!r}: 2 pi |delta| must be finite")
+    _check_detunings(delta)
     arc = _domain_arc(theta_star, phi_star, delta)
-    return _domain(arc) if arc.far is None else _domain(arc, _solve_f(arc, arc.far)[0])
+    lo, hi = -phi_star - TWO_PI, -phi_star + TWO_PI
+    if arc.far is not None:
+        far = _solve_f(arc, arc.far)[0]
+        lo, hi = (far, arc.psi_b) if delta > 0.0 else (arc.psi_b, far)
+    return OptimalDomain(lo, hi, arc.psi_b, theta_star, phi_star, delta, arc.wrapped,
+                         arc.f_min, arc.f_max)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,7 @@ def synthesize_detuned(target: EulerTarget | UnitGate, delta: float,
     arrival, by -2*delta*tf. At delta = 0 it is synthesize_general's law.
     A delta with 2 pi |delta| not finite raises DomainError.
     """
-    if not math.isfinite(2.0 * math.pi * delta):
-        raise DomainError(f"detuning delta = {delta!r}: 2 pi |delta| must be finite")
+    _check_detunings(delta)
     return _synthesize_canonical(canonical_euler(target), delta, verify)
 
 
@@ -289,12 +287,17 @@ class TdiffReport:
                    float(self.t_U[i] - self.t_negU[i]), bool(self.in_X[i]))
 
 
+# the most predicted zero crossings a T_diff report lists, about t_pair span / pi
+_MAX_CROSSINGS = 2 ** 20
+
+
 def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     """Compare optimal durations for U and -U across a sorted detuning grid.
 
     Sign changes of t_U - t_negU inside X are genuine zero crossings at
     delta = -(phi* + psi* +- pi + 4 pi n) / (2 T(-phi* +- pi)); outside X
-    they are jumps where one optimal label hits a domain boundary.
+    they are jumps where one optimal label hits a domain boundary. A grid
+    whose span holds more than 2**20 zero crossings raises DomainError.
     """
     e = canonical_euler(target)
     if e.theta < POLAR_THETA_TOL:
@@ -303,9 +306,7 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
             or np.any(np.diff(grid) <= 0.0)):
         raise DomainError("delta grid must be non-empty, finite, sorted and 1-d")
-    big = [d for d in grid.tolist() if not math.isfinite(2.0 * math.pi * d)]
-    if big:
-        raise DomainError(f"detuning delta = {big[0]!r}: 2 pi |delta| must be finite")
+    _check_detunings(*grid.tolist())
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
     n = grid.size
     psi_plus, psi_minus = -e.phi + math.pi, -e.phi - math.pi
@@ -317,15 +318,19 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
             _in_domain(psi_minus, *bounds.T, arc.wrapped, e.phi))
     # duration of the symmetric pair (equal by symmetry)
     _, _, t_pair = _control_at_label(e.theta, e.phi, psi_plus)
-    predicted = []
+    ranges = []
     for sign in (+1.0, -1.0):
         c = e.phi + e.psi + sign * math.pi
         # -(c + 4 pi n) / (2 t_pair) within the grid range
         n_lo = math.ceil((-2.0 * t_pair * float(grid[-1]) - c) / FOUR_PI - 1e-9)
         n_hi = math.floor((-2.0 * t_pair * float(grid[0]) - c) / FOUR_PI + 1e-9)
-        for nn in range(n_lo, n_hi + 1):
-            predicted.append(-(c + FOUR_PI * nn) / (2.0 * t_pair))
-    predicted = sorted(set(round(p, 12) for p in predicted))
+        ranges.append((c, n_lo, n_hi))
+    count = sum(max(0, n_hi - n_lo + 1) for _, n_lo, n_hi in ranges)
+    if count > _MAX_CROSSINGS:
+        raise DomainError(f"delta grid [{grid[0]:.6g}, {grid[-1]:.6g}] holds {count} predicted "
+                          f"zero crossings, more than {_MAX_CROSSINGS}")
+    predicted = sorted(set(round(-(c + FOUR_PI * nn) / (2.0 * t_pair), 12)
+                           for c, n_lo, n_hi in ranges for nn in range(n_lo, n_hi + 1)))
     events = []
     diff = t_u - t_n
     for i in range(n - 1):

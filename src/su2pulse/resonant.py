@@ -212,12 +212,14 @@ def synthesize_xy_rotation(a: float, b: float, verify: bool = True) -> Synthesis
 # general targets: label map and 1-d solve
 # ---------------------------------------------------------------------------
 
-def _theta_factors(theta_star):
+def _theta_factors(theta_star, tan_half=None):
     """(tan(theta*/2), cos theta*, cos^2(theta*/2)), the label map's factors
     that depend on theta* alone: numpy's for an ndarray, else math's, which
-    label_for_phi0 computes when not given them."""
+    label_for_phi0 computes when not given them; tan_half is the first,
+    when the caller has it."""
     m = np if isinstance(theta_star, np.ndarray) else math
-    return m.tan(theta_star / 2.0), m.cos(theta_star), m.cos(theta_star / 2.0) ** 2
+    tan_half = m.tan(theta_star / 2.0) if tan_half is None else tan_half
+    return tan_half, m.cos(theta_star), m.cos(theta_star / 2.0) ** 2
 
 
 def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
@@ -225,6 +227,8 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
     """(label, tf, p2, eta_f) for the circle from azimuth phi0 through
     (theta*, phi*), arriving the first time the azimuth matches; k is
     _theta_factors(theta*), which a caller mapping many phi0 passes once.
+    |phi* - phi0| must stay below 5pi/2; every solver bracket keeps it
+    within 3pi/2.
 
     The label is the accumulated psi at arrival; as phi0 runs over
     [phi* - pi, phi* + pi] it sweeps [-phi* + 2pi, -phi* - 2pi]
@@ -248,10 +252,10 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
     ea = math.acos(arg) if arg > -1.0 else math.pi
     # the circle crosses latitude theta* at eta = ea and 2pi - ea, mirror
     # images about its axis meridian phi0 + pi/2, and the first (ea <= pi)
-    # lies on phi0's side of it: phi* is that crossing when
-    # cos(phi* - phi0) >= 0. At tangency (|s| = 1) cos = 0 and ea = pi, so
-    # the two crossings coincide
-    eta = ea if math.cos(d) >= 0.0 else TWO_PI - ea
+    # lies on phi0's side of it: phi* is that crossing when cos d >= 0, for
+    # |d| < 5pi/2 unless pi/2 < |d| < 3pi/2 (_HALF_PI and _THREE_HALF_PI
+    # round below both). At tangency (|s| = 1) ea = pi: the two coincide
+    eta = TWO_PI - ea if _HALF_PI < abs(d) <= _THREE_HALF_PI else ea
     tf = eta / (2.0 * math.sqrt(1.0 + p2 * p2))
     label = -2.0 * phi0 + phi_star - 2.0 * p2 * tf
     return label, tf, p2, eta
@@ -264,9 +268,9 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None, exact: bool = False):
     temporaries. numpy's sin, tan and arccos differ from math's in the
     last bit, so it agrees with the scalar map to roundoff: the grid solves
     steer brackets with it and report label_for_phi0's values. With exact,
-    sin, acos and the first crossing's cos are math's, element by element,
-    and with math's k (a float theta*) each value is label_for_phi0's bit
-    for bit."""
+    sin and acos are math's, element by element, and with math's k (a
+    float theta*) each value is label_for_phi0's bit for bit. Like
+    label_for_phi0 it needs |phi* - phi0| < 5pi/2."""
     tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
     s = _mapped(math.sin, d) if exact else np.sin(d)
@@ -276,16 +280,10 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None, exact: bool = False):
     eta *= cos2_half
     np.subtract(cos_t, eta, out=eta)
     np.maximum(eta, -1.0, out=eta)      # acos(-1) = pi, label_for_phi0's value there
-    if exact:
-        eta = _mapped(math.acos, eta)
-        eta = np.where(_mapped(math.cos, d) >= 0.0, eta, TWO_PI - eta)
-    else:
-        np.arccos(eta, out=eta)
-        # the first crossing, as in label_for_phi0, without a cos: for
-        # |d| < 5pi/2, cos d < 0 exactly when pi/2 < |d| < 3pi/2, and
-        # _HALF_PI and _THREE_HALF_PI round below pi/2 and 3pi/2
-        np.abs(d, out=d)
-        eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
+    eta = _mapped(math.acos, eta) if exact else np.arccos(eta, out=eta)
+    # the first crossing, by label_for_phi0's comparison
+    np.abs(d, out=d)
+    eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
     south = theta_star >= math.pi - POLAR_THETA_TOL
     if np.count_nonzero(south):
         # South Pole: the label reduces to -2 phi0 + phi*
@@ -472,23 +470,25 @@ def _full_arc(theta_star, phi_star, delta):
 def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
     """The _Arc of the optimal domain at delta, of either sign, 0 included."""
     full = _full_arc(theta_star, phi_star, delta)
-    if delta == 0.0 or abs(delta) <= abs(math.tan(theta_star / 2.0)):
+    tan_half = math.tan(theta_star / 2.0) if delta else 0.0   # no tan at delta = 0
+    if delta == 0.0 or abs(delta) <= abs(tan_half):
         return _Arc(theta_star, phi_star, delta, full, full[3], full[2], None, None, False,
                     _FULL_SLACK)
+    k = _theta_factors(theta_star, tan_half)
     s = math.copysign(1.0, delta)
     # below 1: here 0 < tan(theta*/2) < |delta|, and a/b rounds below 1 for 0 < a < b
-    ratio = math.tan(theta_star / 2.0) / abs(delta)
+    ratio = tan_half / abs(delta)
     # stationary label closest to -phi*, where p2 = 1/delta: f_delta falls
     # as s phi0 rises from it to the next stationary label
     phi0_b = phi_star - s * math.asin(ratio)
-    psi_b, tf_b, p2_b, _ = label_for_phi0(phi0_b, theta_star, phi_star)
+    psi_b, tf_b, p2_b, _ = label_for_phi0(phi0_b, theta_star, phi_star, k)
     f_b = psi_b - 2.0 * delta * tf_b
     if abs(p2_b - 1.0 / delta) > 1e-8:
         raise NoStationaryPoint(
             f"stationary solve inconsistent: p2 = {p2_b:.9g} vs 1/delta = {1.0 / delta:.9g}"
         )
     phi0_c = phi_star + s * (math.pi + math.asin(ratio))
-    label_c, tf_c, _, _ = label_for_phi0(phi0_c, theta_star, phi_star)
+    label_c, tf_c, _, _ = label_for_phi0(phi0_c, theta_star, phi_star, k)
     far = f_b - s * FOUR_PI
     f_min, f_max = sorted((f_b, far))
     # the arc wraps when its far end lies past the window end phi* + s pi
@@ -515,7 +515,7 @@ def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
         d = delta[i]
         s = np.copysign(1.0, d)
         asin_r = _mapped(math.asin, tan_half / np.abs(d))
-        k = _theta_factors(theta_star)
+        k = _theta_factors(theta_star, tan_half)
         phi0_b = phi_star - s * asin_r
         label_b, tf_b, p2_b, _ = _labels_for_phi0(phi0_b, theta_star, phi_star, k, exact=True)
         f_b = label_b - 2.0 * d * tf_b
@@ -648,10 +648,8 @@ def synthesize(target, delta: float = 0.0, verify: bool = True) -> SynthesisResu
     if isinstance(target, ParsedTarget):
         if target.kind == "zrot":
             return synthesize_z_rotation(target.zrot, verify=verify)
-        if target.kind == "xyrot":
-            a, b = target.xyrot
-            if b == 0.0:
-                return synthesize_z_rotation(0.0, verify=verify)
-            return synthesize_xy_rotation(a, b, verify=verify)
+        if target.kind == "xyrot" and target.xyrot[1] != 0.0:
+            # a zero angle is the identity, which synthesize_general solves as a z target
+            return synthesize_xy_rotation(*target.xyrot, verify=verify)
         target = target.gate
     return synthesize_general(target, verify=verify)

@@ -85,18 +85,18 @@ def write_sweep_csv(rows, path) -> None:
               [v for row in rows for v in row])
 
 
-def crossing_angles(rows, tol: float = TIE_TOL) -> list[float]:
-    """Angles where tf_U - tf_negU changes sign or ties, located at the
-    midpoint of the bracketing grid interval (or the tie grid point)."""
+def crossing_angles(rows) -> list[float]:
+    """Angles where tf_U - tf_negU changes sign or ties within TIE_TOL, at
+    the midpoint of the bracketing grid interval (or the tie grid point)."""
     out = []
     diffs = [r[1] - r[2] for r in rows]
     for i in range(len(rows) - 1):
         a, b = diffs[i], diffs[i + 1]
-        if abs(a) < tol:
+        if abs(a) < TIE_TOL:
             out.append(rows[i][0])
         elif a * b < 0.0:
             out.append(0.5 * (rows[i][0] + rows[i + 1][0]))
-    if diffs and abs(diffs[-1]) < tol:
+    if diffs and abs(diffs[-1]) < TIE_TOL:
         out.append(rows[-1][0])
     # merge near-duplicates from a tie grid point flanked by sign changes
     merged = []

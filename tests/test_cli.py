@@ -468,3 +468,47 @@ def test_pulse_header_number_out_of_range_is_a_usage_error(tmp_path, capsys, tex
     capsys.readouterr()
     assert run_cli("verify", str(tmp_path / "pulse.csv")) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("synthesize", "--target", "euler:0.4,1.2,1.1", "--delta", "-1e-3"),
+    ("synthesize", "--target", "zrot:1.0", "--delta", "-2.5E+0", "--samples", "64"),
+    ("sweep-detuning", "--target", "euler:0.4,2.2689,0.3", "--delta-min", "-1e1",
+     "--delta-max", "-.5", "--delta-steps", "41"),
+    ("sweep-angle", "--axis", "-1,0,0", "--alpha-steps", "37"),
+    ("sweep-angle", "--axis", "-0.3,-0.4,0.866", "--alpha-steps", "37"),
+    # rejected values must reach the option's own check, not argparse's
+    ("synthesize", "--target", "zrot:1.0", "--tol", "-1e-6"),
+    ("synthesize", "--target", "zrot:1.0", "--omega-max", "-1e3"),
+])
+def test_negative_values_take_the_spaced_and_joined_spellings(tmp_path, capsys, args):
+    # argparse read a value such as -1e-3 or -1,0,0 after its flag as an
+    # option ("expected one argument"); only --flag=value worked
+    def run(joined):
+        argv = []
+        for a in args:
+            if joined and a[:1] == "-" and a[1:2] != "-":
+                argv[-1] += "=" + a
+            else:
+                argv.append(a)
+        out = tmp_path / ("joined" if joined else "spaced")
+        code = run_cli(*argv, "--out", str(out))
+        text = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return code, text.out.replace(str(out), "OUT"), text.err, files
+
+    spaced = run(False)
+    assert spaced == run(True)
+    if "--tol" in args or "--omega-max" in args:
+        assert spaced[0] == 2 and "must be finite and > 0" in spaced[2]
+    else:
+        assert spaced[0] == 0 and spaced[3]
+
+
+def test_sweep_detuning_past_the_crossing_cap_is_a_usage_error(tmp_path, capsys):
+    # the grid to +-1e12 would list over 1e11 predicted zero crossings
+    assert run_cli("sweep-detuning", "--target", "euler:0.4,2.2689,0.3",
+                   "--delta-min", "-1e12", "--delta-max", "1e12", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "predicted zero crossings" in err
+    assert not (tmp_path / "tdiff.csv").exists()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -408,6 +409,21 @@ def test_tdiff_empty_grid_is_a_domain_error():
     # was a bare IndexError from grid[-1] in the predicted-crossing loop
     with pytest.raises(DomainError, match="non-empty"):
         tdiff_analysis(gate_from_euler(0.4, 2.2, 0.3), [])
+
+
+def test_tdiff_predicted_crossings_are_capped():
+    # a grid to +-1e12 asked for over 1e11 predicted crossings, built as a
+    # Python list; it now raises before any list is built
+    g = gate_from_euler(0.4, 2.2689, 0.3)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"\[-1e\+12, 1e\+12\] holds \d+ predicted zero"):
+        tdiff_analysis(g, np.linspace(-1e12, 1e12, 241))
+    assert time.perf_counter() - start < 0.5
+    # a span below the cap still lists every crossing, about t_pair span / pi
+    rep = tdiff_analysis(g, np.linspace(-1e4, 1e4, 241))
+    e = euler_from_gate(g)
+    t_pair = _control_at_label(e.theta, e.phi, -e.phi + math.pi)[2]
+    assert abs(len(rep.predicted_zero_crossings) - t_pair * 2e4 / math.pi) <= 2
 
 
 # 2 pi |delta| overflows at 1e308: that was an OverflowError

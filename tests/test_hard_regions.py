@@ -258,3 +258,43 @@ def test_optimal_domain_rejects_non_finite_input(theta, phi, delta):
 def test_psi_family_rejects_theta_outside_zero_pi_and_non_finite_phi(theta, phi):
     with pytest.raises(DomainError):
         build_psi_family(theta, phi)
+
+
+def test_label_maps_stay_inside_the_crossing_rules_range(monkeypatch):
+    # both label maps pick the arrival crossing by comparing |phi* - phi0|
+    # with pi/2 and 3pi/2, which is the sign of cos(phi* - phi0) only for
+    # |phi* - phi0| < 5pi/2 (test_resonant.py's
+    # test_array_first_crossing_is_the_sign_of_cos); every call that the
+    # solvers, domains, families and sweeps make must stay inside it, on
+    # seeded Haar gates and the threshold targets and grids above
+    from su2pulse import resonant, sweep_rotation_angle
+
+    seen = {"label_for_phi0": [0, 0.0], "_labels_for_phi0": [0, 0.0]}
+    for name, record in seen.items():
+        def checked(phi0, theta_star, phi_star, *rest, _fn=getattr(resonant, name),
+                    _record=record, **kw):
+            _record[0] += 1
+            d = np.abs(np.subtract(phi_star, phi0))
+            _record[1] = max(_record[1], float(np.max(d, initial=0.0)))
+            return _fn(phi0, theta_star, phi_star, *rest, **kw)
+        monkeypatch.setattr(resonant, name, checked)
+
+    rng = np.random.default_rng(7401)
+    gates = [random_gate(rng) for _ in range(60)] + [g for g, _ in THRESHOLD_TARGETS[:20]]
+    for delta in (0.0, 0.7, -0.7, 4.0, -4.0, 50.0, 1e6, -1e6):
+        for g in gates:
+            synthesize(g, delta, verify=False)
+    for theta, phi in ((2.2689, 0.3), (0.4, -2.9), (1e-6, 1.0), (math.pi, 0.0)):
+        for delta in np.linspace(-5.0, 5.0, 41).tolist():
+            optimal_domain(theta, phi, delta)
+        build_psi_family(theta, phi, 256)
+    sweep_rotation_angle((0.6, 0.0, 0.8), np.linspace(0.0, 4.0 * math.pi, 181))
+    for gate, theta in THRESHOLD_TARGETS[:40]:
+        thr = math.tan(theta / 2.0)
+        tdiff_analysis(gate, np.unique([s * thr * (1.0 + eps) for s in (1.0, -1.0)
+                                        for eps in (0.0, 1e-12, 1e-9, 1e-6)] + [-3.0, 0.0, 3.0]))
+    for name, (calls, worst) in seen.items():
+        assert calls > 100, name
+        assert worst < 2.5 * math.pi, (name, worst)
+        # and the maps' docstrings say the brackets keep it within 3pi/2
+        assert worst <= 1.5 * math.pi + 1e-12, (name, worst)
