@@ -33,6 +33,8 @@ from su2pulse import (
     optimal_domain,
     propagate_law_exact,
     random_gate,
+    resonant,
+    sweep_rotation_angle,
     synthesize,
     tdiff_analysis,
     zrot_gate,
@@ -267,8 +269,6 @@ def test_label_maps_stay_inside_the_crossing_rules_range(monkeypatch):
     # test_array_first_crossing_is_the_sign_of_cos); every call that the
     # solvers, domains, families and sweeps make must stay inside it, on
     # seeded Haar gates and the threshold targets and grids above
-    from su2pulse import resonant, sweep_rotation_angle
-
     seen = {"label_for_phi0": [0, 0.0], "_labels_for_phi0": [0, 0.0]}
     for name, record in seen.items():
         def checked(phi0, theta_star, phi_star, *rest, _fn=getattr(resonant, name),
