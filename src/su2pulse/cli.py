@@ -120,10 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--target", help="gate spec, e.g. zrot:3.14159, "
                             "xyrot:0,1.57, euler:p,t,f, quat:a,b,c,d, "
                             "axis:alpha@nx,ny,nz, matrix:[[..],[..]]")
-            sp.add_argument("--delta", type=float, help="normalized detuning (default 0)")
 
     sp = sub.add_parser("synthesize", help="synthesize a time-optimal pulse")
     common(sp)
+    sp.add_argument("--delta", type=float, help="normalized detuning (default 0)")
     sp = sub.add_parser("propagate", help="replay a pulse file and print the gate")
     common(sp, target=False)
     sp.add_argument("pulse", help="pulse CSV written by synthesize")

@@ -350,6 +350,7 @@ def write_tdiff_csv(report: TdiffReport, path) -> None:
     for d, kind in report.events:
         idx = int(np.searchsorted(report.delta_grid, d))
         marks[idx] = kind
-    values = [v for i, row in enumerate(report.rows()) for v in (*row, marks.get(i, "none"))]
-    write_csv(path, "delta,t_U,t_negU,tdiff,in_X,event", "%.17g,%.17g,%.17g,%.17g,%d,%s",
-              len(report.delta_grid), values)
+    table = np.column_stack([report.delta_grid, report.t_U, report.t_negU,
+                             report.t_U - report.t_negU])
+    write_csv(path, "delta,t_U,t_negU,tdiff,in_X,event", table,
+              [f"{in_x:d},{marks.get(i, 'none')}" for i, in_x in enumerate(report.in_X.tolist())])

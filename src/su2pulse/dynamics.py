@@ -96,23 +96,6 @@ class PulseSchedule:
 # closed-form trajectory
 # ---------------------------------------------------------------------------
 
-def _circle_azimuth_offset(eta: float, cos_bar: float) -> float:
-    """Azimuth of the projected point relative to phi0 + pi/2.
-
-    Continuous over each revolution of eta with limit -pi/2 as eta -> 0+;
-    on a great circle (cos_bar = 0) it is the exact +-pi/2 meridian pair.
-    """
-    er = eta % TWO_PI
-    if er < 1e-14:
-        return -math.pi / 2.0
-    if abs(cos_bar) < 1e-15:
-        return -math.pi / 2.0 if er <= math.pi else math.pi / 2.0
-    raw = math.atan2(-math.sin(er), cos_bar * (1.0 - math.cos(er)))
-    if cos_bar < 0.0 and raw > 0.0:
-        raw -= TWO_PI
-    return raw
-
-
 def control_phase(law: ExtremalLaw, t: float) -> float:
     """mu(t) = phi0 - pi/2 + (2 p2 + 2 delta) t, the drive phase; t may be
     an array of times."""
@@ -120,11 +103,13 @@ def control_phase(law: ExtremalLaw, t: float) -> float:
 
 
 def _mapped(f, a: np.ndarray, *args) -> np.ndarray:
-    """f(x, *args) from the math module over the array a. numpy's arcsin
-    and arctan2 differ from libm's in the last bit on some hosts, and the
-    17-digit CSV shows that bit, so every transcendental function of the
-    trajectory goes through math."""
-    return np.fromiter(map(f, a.tolist(), *map(itertools.repeat, args)), float, a.size)
+    """f(x, *args) from the math module over the array a; an argument in
+    args is an array of a's size, mapped alongside it, or a scalar. numpy's
+    arcsin and arctan2 differ from libm's in the last bit on some hosts, and
+    the 17-digit CSV shows that bit, so every transcendental function of
+    the trajectory goes through math."""
+    args = [v.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v) for v in args]
+    return np.fromiter(map(f, a.tolist(), *args), float, a.size)
 
 
 def _trajectory_rows(law: ExtremalLaw, t) -> np.ndarray:
@@ -143,11 +128,21 @@ def _trajectory_rows(law: ExtremalLaw, t) -> np.ndarray:
     eta = 2.0 * t / sb
     # stable form of acos(1 - sin^2(tb) (1 - cos eta)) near the poles
     theta = 2.0 * _mapped(math.asin, np.minimum(1.0, sb * np.abs(_mapped(math.sin, eta / 2.0))))
-    phi = law.phi0 + math.pi / 2.0 + _mapped(_circle_azimuth_offset, eta, cb)
+    # the circle azimuth relative to phi0 + pi/2: continuous over each
+    # revolution of eta with limit -pi/2 as eta -> 0+, and on a great circle
+    # (cb = 0) the exact +-pi/2 meridian pair
+    er = eta % TWO_PI
+    pole = er < 1e-14
+    if abs(cb) < 1e-15:
+        offset = np.where(er <= math.pi, -math.pi / 2.0, math.pi / 2.0)
+    else:
+        offset = _mapped(math.atan2, -_mapped(math.sin, er), cb * (1.0 - _mapped(math.cos, er)))
+        if cb < 0.0:
+            offset = np.where(offset > 0.0, offset - TWO_PI, offset)
+    phi = law.phi0 + math.pi / 2.0 + np.where(pole, -math.pi / 2.0, offset)
     # on the pole itself the azimuth is a gauge; take phi0 at t = 0 and the
     # from-below limit phi0 +- pi after whole revolutions, so that psi + phi
     # remains the correct accumulated z-angle
-    pole = eta % TWO_PI < 1e-14
     if pole.any():
         phi[pole] = np.where(eta[pole] < 1e-14, law.phi0,
                              law.phi0 + math.copysign(math.pi, law.p2))
@@ -377,17 +372,161 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
     )
 
 
-def write_csv(path, header: str, row_format: str, n_rows: int, values) -> None:
-    """Write the header line, then n_rows rows as one block: the %-format
-    of one row, repeated n_rows times, applied once to the flat values."""
+# ---------------------------------------------------------------------------
+# CSV fields: Python's '%.17g' text of a whole float table
+# ---------------------------------------------------------------------------
+#
+# For 1e-4 <= |x| < 1e17 and for +-0 that text is fixed-point: the integer
+# N = round(|x| 10**k), k = 16 - e10, e10 = floor(log10 |x|), holds its 17
+# significant digits, and the point, the leading "0.000" and the trimmed
+# trailing zeros follow from (e10, significant digits, sign). N is exact:
+# Dekker's two-product (T. J. Dekker, Numer. Math. 18, 1971) writes
+# |x| 10**k as hi + lo with no rounding error, and hi >= 1e16 > 2**53 is an
+# even integer, so hi + rint(lo) rounds half to even as Python does. Every
+# other value goes through Python's formatter.
+
+_CSV_BLOCK = 4096               # fields formatted and written at a time
+_SPLIT = 134217729.0            # 2**27 + 1, Veltkamp's splitter
+
+
+def _split(a):
+    """(hi, lo) with a = hi + lo exactly and 26 significant bits in hi."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** k) for k in range(21)])    # exact doubles
+_POW10_HI, _POW10_LO = _split(_POW10)
+# [:, g]: the four digits of g = 0..9999
+_GROUP_DIGITS = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)
+# [i, g]: the digits of N through the last nonzero one of g, the (i + 1)-th
+# 4-digit group after N's first digit; 0 where g = 0
+_GROUP_SIG = (np.arange(1, 5, dtype=np.uint8)[:, None] * (_GROUP_DIGITS != 0)).max(axis=0)
+_GROUP_SIG = (_GROUP_SIG + 4 * np.arange(4, dtype=np.uint8)[:, None]) * (_GROUP_SIG > 0)
+# the 8-byte words a template row is ANDed with: word 10_000 + d holds the
+# first digit d in byte 6, word g the digits of group g in its even bytes;
+# every other byte is 0xff
+_DIGIT_WORDS = np.full((10_010, 8), 0xFF, np.uint8)
+_DIGIT_WORDS[:10_000, ::2] = (_GROUP_DIGITS + ord("0")).T
+_DIGIT_WORDS[10_000:, 6] = np.arange(10) + ord("0")
+_DIGIT_WORDS = _DIGIT_WORDS.view(np.uint64).ravel()
+
+
+def _templates() -> np.ndarray:
+    """One 40-byte row per code ((e10 + 4) * 18 + significant digits) * 2
+    + sign, and a last row for the fields Python formats. The columns are
+    a sign, "0.000", digit 0, then a point slot before each of digits 1-16,
+    then the separator; a dropped column is 0 and a kept digit 0xff, which
+    the digit is ANDed into."""
+    col = np.arange(40)
+    e10 = np.arange(-4, 17)[:, None, None]
+    sig = np.arange(18)[:, None]
+    i = (col - 6) // 2                   # the digit in a slot, or before a point slot
+    keep = (((col >= 1) & (col <= 2) & (e10 < 0))                 # "0."
+            | ((col >= 3) & (col <= 5) & (col - 2 < -e10))         # zeros after it
+            | ((col >= 6) & (col % 2 == 0) & ((i < sig) | (i <= e10)))
+            | ((col >= 7) & (col % 2 == 1) & (i == e10) & (e10 < sig - 1))   # the point
+            | (col == 39))
+    keep = np.stack([keep, keep | (col == 0)], axis=2).reshape(-1, col.size)
+    keep = np.concatenate([keep, [col == 39]])
+    return keep * np.frombuffer(b"-0.000" + b"\xff." * 16 + b"\xff,", np.uint8)
+
+
+_TEMPLATE = _templates().view(np.uint64)           # five words a row
+_TEMPLATE_LEN = np.count_nonzero(_TEMPLATE.view(np.uint8), axis=1)
+_PYTHON_FORMATTED = len(_TEMPLATE) - 1
+
+
+def _scaled(a, k):
+    """(hi, lo) with a 10**k = hi + lo exactly, hi the rounded product."""
+    hi = a * _POW10.take(k)
+    ah, al = _split(a)
+    ph, pl = _POW10_HI.take(k), _POW10_LO.take(k)
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _csv_fields(x, sep, tails=None) -> str:
+    """Python's '%.17g' text of each value of the 1-d array x, followed by
+    its separator byte from sep; with tails, tails[i] and a newline follow
+    the separator of row i's last field, a row being len(x) // len(tails)
+    fields."""
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    zero = a == 0.0
+    a = np.where(fixed, a, 1.0)
+    e10 = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
+    hi, lo = _scaled(a, 16 - e10)
+    # numpy's log10 may be one off next to a power of ten: then N falls
+    # outside [1e16, 1e17), by the sign of hi + lo against the bound
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        e10[redo] += high[redo].astype(np.intp) - low[redo]
+        hi[redo], lo[redo] = _scaled(a[redo], 16 - e10[redo])
+    # N < 1e17 - 8: below every power of ten 10**(e10 + 1) here, the next
+    # double is at least 8.3e-17 of it away, so N never rounds up to 1e17
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # the words of N's digits: its first digit (0 at +-0, where N = 1e16),
+    # then four 4-digit groups
+    words = np.empty((len(x), 5), np.intp)
+    first = n // 10 ** 16
+    words[:, 0] = first + 10_000 - zero
+    rest = n - first * 10 ** 16
+    upper = rest // 10 ** 8
+    for col, half in ((1, upper), (3, rest - upper * 10 ** 8)):
+        group = half // 10 ** 4
+        words[:, col] = group
+        words[:, col + 1] = half - group * 10 ** 4
+    sig = np.maximum(np.maximum(_GROUP_SIG[0].take(words[:, 1]), _GROUP_SIG[1].take(words[:, 2])),
+                     np.maximum(_GROUP_SIG[2].take(words[:, 3]), _GROUP_SIG[3].take(words[:, 4])))
+    code = ((e10 + 4) * 18 + sig + 1) * 2 + np.signbit(x)
+    code[~(fixed | zero)] = _PYTHON_FORMATTED
+    text = _TEMPLATE.take(code, axis=0)
+    text &= _DIGIT_WORDS.take(words)
+    text = text.view(np.uint8)
+    text[:, -1] = sep
+    out = text.tobytes().translate(None, b"\0").decode("ascii")
+    python = np.flatnonzero(code == _PYTHON_FORMATTED)
+    if not python.size and tails is None:
+        return out
+    # splice in Python's text before each such field's separator, and the tails
+    ends = np.cumsum(_TEMPLATE_LEN.take(code)).tolist()
+    cuts = [(ends[j] - 1, j, "%.17g" % v) for j, v in zip(python.tolist(), x[python].tolist())]
+    if tails is not None:
+        last = range(len(x) // len(tails) - 1, len(x), len(x) // len(tails))
+        cuts += [(ends[j], j, tail + "\n") for j, tail in zip(last, tails)]
+    cuts.sort()
+    pieces, start = [], 0
+    for end, _, piece in cuts:
+        pieces += (out[start:end], piece)
+        start = end
+    pieces.append(out[start:])
+    return "".join(pieces)
+
+
+def write_csv(path, header: str, table, tails=None) -> None:
+    """Write the header line, then each row of the float table as the
+    '%.17g' text of its values joined by commas; with tails, ',' and
+    tails[i] end row i. The rows are formatted and written _CSV_BLOCK
+    fields at a time."""
+    table = np.asarray(table, dtype=float)
+    n_rows, n_cols = table.shape
+    step = max(1, _CSV_BLOCK // n_cols)
+    sep = np.full((step, n_cols), ord(","), np.uint8)
+    if tails is None:
+        sep[:, -1] = ord("\n")
+    sep = sep.ravel()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.write((row_format + "\n") * n_rows % tuple(values))
+        for i in range(0, n_rows, step):
+            x = table[i:i + step].ravel()
+            fh.write(_csv_fields(x, sep[:x.size], None if tails is None else tails[i:i + step]))
 
 
 def write_pulse_csv(schedule: PulseSchedule, path) -> None:
-    s = schedule.samples
-    write_csv(path, "t,vx,vy", "%.17g,%.17g,%.17g", len(s), s.ravel().tolist())
+    write_csv(path, "t,vx,vy", schedule.samples)
 
 
 def _parse_pulse_lines(lines) -> list[list[float]]:
@@ -441,5 +580,4 @@ def write_trajectory_csv(law: ExtremalLaw, path, n_samples: int = DEFAULT_SAMPLE
     """
     rows = np.zeros((0, 10)) if law.tf == 0.0 else _trajectory_rows(
         law, np.linspace(0.0, law.tf, max(2, n_samples)))
-    write_csv(path, "t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta",
-              ",".join(["%.17g"] * 10), len(rows), rows.ravel().tolist())
+    write_csv(path, "t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta", rows)

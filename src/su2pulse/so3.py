@@ -81,8 +81,8 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
 
 
 def write_sweep_csv(rows, path) -> None:
-    write_csv(path, "alpha,tf_U,tf_negU,chosen", "%.17g,%.17g,%.17g,%s", len(rows),
-              [v for row in rows for v in row])
+    table = np.array([row[:3] for row in rows]).reshape(-1, 3)
+    write_csv(path, "alpha,tf_U,tf_negU,chosen", table, [row[3] for row in rows])
 
 
 def crossing_angles(rows) -> list[float]:

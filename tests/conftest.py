@@ -49,8 +49,8 @@ from su2pulse import (
     propagate_law,
     synthesize_general,
 )
-from su2pulse.dynamics import (DEFAULT_STEPS, _circle_azimuth_offset, _quat_mul,
-                                _segment_factors, _trajectory_rows, control_phase)
+from su2pulse.dynamics import (DEFAULT_STEPS, _quat_mul, _segment_factors, _trajectory_rows,
+                                control_phase)
 from su2pulse.detuned import (
     PsiFamily,
     TdiffReport,
@@ -158,8 +158,8 @@ def crossing_eta_oracle(phi0: float, theta_star: float, phi_star: float) -> floa
     cb = math.cos(math.atan2(1.0, s / math.tan(theta_star / 2.0)))
     arg = math.cos(theta_star) - 2.0 * s * s * math.cos(theta_star / 2.0) ** 2
     ea = math.acos(min(1.0, max(-1.0, arg)))
-    d_a = abs(wrap_pi(phi0 + math.pi / 2.0 + _circle_azimuth_offset(ea, cb) - phi_star))
-    d_b = abs(wrap_pi(phi0 + math.pi / 2.0 + _circle_azimuth_offset(TWO_PI - ea, cb) - phi_star))
+    d_a = abs(wrap_pi(phi0 + math.pi / 2.0 + circle_azimuth_offset(ea, cb) - phi_star))
+    d_b = abs(wrap_pi(phi0 + math.pi / 2.0 + circle_azimuth_offset(TWO_PI - ea, cb) - phi_star))
     if min(d_a, d_b) < 1e-6 or min(d_a, d_b) < 0.25 * max(d_a, d_b):
         return ea if d_a <= d_b else TWO_PI - ea
     if abs(ea - math.pi) < 0.05:
@@ -289,6 +289,24 @@ def scan_family_min_time(target, delta: float, grid: int = 4096) -> float:
 # CSV oracles: the former scalar trajectory and per-row file code
 # ---------------------------------------------------------------------------
 
+def circle_azimuth_offset(eta: float, cos_bar: float) -> float:
+    """Azimuth of the projected point relative to phi0 + pi/2, the former
+    scalar form of the trajectory's array pass.
+
+    Continuous over each revolution of eta with limit -pi/2 as eta -> 0+;
+    on a great circle (cos_bar = 0) it is the exact +-pi/2 meridian pair.
+    """
+    er = eta % TWO_PI
+    if er < 1e-14:
+        return -math.pi / 2.0
+    if abs(cos_bar) < 1e-15:
+        return -math.pi / 2.0 if er <= math.pi else math.pi / 2.0
+    raw = math.atan2(-math.sin(er), cos_bar * (1.0 - math.cos(er)))
+    if cos_bar < 0.0 and raw > 0.0:
+        raw -= TWO_PI
+    return raw
+
+
 def trajectory_point_oracle(law: ExtremalLaw, t: float):
     """Scalar closed-form state at time t: ((psi, theta, phi), (theta1,
     theta2, theta3), mu, eta), all through the math module."""
@@ -299,7 +317,7 @@ def trajectory_point_oracle(law: ExtremalLaw, t: float):
     if eta % TWO_PI < 1e-14:
         phi = law.phi0 if eta < 1e-14 else law.phi0 + math.copysign(math.pi, law.p2)
     else:
-        phi = law.phi0 + math.pi / 2.0 + _circle_azimuth_offset(eta, cb)
+        phi = law.phi0 + math.pi / 2.0 + circle_azimuth_offset(eta, cb)
     psi = -2.0 * law.phi0 + phi - 2.0 * (law.p2 + law.delta) * t
     mu = control_phase(law, t)
     return (psi, theta, phi), (theta / 2.0, (psi + phi) / 2.0, (psi - phi) / 2.0), mu, eta

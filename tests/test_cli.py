@@ -512,3 +512,42 @@ def test_sweep_detuning_past_the_crossing_cap_is_a_usage_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "Traceback" not in err and "predicted zero crossings" in err
     assert not (tmp_path / "tdiff.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("so3-select", "--target", "euler:0.4,1.2,1.1", "--delta", "7"),
+    ("so3-select", "--target", "euler:0.4,1.2,1.1", "--delta=7"),
+    ("sweep-detuning", "--target", "euler:0.4,2.2689,0.3", "--delta", "7"),
+    ("sweep-detuning", "--target", "euler:0.4,2.2689,0.3", "--delta=-7"),
+])
+def test_delta_is_a_synthesize_option_only(tmp_path, capsys, args):
+    # both commands once accepted --delta and ignored it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args, "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "--delta" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synthesize_takes_every_delta_spelling(tmp_path, capsys):
+    def run(*spelling, config=None):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        extra = ()
+        if config is not None:
+            out.mkdir()
+            (out / "cfg.json").write_text(json.dumps(config))
+            extra = ("--config", str(out / "cfg.json"))
+        code = run_cli("synthesize", "--target", "euler:0.4,1.2,1.1", *spelling, *extra,
+                       "--out", str(out))
+        text = capsys.readouterr().out.replace(str(out), "OUT")
+        files = {n: (out / n).read_bytes() for n in ("pulse.csv", "pulse.json", "trajectory.csv")}
+        return code, text, files
+
+    for value in ("0.6", "-0.6"):
+        want = run(f"--delta={value}")
+        assert want[0] == 0 and json.loads(want[2]["pulse.json"])["delta"] == float(value)
+        for spelling in (("--delta", value), ("--delt", value), (f"--delt={value}",)):
+            assert run(*spelling) == want, spelling
+        assert run(config={"delta": float(value)}) == want
+        assert run(f"--delta={value}", config={"delta": 2.0}) == want
+    assert run()[2] == run("--delta", "0")[2] != run("--delta", "0.6")[2]

@@ -1,7 +1,10 @@
 """The CSV files are written as whole formatted blocks and the pulse file is
 read in one numpy conversion; both must reproduce the former per-row code
-(the oracles in conftest) byte for byte and error for error."""
+(the oracles in conftest) byte for byte and error for error, and every
+field must be Python's '%.17g' text of its value."""
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from su2pulse import (
     write_trajectory_csv,
 )
 from su2pulse.detuned import write_tdiff_csv
-from su2pulse.dynamics import _trajectory_rows
+from su2pulse.dynamics import _CSV_BLOCK, _trajectory_rows, write_csv
 from su2pulse.so3 import write_sweep_csv
 
 
@@ -186,3 +189,104 @@ def test_tdiff_csv_matches_per_row_oracle(tmp_path):
     write_tdiff_csv(report, got)
     write_tdiff_csv_oracle(report, want)
     assert got.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the array formatter against Python's '%.17g'
+# ---------------------------------------------------------------------------
+
+def _halfway_values(rng, count):
+    """Doubles x with x 10**k = N + 1/2 exactly for a 17-digit N, where the
+    formatter must round N half to even: x = M / 2**(k + 1) with M odd and
+    M 5**k = 2 N + 1."""
+    out = []
+    for k in rng.integers(2, 21, count).tolist():
+        lo, hi = -(-(2 * 10 ** 16 + 1) // 5 ** k), min((2 * 10 ** 17 - 1) // 5 ** k, 2 ** 53)
+        m = int(rng.integers(lo, hi)) | 1
+        x = math.ldexp(m, -(k + 1))
+        n = (m * 5 ** k - 1) // 2
+        assert Fraction(x) * 10 ** k == n + Fraction(1, 2) and 10 ** 16 <= n < 10 ** 17
+        out.append(x)
+    return out
+
+
+def _stress_values():
+    rng = np.random.default_rng(2101)
+    bits = rng.integers(0, 2 ** 64, 6000, dtype=np.uint64, endpoint=False).view(np.float64)
+    magnitudes = 10.0 ** rng.uniform(-7.0, 18.0, 6000) * rng.choice([-1.0, 1.0], 6000)
+    edges = []
+    for v in (1e-4, 1e16, 1e17):
+        below = above = v
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            edges += [below, above]
+        edges.append(v)
+    powers = [10.0 ** k for k in range(-8, 23)]
+    special = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    halfway = _halfway_values(rng, 200)
+    values = np.concatenate([bits, magnitudes, edges, powers, special, halfway])
+    return np.concatenate([values, -values])
+
+
+def _python_text(header, table, tails=None):
+    lines = [header]
+    for i, row in enumerate(np.asarray(table).tolist()):
+        fields = ["%.17g" % v for v in row] + ([] if tails is None else [tails[i]])
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def test_no_field_rounds_up_to_a_new_power_of_ten():
+    # the formatter takes N = round(|x| 10**(16 - e10)) < 1e17 for every
+    # double with floor(log10 |x|) = e10: the largest double below each
+    # power of ten 10**(e10 + 1) still rounds to at most 1e17 - 8
+    for e10 in range(-4, 17):
+        power = Fraction(10) ** (e10 + 1)
+        below = float(power)
+        if Fraction(below) >= power:
+            below = float(np.nextafter(below, 0.0))
+        assert Fraction(below) * 10 ** (16 - e10) < 10 ** 17 - 8
+
+
+def test_stress_values_cover_every_formatter_path():
+    x = np.abs(_stress_values())
+    fixed = (x >= 1e-4) & (x < 1e17)
+    assert np.isnan(x).any() and np.isinf(x).any() and (x == 0.0).any()
+    assert ((x > 0.0) & (x < 2.2250738585072014e-308)).sum() > 2      # subnormals
+    assert (~fixed & (x > 0.0) & (x < 1e-4)).sum() > 500 and (x >= 1e17).sum() > 500
+    assert fixed.sum() > 8000
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 10])
+def test_csv_fields_are_python_percent_17g(tmp_path, n_cols):
+    values = _stress_values()
+    values = values[:len(values) // n_cols * n_cols]
+    assert values.size > 2 * _CSV_BLOCK         # several blocks
+    table = values.reshape(-1, n_cols)
+    path = tmp_path / "t.csv"
+    write_csv(path, "h", table)
+    assert path.read_text() == _python_text("h", table)
+    # a text column after the floats, with Python-formatted fields at row starts
+    tails = [f"{i % 2:d},row{i}" for i in range(len(table))]
+    write_csv(path, "h", table, tails)
+    assert path.read_text() == _python_text("h", table, tails)
+
+
+def test_csv_of_an_empty_table_is_its_header(tmp_path):
+    path = tmp_path / "t.csv"
+    for table in (np.zeros((0, 3)), np.zeros((0, 10))):
+        write_csv(path, "a,b", table)
+        assert path.read_bytes() == b"a,b\n"
+        write_csv(path, "a,b", table, [])
+        assert path.read_bytes() == b"a,b\n"
+
+
+def test_oracle_cases_hold_python_formatted_fields(tmp_path):
+    # the file oracles above cover fields outside 1e-4 <= |x| < 1e17
+    def python_formatted(write, case):
+        path = tmp_path / "t.csv"
+        write(case, path)
+        return re.search(r"e-\d\d,", path.read_text()) is not None
+
+    assert python_formatted(lambda law, path: write_trajectory_csv(law, path, 2048), SEEDED[0])
+    assert any(python_formatted(write_pulse_csv, sched) for sched in _schedules())
