@@ -97,51 +97,67 @@ def _config_value_ok(f, v) -> bool:
     return isinstance(v, str)
 
 
+# each command's options, by RunConfig field: the flags its parser has
+# beside --config, and the keys a --config file may set for it
+_OPTIONS = {
+    "synthesize": ("target", "delta", "out", "tol", "samples", "omega_max"),
+    "propagate": ("pulse",),
+    "verify": ("pulse", "tol"),
+    "sweep-angle": ("out", "axis", "alpha_steps"),
+    "sweep-detuning": ("target", "out", "delta_min", "delta_max", "delta_steps"),
+    "so3-select": ("target",),
+}
+# config keys with no flag: the detuning of a pulse CSV that has no pulse.json
+_CONFIG_ONLY = {"propagate": ("delta",), "verify": ("delta",)}
+
+_FLAGS = {
+    "target": (("--target",), dict(help="gate spec, e.g. zrot:3.14159, xyrot:0,1.57, "
+                                   "euler:p,t,f, quat:a,b,c,d, axis:alpha@nx,ny,nz, "
+                                   "matrix:[[..],[..]]")),
+    "delta": (("--delta",), dict(type=float, help="normalized detuning (default 0)")),
+    "out": (("--out",), dict(help="output directory (default: .)")),
+    "tol": (("--tol",), dict(type=float, help="verification tolerance (default 1e-6)")),
+    "samples": (("--samples",), dict(type=int, help="pulse/trajectory samples (default 2048)")),
+    "omega_max": (("--omega-max",), dict(dest="omega_max", type=float,
+                                         help="physical drive scale in rad/s, for unit "
+                                         "conversion")),
+    "pulse": (("pulse",), dict(help="pulse CSV written by synthesize")),
+    "axis": (("--axis",), dict(help="x, y, z, yz, or nx,ny,nz (default y)")),
+    "alpha_steps": (("--alpha-steps",), dict(dest="alpha_steps", type=int,
+                                             help="grid points over [0, 4pi] (default 721)")),
+    "delta_min": (("--delta-min",), dict(dest="delta_min", type=float)),
+    "delta_max": (("--delta-max",), dict(dest="delta_max", type=float)),
+    "delta_steps": (("--delta-steps",), dict(dest="delta_steps", type=int)),
+}
+
+_HELP = {
+    "synthesize": "synthesize a time-optimal pulse",
+    "propagate": "replay a pulse file and print the gate",
+    "verify": "replay a pulse and compare to its declared target",
+    "sweep-angle": "duration vs rotation angle for U and -U",
+    "sweep-detuning": "T_diff analysis over a detuning grid",
+    "so3-select": "which of U, -U is faster to generate",
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process: parse_args leaves
-    it unchanged, so every main call can share it."""
+    it unchanged, so every main call can share it. Each command has only
+    the flags it reads."""
     p = argparse.ArgumentParser(
         prog="su2pulse",
         description="Time-optimal SU(2) pulse synthesis and verification.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, target=True):
+    for command, options in _OPTIONS.items():
+        sp = sub.add_parser(command, help=_HELP[command])
         # values such as -1e-3 and -1,0,0, which argparse reads as options
         sp._negative_number_matcher = re.compile(r"^-\.?\d")
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
-        sp.add_argument("--out", help="output directory (default: .)")
-        sp.add_argument("--tol", type=float, help="verification tolerance (default 1e-6)")
-        sp.add_argument("--samples", type=int, help="pulse/trajectory samples (default 2048)")
-        sp.add_argument("--omega-max", dest="omega_max", type=float,
-                        help="physical drive scale in rad/s, for unit conversion")
-        if target:
-            sp.add_argument("--target", help="gate spec, e.g. zrot:3.14159, "
-                            "xyrot:0,1.57, euler:p,t,f, quat:a,b,c,d, "
-                            "axis:alpha@nx,ny,nz, matrix:[[..],[..]]")
-
-    sp = sub.add_parser("synthesize", help="synthesize a time-optimal pulse")
-    common(sp)
-    sp.add_argument("--delta", type=float, help="normalized detuning (default 0)")
-    sp = sub.add_parser("propagate", help="replay a pulse file and print the gate")
-    common(sp, target=False)
-    sp.add_argument("pulse", help="pulse CSV written by synthesize")
-    sp = sub.add_parser("verify", help="replay a pulse and compare to its declared target")
-    common(sp, target=False)
-    sp.add_argument("pulse", help="pulse CSV written by synthesize")
-    sp = sub.add_parser("sweep-angle", help="duration vs rotation angle for U and -U")
-    common(sp, target=False)
-    sp.add_argument("--axis", help="x, y, z, yz, or nx,ny,nz (default y)")
-    sp.add_argument("--alpha-steps", dest="alpha_steps", type=int,
-                    help="grid points over [0, 4pi] (default 721)")
-    sp = sub.add_parser("sweep-detuning", help="T_diff analysis over a detuning grid")
-    common(sp)
-    sp.add_argument("--delta-min", dest="delta_min", type=float)
-    sp.add_argument("--delta-max", dest="delta_max", type=float)
-    sp.add_argument("--delta-steps", dest="delta_steps", type=int)
-    sp = sub.add_parser("so3-select", help="which of U, -U is faster to generate")
-    common(sp)
+        for name in options:
+            flags, kwargs = _FLAGS[name]
+            sp.add_argument(*flags, **kwargs)
     return p
 
 
@@ -167,7 +183,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     base = {}
     if cfg_path:
         base = _load_json_object(cfg_path, "config")
-        base.pop("command", None)
+        reads = {*_OPTIONS[args.command], *_CONFIG_ONLY.get(args.command, ())}
+        unread = sorted(set(base) - reads)
+        if unread:
+            raise DomainError(f"config key {unread[0]!r} is not an option of {args.command}")
     merged = {**base, **values}
     return RunConfig.from_json({"command": args.command, **merged})
 

@@ -142,7 +142,7 @@ def build_psi_family(theta_star: float, phi_star: float,
         _, dur, p2, _, phi0 = _solve_arcs(theta_star, phi_star, 0.0, labels,
                                           _full_arc(theta_star, phi_star, 0.0), _FULL_SLACK,
                                           1e-12)
-    return PsiFamily(theta_star, phi_star, labels, phi0, np.array(p2), np.array(dur))
+    return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +215,10 @@ def _grid_domains(theta_star: float, phi_star: float, grid: np.ndarray, psis=())
     # a strict arc's far end is psi_min for delta > 0, else psi_max
     bounds = np.empty((n, 2))
     bounds[:] = (-phi_star - TWO_PI, -phi_star + TWO_PI)
-    far, psi_b, up = np.array(label[:strict.size]), arc.psi_b[strict], grid[strict] > 0.0
+    far, psi_b, up = label[:strict.size], arc.psi_b[strict], grid[strict] > 0.0
     bounds[strict, 0] = np.where(up, far, psi_b)
     bounds[strict, 1] = np.where(up, psi_b, far)
-    return arc, bounds, *(np.array(v[strict.size:]).reshape(-1, n) for v in (label, tf))
+    return arc, bounds, *(v[strict.size:].reshape(-1, n) for v in (label, tf))
 
 
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:

@@ -31,12 +31,7 @@ import numpy as np
 
 # propagate_law is not called here but stays importable as
 # resonant.propagate_law: perfbench/tracer.py wraps that binding
-from .dynamics import (  # noqa: F401
-    ExtremalLaw,
-    _mapped,
-    propagate_law,
-    propagate_law_exact,
-)
+from .dynamics import ExtremalLaw, propagate_law, propagate_law_exact  # noqa: F401
 from .errors import DomainError, NoConvergence, NoStationaryPoint, TargetUnreached
 from .su2 import (
     FOUR_PI,
@@ -45,6 +40,7 @@ from .su2 import (
     EulerTarget,
     ParsedTarget,
     UnitGate,
+    _mapped,
     canonical_euler,
     euler_from_gate,
     gate_distance,
@@ -212,11 +208,17 @@ def synthesize_xy_rotation(a: float, b: float, verify: bool = True) -> Synthesis
 # general targets: label map and 1-d solve
 # ---------------------------------------------------------------------------
 
-def _theta_factors(theta_star, tan_half=None):
+def _theta_factors(theta_star, tan_half=None, exact: bool = False):
     """(tan(theta*/2), cos theta*, cos^2(theta*/2)), the label map's factors
     that depend on theta* alone: numpy's for an ndarray, else math's, which
     label_for_phi0 computes when not given them; tan_half is the first,
-    when the caller has it."""
+    when the caller has it. With exact an ndarray takes math's too, element
+    by element, its square by C pow as `** 2` on a float (numpy's x*x can
+    differ in the last bit), so each element is a float theta*'s factors."""
+    if exact and isinstance(theta_star, np.ndarray):
+        half = theta_star / 2.0
+        return (_mapped(math.tan, half), _mapped(math.cos, theta_star),
+                _mapped(math.pow, _mapped(math.cos, half), 2.0))
     m = np if isinstance(theta_star, np.ndarray) else math
     tan_half = m.tan(theta_star / 2.0) if tan_half is None else tan_half
     return tan_half, m.cos(theta_star), m.cos(theta_star / 2.0) ** 2
@@ -269,8 +271,9 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None, exact: bool = False):
     last bit, so it agrees with the scalar map to roundoff: the grid solves
     steer brackets with it and report label_for_phi0's values. With exact,
     sin and acos are math's, element by element, and with math's k (a
-    float theta*) each value is label_for_phi0's bit for bit. Like
-    label_for_phi0 it needs |phi* - phi0| < 5pi/2."""
+    float theta*'s, or an array's from _theta_factors with exact) each
+    value is label_for_phi0's bit for bit. Like label_for_phi0 it needs
+    |phi* - phi0| < 5pi/2."""
     tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
     s = _mapped(math.sin, d) if exact else np.sin(d)
@@ -582,34 +585,28 @@ def _solve_target(e: EulerTarget, delta: float):
 
 def _solve_arcs(theta_star, phi_star, delta, f, bracket, slack, tol: float = _PSI_SOLVE_TOL):
     """Array form of `_solve_f` over broadcast 1-d arguments, bracket being
-    the columns (lo, hi, f_lo, f_hi): _solve_f's values from one
-    `_bisect_many` solve, as tuples (label, tf, p2, eta) and the phi0
-    array. Each root is finished by label_for_phi0, with the theta*-factors
-    bound once per run of equal theta*, such as a U/-U pair."""
+    the columns (lo, hi, f_lo, f_hi): _solve_f's values bit for bit, as
+    arrays (label, tf, p2, eta, phi0), from one `_bisect_many` solve whose
+    roots the exact array map finishes on exact theta*-factors."""
     lo, hi, f_lo, f_hi = bracket
     phi0 = _bisect_many(_f_gaps(theta_star, phi_star, delta, f, tol), lo, hi,
                         f_lo - f, f_hi - f, tol, slack)
-    th, ph = (np.broadcast_to(v, phi0.shape).tolist() for v in (theta_star, phi_star))
-    rows, last, k = [], None, None
-    for x, t, p in zip(phi0.tolist(), th, ph):
-        if t != last:
-            last, k = t, _theta_factors(t)
-        rows.append(label_for_phi0(x, t, p, k))
-    return (*(list(zip(*rows)) or [()] * 4), phi0)
+    k = _theta_factors(theta_star, exact=True)
+    return (*_labels_for_phi0(phi0, theta_star, phi_star, k, exact=True), phi0)
 
 
-def _resonant_durations(psi, theta, phi) -> list[float]:
+def _resonant_durations(psi, theta, phi) -> np.ndarray:
     """_synthesize_canonical's durations for the canonical targets (psi[j],
-    theta[j], phi[j]), bit for bit: the tilted ones on their full arcs at
-    delta = 0, by one array solve."""
-    psi, th, ph = (np.array(v, dtype=float) for v in (psi, theta, phi))
-    tilted = th >= POLAR_THETA_TOL
-    th_t, ph_t = th[tilted], ph[tilted]
+    theta[j], phi[j]) of the 1-d arrays, bit for bit: the tilted ones on
+    their full arcs at delta = 0, by one array solve."""
+    tilted = theta >= POLAR_THETA_TOL
+    th_t, ph_t = theta[tilted], phi[tilted]
     bracket = _full_arc(th_t, ph_t, 0.0)
     f = _f_target(psi[tilted], bracket[3], bracket[2])
-    tilted_tf = iter(_solve_arcs(th_t, ph_t, 0.0, f, bracket, _FULL_SLACK)[1])
-    return [next(tilted_tf) if t else z_rotation_parameters(p)[1]
-            for p, t in zip(psi.tolist(), tilted.tolist())]
+    tf = np.empty(psi.shape)
+    tf[tilted] = _solve_arcs(th_t, ph_t, 0.0, f, bracket, _FULL_SLACK)[1]
+    tf[~tilted] = [z_rotation_parameters(p)[1] for p in psi[~tilted].tolist()]
+    return tf
 
 
 def synthesize_general(target: EulerTarget | UnitGate, verify: bool = True) -> SynthesisResult:

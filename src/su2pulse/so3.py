@@ -15,8 +15,8 @@ import numpy as np
 from .dynamics import write_csv
 from .errors import DomainError
 from .resonant import _resonant_durations, _synthesize_canonical, synthesize_general
-from .su2 import (EulerTarget, UnitGate, _axis_angle_quats, _euler_quat, _unit_quat,
-                  euler_from_gate, hopf_from_gate, negate_gate, negated_psi)
+from .su2 import (EulerTarget, UnitGate, _axis_angle_stack, _euler_quat_stack,
+                  _unit_quat_stack, euler_from_gate, hopf_from_gate, negate_gate, negated_psi)
 
 TIE_TOL = 1e-8
 
@@ -57,27 +57,30 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
     axis, for both SU(2) representatives.
 
     Returns rows (alpha, tf_U, tf_negU, chosen) as select_faster gives
-    them, all angles in one array solve. Each rotation is canonicalized
-    once, for U; -U's triple is U's with psi + 2pi, or for a z-rotation the
-    negated quaternion's, as there. The curves cross only at alpha = pi + 2 pi k.
+    them, all angles in one array solve. The rotations are canonicalized
+    in one array pass, for U; -U's triple is U's with psi + 2pi, or for a
+    z-rotation the negated quaternion's, as there. The curves cross only
+    at alpha = pi + 2 pi k.
     """
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,) or abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
         raise DomainError("axis must be a unit 3-vector")
-    angles = np.atleast_1d(np.asarray(alphas, dtype=float)).tolist()
-    bad = [a for a in angles if not (0.0 <= a <= 4.0 * math.pi + 1e-12)]
-    if bad:
-        raise DomainError(f"alpha = {bad[0]:.12g} outside [0, 4pi]")
-    top = 4.0 * math.pi - 1e-15
-    psi, theta, phi = [], [], []
-    for q in _axis_angle_quats([min(a, top) for a in angles], ax.tolist()):
-        q = _unit_quat(q)
-        p, t, f = _euler_quat(q)
-        psi += (p, _euler_quat(tuple(-x for x in q))[0] if t == 0.0 else negated_psi(p))
-        theta += (t, t)
-        phi += (f, f)
-    tf = _resonant_durations(psi, theta, phi)
-    return [(a, tp, tm, _faster(tp, tm)[0]) for a, tp, tm in zip(angles, tf[::2], tf[1::2])]
+    angles = np.atleast_1d(np.asarray(alphas, dtype=float))
+    bad = ~((0.0 <= angles) & (angles <= 4.0 * math.pi + 1e-12))
+    if bad.any():
+        raise DomainError(f"alpha = {angles[bad][0]:.12g} outside [0, 4pi]")
+    q = _unit_quat_stack(_axis_angle_stack(np.minimum(angles, 4.0 * math.pi - 1e-15),
+                                           ax.tolist()))
+    psi, theta, phi = _euler_quat_stack(q)
+    psi_neg = negated_psi(psi)
+    z = theta == 0.0
+    if z.any():
+        psi_neg[z] = _euler_quat_stack(-q[:, z])[0]
+    # U and -U of each angle side by side
+    tf = _resonant_durations(np.column_stack([psi, psi_neg]).ravel(),
+                             np.repeat(theta, 2), np.repeat(phi, 2)).tolist()
+    return [(a, tp, tm, _faster(tp, tm)[0])
+            for a, tp, tm in zip(angles.tolist(), tf[::2], tf[1::2])]
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -17,6 +17,7 @@ to (lambda, 0, 0); theta = pi gates to (psi - phi, pi, 0).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -87,8 +88,21 @@ class EulerTarget:
     phi: float
 
 
+def _mapped(f, a: np.ndarray, *args) -> np.ndarray:
+    """f(x, *args) from the math module over the array a; an argument in
+    args is an array of a's size, mapped alongside it, or a scalar. numpy's
+    sin, arcsin, arctan2 and hypot differ from libm's in the last bit on
+    some hosts, so an array form that must reproduce a scalar kernel's bits
+    maps math's function instead."""
+    args = [v.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v) for v in args]
+    return np.fromiter(map(f, a.tolist(), *args), float, a.size)
+
+
 # tuple kernels, the one copy of each formula below: the gate classes and
-# functions wrap them, and sweeps call them without building objects
+# functions wrap them, and sweeps call them without building objects. The
+# stack forms take a (4, n) array of quaternion columns and follow the
+# tuple kernels' operations in their order, so every column comes out bit
+# for bit as the tuple kernel's
 def _unit_quat(q: tuple) -> tuple:
     """q rescaled to unit norm (unchanged within 1e-15 of it)."""
     n = math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2)
@@ -97,18 +111,32 @@ def _unit_quat(q: tuple) -> tuple:
     return q if abs(n - 1.0) <= 1e-15 else tuple(x / n for x in q)
 
 
-def _axis_angle_quats(alphas, n) -> list:
-    """Quaternions of the rotations by each alpha about the axis n, whose
-    norm is checked once."""
+def _unit_quat_stack(q: np.ndarray) -> np.ndarray:
+    """_unit_quat of every column; its squares are C pow, as x ** 2 is."""
+    n = _mapped(math.pow, q[0], 2.0)
+    for x in q[1:]:
+        n += _mapped(math.pow, x, 2.0)
+    np.sqrt(n, out=n)
+    if not np.all(np.isfinite(n) & (n > 0.0)):
+        raise DomainError("quaternion has zero or non-finite norm")
+    return np.where(np.abs(n - 1.0) <= 1e-15, q, q / n)
+
+
+def _axis_angle_stack(alphas, n) -> np.ndarray:
+    """(4, m) quaternions of the rotations by each alpha of the 1-d array
+    about the axis n, whose norm is checked once."""
     nx, ny, nz = float(n[0]), float(n[1]), float(n[2])
     nn = math.sqrt(nx * nx + ny * ny + nz * nz)
     if abs(nn - 1.0) > 1e-9:
         raise DomainError(f"axis norm {nn:.12g} != 1")
-    out = []
-    for alpha in alphas:
-        c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
-        out.append((c, s * nz / nn, s * ny / nn, s * nx / nn))
-    return out
+    half = np.asarray(alphas, dtype=float) / 2.0
+    s = _mapped(math.sin, half)
+    return np.array([_mapped(math.cos, half), s * nz / nn, s * ny / nn, s * nx / nn])
+
+
+def _axis_angle_quats(alphas, n) -> list:
+    """_axis_angle_stack's quaternions as tuples."""
+    return list(zip(*_axis_angle_stack(alphas, n).tolist()))
 
 
 def _hopf_quat(q: tuple) -> tuple:
@@ -135,6 +163,28 @@ def _euler_quat(q: tuple) -> tuple[float, float, float]:
     if theta > math.pi - POLAR_THETA_TOL:
         return wrap_4pi(psi - phi), math.pi, 0.0
     return wrap_4pi(psi), theta, phi
+
+
+def _euler_quat_stack(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_euler_quat of every unit column, as arrays (psi, theta, phi):
+    _hopf_quat's hypot and atan2 are math's, element by element, and each
+    branch is taken where the tuple kernel takes it (numpy's float % is
+    Python's, fmod then the sign adjustment)."""
+    m12, m34 = _mapped(math.hypot, q[0], q[1]), _mapped(math.hypot, q[2], q[3])
+    theta1 = _mapped(math.atan2, m34, m12)
+    north = m34 < GAUGE_TOL
+    south = ~north & (m12 < GAUGE_TOL)
+    theta2 = np.where(south, 0.0, _mapped(math.atan2, q[1], q[0]))
+    theta3 = np.where(north, 0.0, _mapped(math.atan2, q[3], q[2]))
+    psi, theta, phi = theta2 + theta3, 2.0 * theta1, theta2 - theta3
+    up, down = phi >= math.pi, phi < -math.pi
+    phi = np.where(up, phi - TWO_PI, np.where(down, phi + TWO_PI, phi))
+    psi = np.where(up, psi - TWO_PI, np.where(down, psi + TWO_PI, psi))
+    north = theta < POLAR_THETA_TOL
+    south = ~north & (theta > math.pi - POLAR_THETA_TOL)
+    psi = wrap_4pi(np.where(north, psi + phi, np.where(south, psi - phi, psi)))
+    return (psi, np.where(north, 0.0, np.where(south, math.pi, theta)),
+            np.where(north | south, 0.0, phi))
 
 
 identity_gate = UnitGate(1.0, 0.0, 0.0, 0.0)
@@ -232,7 +282,11 @@ def negated_psi(psi_star: float) -> float:
     |psi*| >= pi (a sum that rounds up to 2pi is the window's -2pi).
 
     The canonical Euler triple of -U is U's with this psi, and the same
-    theta* and phi*; deriving it so canonicalizes the rotation once."""
+    theta* and phi*; deriving it so canonicalizes the rotation once. An
+    ndarray of labels takes the same rule element by element."""
+    if isinstance(psi_star, np.ndarray):
+        v = np.where(psi_star >= 0.0, psi_star - TWO_PI, psi_star + TWO_PI)
+        return np.where(v == TWO_PI, -TWO_PI, v)
     v = psi_star - TWO_PI if psi_star >= 0.0 else psi_star + TWO_PI
     return -TWO_PI if v == TWO_PI else v
 

@@ -92,7 +92,9 @@ def test_parse_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("command", ["synthesize", "sweep-detuning", "so3-select"])
 def test_missing_target_is_a_usage_error(tmp_path, capsys, command):
-    assert run_cli(command, "--out", str(tmp_path)) == 2
+    # so3-select writes no file and has no --out
+    out = () if command == "so3-select" else ("--out", str(tmp_path))
+    assert run_cli(command, *out) == 2
     assert "--target is required" in capsys.readouterr().err
 
 
@@ -551,3 +553,100 @@ def test_synthesize_takes_every_delta_spelling(tmp_path, capsys):
         assert run(config={"delta": float(value)}) == want
         assert run(f"--delta={value}", config={"delta": 2.0}) == want
     assert run()[2] == run("--delta", "0")[2] != run("--delta", "0.6")[2]
+
+
+# the options each command reads, as README lists them; propagate and
+# verify also read a --config delta, the detuning of a pulse CSV that has
+# no pulse.json
+READS = {
+    "synthesize": {"target", "delta", "out", "tol", "samples", "omega_max"},
+    "propagate": {"pulse"},
+    "verify": {"pulse", "tol"},
+    "sweep-angle": {"out", "axis", "alpha_steps"},
+    "sweep-detuning": {"target", "out", "delta_min", "delta_max", "delta_steps"},
+    "so3-select": {"target"},
+}
+CONFIG_ONLY = {"propagate": {"delta"}, "verify": {"delta"}}
+OPTION_VALUES = {"target": "euler:0.4,2.2689,0.3", "delta": 0.5, "tol": 1e-3, "samples": 64,
+                 "omega_max": 1e6, "axis": "x", "alpha_steps": 5, "delta_min": -1.0,
+                 "delta_max": 1.0, "delta_steps": 5}
+
+
+def _run_options(tmp_path, capsys, command, flags, config=None, sidecar=True):
+    """(exit code, stdout, stderr, files written) of command with the
+    RunConfig keys in flags given as flags and those in config through
+    --config. An "out" value, by either route, is the run's own output
+    directory, and "pulse" a pulse CSV synthesized at delta = 0.5, with
+    its pulse.json when sidecar."""
+    run = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+    run.mkdir()
+    pulse = run / "pulse" / "pulse.csv"
+    if "pulse" in {**flags, **(config or {})}:
+        assert run_cli("synthesize", "--target", "euler:0.4,1.1,0.2", "--delta", "0.5",
+                       "--samples", "64", "--out", str(pulse.parent)) == 0
+        if not sidecar:
+            (run / "pulse" / "pulse.json").unlink()
+    value = {"out": str(run / "out"), "pulse": str(pulse)}
+    argv = [command]
+    for key, v in flags.items():
+        v = value.get(key, v)
+        argv += [v] if key == "pulse" else ["--" + key.replace("_", "-"), str(v)]
+    if config is not None:
+        (run / "cfg.json").write_text(json.dumps({k: value.get(k, v) for k, v in config.items()}))
+        argv += ["--config", str(run / "cfg.json")]
+    capsys.readouterr()
+    code = run_cli(*argv)
+    text = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in (run / "out").glob("*")}
+    return code, text.out.replace(str(run), "RUN"), text.err, files
+
+
+def _needs(command):
+    """The options command needs to run."""
+    return {k: OPTION_VALUES.get(k) for k in ("target", "pulse") if k in READS[command]}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_options_a_command_does_not_read_exit_2(tmp_path, capsys, command):
+    # every command took --out, --tol, --samples and --omega-max, and
+    # --config took every RunConfig key for every command, read or not
+    keys = [f.name for f in dataclasses.fields(RunConfig) if f.name != "command"]
+    unread = [k for k in keys if k not in READS[command]]
+    assert unread
+    for key in unread:
+        if key != "pulse":
+            with pytest.raises(SystemExit) as exc:
+                _run_options(tmp_path, capsys, command, {**_needs(command), key: OPTION_VALUES.get(key)})
+            assert exc.value.code == 2, key
+            assert "--" + key.replace("_", "-") in capsys.readouterr().err, key
+        if key in CONFIG_ONLY.get(command, ()):
+            continue
+        code, out, err, files = _run_options(tmp_path, capsys, command, _needs(command),
+                                             {key: OPTION_VALUES.get(key)})
+        assert code == 2 and not out and not files, key
+        assert "Traceback" not in err and repr(key) in err and command in err, (key, err)
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_options_a_command_reads_work_by_flag_and_by_config(tmp_path, capsys, command):
+    for key in sorted(READS[command] - {"pulse"}):
+        flags = {**_needs(command), **({"out": None} if "out" in READS[command] else {})}
+        value = {key: flags.pop(key, OPTION_VALUES.get(key))}
+        by_flag = _run_options(tmp_path, capsys, command, {**flags, **value})
+        by_config = _run_options(tmp_path, capsys, command, flags, value)
+        assert by_flag == by_config, key
+        assert by_flag[0] == 0 and by_flag[1], key
+
+
+@pytest.mark.parametrize("command", ["propagate", "verify"])
+def test_config_delta_is_the_detuning_of_a_bare_pulse_csv(tmp_path, capsys, command):
+    pulse = {"pulse": None}
+    with_sidecar = _run_options(tmp_path, capsys, command, pulse)
+    bare = _run_options(tmp_path, capsys, command, pulse, {"delta": 0.5}, sidecar=False)
+    if command == "verify":
+        # without its pulse.json a pulse has no target record to verify against
+        assert with_sidecar[0] == 0
+        assert bare[0] == 2 and "lacks a target record" in bare[2]
+        return
+    assert bare == with_sidecar and bare[0] == 0
+    assert _run_options(tmp_path, capsys, command, pulse, sidecar=False)[1] != bare[1]

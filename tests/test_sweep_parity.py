@@ -13,7 +13,9 @@ from su2pulse import (build_psi_family, detuned, gate_from_euler, random_gate, r
                       sweep_rotation_angle, synthesize_general, tdiff_analysis)
 from su2pulse.detuned import OptimalDomain, _grid_domains, optimal_domain
 from su2pulse.resonant import _domain_arc, _domain_arcs
-from su2pulse.su2 import POLAR_THETA_TOL, canonical_euler
+from su2pulse.su2 import (POLAR_THETA_TOL, _euler_quat, _euler_quat_stack, _hopf_quat,
+                          _unit_quat, _unit_quat_stack, canonical_euler, gate_from_axis_angle,
+                          hopf_from_gate, negated_psi, wrap_4pi)
 
 from conftest import build_psi_family_oracle, sweep_rotation_angle_oracle, tdiff_analysis_oracle
 
@@ -187,3 +189,135 @@ def test_tdiff_at_zero_detuning_is_the_resonant_duration():
             continue
         report = tdiff_analysis(gate, [-1.0, 0.0, 1.0])
         assert report.t_U[1] == synthesize_general(gate, verify=False).law.tf
+
+
+# the angle sweep canonicalizes every rotation in one array pass; these
+# cases reach each branch of the tuple kernels it follows
+GAUGE_ALPHAS = [0.0, 1e-15, 1e-12, 1e-9, 9.9e-9, 1e-8, 2e-8, 2.0 * math.pi - 1e-9, 2.0 * math.pi,
+                2.0 * math.pi + 1e-9, 4.0 * math.pi - 1e-8, 4.0 * math.pi - 1e-15, 4.0 * math.pi]
+HALF_TURN_ALPHAS = [math.pi - 1e-9, math.pi, math.pi + 1e-9, 3.0 * math.pi - 1e-9, 3.0 * math.pi,
+                    3.0 * math.pi + 1e-9]
+
+
+def _near_pole_axes():
+    # transverse parts of 1e-9 (inside the gauge band at every angle) and
+    # 8e-9 (crossing it as the angle runs), about +z and -z
+    axes = []
+    for t, sign, az in ((1e-9, 1.0, 0.3), (8e-9, 1.0, -2.0), (3e-9, -1.0, 1.1), (8e-9, -1.0, 2.9)):
+        v = np.array([t * math.cos(az), t * math.sin(az), sign])
+        axes.append(tuple((v / np.linalg.norm(v)).tolist()))
+    return axes
+
+
+def _branches(axis, alphas):
+    """The _hopf_quat branch and whether -U takes the negated quaternion,
+    over the sweep's rotations."""
+    out = set()
+    for a in alphas:
+        g = gate_from_axis_angle(min(a, 4.0 * math.pi - 1e-15), axis)
+        h = hopf_from_gate(g)
+        out.add(("north" if h.gauge and h.theta1 < math.pi / 4.0 else
+                 "south" if h.gauge else "tilted", canonical_euler(g).theta == 0.0))
+    return out
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+                                  (0.6, 0.0, 0.8), (0.3, -0.4, 0.866025403784438)])
+def test_angle_sweep_in_the_north_gauge_band(axis):
+    # m34 < GAUGE_TOL: the identity, -identity and their neighbours, and
+    # every z-rotation; at theta = 0, -U's label is the negated quaternion's
+    assert ("north", True) in _branches(axis, GAUGE_ALPHAS)
+    assert sweep_rotation_angle(axis, GAUGE_ALPHAS) == sweep_rotation_angle_oracle(axis,
+                                                                                  GAUGE_ALPHAS)
+
+
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, -0.8, 0.0)])
+def test_angle_sweep_in_the_south_gauge_band(axis):
+    # m12 < GAUGE_TOL: half turns about a transverse axis
+    assert ("south", False) in _branches(axis, HALF_TURN_ALPHAS)
+    assert (sweep_rotation_angle(axis, HALF_TURN_ALPHAS)
+            == sweep_rotation_angle_oracle(axis, HALF_TURN_ALPHAS))
+
+
+@pytest.mark.parametrize("axis", _near_pole_axes())
+def test_angle_sweep_about_an_axis_near_the_pole(axis):
+    alphas = sorted(set(np.linspace(0.0, 4.0 * math.pi, 721).tolist() + GAUGE_ALPHAS))
+    kinds = _branches(axis, alphas)
+    assert ("north", True) in kinds
+    assert sweep_rotation_angle(axis, alphas) == sweep_rotation_angle_oracle(axis, alphas)
+
+
+def test_near_pole_axes_cross_the_gauge_band():
+    # the 8e-9 axes reach both sides of the band within one sweep
+    alphas = np.linspace(0.0, 4.0 * math.pi, 721).tolist()
+    kinds = set().union(*(_branches(axis, alphas) for axis in _near_pole_axes()))
+    assert {k for k, _ in kinds} == {"north", "tilted"}
+
+
+def _kernel_quats():
+    # Haar draws, quaternions within 1e-11..1e-6 of either gauge circle,
+    # and scaled copies, some by 1 + 1e-15 and 1 + 3e-15 around the
+    # rescale threshold, which no sweep reaches (its norms stay within an
+    # ulp of 1)
+    rng = np.random.default_rng(6065)
+    quats = rng.normal(size=(400, 4)).tolist()
+    for small in np.geomspace(1e-11, 1e-6, 41).tolist():
+        a, b = rng.uniform(-math.pi, math.pi, 2).tolist()
+        big, tiny = [math.cos(a), math.sin(a)], [small * math.cos(b), small * math.sin(b)]
+        quats += [big + tiny, tiny + big]
+    # signed zeros, where a fold by adding 0.0 would turn a -0.0 angle into +0.0
+    quats += [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+              [-0.0, 0.0, -1.0, 0.0], [0.0, -0.0, 0.0, -1.0], [0.6, -0.0, 0.8, 0.0],
+              [0.8, -0.0, 0.0, 0.6], [0.6, 0.0, -0.8, -0.0], [-0.6, -0.0, 0.8, 0.0]]
+    scales = [0.5, 3.0, 1.0 + 1e-15, 1.0 + 3e-15]
+    quats += [[s * x for x in q] for i, q in enumerate(quats) for s in [scales[i % 4]]]
+    # C pow's square differs from x * x in about 1 of 1000 draws here, which
+    # the rescaled norm shows
+    return quats + (rng.normal(size=(4000, 4)) * rng.uniform(0.5, 2.0, (4000, 1))).tolist()
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def test_stack_kernels_match_tuple_kernels_bit_for_bit():
+    quats = _kernel_quats()
+    units = _unit_quat_stack(np.array(quats).T)
+    want_units = [_unit_quat(tuple(q)) for q in quats]
+    assert _bits(units.T) == _bits(want_units)
+    assert sum(tuple(q) != u for q, u in zip(quats, want_units)) > len(quats) // 4
+    for q in (units, -units):
+        got = _euler_quat_stack(q)
+        want = [_euler_quat(tuple(c)) for c in q.T.tolist()]
+        assert _bits(np.array(got).T) == _bits(want)
+    kinds = {_hopf_quat(u)[3:] + (_hopf_quat(u)[0] < math.pi / 4.0,) for u in want_units}
+    assert kinds == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_array_wrap_4pi_and_negated_psi_match_the_scalar_ones():
+    # numpy's float % is Python's: fmod, then the divisor's sign, and +0
+    # for a zero remainder; signed zeros are compared by their bits
+    rng = np.random.default_rng(6066)
+    xs = []
+    for x in (0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, -4.0 * math.pi):
+        lo = hi = x
+        xs.append(x)
+        for _ in range(3):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            xs += [lo, hi]
+    xs += rng.uniform(-30.0, 30.0, 2000).tolist() + rng.normal(size=200).tolist()
+    assert _bits(wrap_4pi(np.array(xs))) == _bits([wrap_4pi(x) for x in xs])
+    psis = [wrap_4pi(x) for x in xs] + [-2.0 * math.pi, math.pi, -math.pi]
+    assert _bits(negated_psi(np.array(psis))) == _bits([negated_psi(p) for p in psis])
+
+
+def test_exact_theta_factors_are_the_scalar_ones():
+    # the grid solves finish their roots on these; cos^2(theta*/2) is C
+    # pow's square, as label_for_phi0's ** 2, which differs from numpy's
+    # x * x in about 1 of 1000 draws
+    rng = np.random.default_rng(6067)
+    thetas = np.concatenate([rng.uniform(0.0, math.pi, 20000), [POLAR_THETA_TOL, 1e-3, math.pi,
+                                                                 math.pi - POLAR_THETA_TOL]])
+    got = resonant._theta_factors(thetas, exact=True)
+    want = [resonant._theta_factors(t) for t in thetas.tolist()]
+    assert _bits(np.array(got).T) == _bits(want)
