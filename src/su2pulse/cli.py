@@ -183,6 +183,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     base = {}
     if cfg_path:
         base = _load_json_object(cfg_path, "config")
+        # a saved RunConfig carries its command, which must be this one
+        named = base.pop("command", args.command)
+        if named != args.command:
+            raise DomainError(f"config key 'command' is {named!r}, not {args.command}")
         reads = {*_OPTIONS[args.command], *_CONFIG_ONLY.get(args.command, ())}
         unread = sorted(set(base) - reads)
         if unread:

@@ -159,40 +159,29 @@ def _quat_mul(p, q):
     ])
 
 
-def _segment_factors(amp, mu0, slope, h, delta: float):
-    """Quaternions of the segments' propagators: amplitude amp, start phase
-    mu0, phase slope and length h per segment, detuning delta. Numbers
-    give one 4-tuple by math, arrays a (4, n) stack by numpy, as
-    _theta_factors picks its module: one segment builds no array."""
-    many = not isinstance(h, (int, float))
-    m = np if many else math
-    if many:
-        amp, mu0, slope, h = (np.asarray(v, dtype=float) for v in (amp, mu0, slope, h))
+def _segment_factors(amp, mu0, slope, h, delta: float) -> np.ndarray:
+    """(4, n) quaternions of the segments' propagators: amplitude amp, start
+    phase mu0, phase slope and length h per segment, detuning delta."""
+    amp, mu0, slope, h = (np.asarray(v, dtype=float) for v in (amp, mu0, slope, h))
     az = delta - slope / 2.0
+    with np.errstate(over="ignore"):
+        w = np.sqrt(amp * amp + az * az)
     # past |az| = 1e154 the square overflows; hypot there, the same bits elsewhere
-    if many:
-        with np.errstate(over="ignore"):
-            w = np.sqrt(amp * amp + az * az)
-        w = np.where(np.isinf(w), np.hypot(amp, az), w)
-        s = np.divide(np.sin(w * h), w, out=h.copy(), where=w > 0.0)   # sin(w h) / w
-    else:
-        w = math.sqrt(amp * amp + az * az)
-        w = math.hypot(amp, az) if math.isinf(w) else w
-        s = math.sin(w * h) / w if w > 0.0 else h
-    c = m.cos(w * h)
+    w = np.where(np.isinf(w), np.hypot(amp, az), w)
+    c = np.cos(w * h)
+    s = np.divide(np.sin(w * h), w, out=h.copy(), where=w > 0.0)   # sin(w h) / w
     half = slope * h / 2.0
-    f1, f2 = m.cos(half), -m.sin(half)
+    f1, f2 = np.cos(half), -np.sin(half)
     # frame exp(-i s h sz/2) = (f1, f2, 0, 0) times the body
     # exp(-i h H0) = (c, -s az, -s ay, -s ax)
-    b2, b3, b4 = -s * az, -s * amp * m.sin(mu0), -s * amp * m.cos(mu0)
-    q = (f1 * c - f2 * b2, f1 * b2 + f2 * c, f1 * b3 - f2 * b4, f1 * b4 + f2 * b3)
-    return np.array(q) if many else q
+    b2, b3, b4 = -s * az, -s * amp * np.sin(mu0), -s * amp * np.cos(mu0)
+    return np.array([f1 * c - f2 * b2, f1 * b2 + f2 * c, f1 * b3 - f2 * b4, f1 * b4 + f2 * b3])
 
 
 def _segments_gate(amp, mu0, slope, h, delta: float) -> UnitGate:
     """Exact propagator of a run of constant-amplitude, linear-phase
-    segments (ndarrays), their factors multiplied in time order (later on
-    the left) by a pairwise tree reduction."""
+    segments, their factors multiplied in time order (later on the left) by
+    a pairwise tree reduction."""
     q = _segment_factors(amp, mu0, slope, h, delta)
     while q.shape[1] > 1:
         if q.shape[1] % 2:
@@ -206,8 +195,8 @@ def propagate_law_exact(law: ExtremalLaw) -> UnitGate:
     amplitude, start phase phi0 - pi/2 and slope 2 p2 + 2 delta."""
     if law.tf == 0.0:
         return identity_gate
-    return UnitGate(*_segment_factors(1.0, law.phi0 - math.pi / 2.0,
-                                      2.0 * law.p2 + 2.0 * law.delta, law.tf, law.delta))
+    return _segments_gate([1.0], [law.phi0 - math.pi / 2.0], [2.0 * law.p2 + 2.0 * law.delta],
+                          [law.tf], law.delta)
 
 
 def propagate_pulse(schedule: PulseSchedule) -> UnitGate:

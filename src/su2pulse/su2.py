@@ -134,11 +134,6 @@ def _axis_angle_stack(alphas, n) -> np.ndarray:
     return np.array([_mapped(math.cos, half), s * nz / nn, s * ny / nn, s * nx / nn])
 
 
-def _axis_angle_quats(alphas, n) -> list:
-    """_axis_angle_stack's quaternions as tuples."""
-    return list(zip(*_axis_angle_stack(alphas, n).tolist()))
-
-
 def _hopf_quat(q: tuple) -> tuple:
     """(theta1, theta2, theta3, gauge) of a unit quaternion."""
     m12, m34 = math.hypot(q[0], q[1]), math.hypot(q[2], q[3])
@@ -230,7 +225,7 @@ def gate_from_matrix(m) -> UnitGate:
 
 def gate_from_axis_angle(alpha: float, n) -> UnitGate:
     """Gate for a rotation of alpha in [0, 4pi) about unit axis n."""
-    return UnitGate(*_axis_angle_quats((alpha,), n)[0])
+    return UnitGate(*_axis_angle_stack((alpha,), n)[:, 0].tolist())
 
 
 def hopf_from_gate(g: UnitGate) -> HopfCoords:

@@ -610,7 +610,6 @@ def _needs(command):
 def test_options_a_command_does_not_read_exit_2(tmp_path, capsys, command):
     # every command took --out, --tol, --samples and --omega-max, and
     # --config took every RunConfig key for every command, read or not
-    # the command is chosen on the command line, so a config "command" is unread too
     keys = [f.name for f in dataclasses.fields(RunConfig)]
     unread = [k for k in keys if k not in READS[command]]
     assert unread
@@ -620,10 +619,10 @@ def test_options_a_command_does_not_read_exit_2(tmp_path, capsys, command):
                 _run_options(tmp_path, capsys, command, {**_needs(command), key: OPTION_VALUES.get(key)})
             assert exc.value.code == 2, key
             assert "--" + key.replace("_", "-") in capsys.readouterr().err, key
-        if key in CONFIG_ONLY.get(command, ()):
+        if key == "command" or key in CONFIG_ONLY.get(command, ()):
             continue
         code, out, err, files = _run_options(tmp_path, capsys, command, _needs(command),
-                                             {key: OPTION_VALUES.get(key, command)})
+                                             {key: OPTION_VALUES.get(key)})
         assert code == 2 and not out and not files, key
         assert "Traceback" not in err and repr(key) in err and command in err, (key, err)
 
@@ -637,6 +636,19 @@ def test_options_a_command_reads_work_by_flag_and_by_config(tmp_path, capsys, co
         by_config = _run_options(tmp_path, capsys, command, flags, value)
         assert by_flag == by_config, key
         assert by_flag[0] == 0 and by_flag[1], key
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_a_config_command_key_must_name_the_command_run(tmp_path, capsys, command):
+    # a RunConfig saved through dataclasses.asdict carries its command
+    flags = {**_needs(command), **({"out": None} if "out" in READS[command] else {})}
+    plain = _run_options(tmp_path, capsys, command, flags)
+    assert plain[0] == 0
+    assert _run_options(tmp_path, capsys, command, flags, {"command": command}) == plain
+    other = next(c for c in sorted(READS) if c != command)
+    code, out, err, files = _run_options(tmp_path, capsys, command, flags, {"command": other})
+    assert code == 2 and not out and not files, err
+    assert "Traceback" not in err and repr(other) in err and command in err, err
 
 
 @pytest.mark.parametrize("command", ["propagate", "verify"])

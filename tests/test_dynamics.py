@@ -21,7 +21,6 @@ from su2pulse import (
     write_pulse_csv,
     zrot_gate,
 )
-from su2pulse.dynamics import _segment_factors, _segments_gate
 from su2pulse.resonant import z_rotation_parameters
 
 from conftest import (PoleEncountered, adjoint_at, axis_angle_from_gate, circle_geometry,
@@ -381,28 +380,3 @@ def test_aliasing_hint_quotes_the_least_count_that_passes_its_check():
         with pytest.raises(DomainError, match="would alias"):
             schedule_from_law(law, n - 1)
     assert quoted > 200 and len(turns) - quoted > 20
-
-
-def test_one_segment_by_math_is_the_stack_by_numpy_bit_for_bit():
-    # propagate_law_exact forms its one segment by math, propagate_pulse
-    # its segments by numpy, from one formula; the two agree bit for bit
-    # here, so a law's residual is what the stack path gave. A host whose
-    # numpy and libm differ in the last bit fails this test. The far
-    # detunings take the hypot branch of the segment's frequency
-    rng = np.random.default_rng(7171)
-
-    def bits(values):
-        return np.array(values, dtype=float).view(np.int64).tolist()
-
-    for delta in (0.0, 0.7, -3.0, 40.0, 1e5, 1e160, -1e200):
-        for _ in range(500):
-            phi0, tf = float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.0, 5.0))
-            p2 = (-math.copysign(math.pi, delta) / tf if abs(delta) > 1e100
-                  else float(3.0 * rng.normal()))
-            law = ExtremalLaw(phi0, p2, delta, tf)
-            args = (1.0, phi0 - math.pi / 2.0, 2.0 * p2 + 2.0 * delta, tf)
-            stack = [np.array([v]) for v in args]
-            assert bits(_segment_factors(*args, delta)) == bits(
-                _segment_factors(*stack, delta)[:, 0]), (delta, law)
-            assert bits(propagate_law_exact(law).quat) == bits(
-                _segments_gate(*stack, delta).quat), (delta, law)

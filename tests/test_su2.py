@@ -25,7 +25,7 @@ from su2pulse import (
     zrot_gate,
 )
 
-from su2pulse.su2 import _axis_angle_quats, _euler_quat, _hopf_quat, _unit_quat, canonical_euler
+from su2pulse.su2 import _axis_angle_stack, _euler_quat, _hopf_quat, _unit_quat, canonical_euler
 
 from conftest import axis_angle_from_gate, euler_from_hopf, expm2, hopf_from_euler
 
@@ -287,5 +287,5 @@ def test_axis_angle_kernel_matches_gate_from_axis_angle():
     for n in rng.normal(size=(50, 3)):
         n = n / np.linalg.norm(n)
         alphas = rng.uniform(0.0, 4.0 * math.pi, 20).tolist()
-        for alpha, q in zip(alphas, _axis_angle_quats(alphas, n.tolist())):
+        for alpha, q in zip(alphas, zip(*_axis_angle_stack(alphas, n.tolist()).tolist())):
             assert _unit_quat(q) == gate_from_axis_angle(alpha, n).quat
