@@ -76,8 +76,10 @@ class RunConfig:
         return cls(**d)
 
 
-# numpy refuses a larger array length before allocating anything
-_MAX_COUNT = int(np.iinfo(np.intp).max)
+# the longest float64 array numpy can size: a longer one raises numpy's
+# ValueError before anything is allocated (np.linspace an IndexError), while
+# a count within it that the host cannot hold raises MemoryError
+_MAX_COUNT = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize
 
 
 def _config_value_ok(f, v) -> bool:
@@ -356,6 +358,10 @@ def main(argv=None) -> int:
         code = _COMMANDS[cfg.command](cfg)
     except (DomainError, NonUnitary, NonUnitDeterminant, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a count numpy can size but this host cannot hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except Su2PulseError as exc:
         print(f"synthesis error: {exc}", file=sys.stderr)

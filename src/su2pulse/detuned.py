@@ -32,7 +32,10 @@ At delta = 0 the domain is the full window and inverting f_delta is the
 resonant label solve, so the arcs, their solves and the one synthesis of
 a canonical triple at every delta live in resonant.py: synthesize_detuned
 (g, 0.0) is synthesize_general(g) bit for bit. This module builds the
-family, the domains and the T_diff report on them.
+family, the domains and the T_diff report on them. The family and the
+domains' far ends are tables, solved by Newton steps on f_delta's
+closed-form slope; the T_diff report's U and -U solves are laws, by
+bisection as synthesis's.
 
 Pure z-rotation targets (theta* = 0) keep phi* = 0 by convention. Their
 duration curve T = sqrt(4 pi |Psi| - Psi^2)/2 has a cusp at the identity,
@@ -53,6 +56,7 @@ from .dynamics import propagate_law, write_csv  # noqa: F401
 from .errors import DomainError
 from .resonant import (
     _FULL_SLACK,
+    _PSI_SOLVE_TOL,
     SynthesisResult,
     _domain_arc,
     _domain_arcs,
@@ -96,6 +100,10 @@ class PsiFamily:
     controls phi0 = phi* -+ pi/2, whose circle grazes the target latitude.
     So the duration is convex between the two tangency labels and concave
     outside them.
+
+    Each entry (and `solve`'s) is solved to 1e-12 in the label by Newton
+    steps on the label's closed-form slope in phi0: within that tolerance
+    of the resonant bisection of the same label, not on its float.
     """
 
     theta_star: float
@@ -118,7 +126,7 @@ def _control_at_label(theta_star: float, phi_star: float,
     if theta_star < POLAR_THETA_TOL:
         return (0.0, *z_rotation_parameters(psi_label))
     arc = _domain_arc(theta_star, phi_star, 0.0)
-    _, tf, p2, _, phi0 = _solve_f(arc, min(max(psi_label, lo), hi), 1e-12)
+    _, tf, p2, _, phi0 = _solve_f(arc, min(max(psi_label, lo), hi), 1e-12, True)
     return phi0, p2, tf
 
 
@@ -141,7 +149,7 @@ def build_psi_family(theta_star: float, phi_star: float,
         # _control_at_label at every label, by one array solve
         _, dur, p2, _, phi0 = _solve_arcs(theta_star, phi_star, 0.0, labels,
                                           _full_arc(theta_star, phi_star, 0.0), _FULL_SLACK,
-                                          1e-12)
+                                          1e-12, True)
     return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
 
 
@@ -200,25 +208,28 @@ def _in_domain(psi_label: float, psi_min, psi_max, wrapped, phi_star: float,
 
 def _grid_domains(theta_star: float, phi_star: float, grid: np.ndarray, psis=()):
     """The optimal domain at every delta of the grid, and _solve_f's roots
-    of every psi* in psis on it, from one array solve over the strict
-    arcs' far ends and the lifted targets: the arcs as _domain_arcs'
-    columns, their (n, 2) lifted bounds [psi_min, psi_max], and (label,
-    tf) arrays of shape (len(psis), n)."""
+    of every psi* in psis on it: the strict arcs' far ends by one Newton
+    array solve, as optimal_domain's, and the lifted targets by one
+    bisection array solve, as synthesis's. It returns the arcs as
+    _domain_arcs' columns, their (n, 2) lifted bounds [psi_min, psi_max],
+    and (label, tf) arrays of shape (len(psis), n)."""
     arc = _domain_arcs(theta_star, phi_star, grid)
     n = grid.size
     strict = np.flatnonzero(~np.isnan(arc.far))
-    rows = np.concatenate([strict, np.tile(np.arange(n), len(psis))])
-    f = np.concatenate([arc.far[strict],
-                        *(_f_target(np.full(n, psi), arc.f_min, arc.f_max) for psi in psis)])
+    far = _solve_arcs(theta_star, phi_star, grid[strict], arc.far[strict],
+                      [col[strict] for col in arc.bracket], arc.slack[strict],
+                      _PSI_SOLVE_TOL, True)[0]
+    rows = np.tile(np.arange(n), len(psis))
+    f = _f_target(np.repeat(np.asarray(psis, dtype=float), n), arc.f_min[rows], arc.f_max[rows])
     label, tf, *_ = _solve_arcs(theta_star, phi_star, grid[rows], f,
                                 [col[rows] for col in arc.bracket], arc.slack[rows])
     # a strict arc's far end is psi_min for delta > 0, else psi_max
     bounds = np.empty((n, 2))
     bounds[:] = (-phi_star - TWO_PI, -phi_star + TWO_PI)
-    far, psi_b, up = label[:strict.size], arc.psi_b[strict], grid[strict] > 0.0
+    psi_b, up = arc.psi_b[strict], grid[strict] > 0.0
     bounds[strict, 0] = np.where(up, far, psi_b)
     bounds[strict, 1] = np.where(up, psi_b, far)
-    return arc, bounds, *(v[strict.size:].reshape(-1, n) for v in (label, tf))
+    return arc, bounds, *(v.reshape(-1, n) for v in (label, tf))
 
 
 def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalDomain:
@@ -227,8 +238,9 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     theta* must lie in (0, pi], phi* be finite and 2 pi |delta| finite;
     z-rotation targets have a cusp in the duration curve and are solved in
     closed form by synthesize_detuned. A strict arc's far end (psi_min for
-    delta > 0, psi_max for delta < 0) is solved here alone: synthesis needs
-    only the stationary end, which fixes the arc's f-range.
+    delta > 0, psi_max for delta < 0) is solved here alone, by Newton steps
+    to 1e-10 in f_delta: synthesis needs only the stationary end, which
+    fixes the arc's f-range.
     """
     if not (POLAR_THETA_TOL <= theta_star <= math.pi + 1e-12):
         raise DomainError("theta* must lie in (0, pi]")
@@ -238,7 +250,7 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     arc = _domain_arc(theta_star, phi_star, delta)
     lo, hi = -phi_star - TWO_PI, -phi_star + TWO_PI
     if arc.far is not None:
-        far = _solve_f(arc, arc.far)[0]
+        far = _solve_f(arc, arc.far, _PSI_SOLVE_TOL, True)[0]
         lo, hi = (far, arc.psi_b) if delta > 0.0 else (arc.psi_b, far)
     return OptimalDomain(lo, hi, arc.psi_b, theta_star, phi_star, delta, arc.wrapped,
                          arc.f_min, arc.f_max)
@@ -310,8 +322,9 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
     n = grid.size
     psi_plus, psi_minus = -e.phi + math.pi, -e.phi - math.pi
-    # at every delta, 0 included, the domain's strict end and _solve_target's
-    # inversions of f_delta for U and -U, in one array solve
+    # at every delta, 0 included, the domain's strict end (one Newton array
+    # solve) and _solve_target's inversions of f_delta for U and -U (one
+    # bisection array solve)
     arc, bounds, (psi_u, psi_n), (t_u, t_n) = _grid_domains(e.theta, e.phi, grid,
                                                             (e.psi, e_neg.psi))
     in_x = (_in_domain(psi_plus, *bounds.T, arc.wrapped, e.phi) &

@@ -18,8 +18,13 @@ the label being its accumulated psi. An optimal arc (`_domain_arc`) is a
 phi0 bracket on which f_delta is monotone, and psi* lifted into its f-range
 of width 4pi (`_f_target`) is the root's f_delta. At delta = 0 the arc is
 the full label window and f_delta the label: the resonant solve. `_solve_f`
-and its array form `_solve_arcs` solve every tilted target; their
-`_bisect` and `_bisect_many` are the package's only root finders.
+and its array form `_solve_arcs` solve every tilted target, by `_bisect`
+and `_bisect_many`, the package's only root finders. The tables of
+detuned.py (the label family and the optimal domains' far ends) take
+their Newton steps instead (`_newton`, `_newton_many`): the same
+brackets, ends and stops, with the closed-form slope of f_delta
+(`_f_slope`); laws stay on bisection, so a sweep's durations are
+synthesize's bit for bit.
 """
 from __future__ import annotations
 
@@ -306,14 +311,16 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None, exact: bool = False):
 
 
 def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
-            slack: float = 0.0) -> float:
+            slack: float = 0.0, newton: bool = False) -> float:
     """Root of g on [a, b] by bisection on the sign of g.
 
     ga = g(a) and gb = g(b) are passed in because callers often know them.
     An end with |g| <= tol is returned as it is; otherwise g must change
     sign over [a, b] (each end may miss by up to `slack`), else
     NoConvergence. The loop stops at |g(mid)| <= tol or a bracket narrower
-    than 1e-15.
+    than 1e-15. With newton, g returns g and its slope, and the steps are
+    `_newton`'s: Newton points where they are safe, else midpoints (rtsafe,
+    Numerical Recipes 9.4), with the same ends, stops and step cap.
     """
     if abs(ga) <= tol:
         return a
@@ -323,6 +330,8 @@ def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
         raise NoConvergence(f"no sign change on [{a:.9g}, {b:.9g}]: "
                             f"g = {ga:.3e}, {gb:.3e}")
     lo, hi = (a, b) if ga < gb else (b, a)     # g < 0 at lo, g > 0 at hi
+    if newton:
+        return _newton(g, lo, hi, tol)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if abs(hi - lo) < 1e-15:
@@ -337,17 +346,42 @@ def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
     raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
 
 
-def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
-    """Array form of `_bisect`, one bracket per element of the broadcast
-    1-d a, b, ga, gb (and slack, if an array): _bisect's end tests,
-    midpoints, sign ordering and stop rules, so each element gets _bisect's
-    float for the same g values.
+def _newton(g, lo: float, hi: float, tol: float) -> float:
+    """_bisect's loop with its Newton steps, from the ordered bracket (g < 0
+    at lo, g > 0 at hi); g returns g and its slope. The Newton point of the
+    last evaluation is taken when it lies strictly inside the bracket and
+    its step is at most half the step before the last one (rtsafe's test,
+    so the steps at least halve every second step where the slope is off,
+    as it is where roundoff steps the map); else the midpoint, whose step
+    is half the bracket. A zero slope takes the midpoint."""
+    x = step = None
+    last = older = abs(hi - lo)
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if abs(hi - lo) < 1e-15:
+            return mid
+        if x is None or not (lo < x < hi or hi < x < lo) or 2.0 * step > older:
+            x, step = mid, 0.5 * abs(hi - lo)
+        older, last = last, step
+        gx, slope = g(x)
+        if gx > tol:
+            hi = x
+        elif gx < -tol:
+            lo = x
+        else:
+            return x
+        if slope:
+            q = gx / slope
+            x, step = x - q, abs(q)
+        else:
+            x = None
+    raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
 
-    g(i) binds the still open brackets i and returns the evaluator of g at
-    their midpoints. Each step evaluates it once and moves lo and hi in
-    place; only in a step where a bracket closes (|g| <= tol, or narrower
-    than 1e-15 before it is evaluated) are the open set and its evaluator
-    rebuilt."""
+
+def _open_brackets(a, b, ga, gb, tol: float, slack):
+    """_bisect's end tests over broadcast 1-d a, b, ga, gb (and slack, if an
+    array): (out, i, lo, hi), out holding the ends already returned and
+    (lo, hi) the ordered brackets still open, at the indices i."""
     a, b, ga, gb = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, ga, gb))
     out = np.where(np.abs(ga) <= tol, a, b)
     todo = (np.abs(ga) > tol) & (np.abs(gb) > tol)
@@ -360,6 +394,21 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     rising = ga[i] < gb[i]
     lo = np.where(rising, a[i], b[i])     # g < 0 at lo, g > 0 at hi
     hi = np.where(rising, b[i], a[i])
+    return out, i, lo, hi
+
+
+def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
+    """Array form of `_bisect`, one bracket per element of the broadcast
+    1-d a, b, ga, gb (and slack, if an array): _bisect's end tests,
+    midpoints, sign ordering and stop rules, so each element gets _bisect's
+    float for the same g values.
+
+    g(i) binds the still open brackets i and returns the evaluator of g at
+    their midpoints. Each step evaluates it once and moves lo and hi in
+    place; only in a step where a bracket closes (|g| <= tol, or narrower
+    than 1e-15 before it is evaluated) are the open set and its evaluator
+    rebuilt."""
+    out, i, lo, hi = _open_brackets(a, b, ga, gb, tol, slack)
     ev = None
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
@@ -381,6 +430,55 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
             out[i[shut]] = mid[shut]
             keep = ~shut
             i, lo, hi, ev = i[keep], lo[keep], hi[keep], None
+    if i.size:
+        raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
+    return out
+
+
+def _newton_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
+    """Array form of `_bisect` with newton: its end tests, trial points and
+    stop rules per element, so each element gets _bisect's float for the
+    same g values and slopes. g(i) binds the open brackets i, as for
+    `_bisect_many`, and its evaluator returns g and the slope."""
+    out, i, lo, hi = _open_brackets(a, b, ga, gb, tol, slack)
+    x = np.full(i.size, math.nan)     # no Newton point before the first evaluation
+    step = last = older = np.abs(hi - lo)
+    ev = None
+    # a slope that overflows or vanishes gives a Newton point of inf or nan,
+    # which lies outside the bracket, as the scalar step's None does
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_BISECT):
+            mid = 0.5 * (lo + hi)
+            width = np.abs(hi - lo)
+            shut = width < 1e-15    # stops at its midpoint, unevaluated
+            if np.count_nonzero(shut):
+                out[i[shut]] = mid[shut]
+                keep = ~shut
+                i, lo, hi, mid, width, x, step, last, older, ev = (
+                    i[keep], lo[keep], hi[keep], mid[keep], width[keep], x[keep], step[keep],
+                    last[keep], older[keep], None)
+            if i.size == 0:
+                return out
+            take = (np.minimum(lo, hi) < x) & (x < np.maximum(lo, hi)) & (2.0 * step <= older)
+            x = np.where(take, x, mid)
+            step = np.where(take, step, 0.5 * width)
+            older, last = last, step
+            if ev is None:
+                ev = g(i)
+            gx, slope = ev(x)
+            up, down = gx > tol, gx < -tol
+            np.putmask(hi, up, x)
+            np.putmask(lo, down, x)
+            if np.count_nonzero(up) + np.count_nonzero(down) < i.size:
+                shut = ~(up | down)
+                out[i[shut]] = x[shut]
+                keep = ~shut
+                i, lo, hi, x, gx, slope, last, older, ev = (
+                    i[keep], lo[keep], hi[keep], x[keep], gx[keep], slope[keep], last[keep],
+                    older[keep], None)
+            q = gx / slope
+            x = x - q
+            step = np.abs(q)
     if i.size:
         raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
     return out
@@ -559,18 +657,64 @@ def _f_target(psi, f_min, f_max):
     return v
 
 
-def _solve_f(arc: _Arc, f: float, tol: float = _PSI_SOLVE_TOL):
+def _f_slope(delta, tf, p2, eta, tan_half):
+    """d f_delta / d phi0 at label_for_phi0's (tf, p2, eta): -(1 - delta
+    p2) dPsi/dd, with d = phi* - phi0 and dPsi/dd = 2 (1 - tf cos d /
+    tan(theta*/2)) / (1 + p2^2). |cos d| is sqrt(1 - s^2) for s = p2
+    tan(theta*/2), sin d to an ulp (0 on the South-Pole branch, where the
+    label is linear in phi0), and cos d < 0 where the arrival is past
+    eta = pi, at the second crossing (at eta = pi, tangency, cos d is 0 to
+    first order). Correctly rounded operations only, so an array's slopes
+    are the scalar ones bit for bit."""
+    s = p2 * tan_half
+    c = (1.0 - s) * (1.0 + s)                 # below 0 by roundoff where |s| rounds above 1
+    if isinstance(c, np.ndarray):
+        np.sqrt(np.maximum(c, 0.0, out=c), out=c)
+        np.negative(c, out=c, where=eta > math.pi)
+    else:
+        c = math.sqrt(max(c, 0.0))
+        if eta > math.pi:
+            c = -c
+    return (delta * p2 - 1.0) * (2.0 * (1.0 - tf * c / tan_half) / (1.0 + p2 * p2))
+
+
+def _f_gaps_and_slopes(theta_star: float, phi_star: float, delta, target):
+    """g(i) for `_newton_many`: label - 2 delta tf - target and its slope in
+    phi0 over broadcast 1-d delta and target at one (theta*, phi*), by the
+    exact array map, so each value is _solve_f's newton g bit for bit."""
+    k = _theta_factors(theta_star)
+    d, t = (np.asarray(v, dtype=float) for v in (delta, target))
+
+    def g(i):
+        d_i, t_i = (v if v.ndim == 0 else v[i] for v in (d, t))
+        twice_d = 2.0 * d_i
+
+        def ev(x):
+            label, tf, p2, eta = _labels_for_phi0(x, theta_star, phi_star, k, exact=True)
+            return label - twice_d * tf - t_i, _f_slope(d_i, tf, p2, eta, k[0])
+
+        return ev
+
+    return g
+
+
+def _solve_f(arc: _Arc, f: float, tol: float = _PSI_SOLVE_TOL, newton: bool = False):
     """(label, tf, p2, eta, phi0): label_for_phi0 at the phi0 in the arc's
-    bracket where f_delta = f, and that phi0."""
+    bracket where f_delta = f, and that phi0, by `_bisect`, with newton by
+    its Newton steps."""
     th, ph, d = arc.theta_star, arc.phi_star, arc.delta
     k = _theta_factors(th)
-
-    def g(phi0):
-        label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
-        return label - 2.0 * d * tf - f
+    if newton:
+        def g(phi0):
+            label, tf, p2, eta = label_for_phi0(phi0, th, ph, k)
+            return label - 2.0 * d * tf - f, _f_slope(d, tf, p2, eta, k[0])
+    else:
+        def g(phi0):
+            label, tf, _, _ = label_for_phi0(phi0, th, ph, k)
+            return label - 2.0 * d * tf - f
 
     lo, hi, f_lo, f_hi = arc.bracket
-    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, tol, arc.slack)
+    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, tol, arc.slack, newton)
     return (*label_for_phi0(phi0, th, ph, k), phi0)
 
 
@@ -583,14 +727,20 @@ def _solve_target(e: EulerTarget, delta: float):
     return _solve_f(arc, _f_target(e.psi, arc.f_min, arc.f_max))
 
 
-def _solve_arcs(theta_star, phi_star, delta, f, bracket, slack, tol: float = _PSI_SOLVE_TOL):
+def _solve_arcs(theta_star, phi_star, delta, f, bracket, slack, tol: float = _PSI_SOLVE_TOL,
+                newton: bool = False):
     """Array form of `_solve_f` over broadcast 1-d arguments, bracket being
     the columns (lo, hi, f_lo, f_hi): _solve_f's values bit for bit, as
-    arrays (label, tf, p2, eta, phi0), from one `_bisect_many` solve whose
-    roots the exact array map finishes on exact theta*-factors."""
+    arrays (label, tf, p2, eta, phi0), from one `_bisect_many` solve, or
+    with newton one `_newton_many` solve at one (theta*, phi*), whose roots
+    the exact array map finishes on exact theta*-factors."""
     lo, hi, f_lo, f_hi = bracket
-    phi0 = _bisect_many(_f_gaps(theta_star, phi_star, delta, f, tol), lo, hi,
-                        f_lo - f, f_hi - f, tol, slack)
+    if newton:
+        phi0 = _newton_many(_f_gaps_and_slopes(theta_star, phi_star, delta, f), lo, hi,
+                            f_lo - f, f_hi - f, tol, slack)
+    else:
+        phi0 = _bisect_many(_f_gaps(theta_star, phi_star, delta, f, tol), lo, hi,
+                            f_lo - f, f_hi - f, tol, slack)
     k = _theta_factors(theta_star, exact=True)
     return (*_labels_for_phi0(phi0, theta_star, phi_star, k, exact=True), phi0)
 

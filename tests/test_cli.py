@@ -9,7 +9,8 @@ import warnings
 import pytest
 
 import su2pulse
-from su2pulse import NoConvergence, NoStationaryPoint, StepTooLarge, TargetUnreached, resonant
+from su2pulse import (NoConvergence, NoStationaryPoint, StepTooLarge, TargetUnreached, detuned,
+                      dynamics, resonant, so3)
 from su2pulse.cli import RunConfig, main
 
 
@@ -412,8 +413,12 @@ def test_config_scale_and_tolerance_are_checked(tmp_path, capsys, key, value):
 
 
 # counts past np.iinfo(np.intp).max (sys.maxsize), which numpy refuses
-# before allocating
+# before allocating; from 2**62 on, a float64 array of that length is past
+# it in bytes, which numpy refuses too
 _HUGE = str(sys.maxsize + 1)
+_COUNT_FLAGS = [("synthesize", "--target", "zrot:1.0", "--samples"),
+                ("sweep-angle", "--alpha-steps"),
+                ("sweep-detuning", "--target", "euler:0.4,2.2,0.3", "--delta-steps")]
 
 
 @pytest.mark.parametrize("args", [
@@ -427,7 +432,7 @@ _HUGE = str(sys.maxsize + 1)
     ("synthesize", "--target", "zrot:0", "--samples", "-5"),
     ("synthesize", "--target", "zrot:1", "--samples", "-5"),
     ("synthesize", "--target", "zrot:1", "--samples", "1"),
-])
+] + [(*flag, str(n)) for flag in _COUNT_FLAGS for n in (2 ** 62, sys.maxsize)])
 def test_counts_out_of_range_are_usage_errors(tmp_path, capsys, args):
     # too large ended in a numpy ValueError traceback; too small was clamped,
     # or for --samples wrote a header-only pulse (identity target) or failed
@@ -436,6 +441,30 @@ def test_counts_out_of_range_are_usage_errors(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "Traceback" not in err and args[-2] in err
     assert not list(tmp_path.iterdir())
+
+
+_ALLOCATION = MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+
+@pytest.mark.parametrize("command, module, name, exc, line", [
+    ("synthesize", dynamics, "schedule_from_law", _ALLOCATION, "error: Unable to allocate"),
+    ("sweep-angle", so3, "sweep_rotation_angle", _ALLOCATION, "error: Unable to allocate"),
+    ("sweep-detuning", detuned, "tdiff_analysis", _ALLOCATION, "error: Unable to allocate"),
+    ("sweep-angle", so3, "sweep_rotation_angle", MemoryError(), "error: out of memory\n"),
+])
+def test_an_allocation_that_fails_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                    command, module, name, exc, line):
+    # a count numpy can size but the host cannot hold ended in numpy's
+    # _ArrayMemoryError traceback; the allocation here is a stand-in that raises
+    def allocate(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, allocate)
+    args = [flag for flag in _COUNT_FLAGS if flag[0] == command][0][:-1]
+    assert run_cli(*args, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith(line)
 
 
 _BIG = "1" + "0" * 400                  # an int past the float range

@@ -1,14 +1,15 @@
 """The shared root finders: bracketed bisection, its array form with the
-bound evaluator of the f_delta gaps, and the mod-4pi root scan of the test
-oracles."""
+bound evaluator of the f_delta gaps, their Newton steps for the tables,
+and the mod-4pi root scan of the test oracles."""
 import math
 
 import numpy as np
 import pytest
 
-from su2pulse import NoConvergence
+from su2pulse import NoConvergence, build_psi_family, optimal_domain
 from su2pulse.detuned import _domain_arc
-from su2pulse.resonant import _ARRAY_ROUNDOFF, _bisect, _bisect_many, _f_gaps, label_for_phi0
+from su2pulse.resonant import (_ARRAY_ROUNDOFF, _PSI_SOLVE_TOL, _bisect, _bisect_many, _f_gaps,
+                               _newton_many, _solve_f, label_for_phi0)
 from su2pulse.su2 import POLAR_THETA_TOL
 
 from conftest import _roots_mod_4pi
@@ -35,6 +36,95 @@ def _bisect_both(g, a, b, ga, gb, tol, **kw):
         raise
     assert many() == x
     return x
+
+
+def _newton_both(g, a, b, tol):
+    """_bisect's root with newton, once `_newton_many` on a one-bracket
+    batch, with g and its slope evaluated per element, has returned the
+    same float bit for bit."""
+    def gv(i):
+        assert i.tolist() == [0]
+        return lambda x: tuple(np.array(v) for v in zip(*(g(u) for u in x.tolist())))
+
+    ga, gb = g(a)[0], g(b)[0]
+    x = _bisect(g, a, b, ga, gb, tol, 0.0, True)
+    assert float(_newton_many(gv, [a], [b], [ga], [gb], tol)[0]) == x
+    return x
+
+
+@pytest.mark.parametrize("slope, most", [
+    (lambda x: 2.0 * x, 8),          # the true slope: Newton steps
+    (lambda x: 0.0, 60),             # none: bisection, without a warning
+    (lambda x: math.inf, 60),        # overflowed: bisection
+    # about half of it: the Newton points overshoot and land on alternate
+    # sides of the root, each about 4% nearer, strictly inside the bracket,
+    # so only the step test (steps halving every second step) cuts them short
+    (lambda x: 1.02 * x, 60),
+])
+def test_newton_steps_reach_the_root(slope, most):
+    # a Newton point is taken only strictly inside the bracket and while the
+    # steps halve every second step, else the midpoint, so a wrong slope
+    # costs evaluations, never the root
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x * x - 2.0, slope(x)
+
+    x = _newton_both(g, 0.0, 3.0, 1e-12)
+    assert abs(x - math.sqrt(2.0)) < 1e-11
+    assert len(calls) <= 2 + 2 * most        # both ends, then each solve's steps
+
+
+def _meets_contract(arc, target, tol, phi0):
+    """_bisect's contract at its root phi0 of f_delta = target on the arc's
+    bracket, checked by label_for_phi0 alone: |f_delta - target| <= tol at
+    phi0, or phi0 is the midpoint of a bracket narrower than 1e-15 across
+    which f_delta passes the target. So 1e-15 away on either side, outside
+    that bracket, the gaps lie beyond +-tol, or, at an end of the arc's
+    bracket, within its slack."""
+    def gap(x):
+        label, tf, _, _ = label_for_phi0(x, arc.theta_star, arc.phi_star)
+        return label - 2.0 * arc.delta * tf - target
+
+    if abs(gap(phi0)) <= tol:
+        return True
+    band = -arc.slack if min(abs(phi0 - end) for end in arc.bracket[:2]) < 1e-15 else tol
+    below, above = sorted(gap(phi0 + h) for h in (-1e-15, 1e-15))
+    return below < -band and above > band
+
+
+def _contract_targets():
+    rng = np.random.default_rng(6075)
+    out = [(math.acos(float(rng.uniform(-1.0, 1.0))), float(rng.uniform(-math.pi, math.pi)))
+           for _ in range(6)]
+    return out + [(t, float(rng.uniform(-math.pi, math.pi)))
+                  for t in (3e-8, 1e-6, 1e-3, 2.2689, math.pi - 1e-6, math.pi - 2e-8, math.pi)]
+
+
+@pytest.mark.parametrize("theta, phi", _contract_targets())
+def test_tables_meet_the_solve_contract(theta, phi):
+    # checked by label_for_phi0 alone: each family entry at its label, at
+    # delta = 0 and tol 1e-12, and each strict far end of a seeded detuning
+    # grid with its thresholds, at tol 1e-10, the far end being
+    # optimal_domain's bound
+    fam, window = build_psi_family(theta, phi, 256), _domain_arc(theta, phi, 0.0)
+    for label, phi0 in zip(fam.psi.tolist(), fam.phi0.tolist()):
+        assert _meets_contract(window, label, 1e-12, phi0), (label, phi0)
+    thr = math.tan(theta / 2.0)
+    grid = np.linspace(-6.0, 6.0, 61).tolist() + [s * thr * (1.0 + e) for s in (1.0, -1.0)
+                                                  for e in (1e-12, 1e-6, 1e-3, 1.0)]
+    strict = 0
+    for delta in grid:
+        arc = _domain_arc(theta, phi, delta)
+        if arc.far is None:
+            continue
+        label, _, _, _, phi0 = _solve_f(arc, arc.far, _PSI_SOLVE_TOL, True)
+        dom = optimal_domain(theta, phi, delta)
+        assert label == (dom.psi_min if delta > 0.0 else dom.psi_max)
+        assert _meets_contract(arc, arc.far, _PSI_SOLVE_TOL, phi0), (delta, phi0)
+        strict += 1
+    assert strict
 
 
 def _call(g, a, b, tol, **kw):

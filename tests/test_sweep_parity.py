@@ -27,6 +27,18 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+# near both poles, where the Newton inversion's slope is steep, flat or
+# off from roundoff; and at each, detunings from 0.7 to 1e6 and about the
+# threshold tan(theta*/2)
+HARD_THETAS = [3e-8, 1e-6, 1e-3, math.pi - 1e-6, math.pi - 2e-8, math.pi]
+
+
+def _hard_grid(theta):
+    thr = math.tan(theta / 2.0)
+    mags = [0.7, 50.0, 1e3, 1e6, thr * (1.0 + 1e-6), thr * (1.0 - 1e-6), thr * (1.0 + 1e-12)]
+    return np.unique([s * m for m in mags for s in (1.0, -1.0)])
+
+
 def _family_cases():
     rng = np.random.default_rng(6061)
     thetas = np.exp(rng.uniform(math.log(1e-3), math.log(math.pi), 20)).tolist()
@@ -35,7 +47,9 @@ def _family_cases():
     # the paper's target; and a family in which the array map's value at one
     # bisection midpoint sits within roundoff of the 1e-12 stop, where only
     # label_for_phi0 decides as the scalar solve does
-    return cases + [(2.2689, 0.0), (0.023566653797669614, -0.32330695007011734)]
+    cases += [(2.2689, 0.0), (0.023566653797669614, -0.32330695007011734)]
+    # and the rest of the Newton inversion's hard inclinations
+    return cases + [(t, float(rng.uniform(-math.pi, math.pi))) for t in HARD_THETAS[1:4]]
 
 
 @pytest.mark.parametrize("theta, phi", _family_cases())
@@ -108,6 +122,7 @@ def _domain_cases():
     for target, grid in TDIFF_CASES:
         e = canonical_euler(gate_from_euler(*target))
         cases.append((e.theta, e.phi, grid))
+    cases += [(t, float(rng.uniform(-math.pi, math.pi)), _hard_grid(t)) for t in HARD_THETAS]
     # and every grid through the threshold: at it, and above it by 1e-12
     out = []
     for theta, phi, grid in cases:
