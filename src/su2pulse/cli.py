@@ -216,7 +216,7 @@ def _pulse_paths(out: str) -> tuple[Path, Path, Path]:
 def cmd_synthesize(cfg: RunConfig) -> int:
     result = resonant.synthesize(_target(cfg), delta=cfg.delta)
     law = result.law
-    schedule = dynamics.schedule_from_law(law, cfg.samples, omega_max=cfg.omega_max)
+    schedule = dynamics.schedule_from_law(law, cfg.samples)
     csv_path, json_path, traj_path = _pulse_paths(cfg.out)
     dynamics.write_pulse_csv(schedule, csv_path)
     header = {
@@ -253,8 +253,7 @@ def _read_pulse(cfg: RunConfig) -> tuple[dynamics.PulseSchedule, dict]:
     if (isinstance(delta, bool) or not isinstance(delta, (int, float))
             or not abs(delta) <= sys.float_info.max):
         raise DomainError(f"pulse header {json_path}: delta = {delta!r} is not a finite number")
-    return dynamics.read_pulse_csv(csv_path, delta=float(delta),
-                                   omega_max=header.get("omega_max")), header
+    return dynamics.read_pulse_csv(csv_path, delta=float(delta)), header
 
 
 def cmd_propagate(cfg: RunConfig) -> int:

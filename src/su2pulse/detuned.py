@@ -55,13 +55,10 @@ import numpy as np
 from .dynamics import propagate_law, write_csv  # noqa: F401
 from .errors import DomainError
 from .resonant import (
-    _FULL_SLACK,
-    _PSI_SOLVE_TOL,
     SynthesisResult,
     _domain_arc,
     _domain_arcs,
     _f_target,
-    _full_arc,
     _solve_arcs,
     _solve_f,
     _synthesize_canonical,
@@ -147,8 +144,7 @@ def build_psi_family(theta_star: float, phi_star: float,
                                   for lab in labels.tolist()]).T
     else:
         # _control_at_label at every label, by one array solve
-        _, dur, p2, _, phi0 = _solve_arcs(theta_star, phi_star, 0.0, labels,
-                                          _full_arc(theta_star, phi_star, 0.0), _FULL_SLACK,
+        _, dur, p2, _, phi0 = _solve_arcs(_domain_arc(theta_star, phi_star, 0.0), labels,
                                           1e-12, True)
     return PsiFamily(theta_star, phi_star, labels, phi0, p2, dur)
 
@@ -216,13 +212,10 @@ def _grid_domains(theta_star: float, phi_star: float, grid: np.ndarray, psis=())
     arc = _domain_arcs(theta_star, phi_star, grid)
     n = grid.size
     strict = np.flatnonzero(~np.isnan(arc.far))
-    far = _solve_arcs(theta_star, phi_star, grid[strict], arc.far[strict],
-                      [col[strict] for col in arc.bracket], arc.slack[strict],
-                      _PSI_SOLVE_TOL, True)[0]
+    far = _solve_arcs(arc.rows(strict), arc.far[strict], newton=True)[0]
     rows = np.tile(np.arange(n), len(psis))
     f = _f_target(np.repeat(np.asarray(psis, dtype=float), n), arc.f_min[rows], arc.f_max[rows])
-    label, tf, *_ = _solve_arcs(theta_star, phi_star, grid[rows], f,
-                                [col[rows] for col in arc.bracket], arc.slack[rows])
+    label, tf, *_ = _solve_arcs(arc.rows(rows), f)
     # a strict arc's far end is psi_min for delta > 0, else psi_max
     bounds = np.empty((n, 2))
     bounds[:] = (-phi_star - TWO_PI, -phi_star + TWO_PI)
@@ -250,7 +243,7 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     arc = _domain_arc(theta_star, phi_star, delta)
     lo, hi = -phi_star - TWO_PI, -phi_star + TWO_PI
     if arc.far is not None:
-        far = _solve_f(arc, arc.far, _PSI_SOLVE_TOL, True)[0]
+        far = _solve_f(arc, arc.far, newton=True)[0]
         lo, hi = (far, arc.psi_b) if delta > 0.0 else (arc.psi_b, far)
     return OptimalDomain(lo, hi, arc.psi_b, theta_star, phi_star, delta, arc.wrapped,
                          arc.f_min, arc.f_max)
@@ -308,8 +301,10 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
 
     Sign changes of t_U - t_negU inside X are genuine zero crossings at
     delta = -(phi* + psi* +- pi + 4 pi n) / (2 T(-phi* +- pi)); outside X
-    they are jumps where one optimal label hits a domain boundary. A grid
-    whose span holds more than 2**20 zero crossings raises DomainError.
+    they are jumps where one optimal label hits a domain boundary; one
+    across exact zeros sits at the zero (a run's middle), and a zero
+    touched from one side, or at a grid end, is none. A grid whose span
+    holds more than 2**20 zero crossings raises DomainError.
     """
     e = canonical_euler(target)
     if e.theta < POLAR_THETA_TOL:
@@ -320,7 +315,6 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
         raise DomainError("delta grid must be non-empty, finite, sorted and 1-d")
     _check_detunings(*grid.tolist())
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
-    n = grid.size
     psi_plus, psi_minus = -e.phi + math.pi, -e.phi - math.pi
     # at every delta, 0 included, the domain's strict end (one Newton array
     # solve) and _solve_target's inversions of f_delta for U and -U (one
@@ -342,23 +336,25 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     if count > _MAX_CROSSINGS:
         raise DomainError(f"delta grid [{grid[0]:.6g}, {grid[-1]:.6g}] holds {count} predicted "
                           f"zero crossings, more than {_MAX_CROSSINGS}")
-    predicted = sorted(set(round(-(c + FOUR_PI * nn) / (2.0 * t_pair), 12)
+    # + 0.0 turns a -0.0 into 0.0
+    predicted = sorted(set(round(-(c + FOUR_PI * nn) / (2.0 * t_pair), 12) + 0.0
                            for c, n_lo, n_hi in ranges for nn in range(n_lo, n_hi + 1)))
     events = []
     diff = t_u - t_n
-    for i in range(n - 1):
-        a, b = diff[i], diff[i + 1]
-        if a == 0.0 or a * b >= 0.0:
+    # sign changes between rows of nonzero difference, across any exact zeros
+    nonzero = np.flatnonzero(diff != 0.0).tolist()
+    for i, j in zip(nonzero, nonzero[1:]):
+        if diff[i] * diff[j] >= 0.0:
             continue
-        mid = 0.5 * (grid[i] + grid[i + 1])
-        kind = "zero_cross" if (in_x[i] and in_x[i + 1]) else "boundary_jump"
+        mid = 0.5 * (grid[i] + grid[i + 1]) if j == i + 1 else 0.5 * (grid[i + 1] + grid[j - 1])
+        kind = "zero_cross" if (in_x[i] and in_x[j]) else "boundary_jump"
         events.append((float(mid), kind))
     return TdiffReport(grid, t_u, t_n, in_x, events, predicted, psi_u, psi_n, bounds)
 
 
 def write_tdiff_csv(report: TdiffReport, path) -> None:
     """delta,t_U,t_negU,tdiff,in_X,event; the event marks the first grid row
-    after each sign change."""
+    at or after each sign change: the zero row of one across an exact zero."""
     marks = {}
     for d, kind in report.events:
         idx = int(np.searchsorted(report.delta_grid, d))

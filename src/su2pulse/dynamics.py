@@ -62,13 +62,11 @@ class PulseSchedule:
     """Time-sampled physical controls (t, vx, vy) plus normalization metadata.
 
     samples is an (n, 3) float array with strictly increasing times from 0
-    to tf; omega_max (rad/s), when set, converts back to physical units via
-    t_phys = 2 t / omega_max, omega_i = v_i * omega_max.
+    to tf and controls of amplitude at most 1, in normalized units.
     """
 
     samples: np.ndarray
     delta: float
-    omega_max: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -95,10 +93,16 @@ class PulseSchedule:
 # closed-form trajectory
 # ---------------------------------------------------------------------------
 
+def _drive_phase(law: ExtremalLaw) -> tuple[float, float]:
+    """(phi0 - pi/2, 2 p2 + 2 delta): (mu0, slope) of mu(t) = mu0 + slope t."""
+    return law.phi0 - math.pi / 2.0, 2.0 * law.p2 + 2.0 * law.delta
+
+
 def control_phase(law: ExtremalLaw, t: float) -> float:
     """mu(t) = phi0 - pi/2 + (2 p2 + 2 delta) t, the drive phase; t may be
     an array of times."""
-    return law.phi0 - math.pi / 2.0 + (2.0 * law.p2 + 2.0 * law.delta) * t
+    mu0, slope = _drive_phase(law)
+    return mu0 + slope * t
 
 
 def _trajectory_rows(law: ExtremalLaw, t) -> np.ndarray:
@@ -195,8 +199,8 @@ def propagate_law_exact(law: ExtremalLaw) -> UnitGate:
     amplitude, start phase phi0 - pi/2 and slope 2 p2 + 2 delta."""
     if law.tf == 0.0:
         return identity_gate
-    return _segments_gate([1.0], [law.phi0 - math.pi / 2.0], [2.0 * law.p2 + 2.0 * law.delta],
-                          [law.tf], law.delta)
+    mu0, slope = _drive_phase(law)
+    return _segments_gate([1.0], [mu0], [slope], [law.tf], law.delta)
 
 
 def propagate_pulse(schedule: PulseSchedule) -> UnitGate:
@@ -280,8 +284,7 @@ def _rk4_quat_step(x, t, h, control, delta):
 def propagate_law(law: ExtremalLaw, n_steps: int = DEFAULT_STEPS) -> UnitGate:
     """RK4-propagate the law's analytic controls through the quaternion ODE;
     the cross-check of propagate_law_exact."""
-    mu0 = law.phi0 - math.pi / 2.0
-    slope = 2.0 * law.p2 + 2.0 * law.delta
+    mu0, slope = _drive_phase(law)
 
     def control(t):
         m = mu0 + slope * t
@@ -326,8 +329,7 @@ def propagate_schrodinger(schedule: PulseSchedule, dt: float | None = None) -> U
 # pulse schedules and file formats
 # ---------------------------------------------------------------------------
 
-def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
-                      omega_max: float | None = None) -> PulseSchedule:
+def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES) -> PulseSchedule:
     """Sample the law's controls on a uniform grid; empty for tf = 0.
 
     Raises DomainError when the drive phase advances by pi or more per
@@ -337,10 +339,10 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
     the integers a float resolves.
     """
     if law.tf == 0.0:
-        return PulseSchedule(np.zeros((0, 3)), delta=law.delta, omega_max=omega_max)
+        return PulseSchedule(np.zeros((0, 3)), delta=law.delta)
     if n_samples < 2:
         raise DomainError("need at least 2 samples")
-    slope = 2.0 * law.p2 + 2.0 * law.delta
+    mu0, slope = _drive_phase(law)
     turn = abs(slope) * law.tf / math.pi
     if not turn / (n_samples - 1) < 1.0:
         need = int(turn) + 2 if turn < 2.0 ** 53 else 2 ** 53
@@ -354,12 +356,8 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES,
             f"sample (pi or more) and would alias; use --samples {need} or more"
         )
     t = np.linspace(0.0, law.tf, n_samples)
-    mu = law.phi0 - math.pi / 2.0 + slope * t
-    return PulseSchedule(
-        np.column_stack([t, np.cos(mu), np.sin(mu)]),
-        delta=law.delta,
-        omega_max=omega_max,
-    )
+    mu = mu0 + slope * t
+    return PulseSchedule(np.column_stack([t, np.cos(mu), np.sin(mu)]), delta=law.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +538,7 @@ def _parse_pulse_lines(lines) -> list[list[float]]:
     return rows
 
 
-def read_pulse_csv(path, delta: float = 0.0,
-                   omega_max: float | None = None) -> PulseSchedule:
+def read_pulse_csv(path, delta: float = 0.0) -> PulseSchedule:
     """Read a pulse CSV (header t,vx,vy). A body of three values on every
     non-blank line is parsed in one numpy conversion; any other file goes
     through the line parser, which names the faulty line."""
@@ -559,7 +556,7 @@ def read_pulse_csv(path, delta: float = 0.0,
             pass
     if samples is None:
         samples = np.array(_parse_pulse_lines(lines))
-    return PulseSchedule(samples.reshape(-1, 3), delta=delta, omega_max=omega_max)
+    return PulseSchedule(samples.reshape(-1, 3), delta=delta)
 
 
 def write_trajectory_csv(law: ExtremalLaw, path, n_samples: int = DEFAULT_SAMPLES) -> None:

@@ -213,27 +213,23 @@ def synthesize_xy_rotation(a: float, b: float, verify: bool = True) -> Synthesis
 # general targets: label map and 1-d solve
 # ---------------------------------------------------------------------------
 
-def _theta_factors(theta_star, tan_half=None, exact: bool = False):
+def _theta_factors(theta_star):
     """(tan(theta*/2), cos theta*, cos^2(theta*/2)), the label map's factors
-    that depend on theta* alone: numpy's for an ndarray, else math's, which
-    label_for_phi0 computes when not given them; tan_half is the first,
-    when the caller has it. With exact an ndarray takes math's too, element
-    by element, its square by C pow as `** 2` on a float (numpy's x*x can
-    differ in the last bit), so each element is a float theta*'s factors."""
-    if exact and isinstance(theta_star, np.ndarray):
+    that depend on theta* alone, formed once per optimal arc (`_Arc.k`), by
+    math: for an ndarray element by element, the square by C pow as `** 2`
+    (numpy's x*x can differ in the last bit), each element a float's bits."""
+    if isinstance(theta_star, np.ndarray):
         half = theta_star / 2.0
         return (_mapped(math.tan, half), _mapped(math.cos, theta_star),
                 _mapped(math.pow, _mapped(math.cos, half), 2.0))
-    m = np if isinstance(theta_star, np.ndarray) else math
-    tan_half = m.tan(theta_star / 2.0) if tan_half is None else tan_half
-    return tan_half, m.cos(theta_star), m.cos(theta_star / 2.0) ** 2
+    return math.tan(theta_star / 2.0), math.cos(theta_star), math.cos(theta_star / 2.0) ** 2
 
 
 def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
                    ) -> tuple[float, float, float, float]:
     """(label, tf, p2, eta_f) for the circle from azimuth phi0 through
     (theta*, phi*), arriving the first time the azimuth matches; k is
-    _theta_factors(theta*), which a caller mapping many phi0 passes once.
+    _theta_factors(theta*): an arc's, at every phi0 of its solve, or formed here.
     |phi* - phi0| must stay below 5pi/2; every solver bracket keeps it
     within 3pi/2.
 
@@ -272,12 +268,10 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None, exact: bool = False):
     """Array form of label_for_phi0 over the 1-d phi0, with theta* and phi*
     scalars or of phi0's shape (theta* outside the North polar band), k as
     there: label_for_phi0's operations in its order, on in-place
-    temporaries. numpy's sin, tan and arccos differ from math's in the
-    last bit, so it agrees with the scalar map to roundoff: the grid solves
-    steer brackets with it and report label_for_phi0's values. With exact,
-    sin and acos are math's, element by element, and with math's k (a
-    float theta*'s, or an array's from _theta_factors with exact) each
-    value is label_for_phi0's bit for bit. Like label_for_phi0 it needs
+    temporaries. With exact, sin and acos are math's, element by element,
+    and each value is label_for_phi0's bit for bit; else numpy's, which
+    differ from math's in the last bit: the grid solves steer with those
+    (`_f_gaps`) and report exact values. Like label_for_phi0 it needs
     |phi* - phi0| < 5pi/2."""
     tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
@@ -484,19 +478,20 @@ def _newton_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     return out
 
 
-def _f_gaps(theta_star, phi_star, delta, target, tol: float):
+def _f_gaps(theta_star, phi_star, delta, target, tol: float, k=None):
     """g(i) for `_bisect_many`: label - 2 delta tf - target from the array
-    label map, at delta = 0 the label mismatch, over broadcast 1-d
-    arguments. Each open set i binds its brackets' theta*-factors, phi*,
-    delta, target and roundoff band once; a scalar argument (one theta* for
-    a family or a T_diff grid, delta = 0) stays scalar. A value within
-    roundoff of +-tol, where the map's last bits could flip _bisect's
-    decision, is recomputed by label_for_phi0."""
-    th, ph, d, t = (np.asarray(v, dtype=float) for v in (theta_star, phi_star, delta, target))
-    fac = _theta_factors(th)
+    label map (numpy's sin and arccos, on the theta*-factors k: an arc's,
+    else formed here), at delta = 0 the label mismatch, over broadcast 1-d
+    arguments. Each open set i binds its brackets' factors, phi*, delta,
+    target and roundoff band once; a scalar argument (one theta* for a
+    family or a T_diff grid, delta = 0) stays scalar. A value within
+    roundoff of +-tol, where numpy's last bits could flip _bisect's
+    decision, is recomputed by label_for_phi0 on the same factors."""
+    th, ph, d, t, *fac = (np.asarray(v, dtype=float) for v in (
+        theta_star, phi_star, delta, target, *(k or _theta_factors(theta_star))))
     twice_d = 2.0 * d
     band = _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d))
-    full = np.broadcast_arrays(th, ph, d, t)     # views, for the scalar recompute
+    full = np.broadcast_arrays(th, ph, d, t, *fac)     # views, for the scalar recompute
 
     def g(i):
         th_i, ph_i, d2_i, t_i, band_i, *fac_i = (v if v.ndim == 0 else v[i]
@@ -510,10 +505,10 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float):
             near = np.abs(np.abs(gm) - tol) <= band_i
             if not np.count_nonzero(near):
                 return gm
-            for k, j in zip(np.flatnonzero(near).tolist(), i[near].tolist()):
-                th_j, ph_j, d_j, t_j = (float(v[j]) for v in full)
-                label, tf, _, _ = label_for_phi0(float(x[k]), th_j, ph_j)
-                gm[k] = label - 2.0 * d_j * tf - t_j
+            for n, j in zip(np.flatnonzero(near).tolist(), i[near].tolist()):
+                th_j, ph_j, d_j, t_j, *k_j = (float(v[j]) for v in full)
+                label, tf, _, _ = label_for_phi0(float(x[n]), th_j, ph_j, k_j)
+                gm[n] = label - 2.0 * d_j * tf - t_j
             return gm
 
         return ev
@@ -534,12 +529,13 @@ _FULL_SLACK = 1e-9
 
 class _Arc(NamedTuple):
     """An optimal domain as one phi0 bracket (lo, hi, f_delta at lo, at hi)
-    on which f_delta = label - 2 delta tf is monotone, with the arc's
-    f-range. A strict arc's bracket runs from its stationary end psi_b to
-    the next stationary label, past a window end, where label(phi0 + 2pi)
-    = label(phi0) - 4pi lifts the labels of a wrapped arc by itself. Its
-    far end is the root of f_delta = `far`; psi_b and far are None for the
-    full window, which at delta = 0 is the resonant label solve."""
+    on which f_delta = label - 2 delta tf is monotone, its f-range, and k,
+    the map's theta*-factors, read by every solve on it. A strict arc's
+    bracket runs from its stationary end psi_b to the next stationary label,
+    past a window end, where label(phi0 + 2pi) = label(phi0) - 4pi lifts the
+    labels of a wrapped arc by itself. Its far end is the root of f_delta =
+    `far`; psi_b and far are None for the full window, which at delta = 0 is
+    the resonant label solve. Fields may be columns: per delta, or per theta*."""
 
     theta_star: float
     phi_star: float
@@ -551,6 +547,13 @@ class _Arc(NamedTuple):
     far: float | None
     wrapped: bool
     slack: float
+    k: tuple[float, float, float]
+
+    def rows(self, i) -> _Arc:
+        """The arc at the rows i of its columns; scalar fields stay."""
+        def pick(v):
+            return v[i] if isinstance(v, np.ndarray) else v
+        return _Arc(*(tuple(map(pick, v)) if isinstance(v, tuple) else pick(v) for v in self))
 
 
 def _full_arc(theta_star, phi_star, delta):
@@ -568,14 +571,16 @@ def _full_arc(theta_star, phi_star, delta):
             (-phi_star + TWO_PI) - shift, (-phi_star - TWO_PI) - shift)
 
 
-def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
-    """The _Arc of the optimal domain at delta, of either sign, 0 included."""
+def _domain_arc(theta_star, phi_star, delta: float) -> _Arc:
+    """The _Arc of the optimal domain at delta, of either sign, 0 included;
+    at delta = 0 theta* and phi* may be ndarrays, for the full windows as
+    columns."""
     full = _full_arc(theta_star, phi_star, delta)
-    tan_half = math.tan(theta_star / 2.0) if delta else 0.0   # no tan at delta = 0
+    k = _theta_factors(theta_star)
+    tan_half = k[0]
     if delta == 0.0 or abs(delta) <= abs(tan_half):
         return _Arc(theta_star, phi_star, delta, full, full[3], full[2], None, None, False,
-                    _FULL_SLACK)
-    k = _theta_factors(theta_star, tan_half)
+                    _FULL_SLACK, k)
     s = math.copysign(1.0, delta)
     # below 1: here 0 < tan(theta*/2) < |delta|, and a/b rounds below 1 for 0 < a < b
     ratio = tan_half / abs(delta)
@@ -595,12 +600,12 @@ def _domain_arc(theta_star: float, phi_star: float, delta: float) -> _Arc:
     # the arc wraps when its far end lies past the window end phi* + s pi
     wrapped = s * far < s * full[3 if s > 0.0 else 2] - 1e-12
     return _Arc(theta_star, phi_star, delta, (phi0_b, phi0_c, f_b, label_c - 2.0 * delta * tf_c),
-                f_min, f_max, psi_b, far, wrapped, _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)))
+                f_min, f_max, psi_b, far, wrapped, _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)), k)
 
 
 def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
     """_domain_arc at every delta of the 1-d array, as one _Arc of columns
-    (theta* and phi* stay scalars): its operations in its order, numpy's
+    (theta*, phi* and k stay scalars): its operations in its order, numpy's
     for the correctly rounded ones and math's asin, sin, acos and cos
     element by element, so every column is _domain_arc's bit for bit.
     psi_b and far are nan on the full points."""
@@ -610,13 +615,13 @@ def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
     psi_b, far = np.full(delta.shape, math.nan), np.full(delta.shape, math.nan)
     wrapped = np.zeros(delta.shape, dtype=bool)
     slack = np.full(delta.shape, _FULL_SLACK)
-    tan_half = math.tan(theta_star / 2.0)
+    k = _theta_factors(theta_star)
+    tan_half = k[0]
     i = np.flatnonzero((delta != 0.0) & (np.abs(delta) > abs(tan_half)))
     if i.size:
         d = delta[i]
         s = np.copysign(1.0, d)
         asin_r = _mapped(math.asin, tan_half / np.abs(d))
-        k = _theta_factors(theta_star, tan_half)
         phi0_b = phi_star - s * asin_r
         label_b, tf_b, p2_b, _ = _labels_for_phi0(phi0_b, theta_star, phi_star, k, exact=True)
         f_b = label_b - 2.0 * d * tf_b
@@ -634,7 +639,7 @@ def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
         wrapped[i] = s * f_far < s * np.where(s > 0.0, full[3][i], full[2][i]) - 1e-12
         slack[i] = _STATIONARY_SLACK * (1.0 + 2.0 * np.abs(d))
     return _Arc(theta_star, phi_star, delta, (lo, hi, f_lo, f_hi), f_min, f_max, psi_b, far,
-                wrapped, slack)
+                wrapped, slack, k)
 
 
 def _f_target(psi, f_min, f_max):
@@ -678,20 +683,20 @@ def _f_slope(delta, tf, p2, eta, tan_half):
     return (delta * p2 - 1.0) * (2.0 * (1.0 - tf * c / tan_half) / (1.0 + p2 * p2))
 
 
-def _f_gaps_and_slopes(theta_star: float, phi_star: float, delta, target):
+def _f_gaps_and_slopes(theta_star, phi_star, delta, target, k):
     """g(i) for `_newton_many`: label - 2 delta tf - target and its slope in
-    phi0 over broadcast 1-d delta and target at one (theta*, phi*), by the
-    exact array map, so each value is _solve_f's newton g bit for bit."""
-    k = _theta_factors(theta_star)
-    d, t = (np.asarray(v, dtype=float) for v in (delta, target))
+    phi0, over broadcast 1-d arguments and the arc's theta*-factors k as for
+    `_f_gaps`, by the exact array map, so each value is _solve_f's newton g
+    bit for bit."""
+    args = [np.asarray(v, dtype=float) for v in (theta_star, phi_star, delta, target, *k)]
 
     def g(i):
-        d_i, t_i = (v if v.ndim == 0 else v[i] for v in (d, t))
-        twice_d = 2.0 * d_i
+        th, ph, d, t, *k_i = (v if v.ndim == 0 else v[i] for v in args)
+        twice_d = 2.0 * d
 
         def ev(x):
-            label, tf, p2, eta = _labels_for_phi0(x, theta_star, phi_star, k, exact=True)
-            return label - twice_d * tf - t_i, _f_slope(d_i, tf, p2, eta, k[0])
+            label, tf, p2, eta = _labels_for_phi0(x, th, ph, k_i, exact=True)
+            return label - twice_d * tf - t, _f_slope(d, tf, p2, eta, k_i[0])
 
         return ev
 
@@ -702,8 +707,7 @@ def _solve_f(arc: _Arc, f: float, tol: float = _PSI_SOLVE_TOL, newton: bool = Fa
     """(label, tf, p2, eta, phi0): label_for_phi0 at the phi0 in the arc's
     bracket where f_delta = f, and that phi0, by `_bisect`, with newton by
     its Newton steps."""
-    th, ph, d = arc.theta_star, arc.phi_star, arc.delta
-    k = _theta_factors(th)
+    th, ph, d, k = arc.theta_star, arc.phi_star, arc.delta, arc.k
     if newton:
         def g(phi0):
             label, tf, p2, eta = label_for_phi0(phi0, th, ph, k)
@@ -727,22 +731,16 @@ def _solve_target(e: EulerTarget, delta: float):
     return _solve_f(arc, _f_target(e.psi, arc.f_min, arc.f_max))
 
 
-def _solve_arcs(theta_star, phi_star, delta, f, bracket, slack, tol: float = _PSI_SOLVE_TOL,
-                newton: bool = False):
-    """Array form of `_solve_f` over broadcast 1-d arguments, bracket being
-    the columns (lo, hi, f_lo, f_hi): _solve_f's values bit for bit, as
-    arrays (label, tf, p2, eta, phi0), from one `_bisect_many` solve, or
-    with newton one `_newton_many` solve at one (theta*, phi*), whose roots
-    the exact array map finishes on exact theta*-factors."""
-    lo, hi, f_lo, f_hi = bracket
-    if newton:
-        phi0 = _newton_many(_f_gaps_and_slopes(theta_star, phi_star, delta, f), lo, hi,
-                            f_lo - f, f_hi - f, tol, slack)
-    else:
-        phi0 = _bisect_many(_f_gaps(theta_star, phi_star, delta, f, tol), lo, hi,
-                            f_lo - f, f_hi - f, tol, slack)
-    k = _theta_factors(theta_star, exact=True)
-    return (*_labels_for_phi0(phi0, theta_star, phi_star, k, exact=True), phi0)
+def _solve_arcs(arc: _Arc, f, tol: float = _PSI_SOLVE_TOL, newton: bool = False):
+    """Array form of `_solve_f` on an _Arc of columns and the 1-d f:
+    _solve_f's values bit for bit, as arrays (label, tf, p2, eta, phi0),
+    from one `_bisect_many` solve, or with newton one `_newton_many` solve,
+    whose roots the exact array map finishes on the arc's theta*-factors."""
+    args, (lo, hi, f_lo, f_hi) = (arc.theta_star, arc.phi_star, arc.delta, f), arc.bracket
+    solve, g = ((_newton_many, _f_gaps_and_slopes(*args, arc.k)) if newton
+                else (_bisect_many, _f_gaps(*args, tol, arc.k)))
+    phi0 = solve(g, lo, hi, f_lo - f, f_hi - f, tol, arc.slack)
+    return (*_labels_for_phi0(phi0, arc.theta_star, arc.phi_star, arc.k, exact=True), phi0)
 
 
 def _resonant_durations(psi, theta, phi) -> np.ndarray:
@@ -750,11 +748,9 @@ def _resonant_durations(psi, theta, phi) -> np.ndarray:
     theta[j], phi[j]) of the 1-d arrays, bit for bit: the tilted ones on
     their full arcs at delta = 0, by one array solve."""
     tilted = theta >= POLAR_THETA_TOL
-    th_t, ph_t = theta[tilted], phi[tilted]
-    bracket = _full_arc(th_t, ph_t, 0.0)
-    f = _f_target(psi[tilted], bracket[3], bracket[2])
+    arc = _domain_arc(theta[tilted], phi[tilted], 0.0)
     tf = np.empty(psi.shape)
-    tf[tilted] = _solve_arcs(th_t, ph_t, 0.0, f, bracket, _FULL_SLACK)[1]
+    tf[tilted] = _solve_arcs(arc, _f_target(psi[tilted], arc.f_min, arc.f_max))[1]
     tf[~tilted] = [z_rotation_parameters(p)[1] for p in psi[~tilted].tolist()]
     return tf
 

@@ -104,15 +104,26 @@ def _mapped(f, a: np.ndarray, *args) -> np.ndarray:
 # tuple kernels' operations in their order, so every column comes out bit
 # for bit as the tuple kernel's
 def _unit_quat(q: tuple) -> tuple:
-    """q rescaled to unit norm (unchanged within 1e-15 of it)."""
-    n = math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2)
-    if not (n > 0.0) or not math.isfinite(n):
-        raise DomainError("quaternion has zero or non-finite norm")
+    """q rescaled to unit norm (unchanged within 1e-15 of it). Where the sum
+    of squares overflows or leaves the normal range, q is first scaled
+    exactly by the power of two of its largest |component|."""
+    try:
+        n2 = q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2
+    except OverflowError:
+        n2 = math.inf
+    if not 2.2250738585072014e-308 <= n2 < math.inf:      # the least normal float
+        big = max(map(abs, q))
+        if big == 0.0 or not all(map(math.isfinite, q)):
+            raise DomainError("quaternion has zero or non-finite norm")
+        q = tuple(math.ldexp(x, -math.frexp(big)[1]) for x in q)
+        n2 = q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2
+    n = math.sqrt(n2)
     return q if abs(n - 1.0) <= 1e-15 else tuple(x / n for x in q)
 
 
 def _unit_quat_stack(q: np.ndarray) -> np.ndarray:
-    """_unit_quat of every column; its squares are C pow, as x ** 2 is."""
+    """_unit_quat of every column, a rotation about a unit axis (so never its
+    scaled branch); its squares are C pow, as x ** 2 is."""
     n = _mapped(math.pow, q[0], 2.0)
     for x in q[1:]:
         n += _mapped(math.pow, x, 2.0)

@@ -462,15 +462,20 @@ def tdiff_analysis_oracle(target, delta_grid) -> TdiffReport:
         n_hi = math.floor((-2.0 * t_pair * float(grid[0]) - c) / FOUR_PI + 1e-9)
         for nn in range(n_lo, n_hi + 1):
             predicted.append(-(c + FOUR_PI * nn) / (2.0 * t_pair))
-    predicted = sorted(set(round(p, 12) for p in predicted))
+    predicted = sorted(set(round(p, 12) + 0.0 for p in predicted))
     events = []
     diff = t_u - t_n
-    for i in range(n - 1):
-        a, b = diff[i], diff[i + 1]
-        if a == 0.0 or a * b >= 0.0:
+    last = None            # the last row with a nonzero difference
+    for j in range(n):
+        if diff[j] == 0.0:
             continue
-        mid = 0.5 * (grid[i] + grid[i + 1])
-        kind = "zero_cross" if (in_x[i] and in_x[i + 1]) else "boundary_jump"
+        i, last = last, j
+        if i is None or diff[i] * diff[j] >= 0.0:
+            continue
+        # across a run of exact zeros, at its middle
+        lo, hi = (i, j) if j == i + 1 else (i + 1, j - 1)
+        mid = 0.5 * (grid[lo] + grid[hi])
+        kind = "zero_cross" if (in_x[i] and in_x[j]) else "boundary_jump"
         events.append((float(mid), kind))
     return TdiffReport(grid, t_u, t_n, in_x, events, predicted, psi_u, psi_n, bounds)
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import su2pulse
@@ -233,6 +234,37 @@ def test_sweep_detuning_emits_events(tmp_path, capsys):
     assert text.splitlines()[0] == "delta,t_U,t_negU,tdiff,in_X,event"
     assert "zero_cross" in text
     assert "sign change" in out
+
+
+def test_sweep_detuning_reports_a_sign_change_across_an_exact_zero(tmp_path, capsys):
+    # a half turn about an axis in the xz plane: t_U - t_negU is -0.0573, 0
+    # and +0.0573 at delta = -0.025, 0 and 0.025, all inside X, so the
+    # crossing sits on the delta = 0 row; it used to be dropped
+    target = "axis:3.141592653589793@0.6,0,0.8"
+    code = run_cli("sweep-detuning", "--target", target, "--out", str(tmp_path))
+    out = capsys.readouterr().out
+    assert code == 0
+    report = detuned.tdiff_analysis(su2pulse.parse_target(target).gate,
+                                    np.linspace(-3.0, 3.0, 241))
+    assert [kind for _, kind in report.events] == ["boundary_jump", "zero_cross", "boundary_jump"]
+    assert report.events[1] == (0.0, "zero_cross")
+    assert [d for d, _ in report.events][::2] == pytest.approx([-2.4625, 2.4625])
+    zero = report.predicted_zero_crossings.index(0.0)
+    assert math.copysign(1.0, report.predicted_zero_crossings[zero]) == 1.0
+    assert "sign change near delta = 0 (zero_cross)" in out
+    rows = [ln.split(",") for ln in (tmp_path / "tdiff.csv").read_text().splitlines()[1:]]
+    marked = [(r[0], r[3], r[5]) for r in rows if r[5] != "none"]
+    assert [kind for _, _, kind in marked] == ["boundary_jump", "zero_cross", "boundary_jump"]
+    assert marked[1] == ("0", "0", "zero_cross")
+
+
+@pytest.mark.parametrize("spec", ["quat:1e200,0,0,0", "quat:1e308,1e308,0,0"])
+def test_synthesize_a_quaternion_past_the_float_range(tmp_path, capsys, spec):
+    # squaring a component overflowed: an OverflowError traceback, exit 1
+    code = run_cli("synthesize", "--target", spec, "--out", str(tmp_path))
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in err and "residual = " in out
 
 
 def test_so3_select_output(capsys):

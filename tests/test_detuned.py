@@ -1,5 +1,6 @@
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from su2pulse import (
     wrap_pi,
     zrot_gate,
 )
-from su2pulse import resonant
+from su2pulse import detuned, resonant
 from su2pulse.detuned import _control_at_label, negated_psi
 from su2pulse.resonant import label_for_phi0
 from su2pulse.su2 import POLAR_THETA_TOL
@@ -389,6 +390,31 @@ def test_tdiff_csv(tmp_path, tdiff_report):
     assert len(lines) == 242
     events = [ln.split(",")[5] for ln in lines[1:]]
     assert "zero_cross" in events and "boundary_jump" in events
+
+
+def test_tdiff_events_across_exact_zeros(monkeypatch):
+    # durations set row by row: a sign change across one exact zero or a
+    # run of them is one event, at the zero or the run's middle, of its
+    # flanking rows' kind; a zero touched from one side, or at either grid
+    # end, is none
+    diff = np.array([0.0, 1.0, 0.0, -1.0, -1.0, 0.0, 0.0, -2.0, 0.0, 0.0, 3.0, -3.0, 0.0])
+    grid = np.arange(diff.size, dtype=float)
+    g = gate_from_euler(0.4, 2.2689, 0.3)
+    e = euler_from_gate(g)
+    window = (-e.phi - 2.0 * math.pi, -e.phi + 2.0 * math.pi)
+    bounds = np.array([window] * diff.size)
+    bounds[7] = (-e.phi, -e.phi + 0.1)          # both symmetric labels outside: not in X
+
+    def grid_domains(theta, phi, grid, psis):
+        arc = SimpleNamespace(wrapped=np.zeros(grid.size, dtype=bool))
+        zeros = np.zeros(grid.size)
+        return arc, bounds, (zeros, zeros), (2.0 + diff, np.full(grid.size, 2.0))
+
+    monkeypatch.setattr(detuned, "_grid_domains", grid_domains)
+    report = tdiff_analysis(g, grid)
+    assert report.in_X.tolist() == [i != 7 for i in range(diff.size)]
+    assert report.events == [(2.0, "zero_cross"), (8.5, "boundary_jump"),
+                             (10.5, "zero_cross")]
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,18 @@ def test_quaternion_norm_preserved_by_conversions(rng):
             assert abs(n - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("q", [(1e200, 0.0, 0.0, 0.0), (1e308, 1e308, 0.0, 0.0),
+                               (1e-200, 0.0, 0.0, 0.0), (3e-162, 0.0, 0.0, 0.0)])
+def test_unit_gate_normalizes_quaternions_outside_the_float_range(q):
+    # the sum of squares overflows (an OverflowError), underflows to 0 (a
+    # "zero norm" DomainError) or is subnormal (a non-unit gate) unless q
+    # is scaled first
+    norm = math.hypot(*q)
+    got = UnitGate(*q).quat
+    assert np.allclose(got, [x / norm for x in q], rtol=0.0, atol=2e-16)
+    assert abs(math.fsum(x * x for x in got) - 1.0) <= 1e-15
+
+
 def test_parse_target_grammar():
     assert parse_target("quat:1,0,0,0").gate.quat == (1.0, 0.0, 0.0, 0.0)
     assert parse_target("zrot:1.5").zrot == 1.5

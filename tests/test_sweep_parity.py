@@ -44,9 +44,10 @@ def _family_cases():
     thetas = np.exp(rng.uniform(math.log(1e-3), math.log(math.pi), 20)).tolist()
     cases = [(t, float(rng.uniform(-math.pi, math.pi))) for t in thetas]
     cases += [(t, float(rng.uniform(-math.pi, math.pi))) for t in (3e-8, math.pi - 2e-8, math.pi)]
-    # the paper's target; and a family in which the array map's value at one
-    # bisection midpoint sits within roundoff of the 1e-12 stop, where only
-    # label_for_phi0 decides as the scalar solve does
+    # the paper's target; and a family chosen when it was bisected on the
+    # numpy map, whose value at one midpoint sat within roundoff of the
+    # 1e-12 stop (the family now takes Newton steps on the exact map, whose
+    # values are label_for_phi0's)
     cases += [(2.2689, 0.0), (0.023566653797669614, -0.32330695007011734)]
     # and the rest of the Newton inversion's hard inclinations
     return cases + [(t, float(rng.uniform(-math.pi, math.pi))) for t in HARD_THETAS[1:4]]
@@ -172,11 +173,13 @@ def test_array_arcs_match_scalar_arcs(theta, phi, grid):
 
 
 def test_tdiff_is_one_array_solve(monkeypatch):
-    # the strict domain ends too: the one scalar bisection per report is the
-    # delta = 0 solve of the symmetric pair's duration
-    calls, scalar = [], []
-    bisect_many, bisect = resonant._bisect_many, resonant._bisect
+    # per report one bisection array solve (U and -U) and one Newton array
+    # solve (the strict domain ends); the one scalar _bisect call is the
+    # Newton solve of the symmetric pair's duration at delta = 0
+    calls, newton, scalar = [], [], []
+    bisect_many, newton_many, bisect = resonant._bisect_many, resonant._newton_many, resonant._bisect
     monkeypatch.setattr(resonant, "_bisect_many", lambda *a: calls.append(1) or bisect_many(*a))
+    monkeypatch.setattr(resonant, "_newton_many", lambda *a: newton.append(1) or newton_many(*a))
     monkeypatch.setattr(resonant, "_bisect", lambda *a: scalar.append(1) or bisect(*a))
     # and the delta = 0 points too: no resonant solve on the side
     general = detuned.synthesize_general
@@ -190,8 +193,32 @@ def test_tdiff_is_one_array_solve(monkeypatch):
         for i in np.flatnonzero(grid == 0.0).tolist():
             assert report.t_U[i] == general(gate, verify=False).law.tf
             zeros += 1
-    assert len(calls) == len(TDIFF_CASES)
+    assert len(calls) == len(newton) == len(TDIFF_CASES)
     assert zeros
+
+
+def test_theta_factors_are_formed_once_per_arc(monkeypatch):
+    # every solve reads its arc's factors: one call per synthesis, angle
+    # sweep and family, and two per T_diff report (its grid arcs and the
+    # symmetric pair's arc). The strict synthesis formed them twice and a
+    # T_diff report nine times before the arcs carried them
+    calls = []
+    factors = resonant._theta_factors
+    monkeypatch.setattr(resonant, "_theta_factors", lambda t: calls.append(1) or factors(t))
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    g = gate_from_euler(0.4, 2.2689, 0.3)
+    assert [count(resonant.synthesize, g, d, False) for d in (3.0, -0.5, 0.0)] == [1, 1, 1]
+    for axis in AXES:
+        assert count(sweep_rotation_angle, axis, np.linspace(0.0, 4.0 * math.pi, 721)) == 1
+    for theta, phi in _family_cases():
+        assert count(build_psi_family, theta, phi, 1024) == (theta >= POLAR_THETA_TOL)
+    for target, grid in TDIFF_CASES:
+        assert count(tdiff_analysis, gate_from_euler(*target), grid) == 2
 
 
 def test_tdiff_at_zero_detuning_is_the_resonant_duration():
@@ -327,12 +354,12 @@ def test_array_wrap_4pi_and_negated_psi_match_the_scalar_ones():
 
 
 def test_exact_theta_factors_are_the_scalar_ones():
-    # the grid solves finish their roots on these; cos^2(theta*/2) is C
+    # every arc's solves steer and finish on these; cos^2(theta*/2) is C
     # pow's square, as label_for_phi0's ** 2, which differs from numpy's
     # x * x in about 1 of 1000 draws
     rng = np.random.default_rng(6067)
     thetas = np.concatenate([rng.uniform(0.0, math.pi, 20000), [POLAR_THETA_TOL, 1e-3, math.pi,
                                                                  math.pi - POLAR_THETA_TOL]])
-    got = resonant._theta_factors(thetas, exact=True)
+    got = resonant._theta_factors(thetas)
     want = [resonant._theta_factors(t) for t in thetas.tolist()]
     assert _bits(np.array(got).T) == _bits(want)
