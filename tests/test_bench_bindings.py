@@ -78,7 +78,9 @@ def test_solvers_call_the_label_map_through_its_bindings(monkeypatch):
     gate = gate_from_euler(0.4, 2.2689, 0.3)
     assert through(resonant.synthesize, gate, 0.0) > 10
     assert through(resonant.synthesize, gate, 3.0) > 10
-    assert through(detuned.optimal_domain, 2.2689, 0.3, 3.0) > 10
+    # the strict arc's two stationary labels, then the far end's Newton
+    # steps from its seed, whose closing values are reused: 7 calls
+    assert 1 <= through(detuned.optimal_domain, 2.2689, 0.3, 3.0) <= 7
     through(detuned.build_psi_family, 2.2689, 0.3, 256)
     through(so3.sweep_rotation_angle, (0.6, 0.0, 0.8), np.linspace(0.0, 4.0 * math.pi, 9))
     through(detuned.tdiff_analysis, gate, np.linspace(-3.0, 3.0, 7))

@@ -80,6 +80,20 @@ def test_family_resolution_floor():
         build_psi_family(TS, PS, 100)
 
 
+@pytest.mark.parametrize("resolution", [300.5, 300.0, "300", None])
+def test_family_resolution_must_be_an_integer(resolution):
+    # numpy's linspace raised a bare TypeError for these
+    with pytest.raises(DomainError, match="resolution"):
+        build_psi_family(1.0, 0.2, resolution)
+
+
+def test_family_resolution_takes_numpy_integers():
+    want = build_psi_family(1.0, 0.2, 300)
+    for resolution in (np.int64(300), np.int32(300)):
+        got = build_psi_family(1.0, 0.2, resolution)
+        assert np.array_equal(got.phi0, want.phi0) and got.psi.size == 300
+
+
 def test_family_z_closed_form():
     fam = build_psi_family(0.0, 0.0, 256)
     lam = fam.psi

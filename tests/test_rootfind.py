@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from su2pulse import NoConvergence, build_psi_family, optimal_domain
+from su2pulse import NoConvergence, build_psi_family, optimal_domain, resonant
 from su2pulse.detuned import _domain_arc
-from su2pulse.resonant import (_ARRAY_ROUNDOFF, _PSI_SOLVE_TOL, _bisect, _bisect_many, _f_gaps,
-                               _newton_many, _solve_f, label_for_phi0)
+from su2pulse.resonant import (_ARRAY_ROUNDOFF, _PSI_SOLVE_TOL, _bisect, _bisect_many,
+                               _domain_arcs, _f_gaps, _newton_many, _newton_seed, _solve_f,
+                               label_for_phi0)
 from su2pulse.su2 import POLAR_THETA_TOL
 
 from conftest import _roots_mod_4pi
@@ -38,17 +39,18 @@ def _bisect_both(g, a, b, ga, gb, tol, **kw):
     return x
 
 
-def _newton_both(g, a, b, tol):
-    """_bisect's root with newton, once `_newton_many` on a one-bracket
-    batch, with g and its slope evaluated per element, has returned the
-    same float bit for bit."""
+def _newton_both(g, a, b, tol, seed=None):
+    """_bisect's root with newton from the first trial point seed, once
+    `_newton_many` on a one-bracket batch, with g and its slope evaluated
+    per element, has returned the same float bit for bit."""
     def gv(i):
         assert i.tolist() == [0]
         return lambda x: tuple(np.array(v) for v in zip(*(g(u) for u in x.tolist())))
 
     ga, gb = g(a)[0], g(b)[0]
-    x = _bisect(g, a, b, ga, gb, tol, 0.0, True)
-    assert float(_newton_many(gv, [a], [b], [ga], [gb], tol)[0]) == x
+    x = _bisect(g, a, b, ga, gb, tol, 0.0, True, seed)
+    seeds = None if seed is None else [seed]
+    assert float(_newton_many(gv, [a], [b], [ga], [gb], tol, 0.0, seeds)[0]) == x
     return x
 
 
@@ -64,16 +66,80 @@ def _newton_both(g, a, b, tol):
 def test_newton_steps_reach_the_root(slope, most):
     # a Newton point is taken only strictly inside the bracket and while the
     # steps halve every second step, else the midpoint, so a wrong slope
-    # costs evaluations, never the root
-    calls = []
+    # costs evaluations, never the root. Each slope runs with no seed, a
+    # seed beside the root, one outside the bracket and a nan one: a seed
+    # is the first trial point when it lies strictly inside the bracket,
+    # else the midpoint is
+    for seed in (None, 1.4, 5.0, math.nan):
+        calls = []
 
-    def g(x):
-        calls.append(x)
-        return x * x - 2.0, slope(x)
+        def g(x):
+            calls.append(x)
+            return x * x - 2.0, slope(x)
 
-    x = _newton_both(g, 0.0, 3.0, 1e-12)
-    assert abs(x - math.sqrt(2.0)) < 1e-11
-    assert len(calls) <= 2 + 2 * most        # both ends, then each solve's steps
+        x = _newton_both(g, 0.0, 3.0, 1e-12, seed)
+        assert abs(x - math.sqrt(2.0)) < 1e-11, seed
+        assert len(calls) <= 2 + 2 * most, seed     # both ends, then each solve's steps
+        assert calls[2] == (seed if seed == 1.4 else 1.5), seed     # the first trial point
+
+
+def test_seeded_tables_take_few_newton_steps(monkeypatch):
+    # the tables' solves start beside their roots: the family at the secant
+    # of a label table, the strict far ends at the root of f_delta's
+    # quadratic model at the far stationary label. From the midpoints the
+    # paper's family took 8 array steps and the far ends below 7.3
+    # evaluations each on average
+    steps, far = [], []
+    newton, newton_many = resonant._newton, resonant._newton_many
+
+    def counted(g, *args):
+        def g_counted(x):
+            far.append(x)
+            return g(x)
+        return newton(g_counted, *args)
+
+    def counted_many(g, *args):
+        def g_counted(i):
+            ev = g(i)
+            return lambda x: steps.append(x.size) or ev(x)
+        return newton_many(g_counted, *args)
+
+    monkeypatch.setattr(resonant, "_newton_many", counted_many)
+    build_psi_family(2.2689, 0.0, 1024)
+    assert len(steps) <= 5
+    monkeypatch.setattr(resonant, "_newton", counted)
+    rng = np.random.default_rng(6076)
+    pool = [(2.2689, 0.0)] + [(0.4 + 2.5 * (j + 0.5) / 14, float(rng.uniform(-math.pi, math.pi)))
+                              for j in range(14)]
+    solves = 0
+    for theta, phi in pool:
+        for delta in np.linspace(-3.0, 3.0, 241).tolist():
+            solves += optimal_domain(theta, phi, delta).psi_bullet is not None
+    assert solves > 1000 and len(far) <= 5 * solves
+
+
+def test_seeds_are_the_same_float_in_either_form():
+    # the scalar solves (PsiFamily.solve, optimal_domain) and the array ones
+    # (the family, the T_diff far ends) start from the same trial points, so
+    # their tables agree bit for bit: the window's secant seeds at every
+    # family label, near both poles too, and the far ends' quadratic seeds
+    # (nan where the model has no root) over a detuning grid
+    for theta, phi in _contract_targets():
+        window = _domain_arc(theta, phi, 0.0)
+        labels = np.linspace(-phi - 2.0 * math.pi, -phi + 2.0 * math.pi, 257)
+        got = _newton_seed(window, labels)
+        want = [_newton_seed(window, v) for v in labels.tolist()]
+        assert np.array_equal(got, want, equal_nan=True), theta
+        assert not np.isnan(got).any(), theta
+        grid = np.linspace(-6.0, 6.0, 61)
+        arcs = _domain_arcs(theta, phi, grid)
+        strict = np.flatnonzero(~np.isnan(arcs.far))
+        got = _newton_seed(arcs.rows(strict), arcs.far[strict])
+        want = []
+        for delta in grid[strict].tolist():
+            arc = _domain_arc(theta, phi, delta)
+            want.append(_newton_seed(arc, arc.far))
+        assert np.array_equal(got, want, equal_nan=True), theta
 
 
 def _meets_contract(arc, target, tol, phi0):
