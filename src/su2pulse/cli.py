@@ -355,7 +355,8 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         code = _COMMANDS[cfg.command](cfg)
-    except (DomainError, NonUnitary, NonUnitDeterminant, FileNotFoundError) as exc:
+    # OSError: a file that cannot be read or written, a missing one included
+    except (DomainError, NonUnitary, NonUnitDeterminant, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

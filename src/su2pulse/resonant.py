@@ -29,8 +29,12 @@ stationary label, a family label from the secant of a 33-node label
 table. That takes about 3.6 evaluations per family label and 4.8 per
 far end, against 7.4 and 7.3 from the midpoint. Laws stay on
 bisection, so a sweep's durations are synthesize's bit for bit. Every
-solve returns the map's values at the evaluation that closed it, and
-calls the map again only at a root it did not evaluate.
+value a solve returns comes from the exact map, label_for_phi0 or its
+array form `_labels_for_phi0` (math's sin and acos): the map's values at
+the evaluation that closed the solve, or a call at a root it did not
+evaluate. Only the grid bisection's steering step (`_f_gaps`) takes
+numpy's sin and arccos, rechecking by label_for_phi0 each value close
+enough to a decision that their last bits could flip it.
 """
 from __future__ import annotations
 
@@ -270,25 +274,24 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
     return label, tf, p2, eta
 
 
-def _labels_for_phi0(phi0, theta_star, phi_star, k=None, exact: bool = False):
+def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
     """Array form of label_for_phi0 over the 1-d phi0, with theta* and phi*
     scalars or of phi0's shape (theta* outside the North polar band), k as
     there: label_for_phi0's operations in its order, on in-place
-    temporaries. With exact, sin and acos are math's, element by element,
-    and each value is label_for_phi0's bit for bit; else numpy's, which
-    differ from math's in the last bit: the grid solves steer with those
-    (`_f_gaps`) and report exact values. Like label_for_phi0 it needs
-    |phi* - phi0| < 5pi/2."""
+    temporaries, with math's sin and acos element by element, so each value
+    is label_for_phi0's bit for bit. The grid bisection steers by its own
+    step instead (`_f_gaps`). Like label_for_phi0 it needs |phi* - phi0| <
+    5pi/2."""
     tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
     d = phi_star - phi0
-    s = _mapped(math.sin, d) if exact else np.sin(d)
+    s = _mapped(math.sin, d)
     p2 = s / tan_half
     eta = np.multiply(s, 2.0)
     eta *= s
     eta *= cos2_half
     np.subtract(cos_t, eta, out=eta)
     np.maximum(eta, -1.0, out=eta)      # acos(-1) = pi, label_for_phi0's value there
-    eta = _mapped(math.acos, eta) if exact else np.arccos(eta, out=eta)
+    eta = _mapped(math.acos, eta)
     # the first crossing, by label_for_phi0's comparison
     np.abs(d, out=d)
     eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
@@ -413,16 +416,23 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     their midpoints. Each step evaluates it once and moves lo and hi in
     place; only in a step where a bracket closes (|g| <= tol, or narrower
     than 1e-15 before it is evaluated) are the open set and its evaluator
-    rebuilt."""
+    rebuilt. The width test runs only once some bracket can be that narrow."""
     out, i, lo, hi = _open_brackets(a, b, ga, gb, tol, slack)
+    # floor bounds every open width from below, so the width test waits
+    # until it can close one: a step halves a width to within 1.5 spacings
+    # of the largest |end| (the midpoint's rounding, then the width's), and
+    # floor drops by two, at least those of 1 (a margin for its own rounding)
+    drop = 2.0 * float(np.spacing(max(np.abs(lo).max(initial=1.0), np.abs(hi).max(initial=1.0))))
+    floor = float(np.abs(hi - lo).min(initial=math.inf)) - drop
     ev = None
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        shut = np.abs(hi - lo) < 1e-15    # stops at its midpoint, unevaluated
-        if np.count_nonzero(shut):
-            out[i[shut]] = mid[shut]
-            keep = ~shut
-            i, lo, hi, mid, ev = i[keep], lo[keep], hi[keep], mid[keep], None
+        if not floor >= 1e-15:
+            shut = np.abs(hi - lo) < 1e-15    # stops at its midpoint, unevaluated
+            if np.count_nonzero(shut):
+                out[i[shut]] = mid[shut]
+                keep = ~shut
+                i, lo, hi, mid, ev = i[keep], lo[keep], hi[keep], mid[keep], None
         if i.size == 0:
             return out
         if ev is None:
@@ -431,6 +441,7 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
         up, down = gm > tol, gm < -tol
         np.putmask(hi, up, mid)
         np.putmask(lo, down, mid)
+        floor = 0.5 * floor - drop
         if np.count_nonzero(up) + np.count_nonzero(down) < i.size:
             shut = ~(up | down)
             out[i[shut]] = mid[shut]
@@ -496,30 +507,72 @@ def _newton_many(g, a, b, ga, gb, tol: float, slack=0.0, seed=None) -> np.ndarra
 
 
 def _f_gaps(theta_star, phi_star, delta, target, tol: float, k=None):
-    """g(i) for `_bisect_many`: label - 2 delta tf - target from the array
-    label map (numpy's sin and arccos, on the theta*-factors k: an arc's,
-    else formed here), at delta = 0 the label mismatch, over broadcast 1-d
-    arguments. Each open set i binds its brackets' factors, phi*, delta,
-    target and roundoff band once; a scalar argument (one theta* for a
-    family or a T_diff grid, delta = 0) stays scalar. A value within
-    roundoff of +-tol, where numpy's last bits could flip _bisect's
-    decision, is recomputed by label_for_phi0 on the same factors."""
+    """g(i) for `_bisect_many`: label - 2 delta tf - target, at delta = 0
+    the label mismatch, over broadcast 1-d arguments, on the theta*-factors
+    k (an arc's, else formed here). Its steering step takes
+    `_labels_for_phi0`'s operations in their order, but numpy's sin and
+    arccos for math's, which differ in the last bit: its values lie within
+    _ARRAY_ROUNDOFF (1 + 2|delta|) of label_for_phi0's, not on them. Each
+    open set i binds its brackets' factors, phi*, 2 delta, target,
+    South-Pole rows and roundoff band once; a scalar argument (one theta*
+    for a family or a T_diff grid, delta = 0) stays scalar, and a scalar
+    delta = 0 drops the 2 delta tf term, which is +0. A value within that
+    band of +-tol, where numpy's last bits could flip _bisect's decision,
+    is recomputed by label_for_phi0 on the same factors."""
     th, ph, d, t, *fac = (np.asarray(v, dtype=float) for v in (
         theta_star, phi_star, delta, target, *(k or _theta_factors(theta_star))))
     twice_d = 2.0 * d
+    detuned = twice_d.ndim or twice_d != 0.0
     band = _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d))
+    south = th >= math.pi - POLAR_THETA_TOL
+    if not np.count_nonzero(south):
+        south = np.False_               # no South-Pole row to gather per open set
     full = np.broadcast_arrays(th, ph, d, t, *fac)     # views, for the scalar recompute
 
     def g(i):
-        th_i, ph_i, d2_i, t_i, band_i, *fac_i = (v if v.ndim == 0 else v[i]
-                                                for v in (th, ph, twice_d, t, band, *fac))
+        ph_i, d2_i, t_i, band_i, tan_half, cos_t, cos2_half, south_i = (
+            v if v.ndim == 0 else v[i] for v in (ph, twice_d, t, band, *fac, south))
+        # the South-Pole rows: label -2 phi0 + phi*, p2 = 0 and eta = pi
+        poles = (np.flatnonzero(south_i) if south_i.ndim else
+                 np.arange(i.size if south_i else 0))
 
         def ev(x):
-            gm, tf, _, _ = _labels_for_phi0(x, th_i, ph_i, fac_i)
-            tf *= d2_i
-            gm -= tf
+            # _labels_for_phi0's operations in its order, then the gap's
+            d = np.subtract(ph_i, x)
+            s = np.sin(d)
+            p2 = s / tan_half
+            eta = np.multiply(s, 2.0)
+            eta *= s
+            eta *= cos2_half
+            np.subtract(cos_t, eta, out=eta)
+            np.maximum(eta, -1.0, out=eta)
+            np.arccos(eta, out=eta)
+            np.abs(d, out=d)
+            far = d > _HALF_PI
+            far &= d <= _THREE_HALF_PI
+            np.putmask(eta, far, TWO_PI - eta)
+            if poles.size:
+                eta[poles] = math.pi
+                p2[poles] = 0.0
+            tf = np.multiply(p2, p2, out=s)
+            tf += 1.0
+            np.sqrt(tf, out=tf)
+            tf *= 2.0
+            np.divide(eta, tf, out=tf)
+            gm = np.multiply(x, -2.0, out=d)
+            gm += ph_i
+            p2 *= 2.0
+            p2 *= tf
+            gm -= p2
+            if detuned:                 # else 2 delta tf = +0 (tf >= 0): gm - 0 is gm
+                tf *= d2_i
+                gm -= tf
             gm -= t_i
-            near = np.abs(np.abs(gm) - tol) <= band_i
+            # |(|gm| - tol)| <= band_i: the roundoff recheck
+            np.abs(gm, out=eta)
+            eta -= tol
+            np.abs(eta, out=eta)
+            near = eta <= band_i
             if not np.count_nonzero(near):
                 return gm
             for n, j in zip(np.flatnonzero(near).tolist(), i[near].tolist()):
@@ -647,7 +700,7 @@ def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
         s = np.copysign(1.0, d)
         asin_r = _mapped(math.asin, tan_half / np.abs(d))
         phi0_b = phi_star - s * asin_r
-        label_b, tf_b, p2_b, _ = _labels_for_phi0(phi0_b, theta_star, phi_star, k, exact=True)
+        label_b, tf_b, p2_b, _ = _labels_for_phi0(phi0_b, theta_star, phi_star, k)
         f_b = label_b - 2.0 * d * tf_b
         off = np.abs(p2_b - 1.0 / d) > 1e-8
         if np.count_nonzero(off):
@@ -655,8 +708,7 @@ def _domain_arcs(theta_star: float, phi_star: float, delta: np.ndarray) -> _Arc:
             raise NoStationaryPoint(f"stationary solve inconsistent: p2 = {p2_b[j]:.9g} "
                                     f"vs 1/delta = {1.0 / d[j]:.9g}")
         phi0_c = phi_star + s * (math.pi + asin_r)
-        label_c, tf_c[i], p2_c[i], _ = _labels_for_phi0(phi0_c, theta_star, phi_star, k,
-                                                          exact=True)
+        label_c, tf_c[i], p2_c[i], _ = _labels_for_phi0(phi0_c, theta_star, phi_star, k)
         f_far = f_b - s * FOUR_PI
         lo[i], hi[i], f_lo[i], f_hi[i] = phi0_b, phi0_c, f_b, label_c - 2.0 * d * tf_c[i]
         f_min[i], f_max[i] = np.minimum(f_b, f_far), np.maximum(f_b, f_far)
@@ -722,7 +774,7 @@ def _f_gaps_and_slopes(theta_star, phi_star, delta, target, k, tol: float, closi
         twice_d = 2.0 * d
 
         def ev(x):
-            label, tf, p2, eta = vals = _labels_for_phi0(x, th, ph, k_i, exact=True)
+            label, tf, p2, eta = vals = _labels_for_phi0(x, th, ph, k_i)
             gx = label - twice_d * tf - t
             shut = np.abs(gx) <= tol
             if np.count_nonzero(shut):
@@ -767,8 +819,7 @@ def _newton_seed(arc: _Arc, f):
         if many:
             x = lo + np.arange(_SEED_CELLS + 1) * step
             x[-1] = hi
-            label, tf, _, _ = _labels_for_phi0(x[1:-1], arc.theta_star, arc.phi_star, arc.k,
-                                               exact=True)
+            label, tf, _, _ = _labels_for_phi0(x[1:-1], arc.theta_star, arc.phi_star, arc.k)
             table = np.concatenate(([f_lo], label - twice_d * tf, [f_hi]))
             j, w = np.zeros(f.shape, dtype=int), _SEED_CELLS
             while w > 1:
@@ -853,26 +904,31 @@ def _solve_arcs(arc: _Arc, f, tol: float = _PSI_SOLVE_TOL, newton: bool = False)
     if not newton:
         phi0 = _bisect_many(_f_gaps(*args, tol, arc.k), lo, hi, f_lo - f, f_hi - f, tol,
                             arc.slack)
-        return (*_labels_for_phi0(phi0, arc.theta_star, arc.phi_star, arc.k, exact=True), phi0)
+        return (*_labels_for_phi0(phi0, arc.theta_star, arc.phi_star, arc.k), phi0)
     closing = np.full((4, f.size), math.nan)
     phi0 = _newton_many(_f_gaps_and_slopes(*args, arc.k, tol, closing), lo, hi, f_lo - f,
                         f_hi - f, tol, arc.slack, _newton_seed(arc, f))
     rest = np.flatnonzero(np.isnan(closing[0]))
     if rest.size:
         a = arc.rows(rest)
-        closing[:, rest] = _labels_for_phi0(phi0[rest], a.theta_star, a.phi_star, a.k, exact=True)
+        closing[:, rest] = _labels_for_phi0(phi0[rest], a.theta_star, a.phi_star, a.k)
     return (*closing, phi0)
 
 
 def _resonant_durations(psi, theta, phi) -> np.ndarray:
-    """_synthesize_canonical's durations for the canonical targets (psi[j],
-    theta[j], phi[j]) of the 1-d arrays, bit for bit: the tilted ones on
-    their full arcs at delta = 0, by one array solve."""
+    """_synthesize_canonical's durations for the canonical targets (psi[j,
+    c], theta[j], phi[j]), each column of the (n, m) psi sharing its row's
+    theta* and phi* (the angle sweep's U and -U), bit for bit: the tilted
+    ones on their full arcs at delta = 0, by one array solve, the arc and
+    its theta*-factors formed once per row."""
     tilted = theta >= POLAR_THETA_TOL
     arc = _domain_arc(theta[tilted], phi[tilted], 0.0)
+    arc = arc.rows(np.repeat(np.arange(arc.theta_star.size), psi.shape[1]))
     tf = np.empty(psi.shape)
-    tf[tilted] = _solve_arcs(arc, _f_target(psi[tilted], arc.f_min, arc.f_max))[1]
-    tf[~tilted] = [z_rotation_parameters(p)[1] for p in psi[~tilted].tolist()]
+    tf[tilted] = _solve_arcs(arc, _f_target(psi[tilted].ravel(), arc.f_min,
+                                            arc.f_max))[1].reshape(-1, psi.shape[1])
+    z = psi[~tilted]
+    tf[~tilted] = np.reshape([z_rotation_parameters(p)[1] for p in z.ravel().tolist()], z.shape)
     return tf
 
 

@@ -66,6 +66,8 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
     if ax.shape != (3,) or abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
         raise DomainError("axis must be a unit 3-vector")
     angles = np.atleast_1d(np.asarray(alphas, dtype=float))
+    if angles.ndim != 1:
+        raise DomainError(f"alphas must be 1-d, got shape {angles.shape}")
     bad = ~((0.0 <= angles) & (angles <= 4.0 * math.pi + 1e-12))
     if bad.any():
         raise DomainError(f"alpha = {angles[bad][0]:.12g} outside [0, 4pi]")
@@ -76,11 +78,9 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
     z = theta == 0.0
     if z.any():
         psi_neg[z] = _euler_quat_stack(-q[:, z])[0]
-    # U and -U of each angle side by side
-    tf = _resonant_durations(np.column_stack([psi, psi_neg]).ravel(),
-                             np.repeat(theta, 2), np.repeat(phi, 2)).tolist()
-    return [(a, tp, tm, _faster(tp, tm)[0])
-            for a, tp, tm in zip(angles.tolist(), tf[::2], tf[1::2])]
+    # U and -U of each angle side by side, on one arc per angle
+    tf = _resonant_durations(np.column_stack([psi, psi_neg]), theta, phi).tolist()
+    return [(a, tp, tm, _faster(tp, tm)[0]) for a, (tp, tm) in zip(angles.tolist(), tf)]
 
 
 def write_sweep_csv(rows, path) -> None:

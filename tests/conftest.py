@@ -7,11 +7,16 @@ mod-4pi root scan `_roots_mod_4pi`, and take the fastest; neither uses
 the solvers' 4pi bookkeeping, the optimal-domain construction or the
 closed form of the detuned z family. `_roots_mod_4pi` and the z-family
 scan `_scan_z_roots` are the package's former solver for detuned
-z-rotations. `first_z_crossing` bounds that closed form's label from
-above by scanning f_delta on a grid geometric in |label|.
+z-rotations; it refines its roots by its own sign bisection
+(`_sign_bisect`), so these oracles share no root finder with the
+solvers. `first_z_crossing` bounds that closed form's label from above by
+scanning f_delta on a grid geometric in |label|.
 
 `crossing_eta_oracle` is the label map's former arrival test, which
 compared the circle's azimuth at both latitude crossings with phi*.
+`steering_gaps_oracle` is the array label map's former numpy mode, with
+the f_delta gap formed from its values: the grid bisection's steering
+step must reproduce it bit for bit.
 
 The sweep oracles are the package's former per-point sweep loops; the
 array sweeps must match them bit for bit. `select_faster_oracle` is the
@@ -59,8 +64,8 @@ from su2pulse.detuned import (
     optimal_domain,
 )
 from su2pulse.errors import NoConvergence, Su2PulseError
-from su2pulse.resonant import (_bisect, _solve_target, label_for_phi0, target_gate,
-                               z_rotation_parameters)
+from su2pulse.resonant import (_HALF_PI, _THREE_HALF_PI, _solve_target, _theta_factors,
+                               label_for_phi0, target_gate, z_rotation_parameters)
 from su2pulse.so3 import So3Decision, _faster, select_faster
 from su2pulse.su2 import (FOUR_PI, GAUGE_TOL, POLAR_THETA_TOL, TWO_PI, EulerTarget, HopfCoords,
                           UnitGate, canonical_euler, euler_from_gate, gate_from_axis_angle,
@@ -168,12 +173,37 @@ def crossing_eta_oracle(phi0: float, theta_star: float, phi_star: float) -> floa
                         f"phi0 = {phi0:.6g}, theta* = {theta_star:.6g}")
 
 
+def _sign_bisect(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
+    """Root of g on [a, b], over which g changes sign (ga = g(a), gb = g(b)),
+    by bisection on the sign of g, with the solvers' stop rule but none of
+    their code: an end with |g| <= tol is returned as it is, and the loop
+    stops at |g(mid)| <= tol or a bracket narrower than 1e-15, within 200
+    steps."""
+    if abs(ga) <= tol:
+        return a
+    if abs(gb) <= tol:
+        return b
+    lo, hi = (a, b) if ga < gb else (b, a)     # g < 0 at lo, g > 0 at hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if abs(hi - lo) < 1e-15:
+            return mid
+        gm = g(mid)
+        if gm > tol:
+            hi = mid
+        elif gm < -tol:
+            lo = mid
+        else:
+            return mid
+    raise NoConvergence(f"bisection did not reach {tol:g} in 200 steps")
+
+
 def _roots_mod_4pi(f, xs, fs, target: float, tol: float) -> list[float]:
     """Every x in [xs[0], xs[-1]] where f(x) = target mod 4pi.
 
     fs holds f on the grid xs. Grid points where the wrapped mismatch is
     exactly zero are roots as they are; a sign change across a grid step
-    is refined by `_bisect`, unless the step is pi or more: that is a
+    is refined by `_sign_bisect`, unless the step is pi or more: that is a
     mod-4pi wrap jump, not a root.
     """
     m = (np.asarray(fs, dtype=float) - target + TWO_PI) % FOUR_PI - TWO_PI
@@ -184,8 +214,45 @@ def _roots_mod_4pi(f, xs, fs, target: float, tol: float) -> list[float]:
         return wrap_4pi(f(x) - target)
 
     return [float(xs[i]) if ma[i] == 0.0 else
-            _bisect(g, float(xs[i]), float(xs[i + 1]), float(ma[i]), float(mb[i]), tol)
+            _sign_bisect(g, float(xs[i]), float(xs[i + 1]), float(ma[i]), float(mb[i]), tol)
             for i in hits]
+
+
+def steering_gaps_oracle(phi0, theta_star, phi_star, delta, target, k=None):
+    """label - 2 delta tf - target from the array label map's former numpy
+    mode: label_for_phi0's operations in its order on the theta*-factors k,
+    with numpy's sin and arccos, over the 1-d phi0 and broadcast theta*,
+    phi*, delta and target."""
+    tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
+    d = phi_star - phi0
+    s = np.sin(d)
+    p2 = s / tan_half
+    eta = np.multiply(s, 2.0)
+    eta *= s
+    eta *= cos2_half
+    np.subtract(cos_t, eta, out=eta)
+    np.maximum(eta, -1.0, out=eta)
+    eta = np.arccos(eta, out=eta)
+    np.abs(d, out=d)
+    eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
+    south = theta_star >= math.pi - POLAR_THETA_TOL
+    if np.count_nonzero(south):
+        np.copyto(eta, math.pi, where=south)
+        np.copyto(p2, 0.0, where=south)
+    tf = np.multiply(p2, p2)
+    tf += 1.0
+    np.sqrt(tf, out=tf)
+    tf *= 2.0
+    np.divide(eta, tf, out=tf)
+    label = np.multiply(phi0, -2.0)
+    label += phi_star
+    np.multiply(p2, 2.0, out=d)
+    d *= tf
+    label -= d
+    tf *= 2.0 * np.asarray(delta, dtype=float)
+    label -= tf
+    label -= target
+    return label
 
 
 def _scan_z_roots(lam: float, delta: float, grid: int = 4096) -> tuple[float, float]:

@@ -207,6 +207,28 @@ def test_verify_current_directory_is_a_usage_error(tmp_path, monkeypatch, capsys
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(("synthesize", "--target", "zrot:1", "--out", "F"), id="synthesize-out-file"),
+    pytest.param(("synthesize", "--target", "zrot:1", "--out", "F/sub"), id="synthesize-out-under-file"),
+    pytest.param(("synthesize", "--config", "F/c.json", "--target", "zrot:1"),
+                 id="synthesize-config-under-file"),
+    pytest.param(("sweep-angle", "--out", "F"), id="sweep-angle-out-file"),
+    pytest.param(("sweep-detuning", "--target", "euler:0,2.2689,0", "--out", "F"),
+                 id="sweep-detuning-out-file"),
+    pytest.param(("verify", "F/x.csv"), id="verify-under-file"),
+    pytest.param(("propagate", "F/x.csv"), id="propagate-under-file"),
+])
+def test_file_that_cannot_be_read_or_written_is_a_usage_error(tmp_path, capsys, args):
+    # F is a regular file: an output directory at F, or any path under it,
+    # raises an OSError other than FileNotFoundError
+    f = tmp_path / "F"
+    f.write_text("not a directory\n")
+    code = run_cli(*(a.replace("F", str(f), 1) if a.startswith("F") else a for a in args))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_sweep_angle_single_row(tmp_path, capsys):
     code = run_cli("sweep-angle", "--axis", "y", "--alpha-steps", "1",
                    "--out", str(tmp_path))

@@ -82,7 +82,7 @@ def test_tdiff_grid_through_the_threshold():
 def test_just_above_polar_band_reaches_callers_gate(theta, delta):
     # 1.0000001e-8 at delta = 0.7 raised NoConvergence ("no circle branch
     # arrives at phi*"); the strict solve at 1e-8, delta = 0.7 still
-    # raises NoStationaryPoint, an open fault (ROADMAP item 1)
+    # raises NoStationaryPoint, an open fault (ROADMAP item 4)
     gate = gate_from_euler(0.4, theta, 1.1)
     if (theta, delta) == (1e-8, 0.7):
         with pytest.raises(NoStationaryPoint):
@@ -98,7 +98,7 @@ def test_near_pole_grid_raises_no_noconvergence():
     # NoConvergence or an untyped exception, and every law returned must
     # reach the caller's gate within 1e-6 (the law at delta = 50, theta* =
     # 2.2e-4 missed it by 2.1e-6 while tf took sin(atan2(1, p2))). Still
-    # open (ROADMAP item 1): 36 NoStationaryPoint from the strict solve
+    # open (ROADMAP item 4): 36 NoStationaryPoint from the strict solve
     rng = np.random.default_rng(8101)
     raised, missed = [], []
     for theta in np.geomspace(1e-8, 1e-3, 93).tolist():
@@ -263,9 +263,9 @@ def test_psi_family_rejects_theta_outside_zero_pi_and_non_finite_phi(theta, phi)
 
 
 def test_label_maps_stay_inside_the_crossing_rules_range(monkeypatch):
-    # both label maps pick the arrival crossing by comparing |phi* - phi0|
-    # with pi/2 and 3pi/2, which is the sign of cos(phi* - phi0) only for
-    # |phi* - phi0| < 5pi/2 (test_resonant.py's
+    # both label maps, and the steering step of _f_gaps, pick the arrival
+    # crossing by comparing |phi* - phi0| with pi/2 and 3pi/2, which is the
+    # sign of cos(phi* - phi0) only for |phi* - phi0| < 5pi/2 (test_resonant.py's
     # test_array_first_crossing_is_the_sign_of_cos); every call that the
     # solvers, domains, families and sweeps make must stay inside it, on
     # seeded Haar gates and the threshold targets and grids above
@@ -278,6 +278,23 @@ def test_label_maps_stay_inside_the_crossing_rules_range(monkeypatch):
             _record[1] = max(_record[1], float(np.max(d, initial=0.0)))
             return _fn(phi0, theta_star, phi_star, *rest, **kw)
         monkeypatch.setattr(resonant, name, checked)
+    # and the grid bisection's steering step, which takes the map's formula
+    # and crossing rule without calling it
+    steer = seen["_f_gaps"] = [0, 0.0]
+
+    def gaps(theta_star, phi_star, *rest, _fn=resonant._f_gaps):
+        g, ph = _fn(theta_star, phi_star, *rest), np.asarray(phi_star, dtype=float)
+
+        def bind(i):
+            ev, ph_i = g(i), (ph if ph.ndim == 0 else ph[i])
+
+            def checked(x):
+                steer[0] += 1
+                steer[1] = max(steer[1], float(np.max(np.abs(ph_i - x), initial=0.0)))
+                return ev(x)
+            return checked
+        return bind
+    monkeypatch.setattr(resonant, "_f_gaps", gaps)
 
     rng = np.random.default_rng(7401)
     gates = [random_gate(rng) for _ in range(60)] + [g for g, _ in THRESHOLD_TARGETS[:20]]

@@ -13,7 +13,7 @@ from su2pulse.resonant import (_ARRAY_ROUNDOFF, _PSI_SOLVE_TOL, _bisect, _bisect
                                label_for_phi0)
 from su2pulse.su2 import POLAR_THETA_TOL
 
-from conftest import _roots_mod_4pi
+from conftest import _roots_mod_4pi, steering_gaps_oracle
 
 FOUR_PI = 4.0 * math.pi
 
@@ -257,6 +257,27 @@ def test_bisect_many_solves_each_bracket_as_bisect_does():
         assert _bisect_many(gv, a, b, ga, gb, tol).tolist() == want
 
 
+def test_bisect_many_keeps_the_width_stop_of_bisect():
+    # the width test waits until some bracket can be narrower than 1e-15:
+    # batches of brackets alike in width, from 4e-16 to 8 wide, centred from
+    # 1e-3 to 1.9 off zero (so their ends stay below 6, where floats are
+    # closer than 1e-15), over a step that never meets the tolerance: every
+    # bracket stops at float resolution, on _bisect's step
+    rng = np.random.default_rng(6079)
+    n = 20
+    for level in np.geomspace(4e-16, 4.0, 24).tolist():
+        centre = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, math.log10(1.9), n)
+        width = level * rng.uniform(1.0, 2.0, n)
+        a, b = centre - 0.5 * width, centre + 0.5 * width
+        step = a + rng.uniform(0.0, 1.0, n) * (b - a)
+        ones = np.ones(n)
+        want = [_bisect(lambda x, c=c: 1.0 if x > c else -1.0, lo, hi, -1.0, 1.0, 0.5)
+                for c, lo, hi in zip(step.tolist(), a.tolist(), b.tolist())]
+        got = _bisect_many(lambda i: lambda x: np.where(x > step[i], 1.0, -1.0), a, b, -ones,
+                           ones, 0.5)
+        assert got.tolist() == want, level
+
+
 def test_bisect_many_binds_each_open_set_once():
     # brackets that close at different steps: an end root, |g| <= tol after
     # a few steps and after many, a jump that narrows below 1e-15 before
@@ -358,12 +379,10 @@ def _gap_ratio(theta, phi, delta, target, x):
     return float(np.max(np.abs(got - want) / (_ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d)))))
 
 
-def test_array_gap_stays_within_half_the_roundoff_band():
-    # sweep parity rests on this margin: a value outside the band around
-    # +-tol is within half the band of label_for_phi0's, so it decides as
-    # the scalar map does. 1e5 draws, |delta| <= 50, phi0 past the window
-    # too (strict brackets run there); half with one array of theta*, half
-    # with one scalar theta* per batch of 500
+def _gap_draws():
+    """(theta*, phi*, delta, target, phi0) batches: 1e5 seeded draws, |delta|
+    <= 50, phi0 past the window too (strict brackets run there); half with
+    one array of theta*, half with one scalar theta* per batch of 500."""
     rng = np.random.default_rng(6073)
 
     def thetas(n):
@@ -376,11 +395,51 @@ def test_array_gap_stays_within_half_the_roundoff_band():
 
     n = 50_000
     phi = rng.uniform(-math.pi, math.pi, n)
-    ratios = [_gap_ratio(thetas(n), phi, *draw(phi, n))]
+    yield (thetas(n), phi, *draw(phi, n))
     for theta in thetas(100).tolist():
         phi = float(rng.uniform(-math.pi, math.pi))
-        ratios.append(_gap_ratio(theta, phi, *draw(phi, 500)))
+        yield (theta, phi, *draw(phi, 500))
+
+
+def test_array_gap_stays_within_half_the_roundoff_band():
+    # sweep parity rests on this margin: a value outside the band around
+    # +-tol is within half the band of label_for_phi0's, so it decides as
+    # the scalar map does
+    ratios = [_gap_ratio(*draws) for draws in _gap_draws()]
     assert max(ratios) <= 0.5, ratios
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_steering_step_is_the_former_numpy_map_bit_for_bit():
+    # every steering value, so every bisection decision and roundoff
+    # recheck, is the gap of the array map's former numpy mode: over the
+    # roundoff-band draws, South-band rows among tilted ones, and a scalar
+    # delta = 0 over a theta* column, as the angle sweep binds it; each on
+    # every row and on a seeded open subset of them
+    rng = np.random.default_rng(6077)
+    cases = list(_gap_draws())
+    n = 2000
+    theta = rng.uniform(POLAR_THETA_TOL, math.pi, n)
+    south = rng.uniform(size=n) < 0.25
+    theta[south] = rng.uniform(math.pi - POLAR_THETA_TOL, math.pi, south.sum())
+    theta[:4] = math.pi
+    phi = rng.uniform(-math.pi, math.pi, n)
+    x = phi + rng.uniform(-1.5 * math.pi, 1.5 * math.pi, n)
+    cases += [(theta, phi, rng.uniform(-50.0, 50.0, n), rng.uniform(-15.0, 15.0, n), x),
+              (theta, phi, 0.0, rng.uniform(-15.0, 15.0, n), x),
+              (math.pi - 0.5 * POLAR_THETA_TOL, 0.3, rng.uniform(-5.0, 5.0, 500),
+               rng.uniform(-15.0, 15.0, 500), 0.3 + rng.uniform(-1.5 * math.pi, 1.5 * math.pi, 500))]
+    assert any(np.count_nonzero(np.asarray(c[0]) >= math.pi - POLAR_THETA_TOL) for c in cases)
+    for theta, phi, delta, target, x in cases:
+        g = _f_gaps(theta, phi, delta, target, math.inf)
+        want = steering_gaps_oracle(x, theta, phi, delta, target)
+        assert _bits(g(np.arange(x.size))(x)) == _bits(want)
+        i = np.flatnonzero(rng.uniform(size=x.size) < 0.5)
+        rows = [v if np.ndim(v) == 0 else v[i] for v in (theta, phi, delta, target)]
+        assert _bits(g(i)(x[i])) == _bits(steering_gaps_oracle(x[i], *rows))
 
 
 def test_gap_near_tol_is_label_for_phi0s():

@@ -180,6 +180,13 @@ def test_sweep_rejects_bad_axis():
         sweep_rotation_angle((0.0, 2.0, 0.0), [0.1])
 
 
+def test_sweep_rejects_alphas_that_are_not_1d():
+    # as tdiff_analysis rejects its grid; a 2-d array reached math's cos
+    # inside the canonicalization and raised a bare TypeError
+    with pytest.raises(DomainError):
+        sweep_rotation_angle(Y_AXIS, np.linspace(0.0, math.pi, 6).reshape(2, 3))
+
+
 def test_sweep_single_point_and_csv(tmp_path):
     rows = sweep_rotation_angle(Y_AXIS, [math.pi / 2.0])
     assert len(rows) == 1

@@ -221,6 +221,22 @@ def test_theta_factors_are_formed_once_per_arc(monkeypatch):
         assert count(tdiff_analysis, gate_from_euler(*target), grid) == 2
 
 
+def test_angle_sweep_forms_theta_factors_once_per_tilted_rotation(monkeypatch):
+    # U and -U of a rotation share its theta* and phi*, so the sweep forms
+    # one arc, and math's theta*-factors, per tilted rotation, not per row
+    sizes = []
+    factors = resonant._theta_factors
+    monkeypatch.setattr(resonant, "_theta_factors",
+                        lambda t: sizes.append(np.size(t)) or factors(t))
+    alphas = np.linspace(0.0, 4.0 * math.pi, 721)
+    for axis in AXES + _near_pole_axes():
+        sizes.clear()
+        sweep_rotation_angle(axis, alphas)
+        gates = [gate_from_axis_angle(min(a, 4.0 * math.pi - 1e-15), axis) for a in alphas]
+        tilted = sum(canonical_euler(g).theta >= POLAR_THETA_TOL for g in gates)
+        assert sizes == [tilted], axis
+
+
 def test_tdiff_at_zero_detuning_is_the_resonant_duration():
     # the arc solve at delta = 0 takes synthesize_general's brackets and
     # midpoints, so t_U there is its tf bit for bit
