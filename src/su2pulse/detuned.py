@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,12 +103,14 @@ class PsiFamily:
     Each entry (and `solve`'s) is solved to 1e-12 in the label by Newton
     steps on the label's closed-form slope in phi0: within that tolerance
     of the resonant bisection of the same label, not on its float. Each
-    solve starts at the secant, in the cell holding its label, of a label
-    table at 33 uniform phi0 over the window (exact map values, the
-    window's closed-form ends at its ends), and closes in about 3.6 map
-    evaluations (7.4 from the bracket's midpoint). `solve` takes the same
-    seed from the 5 table nodes its cell search visits, so its result is
-    the entry's bit for bit at a tabulated label.
+    solve starts at the inverse cubic Hermite interpolant, in the cell
+    holding its label, of a label table at 65 uniform phi0 over the window
+    and the label's closed-form slopes there (exact map values, the
+    window's closed-form ends at its ends), or at the cell's secant where
+    the cubic leaves the cell, and closes in 2.0 map evaluations on the
+    paper's target (7.4 from the bracket's midpoint). `solve` takes the
+    same seed from the 6 table nodes its cell search visits, so its
+    result is the entry's bit for bit at a tabulated label.
     """
 
     theta_star: float
@@ -172,10 +175,11 @@ def _check_detunings(*deltas) -> None:
             raise DomainError(f"detuning delta = {d!r}: 2 pi |delta| must be finite")
 
 
-@dataclass(frozen=True)
-class OptimalDomain:
+class OptimalDomain(NamedTuple):
     """Arc [psi_min, psi_max] of labels that stay time optimal at this
     detuning, with psi_bullet the stationary end when the arc is strict.
+    A NamedTuple, as the tables build one per detuning: immutable, equal
+    field by field.
 
     When the arc wraps through the identified window ends, the outer bound
     is lifted by 4pi (labels are circle coordinates mod 4pi), so psi_min may

@@ -25,8 +25,9 @@ their Newton steps instead (`_newton`, `_newton_many`): the same
 brackets, ends and stops, with the closed-form slope of f_delta
 (`_f_slope`), each solve from a first trial point beside its root
 (`_newton_seed`): a far end from f_delta's quadratic model at the far
-stationary label, a family label from the secant of a 33-node label
-table. That takes about 3.6 evaluations per family label and 4.8 per
+stationary label, a family label from the inverse cubic Hermite
+interpolant of a 65-node label table and its closed-form slopes. That
+takes 2.0 evaluations per label of the paper's family and about 4.8 per
 far end, against 7.4 and 7.3 from the midpoint. Laws stay on
 bisection, so a sweep's durations are synthesize's bit for bit. Every
 value a solve returns comes from the exact map, label_for_phi0 or its
@@ -414,9 +415,12 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
 
     g(i) binds the still open brackets i and returns the evaluator of g at
     their midpoints. Each step evaluates it once and moves lo and hi in
-    place; only in a step where a bracket closes (|g| <= tol, or narrower
-    than 1e-15 before it is evaluated) are the open set and its evaluator
-    rebuilt. The width test runs only once some bracket can be that narrow."""
+    place. A bracket that closes at |g| <= tol keeps its lo and hi, so on
+    later steps its midpoint, and g there (a function of the row and the
+    point), repeat bit for bit and it stays closed: such brackets stay in the open set until at least half of it
+    has closed, and only then are the set and its evaluator rebuilt. A
+    bracket narrower than 1e-15 before it is evaluated leaves the set at
+    once; the width test runs only once some bracket can be that narrow."""
     out, i, lo, hi = _open_brackets(a, b, ga, gb, tol, slack)
     # floor bounds every open width from below, so the width test waits
     # until it can close one: a step halves a width to within 1.5 spacings
@@ -428,6 +432,7 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if not floor >= 1e-15:
+            # a closed bracket was evaluated at least 1e-15 wide, and stays so
             shut = np.abs(hi - lo) < 1e-15    # stops at its midpoint, unevaluated
             if np.count_nonzero(shut):
                 out[i[shut]] = mid[shut]
@@ -442,7 +447,7 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
         np.putmask(hi, up, mid)
         np.putmask(lo, down, mid)
         floor = 0.5 * floor - drop
-        if np.count_nonzero(up) + np.count_nonzero(down) < i.size:
+        if 2 * (np.count_nonzero(up) + np.count_nonzero(down)) <= i.size:
             shut = ~(up | down)
             out[i[shut]] = mid[shut]
             keep = ~shut
@@ -550,7 +555,7 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float, k=None):
             np.abs(d, out=d)
             far = d > _HALF_PI
             far &= d <= _THREE_HALF_PI
-            np.putmask(eta, far, TWO_PI - eta)
+            np.subtract(TWO_PI, eta, out=eta, where=far)
             if poles.size:
                 eta[poles] = math.pi
                 p2[poles] = 0.0
@@ -788,7 +793,18 @@ def _f_gaps_and_slopes(theta_star, phi_star, delta, target, k, tol: float, closi
 
 # cells of the f_delta table that seeds a full window's Newton solves, a
 # power of two: its cell search halves them
-_SEED_CELLS = 32
+_SEED_CELLS = 64
+
+
+def _hermite_seed(x0, x1, f0, f1, m0, m1, f):
+    """The inverse cubic Hermite interpolant at f in the cell [x0, x1] of
+    f_delta values f0, f1 and slopes m0, m1: the cubic in f through (f0,
+    x0) and (f1, x1) with slopes 1/m0 and 1/m1 there. Correctly rounded
+    operations only, on scalars or arrays alike; f1 != f0 and m0, m1 != 0
+    for a scalar."""
+    h, dx = f1 - f0, x1 - x0
+    t = (f - f0) / h
+    return x0 + t * (dx + (1.0 - t) * ((1.0 - t) * (h / m0 - dx) - t * (h / m1 - dx)))
 
 
 def _newton_seed(arc: _Arc, f):
@@ -806,40 +822,61 @@ def _newton_seed(arc: _Arc, f):
     |delta|; none where the radicand is not positive and finite.
 
     On the full window (theta* a scalar), where f_delta falls as phi0
-    rises, the seed is the secant in the cell holding f of an f_delta table
-    at _SEED_CELLS + 1 uniform phi0, the bracket's closed-form ends at its
-    ends. The cell is found by halving the table's index range on the
-    sign of table - f, so a scalar f evaluates only the 5 nodes its search
-    visits, and takes the array form's cell whether or not roundoff keeps
-    the table monotone."""
+    rises, the seed comes from an f_delta table at _SEED_CELLS + 1 uniform
+    phi0, the bracket's closed-form ends at its ends, with the slopes
+    `_f_slope` gives on the map's (tf, p2, eta) at each node, and at the
+    ends, the long great-circle arc, on its closed-form (tf, 0, eta). In
+    the cell holding f the seed is the inverse cubic Hermite interpolant
+    (`_hermite_seed`), or, where that falls outside the cell (Fritsch and
+    Carlson's monotone limiter, in its simplest form) or a node slope is
+    0, the secant. The cell is found by halving the table's index range on
+    the sign of table - f, so a scalar f evaluates only the 6 nodes its
+    search visits, and takes the array form's cell whether or not
+    roundoff keeps the table monotone. The paper's family closes in 2.00
+    map evaluations per label from these seeds."""
     many = isinstance(f, np.ndarray)
     if arc.far is None:
         lo, hi, f_lo, f_hi = arc.bracket
-        step, twice_d = (hi - lo) / _SEED_CELLS, 2.0 * arc.delta
+        step, twice_d, t = (hi - lo) / _SEED_CELLS, 2.0 * arc.delta, arc.k[0]
+        # both window ends are the long great-circle arc, p2 = 0
+        end = ((_HALF_PI, 0.0, math.pi) if arc.theta_star >= math.pi - POLAR_THETA_TOL else
+               (math.pi - arc.theta_star / 2.0, 0.0, TWO_PI - arc.theta_star))
         if many:
             x = lo + np.arange(_SEED_CELLS + 1) * step
             x[-1] = hi
-            label, tf, _, _ = _labels_for_phi0(x[1:-1], arc.theta_star, arc.phi_star, arc.k)
-            table = np.concatenate(([f_lo], label - twice_d * tf, [f_hi]))
+            label, *node = _labels_for_phi0(x[1:-1], arc.theta_star, arc.phi_star, arc.k)
+            table = np.concatenate(([f_lo], label - twice_d * node[0], [f_hi]))
+            m_end = _f_slope(arc.delta, *end, t)
+            slope = np.concatenate(([m_end], _f_slope(arc.delta, *node, t), [m_end]))
             j, w = np.zeros(f.shape, dtype=int), _SEED_CELLS
             while w > 1:
                 w //= 2
                 j += np.where(table[j + w] > f, w, 0)
-            x0, x1, f0, f1 = x[j], x[j + 1], table[j], table[j + 1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return x0 + (f - f0) * (x1 - x0) / (f1 - f0)
-        j, w, f0, f1 = 0, _SEED_CELLS, f_lo, f_hi
+            x0, x1, f0, f1, m0, m1 = x[j], x[j + 1], table[j], table[j + 1], slope[j], slope[j + 1]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                seed = _hermite_seed(x0, x1, f0, f1, m0, m1, f)
+                secant = x0 + (f - f0) * (x1 - x0) / (f1 - f0)
+            return np.where((m0 != 0.0) & (m1 != 0.0) & (x0 <= seed) & (seed <= x1), seed,
+                            secant)
+        j, w, f0, f1, n0, n1 = 0, _SEED_CELLS, f_lo, f_hi, end, end
         while w > 1:
             w //= 2
-            label, tf, _, _ = label_for_phi0(lo + (j + w) * step, arc.theta_star, arc.phi_star,
-                                             arc.k)
-            fm = label - twice_d * tf
+            label, *node = label_for_phi0(lo + (j + w) * step, arc.theta_star, arc.phi_star,
+                                          arc.k)
+            fm = label - twice_d * node[0]
             if fm > f:
-                j, f0 = j + w, fm
+                j, f0, n0 = j + w, fm, node
             else:
-                f1 = fm
+                f1, n1 = fm, node
+        if f1 == f0:
+            return math.nan
         x0, x1 = lo + j * step, hi if j + 1 == _SEED_CELLS else lo + (j + 1) * step
-        return x0 + (f - f0) * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+        m0, m1 = _f_slope(arc.delta, *n0, t), _f_slope(arc.delta, *n1, t)
+        if m0 and m1:
+            seed = _hermite_seed(x0, x1, f0, f1, m0, m1, f)
+            if x0 <= seed <= x1:
+                return seed
+        return x0 + (f - f0) * (x1 - x0) / (f1 - f0)
     b, c, _, f_c = arc.bracket
     tf_c, p2_c = arc.tf_p2_c
     t, delta = arc.k[0], arc.delta

@@ -106,27 +106,26 @@ def _mapped(f, a: np.ndarray, *args) -> np.ndarray:
 def _unit_quat(q: tuple) -> tuple:
     """q rescaled to unit norm (unchanged within 1e-15 of it). Where the sum
     of squares overflows or leaves the normal range, q is first scaled
-    exactly by the power of two of its largest |component|."""
-    try:
-        n2 = q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2
-    except OverflowError:
-        n2 = math.inf
+    exactly by the power of two of its largest |component|. The squares are
+    products, correctly rounded (C pow's, as x ** 2, need not be), and an
+    overflowing one is inf."""
+    n2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
     if not 2.2250738585072014e-308 <= n2 < math.inf:      # the least normal float
         big = max(map(abs, q))
         if big == 0.0 or not all(map(math.isfinite, q)):
             raise DomainError("quaternion has zero or non-finite norm")
         q = tuple(math.ldexp(x, -math.frexp(big)[1]) for x in q)
-        n2 = q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2
+        n2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
     n = math.sqrt(n2)
     return q if abs(n - 1.0) <= 1e-15 else tuple(x / n for x in q)
 
 
 def _unit_quat_stack(q: np.ndarray) -> np.ndarray:
     """_unit_quat of every column, a rotation about a unit axis (so never its
-    scaled branch); its squares are C pow, as x ** 2 is."""
-    n = _mapped(math.pow, q[0], 2.0)
+    scaled branch): numpy's products and sums in its order."""
+    n = q[0] * q[0]
     for x in q[1:]:
-        n += _mapped(math.pow, x, 2.0)
+        n += x * x
     np.sqrt(n, out=n)
     if not np.all(np.isfinite(n) & (n > 0.0)):
         raise DomainError("quaternion has zero or non-finite norm")

@@ -8,6 +8,7 @@ import pytest
 from su2pulse import (
     DomainError,
     EulerTarget,
+    OptimalDomain,
     build_psi_family,
     euler_from_gate,
     gate_distance,
@@ -231,6 +232,32 @@ def test_domain_nonzero_phi_star():
     _, p2, _ = _control_at_label(1.2, -0.8, dom.psi_bullet)
     assert abs(p2 - 1.0 / 2.6) < 1e-8
     assert abs((dom.f_max - dom.f_min) - FOUR_PI) < 1e-6
+
+
+def test_domain_is_an_immutable_record():
+    # a NamedTuple: its fields in their order, no assignment, equal field
+    # by field, and contains holding a label, or one of its 4pi shifts on a
+    # wrapped arc, within tol of [psi_min, psi_max]
+    fields = ("psi_min", "psi_max", "psi_bullet", "theta_star", "phi_star", "delta", "wrapped",
+              "f_min", "f_max")
+    labels = np.linspace(-PS - TWO_PI, -PS + TWO_PI, 97).tolist()
+    doms = [optimal_domain(TS, PS, d) for d in (0.0, 2.5, -2.5, 10.0)]
+    assert [dom.psi_bullet is None for dom in doms] == [True, False, False, False]
+    assert [dom.wrapped for dom in doms] == [False, True, True, False]
+    assert OptimalDomain._fields == fields
+    for dom in doms:
+        assert tuple(dom) == tuple(getattr(dom, f) for f in fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(dom, name, 0.0)
+        assert dom == optimal_domain(TS, PS, dom.delta) == OptimalDomain(*dom)
+        assert hash(dom) == hash(OptimalDomain(*dom))
+        assert dom != optimal_domain(TS, PS, dom.delta + 0.1)
+        shifts = (-FOUR_PI, 0.0, FOUR_PI) if dom.wrapped else (0.0,)
+        for x in labels + [dom.psi_min, dom.psi_max]:
+            want = any(dom.psi_min - 1e-9 <= x + n <= dom.psi_max + 1e-9 for n in shifts)
+            assert dom.contains(x) is want, (dom.delta, x)
+        assert dom.contains(labels[48]) and dom.contains(dom.psi_min)
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,8 @@ def _kernel_quats():
               [0.8, -0.0, 0.0, 0.6], [0.6, 0.0, -0.8, -0.0], [-0.6, -0.0, 0.8, 0.0]]
     scales = [0.5, 3.0, 1.0 + 1e-15, 1.0 + 3e-15]
     quats += [[s * x for x in q] for i, q in enumerate(quats) for s in [scales[i % 4]]]
-    # C pow's square differs from x * x in about 1 of 1000 draws here, which
-    # the rescaled norm shows
+    # rescaled draws, whose norm's last bit sets the rescaled components:
+    # numpy's squares and sums must be the tuple kernel's
     return quats + (rng.normal(size=(4000, 4)) * rng.uniform(0.5, 2.0, (4000, 1))).tolist()
 
 
