@@ -284,13 +284,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def _parse_axis(text: str):
     if text in _AXES:
         return _AXES[text]
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 3:
-        raise DomainError(f"--axis {text!r}: expected x/y/z/yz or nx,ny,nz")
-    try:
-        v = np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise DomainError(f"--axis {text!r}: {exc}") from exc
+    v = np.array(su2._parse_floats(text, 3, "--axis (x/y/z/yz or nx,ny,nz)"))
     if not np.isfinite(v).all() or not v.any():
         raise DomainError(f"--axis {text!r}: must be finite and nonzero")
     with np.errstate(over="ignore"):

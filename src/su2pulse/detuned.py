@@ -61,6 +61,8 @@ from .resonant import (
     _domain_arc,
     _domain_arcs,
     _f_target,
+    _full_arc,
+    _is_full_window,
     _solve_arcs,
     _solve_f,
     _synthesize_canonical,
@@ -246,10 +248,14 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
 
     theta* must lie in (0, pi], phi* be finite and 2 pi |delta| finite;
     z-rotation targets have a cusp in the duration curve and are solved in
-    closed form by synthesize_detuned. A strict arc's far end (psi_min for
-    delta > 0, psi_max for delta < 0) is solved here alone, by Newton steps
-    to 1e-10 in f_delta from the root of f_delta's quadratic model at the
-    next stationary label, beside which it lies: synthesis needs only the
+    closed form by synthesize_detuned. A full window (delta = 0 or |delta|
+    <= tan(theta*/2)) comes in closed form, its bounds and f-range from
+    the window ends' long great-circle arc: no arc object, no solve, no map
+    call. A strict arc's far end (psi_min for delta > 0, psi_max for
+    delta < 0) is solved here alone, by one scalar Newton pass (`_newton`:
+    each step one label_for_phi0 call, the slope formed beside it) to 1e-10
+    in f_delta from the root of f_delta's quadratic model at the next
+    stationary label, beside which it lies: synthesis needs only the
     stationary end, which fixes the arc's f-range.
     """
     if not (POLAR_THETA_TOL <= theta_star <= math.pi + 1e-12):
@@ -257,11 +263,13 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     if not math.isfinite(phi_star):
         raise DomainError(f"phi* = {phi_star!r} must be finite")
     _check_detunings(delta)
+    if _is_full_window(delta, math.tan(theta_star / 2.0)):
+        _, _, f_max, f_min = _full_arc(theta_star, phi_star, delta)
+        return OptimalDomain(-phi_star - TWO_PI, -phi_star + TWO_PI, None, theta_star, phi_star,
+                             delta, False, f_min, f_max)
     arc = _domain_arc(theta_star, phi_star, delta)
-    lo, hi = -phi_star - TWO_PI, -phi_star + TWO_PI
-    if arc.far is not None:
-        far = _solve_f(arc, arc.far, newton=True)[0]
-        lo, hi = (far, arc.psi_b) if delta > 0.0 else (arc.psi_b, far)
+    far = _solve_f(arc, arc.far, newton=True)[0]
+    lo, hi = (far, arc.psi_b) if delta > 0.0 else (arc.psi_b, far)
     return OptimalDomain(lo, hi, arc.psi_b, theta_star, phi_star, delta, arc.wrapped,
                          arc.f_min, arc.f_max)
 

@@ -23,7 +23,8 @@ and `_bisect_many`, the package's only root finders. The tables of
 detuned.py (the label family and the optimal domains' far ends) take
 their Newton steps instead (`_newton`, `_newton_many`): the same
 brackets, ends and stops, with the closed-form slope of f_delta
-(`_f_slope`), each solve from a first trial point beside its root
+(`_f_slope`, `_f_slopes`), the scalar loop calling the map and forming
+the slope itself, each solve from a first trial point beside its root
 (`_newton_seed`): a far end from f_delta's quadratic model at the far
 stationary label, a family label from the inverse cubic Hermite
 interpolant of a 65-node label table and its closed-form slopes. That
@@ -77,6 +78,8 @@ _ARRAY_ROUNDOFF = 1e-14
 # a law is certified when its verified residual, and the change in it that
 # one ulp of tf makes at this detuning (2|delta| ulp(tf)), stay within this
 _OK_TOL = 1e-6
+# theta* at or above this takes the label map's South-Pole branch
+_SOUTH = math.pi - POLAR_THETA_TOL
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
     eta / (2 sqrt(1 + p2^2)) by correctly rounded operations only: no atan2,
     whose last bit sin(atan2(1, p2)) magnifies by about |p2| for p2 << -1.
     """
-    if theta_star >= math.pi - POLAR_THETA_TOL:
+    if theta_star >= _SOUTH:
         # South Pole targets: every meridian great circle arrives at eta = pi
         # in time pi/2; the azimuth there is a gauge and the label reduces to
         # psi - phi = -2 phi0.
@@ -296,7 +299,7 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
     # the first crossing, by label_for_phi0's comparison
     np.abs(d, out=d)
     eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
-    south = theta_star >= math.pi - POLAR_THETA_TOL
+    south = theta_star >= _SOUTH
     if np.count_nonzero(south):
         # South Pole: the label reduces to -2 phi0 + phi*
         np.copyto(eta, math.pi, where=south)
@@ -314,29 +317,36 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
     return label, tf, p2, eta
 
 
+def _open_bracket(a: float, b: float, ga: float, gb: float, tol: float,
+                  slack: float) -> tuple[float, float]:
+    """_bisect's end tests on [a, b], ga = g(a) and gb = g(b): an end with
+    |g| <= tol (a first) as (end, end); otherwise g must change sign over
+    [a, b] (each end may miss by up to `slack`), else NoConvergence, and the
+    bracket comes ordered, g < 0 at lo and g > 0 at hi. Its array form is
+    `_open_brackets`."""
+    if abs(ga) <= tol:
+        return a, a
+    if abs(gb) <= tol:
+        return b, b
+    if min(ga, gb) > slack or max(ga, gb) < -slack:
+        raise NoConvergence(f"no sign change on [{a:.9g}, {b:.9g}]: "
+                            f"g = {ga:.3e}, {gb:.3e}")
+    return (a, b) if ga < gb else (b, a)
+
+
 def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
-            slack: float = 0.0, newton: bool = False, seed: float | None = None) -> float:
+            slack: float = 0.0) -> float:
     """Root of g on [a, b] by bisection on the sign of g.
 
     ga = g(a) and gb = g(b) are passed in because callers often know them.
     An end with |g| <= tol is returned as it is; otherwise g must change
     sign over [a, b] (each end may miss by up to `slack`), else
-    NoConvergence. The loop stops at |g(mid)| <= tol or a bracket narrower
-    than 1e-15. With newton, g returns g and its slope, and the steps are
-    `_newton`'s, from its first trial point seed: Newton points where they
-    are safe, else midpoints (rtsafe, Numerical Recipes 9.4), with the same
-    ends, stops and step cap.
+    NoConvergence (`_open_bracket`). The loop stops at |g(mid)| <= tol or a
+    bracket narrower than 1e-15.
     """
-    if abs(ga) <= tol:
-        return a
-    if abs(gb) <= tol:
-        return b
-    if min(ga, gb) > slack or max(ga, gb) < -slack:
-        raise NoConvergence(f"no sign change on [{a:.9g}, {b:.9g}]: "
-                            f"g = {ga:.3e}, {gb:.3e}")
-    lo, hi = (a, b) if ga < gb else (b, a)     # g < 0 at lo, g > 0 at hi
-    if newton:
-        return _newton(g, lo, hi, tol, seed)
+    lo, hi = _open_bracket(a, b, ga, gb, tol, slack)
+    if lo == hi:
+        return lo
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if abs(hi - lo) < 1e-15:
@@ -351,35 +361,43 @@ def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
     raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
 
 
-def _newton(g, lo: float, hi: float, tol: float, seed: float | None = None) -> float:
-    """_bisect's loop with its Newton steps, from the ordered bracket (g < 0
-    at lo, g > 0 at hi); g returns g and its slope. The Newton point of the
-    last evaluation is taken when it lies strictly inside the bracket and
-    its step is at most half the step before the last one (rtsafe's test,
-    so the steps at least halve every second step where the slope is off,
-    as it is where roundoff steps the map); else the midpoint, whose step
-    is half the bracket. A zero slope takes the midpoint.
-
-    The first trial point is seed when it lies strictly inside the bracket
-    (it counts as a midpoint step: half the bracket), else the midpoint,
-    as for no seed or a nan one. The tables seed every solve beside its
-    root (`_newton_seed`), which about halves their evaluations."""
+def _newton(arc: _Arc, f: float, tol: float, seed: float | None) -> tuple[float, ...]:
+    """(label, tf, p2, eta, phi0) at the root phi0 of f_delta = f on the
+    scalar arc's bracket: _bisect's end tests and stops, with Newton steps
+    (rtsafe, Numerical Recipes 9.4). Each evaluation is one label_for_phi0
+    call with the gap and its slope (`_f_slope`) formed beside it; the
+    values returned are as `_solve_f` states. The Newton point of the last
+    evaluation is taken when it lies strictly inside the bracket and its
+    step is at most half the step before the last one (so the steps at
+    least halve every second step where the slope is off, as it is where
+    roundoff steps the map); else the midpoint, whose step is half the
+    bracket, as after a zero slope. The first trial point is seed when it
+    lies strictly inside the bracket (a midpoint step: half the bracket),
+    else the midpoint, as for no seed or a nan one. Array form:
+    `_newton_many`."""
+    th, ph, d, k = arc.theta_star, arc.phi_star, arc.delta, arc.k
+    twice_d, t = 2.0 * d, k[0]
+    a, b, f_a, f_b = arc.bracket
+    lo, hi = _open_bracket(a, b, f_a - f, f_b - f, tol, arc.slack)
     x, step = seed, 0.5 * abs(hi - lo)
     last = older = abs(hi - lo)
     for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if abs(hi - lo) < 1e-15:
-            return mid
+        width = abs(hi - lo)
+        if width < 1e-15:
+            x = lo if lo == hi else 0.5 * (lo + hi)
+            return (*label_for_phi0(x, th, ph, k), x)
         if x is None or not (lo < x < hi or hi < x < lo) or 2.0 * step > older:
-            x, step = mid, 0.5 * abs(hi - lo)
+            x, step = 0.5 * (lo + hi), 0.5 * width
         older, last = last, step
-        gx, slope = g(x)
+        label, tf, p2, eta = label_for_phi0(x, th, ph, k)
+        gx = label - twice_d * tf - f
         if gx > tol:
             hi = x
         elif gx < -tol:
             lo = x
         else:
-            return x
+            return label, tf, p2, eta, x
+        slope = _f_slope(d, tf, p2, eta, t)
         if slope:
             q = gx / slope
             x, step = x - q, abs(q)
@@ -458,9 +476,9 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
 
 
 def _newton_many(g, a, b, ga, gb, tol: float, slack=0.0, seed=None) -> np.ndarray:
-    """Array form of `_bisect` with newton: its end tests, trial points and
-    stop rules per element, so each element gets _bisect's float for the
-    same g values, slopes and seeds. g(i) binds the open brackets i, as for
+    """Array form of `_newton`'s loop: its end tests, trial points and stop
+    rules per element, so each element gets _newton's phi0 for the same g
+    values, slopes and seeds. g(i) binds the open brackets i, as for
     `_bisect_many`, and its evaluator returns g and the slope. seed, if
     given, broadcasts with a and holds each bracket's first trial point
     (nan for none), taken as `_newton` takes it."""
@@ -529,7 +547,7 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float, k=None):
     twice_d = 2.0 * d
     detuned = twice_d.ndim or twice_d != 0.0
     band = _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d))
-    south = th >= math.pi - POLAR_THETA_TOL
+    south = th >= _SOUTH
     if not np.count_nonzero(south):
         south = np.False_               # no South-Pole row to gather per open set
     full = np.broadcast_arrays(th, ph, d, t, *fac)     # views, for the scalar recompute
@@ -641,45 +659,55 @@ def _full_arc(theta_star, phi_star, delta):
     closed form: scalars or ndarrays, as _theta_factors. Both ends are the
     long great-circle arc, of labels -phi* +- 2pi and duration pi - theta*/2,
     or pi/2 on label_for_phi0's South-Pole branch."""
-    south = math.pi - POLAR_THETA_TOL
     if isinstance(theta_star, np.ndarray):
-        t_end = np.where(theta_star >= south, _HALF_PI, math.pi - theta_star / 2.0)
+        t_end = np.where(theta_star >= _SOUTH, _HALF_PI, math.pi - theta_star / 2.0)
     else:
-        t_end = _HALF_PI if theta_star >= south else math.pi - theta_star / 2.0
+        t_end = _HALF_PI if theta_star >= _SOUTH else math.pi - theta_star / 2.0
     shift = 2.0 * delta * t_end
     return (phi_star - math.pi, phi_star + math.pi,
             (-phi_star + TWO_PI) - shift, (-phi_star - TWO_PI) - shift)
 
 
+def _is_full_window(delta, tan_half) -> bool:
+    """Whether the optimal domain at delta is the full label window, where
+    f_delta' = -(1 - delta p2) dPsi/dd never changes sign: delta = 0 or
+    |delta| <= |tan(theta*/2)|, as |p2| <= cot(theta*/2)."""
+    return delta == 0.0 or abs(delta) <= abs(tan_half)
+
+
 def _domain_arc(theta_star, phi_star, delta: float) -> _Arc:
     """The _Arc of the optimal domain at delta, of either sign, 0 included;
     at delta = 0 theta* and phi* may be ndarrays, for the full windows as
-    columns."""
+    columns. A strict arc is formed in one scalar pass: the two stationary
+    labels' map calls and the window end past which it wraps."""
     full = _full_arc(theta_star, phi_star, delta)
     k = _theta_factors(theta_star)
     tan_half = k[0]
-    if delta == 0.0 or abs(delta) <= abs(tan_half):
+    if _is_full_window(delta, tan_half):
         return _Arc(theta_star, phi_star, delta, full, full[3], full[2], None, None, False,
                     _FULL_SLACK, k, _NO_STATIONARY)
     s = math.copysign(1.0, delta)
     # below 1: here 0 < tan(theta*/2) < |delta|, and a/b rounds below 1 for 0 < a < b
-    ratio = tan_half / abs(delta)
+    asin_r = math.asin(tan_half / abs(delta))
     # stationary label closest to -phi*, where p2 = 1/delta: f_delta falls
     # as s phi0 rises from it to the next stationary label
-    phi0_b = phi_star - s * math.asin(ratio)
+    phi0_b = phi_star - s * asin_r
     psi_b, tf_b, p2_b, _ = label_for_phi0(phi0_b, theta_star, phi_star, k)
-    f_b = psi_b - 2.0 * delta * tf_b
+    twice_d = 2.0 * delta
+    f_b = psi_b - twice_d * tf_b
     if abs(p2_b - 1.0 / delta) > 1e-8:
         raise NoStationaryPoint(
             f"stationary solve inconsistent: p2 = {p2_b:.9g} vs 1/delta = {1.0 / delta:.9g}"
         )
-    phi0_c = phi_star + s * (math.pi + math.asin(ratio))
+    phi0_c = phi_star + s * (math.pi + asin_r)
     label_c, tf_c, p2_c, _ = label_for_phi0(phi0_c, theta_star, phi_star, k)
     far = f_b - s * FOUR_PI
-    f_min, f_max = sorted((f_b, far))
     # the arc wraps when its far end lies past the window end phi* + s pi
-    wrapped = s * far < s * full[3 if s > 0.0 else 2] - 1e-12
-    return _Arc(theta_star, phi_star, delta, (phi0_b, phi0_c, f_b, label_c - 2.0 * delta * tf_c),
+    if s > 0.0:
+        f_min, f_max, wrapped = far, f_b, far < full[3] - 1e-12
+    else:
+        f_min, f_max, wrapped = f_b, far, -far < -full[2] - 1e-12
+    return _Arc(theta_star, phi_star, delta, (phi0_b, phi0_c, f_b, label_c - twice_d * tf_c),
                 f_min, f_max, psi_b, far, wrapped, _STATIONARY_SLACK * (1.0 + 2.0 * abs(delta)), k,
                 (tf_c, p2_c))
 
@@ -744,34 +772,40 @@ def _f_target(psi, f_min, f_max):
     return v
 
 
-def _f_slope(delta, tf, p2, eta, tan_half):
+def _f_slope(delta: float, tf: float, p2: float, eta: float, tan_half: float) -> float:
     """d f_delta / d phi0 at label_for_phi0's (tf, p2, eta): -(1 - delta
     p2) dPsi/dd, with d = phi* - phi0 and dPsi/dd = 2 (1 - tf cos d /
     tan(theta*/2)) / (1 + p2^2). |cos d| is sqrt(1 - s^2) for s = p2
     tan(theta*/2), sin d to an ulp (0 on the South-Pole branch, where the
     label is linear in phi0), and cos d < 0 where the arrival is past
     eta = pi, at the second crossing (at eta = pi, tangency, cos d is 0 to
-    first order). Correctly rounded operations only, so an array's slopes
-    are the scalar ones bit for bit."""
+    first order). Correctly rounded operations only, in the order of its
+    array form `_f_slopes`, so an array's slopes are these bit for bit."""
     s = p2 * tan_half
     c = (1.0 - s) * (1.0 + s)                 # below 0 by roundoff where |s| rounds above 1
-    if isinstance(c, np.ndarray):
-        np.sqrt(np.maximum(c, 0.0, out=c), out=c)
-        np.negative(c, out=c, where=eta > math.pi)
-    else:
-        c = math.sqrt(max(c, 0.0))
-        if eta > math.pi:
-            c = -c
+    c = 0.0 if c < 0.0 else math.sqrt(c)
+    if eta > math.pi:
+        c = -c
+    return (delta * p2 - 1.0) * (2.0 * (1.0 - tf * c / tan_half) / (1.0 + p2 * p2))
+
+
+def _f_slopes(delta, tf, p2, eta, tan_half):
+    """Array form of `_f_slope` over arrays tf, p2 and eta (delta and
+    tan_half scalars or of their shape): its operations in its order."""
+    s = p2 * tan_half
+    c = (1.0 - s) * (1.0 + s)
+    np.sqrt(np.maximum(c, 0.0, out=c), out=c)
+    np.negative(c, out=c, where=eta > math.pi)
     return (delta * p2 - 1.0) * (2.0 * (1.0 - tf * c / tan_half) / (1.0 + p2 * p2))
 
 
 def _f_gaps_and_slopes(theta_star, phi_star, delta, target, k, tol: float, closing):
     """g(i) for `_newton_many`: label - 2 delta tf - target and its slope in
     phi0, over broadcast 1-d arguments and the arc's theta*-factors k as for
-    `_f_gaps`, by the exact array map, so each value is _solve_f's newton g
-    bit for bit. A value within tol closes its bracket at that phi0, so the
-    evaluator writes its row's (label, tf, p2, eta) into the columns of the
-    (4, n) array closing there, for `_solve_arcs` to return."""
+    `_f_gaps`, by the exact array map, so each value is `_newton`'s gap and
+    slope bit for bit. A value within tol closes its bracket at that phi0,
+    so the evaluator writes its row's (label, tf, p2, eta) into the columns
+    of the (4, n) array closing there, for `_solve_arcs` to return."""
     args = [np.asarray(v, dtype=float) for v in (theta_star, phi_star, delta, target, *k)]
 
     def g(i):
@@ -784,7 +818,7 @@ def _f_gaps_and_slopes(theta_star, phi_star, delta, target, k, tol: float, closi
             shut = np.abs(gx) <= tol
             if np.count_nonzero(shut):
                 closing[:, i[shut]] = [v[shut] for v in vals]
-            return gx, _f_slope(d, tf, p2, eta, k_i[0])
+            return gx, _f_slopes(d, tf, p2, eta, k_i[0])
 
         return ev
 
@@ -839,7 +873,7 @@ def _newton_seed(arc: _Arc, f):
         lo, hi, f_lo, f_hi = arc.bracket
         step, twice_d, t = (hi - lo) / _SEED_CELLS, 2.0 * arc.delta, arc.k[0]
         # both window ends are the long great-circle arc, p2 = 0
-        end = ((_HALF_PI, 0.0, math.pi) if arc.theta_star >= math.pi - POLAR_THETA_TOL else
+        end = ((_HALF_PI, 0.0, math.pi) if arc.theta_star >= _SOUTH else
                (math.pi - arc.theta_star / 2.0, 0.0, TWO_PI - arc.theta_star))
         if many:
             x = lo + np.arange(_SEED_CELLS + 1) * step
@@ -847,7 +881,7 @@ def _newton_seed(arc: _Arc, f):
             label, *node = _labels_for_phi0(x[1:-1], arc.theta_star, arc.phi_star, arc.k)
             table = np.concatenate(([f_lo], label - twice_d * node[0], [f_hi]))
             m_end = _f_slope(arc.delta, *end, t)
-            slope = np.concatenate(([m_end], _f_slope(arc.delta, *node, t), [m_end]))
+            slope = np.concatenate(([m_end], _f_slopes(arc.delta, *node, t), [m_end]))
             j, w = np.zeros(f.shape, dtype=int), _SEED_CELLS
             while w > 1:
                 w //= 2
@@ -894,29 +928,26 @@ def _newton_seed(arc: _Arc, f):
 
 def _solve_f(arc: _Arc, f: float, tol: float = _PSI_SOLVE_TOL, newton: bool = False):
     """(label, tf, p2, eta, phi0): label_for_phi0 at the phi0 in the arc's
-    bracket where f_delta = f, and that phi0, by `_bisect`, with newton by
-    its Newton steps from `_newton_seed`'s point. An evaluation within tol
+    bracket where f_delta = f, and that phi0, by `_bisect`, or with newton
+    by `_newton` from `_newton_seed`'s point. An evaluation within tol
     closes the solve at its phi0, so when the last one is within tol its
     values are returned; the map is called again only at a root the solve
     did not evaluate (an end, or the midpoint of a bracket narrower than
     1e-15)."""
-    th, ph, d, k = arc.theta_star, arc.phi_star, arc.delta, arc.k
-    vals = None         # label_for_phi0's values at the last evaluation
     if newton:
-        def g(phi0):
-            nonlocal vals
-            label, tf, p2, eta = vals = label_for_phi0(phi0, th, ph, k)
-            return label - 2.0 * d * tf - f, _f_slope(d, tf, p2, eta, k[0])
-    else:
-        def g(phi0):
-            nonlocal vals
-            label, tf, _, _ = vals = label_for_phi0(phi0, th, ph, k)
-            return label - 2.0 * d * tf - f
+        return _newton(arc, f, tol, _newton_seed(arc, f))
+    th, ph, d, k = arc.theta_star, arc.phi_star, arc.delta, arc.k
+    twice_d = 2.0 * d
+    vals = None         # label_for_phi0's values at the last evaluation
+
+    def g(phi0):
+        nonlocal vals
+        label, tf, _, _ = vals = label_for_phi0(phi0, th, ph, k)
+        return label - twice_d * tf - f
 
     lo, hi, f_lo, f_hi = arc.bracket
-    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, tol, arc.slack, newton,
-                   _newton_seed(arc, f) if newton else None)
-    if vals is None or not abs(vals[0] - 2.0 * d * vals[1] - f) <= tol:
+    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, tol, arc.slack)
+    if vals is None or not abs(vals[0] - twice_d * vals[1] - f) <= tol:
         vals = label_for_phi0(phi0, th, ph, k)
     return (*vals, phi0)
 

@@ -342,9 +342,14 @@ class ParsedTarget:
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
+    """n comma-separated floats; spaces around a value are allowed, an
+    empty or blank field (a trailing comma too) is a DomainError."""
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise DomainError(f"{what}: empty field in {text!r}")
     if len(parts) != n:
-        raise DomainError(f"{what}: expected {n} comma-separated values, got {len(parts)}")
+        raise DomainError(f"{what}: expected {n} comma-separated values in {text!r}, "
+                          f"got {len(parts)}")
     try:
         return [float(p) for p in parts]
     except ValueError as exc:

@@ -110,7 +110,8 @@ def test_verify_without_target_record(tmp_path, capsys):
     assert "lacks a target record" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("axis", ["0,0,0", "1,2", "nan,0,1", "inf,0,0", "1,-inf,0"])
+@pytest.mark.parametrize("axis", ["0,0,0", "1,2", "nan,0,1", "inf,0,0", "1,-inf,0",
+                                  "1,0,,0", ",1,0,0", "1,0,0,"])
 def test_bad_axis_is_a_usage_error_naming_the_flag(tmp_path, capsys, axis):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

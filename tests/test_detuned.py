@@ -260,6 +260,34 @@ def test_domain_is_an_immutable_record():
         assert dom.contains(labels[48]) and dom.contains(dom.psi_min)
 
 
+@pytest.mark.parametrize("theta, phi, most, strict", [
+    (2.2689, 0.0, 488, 70), (0.49, 0.3, 1488, 220), (1.5, -2.0, 1120, 166),
+])
+def test_domain_loop_map_work(monkeypatch, theta, phi, most, strict):
+    # the label-map calls of a figure's 241 optimal domains, counted through
+    # both module bindings the tracer wraps: a full window is closed form
+    # and calls the map not at all, a strict arc calls it twice for its
+    # stationary labels and once per Newton step of its far end. The bounds
+    # are the counts of the seeded far-end solves (4.7 to 5.0 steps each)
+    calls = []
+    for mod in (resonant, detuned):
+        def counted(*args, _fn=mod.label_for_phi0):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(mod, "label_for_phi0", counted)
+    n_strict = 0
+    for delta in np.linspace(-3.0, 3.0, 241).tolist():
+        before = len(calls)
+        dom = optimal_domain(theta, phi, delta)
+        if dom.psi_bullet is None:
+            assert len(calls) == before, delta
+        else:
+            n_strict += 1
+            assert len(calls) - before >= 3, delta
+    assert n_strict == strict
+    assert len(calls) <= most
+
+
 # ---------------------------------------------------------------------------
 # detuned synthesis
 # ---------------------------------------------------------------------------

@@ -39,8 +39,10 @@ def _bisect_both(g, a, b, ga, gb, tol, **kw):
     return x
 
 
-def _newton_both(g, a, b, tol, seed=None):
-    """_bisect's root with newton from the first trial point seed, once
+def _newton_both(monkeypatch, g, a, b, tol, seed=None):
+    """`_newton`'s root from the first trial point seed, on an arc whose
+    label map and slope are g's (gap g(x)[0] at delta = 0 and f = 0, slope
+    g(x)[1], through the module bindings `_newton` calls), once
     `_newton_many` on a one-bracket batch, with g and its slope evaluated
     per element, has returned the same float bit for bit."""
     def gv(i):
@@ -48,7 +50,17 @@ def _newton_both(g, a, b, tol, seed=None):
         return lambda x: tuple(np.array(v) for v in zip(*(g(u) for u in x.tolist())))
 
     ga, gb = g(a)[0], g(b)[0]
-    x = _bisect(g, a, b, ga, gb, tol, 0.0, True, seed)
+    arc = _domain_arc(1.0, 0.0, 0.0)._replace(bracket=(a, b, ga, gb), slack=0.0)
+
+    def label_map(x, *_):
+        # the label is the gap (2 delta tf = 0), p2 the slope
+        gx, slope = g(x)
+        return gx, 0.0, slope, 0.0
+
+    with monkeypatch.context() as m:
+        m.setattr(resonant, "label_for_phi0", label_map)
+        m.setattr(resonant, "_f_slope", lambda d, tf, p2, eta, t: p2)
+        x = resonant._newton(arc, 0.0, tol, seed)[4]
     seeds = None if seed is None else [seed]
     assert float(_newton_many(gv, [a], [b], [ga], [gb], tol, 0.0, seeds)[0]) == x
     return x
@@ -63,7 +75,7 @@ def _newton_both(g, a, b, tol, seed=None):
     # so only the step test (steps halving every second step) cuts them short
     (lambda x: 1.02 * x, 60),
 ])
-def test_newton_steps_reach_the_root(slope, most):
+def test_newton_steps_reach_the_root(monkeypatch, slope, most):
     # a Newton point is taken only strictly inside the bracket and while the
     # steps halve every second step, else the midpoint, so a wrong slope
     # costs evaluations, never the root. Each slope runs with no seed, a
@@ -77,7 +89,7 @@ def test_newton_steps_reach_the_root(slope, most):
             calls.append(x)
             return x * x - 2.0, slope(x)
 
-        x = _newton_both(g, 0.0, 3.0, 1e-12, seed)
+        x = _newton_both(monkeypatch, g, 0.0, 3.0, 1e-12, seed)
         assert abs(x - math.sqrt(2.0)) < 1e-11, seed
         assert len(calls) <= 2 + 2 * most, seed     # both ends, then each solve's steps
         assert calls[2] == (seed if seed == 1.4 else 1.5), seed     # the first trial point
@@ -90,14 +102,21 @@ def test_seeded_tables_take_few_newton_steps(monkeypatch):
     # far stationary label. From the midpoints the paper's family took 8
     # array steps (7.4 evaluations per label), from a 33-node secant seed
     # 3.3, and the far ends below 7.3 evaluations each on average
-    steps, far = [], []
+    steps, far, inside = [], [], []
     newton, newton_many = resonant._newton, resonant._newton_many
+    label_map = resonant.label_for_phi0
 
-    def counted(g, *args):
-        def g_counted(x):
-            far.append(x)
-            return g(x)
-        return newton(g_counted, *args)
+    def counted(*args):
+        inside.append(1)
+        try:
+            return newton(*args)
+        finally:
+            inside.pop()
+
+    def mapped(*args):
+        if inside:
+            far.append(args[0])
+        return label_map(*args)
 
     def counted_many(g, *args):
         def g_counted(i):
@@ -109,6 +128,7 @@ def test_seeded_tables_take_few_newton_steps(monkeypatch):
     build_psi_family(2.2689, 0.0, 1024)
     assert len(steps) <= 5 and sum(steps) <= 2.1 * 1024
     monkeypatch.setattr(resonant, "_newton", counted)
+    monkeypatch.setattr(resonant, "label_for_phi0", mapped)
     rng = np.random.default_rng(6076)
     pool = [(2.2689, 0.0)] + [(0.4 + 2.5 * (j + 0.5) / 14, float(rng.uniform(-math.pi, math.pi)))
                               for j in range(14)]
@@ -117,6 +137,44 @@ def test_seeded_tables_take_few_newton_steps(monkeypatch):
         for delta in np.linspace(-3.0, 3.0, 241).tolist():
             solves += optimal_domain(theta, phi, delta).psi_bullet is not None
     assert solves > 1000 and len(far) <= 5 * solves
+
+
+def test_scalar_slope_is_the_array_slope_bit_for_bit():
+    # _newton forms f_delta's slope by the scalar _f_slope beside each map
+    # call, the array solves and the window seed's table by _f_slopes: the
+    # same operations in the same order, so a scalar solve and its array
+    # form step alike. Checked on the map's (tf, p2, eta) at seeded phi0
+    # (arrivals at the first and at the second crossing, eta > pi), at
+    # p2 = 1/delta (a zero slope), where |p2 tan(theta*/2)| rounds above 1
+    # (the clamp of cos d to 0), at p2 = 0 on the South-Pole branch and at
+    # d = 0, each at delta = 0 and at seeded detunings
+    rng = np.random.default_rng(6077)
+    rows = []
+    for _ in range(400):
+        theta, phi = math.acos(float(rng.uniform(-1.0, 1.0))), float(rng.uniform(-3.0, 3.0))
+        k = resonant._theta_factors(theta)
+        for phi0 in (phi + float(rng.uniform(-1.5, 1.5) * math.pi), phi):
+            _, tf, p2, eta = label_for_phi0(phi0, theta, phi, k)
+            for delta in (0.0, float(rng.uniform(-5.0, 5.0)), 1.0 / p2 if p2 else 1.0):
+                rows.append((delta, tf, p2, eta, k[0]))
+    # |p2 t| a few ulps above 1, at both crossings
+    for t in np.exp(rng.uniform(-5.0, 5.0, 40)).tolist():
+        p2 = (1.0 + 2.0 ** -52 * int(rng.integers(2, 6))) / t
+        rows += [(d, float(rng.uniform(0.0, 3.0)), s * p2, eta, t)
+                 for s in (1.0, -1.0) for eta in (math.pi, 4.0) for d in (0.0, 0.7)]
+    theta = math.pi - 0.5 * POLAR_THETA_TOL
+    t_south = resonant._theta_factors(theta)[0]
+    south = label_for_phi0(0.3, theta, 1.1)[1:]
+    rows += [(d, *south, t_south) for d in (0.0, 2.5, -1e9)]
+    delta, tf, p2, eta, t = (np.array(v) for v in zip(*rows))
+    got = resonant._f_slopes(delta, tf, p2, eta, t)
+    want = np.array([resonant._f_slope(*r) for r in rows])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    s = p2 * t
+    assert np.count_nonzero(eta > math.pi) > 100 and np.count_nonzero(eta < math.pi) > 100
+    assert np.count_nonzero((1.0 - s) * (1.0 + s) < 0.0) >= 300
+    assert np.count_nonzero(want == 0.0) > 100 and np.count_nonzero(delta == 0.0) > 400
+    assert np.count_nonzero((p2 == 0.0) & (eta == math.pi)) >= 3
 
 
 def test_seeds_are_the_same_float_in_either_form(monkeypatch):

@@ -245,6 +245,10 @@ def test_parse_target_grammar():
     g = parse_target('matrix:[[0.7071067811865476+0j,0.7071067811865476j],'
                      '[0.7071067811865476j,0.7071067811865476+0j]]').gate
     assert abs(g.x1 - math.cos(math.pi / 4)) < 1e-12
+    # spaces around a value are allowed
+    assert parse_target(" euler: 0.1 , 0.2 ,0.3 ").gate == parse_target("euler:0.1,0.2,0.3").gate
+    assert parse_target("quat: 1, 0,0 ,0").gate.quat == (1.0, 0.0, 0.0, 0.0)
+    assert parse_target("axis:1.0@ 0 ,0, 1").gate == parse_target("axis:1.0@0,0,1").gate
 
 
 @pytest.mark.parametrize("bad", [
@@ -254,6 +258,19 @@ def test_parse_target_grammar():
 def test_parse_target_rejects(bad):
     with pytest.raises(DomainError):
         parse_target(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    "euler:1,,2,3", "euler:0.1,0.2,0.3,", "euler:,0.1,0.2,0.3", "euler:0.1, ,0.3",
+    "quat:1,0,0,0,", "axis:1@1,0,,0", "axis:1@,0,0,1", "xyrot:0.2,1.0,", "zrot:", "zrot:,",
+])
+def test_empty_fields_are_rejected_naming_the_spec(bad):
+    # an empty or blank field, a trailing comma's too, is not skipped:
+    # "euler:1,,2,3" is not "euler:1,2,3"
+    kind, _, body = bad.partition(":")
+    with pytest.raises(DomainError, match=f"^{kind}: empty field in ") as err:
+        parse_target(bad)
+    assert repr(body.partition("@")[2] or body) in str(err.value)
 
 
 def test_euler_target_theta_domain():

@@ -174,13 +174,15 @@ def test_array_arcs_match_scalar_arcs(theta, phi, grid):
 
 def test_tdiff_is_one_array_solve(monkeypatch):
     # per report one bisection array solve (U and -U) and one Newton array
-    # solve (the strict domain ends); the one scalar _bisect call is the
-    # Newton solve of the symmetric pair's duration at delta = 0
+    # solve (the strict domain ends); the one scalar solve is the Newton
+    # solve of the symmetric pair's duration at delta = 0, and none bisects
     calls, newton, scalar = [], [], []
-    bisect_many, newton_many, bisect = resonant._bisect_many, resonant._newton_many, resonant._bisect
+    bisect_many, newton_many = resonant._bisect_many, resonant._newton_many
+    bisect, newton_1 = resonant._bisect, resonant._newton
     monkeypatch.setattr(resonant, "_bisect_many", lambda *a: calls.append(1) or bisect_many(*a))
     monkeypatch.setattr(resonant, "_newton_many", lambda *a: newton.append(1) or newton_many(*a))
-    monkeypatch.setattr(resonant, "_bisect", lambda *a: scalar.append(1) or bisect(*a))
+    monkeypatch.setattr(resonant, "_bisect", lambda *a: scalar.append("bisect") or bisect(*a))
+    monkeypatch.setattr(resonant, "_newton", lambda *a: scalar.append("newton") or newton_1(*a))
     # and the delta = 0 points too: no resonant solve on the side
     general = detuned.synthesize_general
     monkeypatch.setattr(detuned, "synthesize_general", None)
@@ -189,7 +191,7 @@ def test_tdiff_is_one_array_solve(monkeypatch):
         gate = gate_from_euler(*target)
         scalar.clear()
         report = tdiff_analysis(gate, grid)
-        assert len(scalar) == 1
+        assert scalar == ["newton"]
         for i in np.flatnonzero(grid == 0.0).tolist():
             assert report.t_U[i] == general(gate, verify=False).law.tf
             zeros += 1
