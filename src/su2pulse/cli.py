@@ -99,6 +99,18 @@ def _config_value_ok(f, v) -> bool:
     return isinstance(v, str)
 
 
+def _number_flag(kind):
+    """The argparse type of a number flag: kind by su2's number rule, so a
+    digit-group underscore, as any bad number, is a usage error naming the
+    flag; argparse names the type by its __name__."""
+    def parse(text: str):
+        return su2._parse_number(text, kind)
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_FLOAT, _INT = _number_flag(float), _number_flag(int)
+
 # each command's options, by RunConfig field: the flags its parser has
 # beside --config, and the keys a --config file may set for it
 _OPTIONS = {
@@ -116,20 +128,20 @@ _FLAGS = {
     "target": (("--target",), dict(help="gate spec, e.g. zrot:3.14159, xyrot:0,1.57, "
                                    "euler:p,t,f, quat:a,b,c,d, axis:alpha@nx,ny,nz, "
                                    "matrix:[[..],[..]]")),
-    "delta": (("--delta",), dict(type=float, help="normalized detuning (default 0)")),
+    "delta": (("--delta",), dict(type=_FLOAT, help="normalized detuning (default 0)")),
     "out": (("--out",), dict(help="output directory (default: .)")),
-    "tol": (("--tol",), dict(type=float, help="verification tolerance (default 1e-6)")),
-    "samples": (("--samples",), dict(type=int, help="pulse/trajectory samples (default 2048)")),
-    "omega_max": (("--omega-max",), dict(dest="omega_max", type=float,
+    "tol": (("--tol",), dict(type=_FLOAT, help="verification tolerance (default 1e-6)")),
+    "samples": (("--samples",), dict(type=_INT, help="pulse/trajectory samples (default 2048)")),
+    "omega_max": (("--omega-max",), dict(dest="omega_max", type=_FLOAT,
                                          help="physical drive scale in rad/s, for unit "
                                          "conversion")),
     "pulse": (("pulse",), dict(help="pulse CSV written by synthesize")),
     "axis": (("--axis",), dict(help="x, y, z, yz, or nx,ny,nz (default y)")),
-    "alpha_steps": (("--alpha-steps",), dict(dest="alpha_steps", type=int,
+    "alpha_steps": (("--alpha-steps",), dict(dest="alpha_steps", type=_INT,
                                              help="grid points over [0, 4pi] (default 721)")),
-    "delta_min": (("--delta-min",), dict(dest="delta_min", type=float)),
-    "delta_max": (("--delta-max",), dict(dest="delta_max", type=float)),
-    "delta_steps": (("--delta-steps",), dict(dest="delta_steps", type=int)),
+    "delta_min": (("--delta-min",), dict(dest="delta_min", type=_FLOAT)),
+    "delta_max": (("--delta-max",), dict(dest="delta_max", type=_FLOAT)),
+    "delta_steps": (("--delta-steps",), dict(dest="delta_steps", type=_INT)),
 }
 
 _HELP = {

@@ -17,23 +17,23 @@ Under a detuning delta the control ends at f_delta = label - 2 delta tf,
 the label being its accumulated psi. An optimal arc (`_domain_arc`) is a
 phi0 bracket on which f_delta is monotone, and psi* lifted into its f-range
 of width 4pi (`_f_target`) is the root's f_delta. At delta = 0 the arc is
-the full label window and f_delta the label: the resonant solve. `_solve_f`
-and its array form `_solve_arcs` solve every tilted target, by `_bisect`
-and `_bisect_many`, the package's only root finders. The tables of
-detuned.py (the label family and the optimal domains' far ends) take
-their Newton steps instead (`_newton`, `_newton_many`): the same
-brackets, ends and stops, with the closed-form slope of f_delta
-(`_f_slope`, `_f_slopes`), the scalar loop calling the map and forming
-the slope itself, each solve from a first trial point beside its root
-(`_newton_seed`): a far end from f_delta's quadratic model at the far
-stationary label, a family label from the inverse cubic Hermite
+the full label window and f_delta the label: the resonant solve. One
+scalar loop solves f_delta = f on an arc (`_newton`, through `_solve_f`),
+and `_solve_arcs` is its array form. Laws bisect: every trial point is
+the bracket's midpoint (`_bisect_many` for an array), so a sweep's
+durations are synthesize's bit for bit. The tables of detuned.py (the
+label family and the optimal domains' far ends) take Newton steps in
+the same loop (`_newton_many` for an array): the same brackets, ends and
+stops, with the closed-form slope of f_delta (`_f_slope`, `_f_slopes`)
+formed beside each map call, each solve from a first trial point beside
+its root (`_newton_seed`): a far end from f_delta's quadratic model at
+the far stationary label, a family label from the inverse cubic Hermite
 interpolant of a 65-node label table and its closed-form slopes. That
 takes 2.0 evaluations per label of the paper's family and about 4.8 per
-far end, against 7.4 and 7.3 from the midpoint. Laws stay on
-bisection, so a sweep's durations are synthesize's bit for bit. Every
-value a solve returns comes from the exact map, label_for_phi0 or its
-array form `_labels_for_phi0` (math's sin and acos): the map's values at
-the evaluation that closed the solve, or a call at a root it did not
+far end, against 7.4 and 7.3 from the midpoint. Every value a solve
+returns comes from the exact map, label_for_phi0 or its array form
+`_labels_for_phi0` (math's sin and acos): the map's values at the
+evaluation that closed the solve, or a call at a root it did not
 evaluate. Only the grid bisection's steering step (`_f_gaps`) takes
 numpy's sin and arccos, rechecking by label_for_phi0 each value close
 enough to a decision that their last bits could flip it.
@@ -319,7 +319,7 @@ def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
 
 def _open_bracket(a: float, b: float, ga: float, gb: float, tol: float,
                   slack: float) -> tuple[float, float]:
-    """_bisect's end tests on [a, b], ga = g(a) and gb = g(b): an end with
+    """The solves' end tests on [a, b], ga = g(a) and gb = g(b): an end with
     |g| <= tol (a first) as (end, end); otherwise g must change sign over
     [a, b] (each end may miss by up to `slack`), else NoConvergence, and the
     bracket comes ordered, g < 0 at lo and g > 0 at hi. Its array form is
@@ -334,53 +334,35 @@ def _open_bracket(a: float, b: float, ga: float, gb: float, tol: float,
     return (a, b) if ga < gb else (b, a)
 
 
-def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
-            slack: float = 0.0) -> float:
-    """Root of g on [a, b] by bisection on the sign of g.
-
-    ga = g(a) and gb = g(b) are passed in because callers often know them.
-    An end with |g| <= tol is returned as it is; otherwise g must change
-    sign over [a, b] (each end may miss by up to `slack`), else
-    NoConvergence (`_open_bracket`). The loop stops at |g(mid)| <= tol or a
-    bracket narrower than 1e-15.
-    """
-    lo, hi = _open_bracket(a, b, ga, gb, tol, slack)
-    if lo == hi:
-        return lo
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if abs(hi - lo) < 1e-15:
-            return mid
-        gm = g(mid)
-        if gm > tol:
-            hi = mid
-        elif gm < -tol:
-            lo = mid
-        else:
-            return mid
-    raise NoConvergence(f"bisection did not reach {tol:g} in {_MAX_BISECT} steps")
-
-
-def _newton(arc: _Arc, f: float, tol: float, seed: float | None) -> tuple[float, ...]:
+def _newton(arc: _Arc, f: float, tol: float, newton: bool) -> tuple[float, ...]:
     """(label, tf, p2, eta, phi0) at the root phi0 of f_delta = f on the
-    scalar arc's bracket: _bisect's end tests and stops, with Newton steps
-    (rtsafe, Numerical Recipes 9.4). Each evaluation is one label_for_phi0
-    call with the gap and its slope (`_f_slope`) formed beside it; the
-    values returned are as `_solve_f` states. The Newton point of the last
-    evaluation is taken when it lies strictly inside the bracket and its
-    step is at most half the step before the last one (so the steps at
-    least halve every second step where the slope is off, as it is where
-    roundoff steps the map); else the midpoint, whose step is half the
-    bracket, as after a zero slope. The first trial point is seed when it
-    lies strictly inside the bracket (a midpoint step: half the bracket),
-    else the midpoint, as for no seed or a nan one. Array form:
-    `_newton_many`."""
+    scalar arc's bracket: the one scalar f_delta loop, for laws and tables.
+    `_open_bracket`'s end tests, then per step one label_for_phi0 call at
+    the trial point, with the gap formed beside it: a gap above tol moves
+    hi there, one below -tol moves lo, and one within tol closes the
+    solve, whose values are returned. An end root, or a bracket narrower
+    than 1e-15 (which stops at its midpoint, unevaluated), is returned
+    with a map call there.
+
+    Without newton (laws) every trial point is the bracket's midpoint:
+    bisection on the sign of the gap, whose array form is `_bisect_many`.
+    With newton (the tables) the steps are Newton's (rtsafe, Numerical
+    Recipes 9.4) on f_delta's slope (`_f_slope`), formed beside each map
+    call: the Newton point of the last evaluation is taken when it lies
+    strictly inside the bracket and its step is at most half the step
+    before the last one (so the steps at least halve every second step
+    where the slope is off, as it is where roundoff steps the map); else
+    the midpoint, whose step is half the bracket, as after a zero slope.
+    The first trial point is `_newton_seed`'s when it lies strictly inside
+    the bracket (a midpoint step: half the bracket), else the midpoint, as
+    for a nan seed. Array form: `_newton_many`."""
     th, ph, d, k = arc.theta_star, arc.phi_star, arc.delta, arc.k
     twice_d, t = 2.0 * d, k[0]
     a, b, f_a, f_b = arc.bracket
     lo, hi = _open_bracket(a, b, f_a - f, f_b - f, tol, arc.slack)
-    x, step = seed, 0.5 * abs(hi - lo)
+    x = _newton_seed(arc, f) if newton else None
     last = older = abs(hi - lo)
+    step = 0.5 * last
     for _ in range(_MAX_BISECT):
         width = abs(hi - lo)
         if width < 1e-15:
@@ -397,7 +379,7 @@ def _newton(arc: _Arc, f: float, tol: float, seed: float | None) -> tuple[float,
             lo = x
         else:
             return label, tf, p2, eta, x
-        slope = _f_slope(d, tf, p2, eta, t)
+        slope = newton and _f_slope(d, tf, p2, eta, t)
         if slope:
             q = gx / slope
             x, step = x - q, abs(q)
@@ -407,9 +389,10 @@ def _newton(arc: _Arc, f: float, tol: float, seed: float | None) -> tuple[float,
 
 
 def _open_brackets(a, b, ga, gb, tol: float, slack):
-    """_bisect's end tests over broadcast 1-d a, b, ga, gb (and slack, if an
-    array): (out, i, lo, hi), out holding the ends already returned and
-    (lo, hi) the ordered brackets still open, at the indices i."""
+    """`_open_bracket`'s end tests over broadcast 1-d a, b, ga, gb (and
+    slack, if an array): (out, i, lo, hi), out holding the ends already
+    returned and (lo, hi) the ordered brackets still open, at the indices
+    i."""
     a, b, ga, gb = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b, ga, gb))
     out = np.where(np.abs(ga) <= tol, a, b)
     todo = (np.abs(ga) > tol) & (np.abs(gb) > tol)
@@ -426,19 +409,21 @@ def _open_brackets(a, b, ga, gb, tol: float, slack):
 
 
 def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
-    """Array form of `_bisect`, one bracket per element of the broadcast
-    1-d a, b, ga, gb (and slack, if an array): _bisect's end tests,
-    midpoints, sign ordering and stop rules, so each element gets _bisect's
-    float for the same g values.
+    """Array form of the laws' bisection, `_newton`'s loop without its
+    Newton steps, one bracket per element of the broadcast 1-d a, b, ga, gb
+    (and slack, if an array): that loop's end tests, midpoints, sign
+    ordering and stop rules, so each element gets its phi0 for the same g
+    values.
 
     g(i) binds the still open brackets i and returns the evaluator of g at
     their midpoints. Each step evaluates it once and moves lo and hi in
     place. A bracket that closes at |g| <= tol keeps its lo and hi, so on
     later steps its midpoint, and g there (a function of the row and the
-    point), repeat bit for bit and it stays closed: such brackets stay in the open set until at least half of it
-    has closed, and only then are the set and its evaluator rebuilt. A
-    bracket narrower than 1e-15 before it is evaluated leaves the set at
-    once; the width test runs only once some bracket can be that narrow."""
+    point), repeat bit for bit and it stays closed: such brackets stay in
+    the open set until at least half of it has closed, and only then are
+    the set and its evaluator rebuilt. A bracket narrower than 1e-15 before
+    it is evaluated leaves the set at once; the width test runs only once
+    some bracket can be that narrow."""
     out, i, lo, hi = _open_brackets(a, b, ga, gb, tol, slack)
     # floor bounds every open width from below, so the width test waits
     # until it can close one: a step halves a width to within 1.5 spacings
@@ -540,8 +525,8 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float, k=None):
     South-Pole rows and roundoff band once; a scalar argument (one theta*
     for a family or a T_diff grid, delta = 0) stays scalar, and a scalar
     delta = 0 drops the 2 delta tf term, which is +0. A value within that
-    band of +-tol, where numpy's last bits could flip _bisect's decision,
-    is recomputed by label_for_phi0 on the same factors."""
+    band of +-tol, where numpy's last bits could flip the scalar loop's
+    decision, is recomputed by label_for_phi0 on the same factors."""
     th, ph, d, t, *fac = (np.asarray(v, dtype=float) for v in (
         theta_star, phi_star, delta, target, *(k or _theta_factors(theta_star))))
     twice_d = 2.0 * d
@@ -613,7 +598,7 @@ def _f_gaps(theta_star, phi_star, delta, target, tol: float, k=None):
 # optimal arcs: one solve for every tilted target at every detuning
 # ---------------------------------------------------------------------------
 
-# _bisect's slack on an arc: _f_target's 1e-9 band on a full one; per unit of
+# the solves' slack on an arc: _f_target's 1e-9 band on a full one; per unit of
 # 1 + 2|delta| on a stationary end, a tangency control near the threshold, where
 # acos(-1 + x) in label_for_phi0 turns 8 ulps of x into sqrt(16 eps) of f_delta
 _STATIONARY_SLACK = 4.0 * math.sqrt(np.finfo(float).eps)
@@ -928,28 +913,13 @@ def _newton_seed(arc: _Arc, f):
 
 def _solve_f(arc: _Arc, f: float, tol: float = _PSI_SOLVE_TOL, newton: bool = False):
     """(label, tf, p2, eta, phi0): label_for_phi0 at the phi0 in the arc's
-    bracket where f_delta = f, and that phi0, by `_bisect`, or with newton
-    by `_newton` from `_newton_seed`'s point. An evaluation within tol
-    closes the solve at its phi0, so when the last one is within tol its
-    values are returned; the map is called again only at a root the solve
-    did not evaluate (an end, or the midpoint of a bracket narrower than
-    1e-15)."""
-    if newton:
-        return _newton(arc, f, tol, _newton_seed(arc, f))
-    th, ph, d, k = arc.theta_star, arc.phi_star, arc.delta, arc.k
-    twice_d = 2.0 * d
-    vals = None         # label_for_phi0's values at the last evaluation
-
-    def g(phi0):
-        nonlocal vals
-        label, tf, _, _ = vals = label_for_phi0(phi0, th, ph, k)
-        return label - twice_d * tf - f
-
-    lo, hi, f_lo, f_hi = arc.bracket
-    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, tol, arc.slack)
-    if vals is None or not abs(vals[0] - twice_d * vals[1] - f) <= tol:
-        vals = label_for_phi0(phi0, th, ph, k)
-    return (*vals, phi0)
+    bracket where f_delta = f, and that phi0, by `_newton`'s loop: by
+    bisection for a law, or with newton by Newton steps from
+    `_newton_seed`'s point for a table. An evaluation within tol closes
+    the solve at its phi0 and its values are returned; the map is called
+    again only at a root the solve did not evaluate (an end, or the
+    midpoint of a bracket narrower than 1e-15)."""
+    return _newton(arc, f, tol, newton)
 
 
 def _solve_target(e: EulerTarget, delta: float):
@@ -1026,13 +996,12 @@ def _synthesize_canonical(e: EulerTarget, delta: float = 0.0,
 
 def synthesize(target, delta: float = 0.0, verify: bool = True) -> SynthesisResult:
     """Dispatch on a ParsedTarget / UnitGate / EulerTarget; delta != 0 routes
-    to the detuned solver."""
+    to the detuned solver, detuned.synthesize_detuned, read from its module
+    at each call."""
     if delta != 0.0:
-        from .detuned import synthesize_detuned
-
         if isinstance(target, ParsedTarget):
             target = target.gate
-        return synthesize_detuned(target, delta, verify=verify)
+        return detuned.synthesize_detuned(target, delta, verify=verify)
     if isinstance(target, ParsedTarget):
         if target.kind == "zrot":
             return synthesize_z_rotation(target.zrot, verify=verify)
@@ -1041,3 +1010,8 @@ def synthesize(target, delta: float = 0.0, verify: bool = True) -> SynthesisResu
             return synthesize_xy_rotation(*target.xyrot, verify=verify)
         target = target.gate
     return synthesize_general(target, verify=verify)
+
+
+# detuned imports this module's solvers, so it is bound here, once they
+# are defined; importing su2pulse.detuned first loads this module first
+from . import detuned  # noqa: E402

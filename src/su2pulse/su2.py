@@ -341,6 +341,17 @@ class ParsedTarget:
     xyrot: tuple[float, float] | None = None
 
 
+def _parse_number(text: str, kind=float):
+    """kind(text), kind float, int or complex, by Python's number syntax
+    less its digit-group underscores: '1_0' is not 10 but a ValueError, as
+    a typo for '1.0' is as likely as a grouped number. The rule of every
+    number the CLI reads from text: target specs, --axis and the number
+    flags."""
+    if "_" in text:
+        raise ValueError(f"{text!r}: digit-group underscores are not allowed")
+    return kind(text)
+
+
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
     """n comma-separated floats; spaces around a value are allowed, an
     empty or blank field (a trailing comma too) is a DomainError."""
@@ -351,7 +362,7 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
         raise DomainError(f"{what}: expected {n} comma-separated values in {text!r}, "
                           f"got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        return [_parse_number(p) for p in parts]
     except ValueError as exc:
         raise DomainError(f"{what}: {exc}") from exc
 
@@ -392,7 +403,7 @@ def parse_target(spec: str) -> ParsedTarget:
         if not sep2:
             raise DomainError("axis: expected 'alpha@nx,ny,nz'")
         try:
-            alpha = float(head)
+            alpha = _parse_number(head)
         except ValueError as exc:
             raise DomainError(f"axis: bad angle {head!r}") from exc
         if not (0.0 <= alpha < FOUR_PI):
@@ -420,7 +431,7 @@ def _parse_matrix(body: str) -> np.ndarray:
         for j, ent in enumerate(entries):
             ent = ent.strip().strip('"').strip("'")
             try:
-                out[i, j] = complex(ent.replace("i", "j"))
+                out[i, j] = _parse_number(ent.replace("i", "j"), complex)
             except ValueError as exc:
                 raise DomainError(f"matrix: bad entry {ent!r}") from exc
     return out

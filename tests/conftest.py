@@ -7,8 +7,9 @@ mod-4pi root scan `_roots_mod_4pi`, and take the fastest; neither uses
 the solvers' 4pi bookkeeping, the optimal-domain construction or the
 closed form of the detuned z family. `_roots_mod_4pi` and the z-family
 scan `_scan_z_roots` are the package's former solver for detuned
-z-rotations; it refines its roots by its own sign bisection
-(`_sign_bisect`), so these oracles share no root finder with the
+z-rotations; it refines its roots by `_bisect`, the package's former
+scalar bisection, kept here as the reference of the array bisection
+`resonant._bisect_many`, so these oracles share no root finder with the
 solvers. `first_z_crossing` bounds that closed form's label from above by
 scanning f_delta on a grid geometric in |label|.
 
@@ -173,16 +174,23 @@ def crossing_eta_oracle(phi0: float, theta_star: float, phi_star: float) -> floa
                         f"phi0 = {phi0:.6g}, theta* = {theta_star:.6g}")
 
 
-def _sign_bisect(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
-    """Root of g on [a, b], over which g changes sign (ga = g(a), gb = g(b)),
-    by bisection on the sign of g, with the solvers' stop rule but none of
-    their code: an end with |g| <= tol is returned as it is, and the loop
-    stops at |g(mid)| <= tol or a bracket narrower than 1e-15, within 200
-    steps."""
+def _bisect(g, a: float, b: float, ga: float, gb: float, tol: float,
+            slack: float = 0.0) -> float:
+    """Root of g on [a, b] by bisection on the sign of g, with the solvers'
+    end tests and stop rule but none of their code: the package's former
+    scalar bisection, for any g.
+
+    ga = g(a) and gb = g(b) are passed in. An end with |g| <= tol (a first)
+    is returned as it is; otherwise g must change sign over [a, b] (each
+    end may miss by up to `slack`), else NoConvergence. The loop stops at
+    |g(mid)| <= tol or a bracket narrower than 1e-15, within 200 steps."""
     if abs(ga) <= tol:
         return a
     if abs(gb) <= tol:
         return b
+    if min(ga, gb) > slack or max(ga, gb) < -slack:
+        raise NoConvergence(f"no sign change on [{a:.9g}, {b:.9g}]: "
+                            f"g = {ga:.3e}, {gb:.3e}")
     lo, hi = (a, b) if ga < gb else (b, a)     # g < 0 at lo, g > 0 at hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -203,7 +211,7 @@ def _roots_mod_4pi(f, xs, fs, target: float, tol: float) -> list[float]:
 
     fs holds f on the grid xs. Grid points where the wrapped mismatch is
     exactly zero are roots as they are; a sign change across a grid step
-    is refined by `_sign_bisect`, unless the step is pi or more: that is a
+    is refined by `_bisect`, unless the step is pi or more: that is a
     mod-4pi wrap jump, not a root.
     """
     m = (np.asarray(fs, dtype=float) - target + TWO_PI) % FOUR_PI - TWO_PI
@@ -214,7 +222,7 @@ def _roots_mod_4pi(f, xs, fs, target: float, tol: float) -> list[float]:
         return wrap_4pi(f(x) - target)
 
     return [float(xs[i]) if ma[i] == 0.0 else
-            _sign_bisect(g, float(xs[i]), float(xs[i + 1]), float(ma[i]), float(mb[i]), tol)
+            _bisect(g, float(xs[i]), float(xs[i + 1]), float(ma[i]), float(mb[i]), tol)
             for i in hits]
 
 

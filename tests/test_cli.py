@@ -120,6 +120,42 @@ def test_bad_axis_is_a_usage_error_naming_the_flag(tmp_path, capsys, axis):
     assert not (tmp_path / "sweep_angle.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("synthesize", "--target", "zrot:1", "--delta", "0_5"),
+    ("synthesize", "--target", "zrot:1", "--tol", "1_0e-6"),
+    ("synthesize", "--target", "zrot:1", "--omega-max", "1_000"),
+    ("synthesize", "--target", "zrot:1", "--samples", "2_048"),
+    ("sweep-angle", "--alpha-steps", "7_21"),
+    ("sweep-detuning", "--target", "euler:0,2.2689,0", "--delta-min", "-3_0"),
+    ("sweep-detuning", "--target", "euler:0,2.2689,0", "--delta-max", "3_0"),
+    ("sweep-detuning", "--target", "euler:0,2.2689,0", "--delta-steps", "24_1"),
+])
+def test_digit_group_underscores_in_a_flag_are_usage_errors(tmp_path, capsys, args):
+    # int() and float() read "2_048" as 2048 and "0_5" as 5.0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args, "--out", str(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {args[-2]}: invalid " in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ("so3-select", "--target", "zrot:0_1"),
+    ("synthesize", "--target", "euler:0,1_0e-1,0"),
+    ("sweep-detuning", "--target", "axis:1@0_1,0,1"),
+    ("sweep-angle", "--axis", "1_0,0,0"),
+])
+def test_digit_group_underscores_in_a_spec_are_usage_errors(tmp_path, capsys, args):
+    out = () if args[0] == "so3-select" else ("--out", str(tmp_path))
+    assert run_cli(*args, *out) == 2
+    err = capsys.readouterr().err
+    assert "digit-group underscores" in err and "Traceback" not in err
+    assert err.startswith("error: --axis " if args[1] == "--axis" else
+                          f"error: {args[2].partition(':')[0]}: ")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("axis, unit", [("1e200,1e200,0", "1,1,0"), ("1e-200,0,0", "1,0,0"),
                                         ("0,5e-324,0", "0,1,0")])
 def test_axis_norm_over_and_underflow(tmp_path, axis, unit):

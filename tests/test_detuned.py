@@ -288,6 +288,36 @@ def test_domain_loop_map_work(monkeypatch, theta, phi, most, strict):
     assert len(calls) <= most
 
 
+# label_for_phi0 calls of the laws of 200 seeded Haar gates at each
+# detuning, about 36 to 38 per law: a law bisects its arc's bracket to
+# 1e-10 in f_delta, one call per step, and a strict arc adds its two
+# stationary labels
+_LAW_MAP_CALLS = {0.0: 7183, 0.7: 7329, -0.7: 7312, -2.0: 7491, 4.0: 7554}
+
+
+def test_law_map_work(monkeypatch):
+    # counted through both module bindings the tracer wraps, as for the
+    # domain loop; a law solve forms no slope of f_delta either
+    calls, slopes = [], []
+    for mod in (resonant, detuned):
+        def counted(*args, _fn=mod.label_for_phi0):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(mod, "label_for_phi0", counted)
+    f_slope = resonant._f_slope
+    monkeypatch.setattr(resonant, "_f_slope", lambda *a: slopes.append(1) or f_slope(*a))
+    rng = np.random.default_rng(6080)
+    gates = [random_gate(rng) for _ in range(200)]
+    got = {}
+    for delta in _LAW_MAP_CALLS:
+        calls.clear()
+        for g in gates:
+            synthesize(g, delta, verify=False)
+        got[delta] = len(calls)
+    assert all(got[d] <= most for d, most in _LAW_MAP_CALLS.items()), got
+    assert not slopes
+
+
 # ---------------------------------------------------------------------------
 # detuned synthesis
 # ---------------------------------------------------------------------------
@@ -584,23 +614,24 @@ def test_detuned_synthesis_solves_one_root(monkeypatch):
     # a strict arc's f-range is fixed by its stationary end, so synthesis
     # inverts f_delta once and leaves the arc's far end psi_min, which
     # optimal_domain still solves, unsolved; at delta = 0 the same solve on
-    # the full arc is the resonant one
+    # the full arc is the resonant one. Each is one pass of the scalar
+    # f_delta loop, bisecting (its newton flag off), as a law does
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return bisect(*args, **kwargs)
+    def counted(arc, f, tol, newton):
+        calls.append(newton)
+        return loop(arc, f, tol, newton)
 
-    bisect = resonant._bisect
-    monkeypatch.setattr(resonant, "_bisect", counted)
+    loop = resonant._newton
+    monkeypatch.setattr(resonant, "_newton", counted)
     for gate, e, delta, kind in DETUNED_CASES:
         calls.clear()
         synthesize_detuned(gate, delta, verify=False)
-        assert len(calls) == 1, (e, delta, kind)
+        assert calls == [False], (e, delta, kind)
         if kind != "full":
             assert math.isfinite(optimal_domain(e.theta, e.phi, delta).psi_min)
     for gate, e, _, _ in DETUNED_CASES[::6]:          # each target once
         for solve in (synthesize_general, lambda g, **kw: synthesize_detuned(g, 0.0, **kw)):
             calls.clear()
             solve(gate, verify=False)
-            assert len(calls) == 1, e
+            assert calls == [False], e

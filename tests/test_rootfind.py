@@ -1,6 +1,8 @@
-"""The shared root finders: bracketed bisection, its array form with the
-bound evaluator of the f_delta gaps, their Newton steps for the tables,
-and the mod-4pi root scan of the test oracles."""
+"""The shared root finders: the scalar f_delta loop (bisection for laws,
+Newton steps for the tables), the array bisection with the bound
+evaluator of the f_delta gaps, checked against the former scalar
+bisection kept in conftest.py, the array Newton loop, and the mod-4pi
+root scan of the test oracles."""
 import math
 
 import numpy as np
@@ -8,12 +10,12 @@ import pytest
 
 from su2pulse import NoConvergence, build_psi_family, optimal_domain, resonant
 from su2pulse.detuned import _domain_arc
-from su2pulse.resonant import (_ARRAY_ROUNDOFF, _PSI_SOLVE_TOL, _bisect, _bisect_many,
-                               _domain_arcs, _f_gaps, _newton_many, _newton_seed, _solve_f,
+from su2pulse.resonant import (_ARRAY_ROUNDOFF, _PSI_SOLVE_TOL, _bisect_many, _domain_arcs,
+                               _f_gaps, _f_target, _newton_many, _newton_seed, _solve_f,
                                label_for_phi0)
 from su2pulse.su2 import POLAR_THETA_TOL
 
-from conftest import _roots_mod_4pi, steering_gaps_oracle
+from conftest import _bisect, _roots_mod_4pi, steering_gaps_oracle
 
 FOUR_PI = 4.0 * math.pi
 
@@ -42,9 +44,9 @@ def _bisect_both(g, a, b, ga, gb, tol, **kw):
 def _newton_both(monkeypatch, g, a, b, tol, seed=None):
     """`_newton`'s root from the first trial point seed, on an arc whose
     label map and slope are g's (gap g(x)[0] at delta = 0 and f = 0, slope
-    g(x)[1], through the module bindings `_newton` calls), once
-    `_newton_many` on a one-bracket batch, with g and its slope evaluated
-    per element, has returned the same float bit for bit."""
+    g(x)[1]) and whose seed is seed, through the module bindings `_newton`
+    calls, once `_newton_many` on a one-bracket batch, with g and its slope
+    evaluated per element, has returned the same float bit for bit."""
     def gv(i):
         assert i.tolist() == [0]
         return lambda x: tuple(np.array(v) for v in zip(*(g(u) for u in x.tolist())))
@@ -60,7 +62,8 @@ def _newton_both(monkeypatch, g, a, b, tol, seed=None):
     with monkeypatch.context() as m:
         m.setattr(resonant, "label_for_phi0", label_map)
         m.setattr(resonant, "_f_slope", lambda d, tf, p2, eta, t: p2)
-        x = resonant._newton(arc, 0.0, tol, seed)[4]
+        m.setattr(resonant, "_newton_seed", lambda arc, f: seed)
+        x = resonant._newton(arc, 0.0, tol, True)[4]
     seeds = None if seed is None else [seed]
     assert float(_newton_many(gv, [a], [b], [ga], [gb], tol, 0.0, seeds)[0]) == x
     return x
@@ -265,6 +268,67 @@ def test_tables_meet_the_solve_contract(theta, phi):
         assert _meets_contract(arc, arc.far, _PSI_SOLVE_TOL, phi0), (delta, phi0)
         strict += 1
     assert strict
+
+
+def _former_law_solve(arc, f, tol):
+    """The laws' former solve of f_delta = f on the arc: `_bisect` over a
+    closure that keeps the values of its last resonant.label_for_phi0 call,
+    the map called again at the root unless that call closed it within
+    tol."""
+    th, ph, d, k = arc.theta_star, arc.phi_star, arc.delta, arc.k
+    twice_d = 2.0 * d
+    vals = None
+
+    def g(phi0):
+        nonlocal vals
+        label, tf, _, _ = vals = resonant.label_for_phi0(phi0, th, ph, k)
+        return label - twice_d * tf - f
+
+    lo, hi, f_lo, f_hi = arc.bracket
+    phi0 = _bisect(g, lo, hi, f_lo - f, f_hi - f, tol, arc.slack)
+    if vals is None or not abs(vals[0] - twice_d * vals[1] - f) <= tol:
+        vals = resonant.label_for_phi0(phi0, th, ph, k)
+    return (*vals, phi0)
+
+
+def test_law_loop_is_the_former_bisection_bit_for_bit(monkeypatch):
+    # _solve_f's law path, the scalar loop without Newton steps, returns the
+    # five floats of the former closure over _bisect, from as many map
+    # calls: on seeded full and strict arcs of both detuning signs and at
+    # delta = 0, on the South-Pole branch, at a bracket end within tol, and
+    # at tol = 0, where the bisection stops at a bracket narrower than 1e-15
+    calls = []
+    label_map = resonant.label_for_phi0
+    monkeypatch.setattr(resonant, "label_for_phi0", lambda *a: calls.append(1) or label_map(*a))
+
+    def both(arc, f, tol):
+        out = []
+        for solve in (_former_law_solve, _solve_f):
+            calls.clear()
+            out.append(([v.hex() for v in solve(arc, f, tol)], len(calls)))
+        assert out[0] == out[1], (arc.theta_star, arc.phi_star, arc.delta, f, tol)
+        return out[0][0]
+
+    rng = np.random.default_rng(6078)
+    south = [math.pi, math.pi - 0.5 * POLAR_THETA_TOL]
+    thetas = [math.acos(float(rng.uniform(-1.0, 1.0))) for _ in range(40)] + south
+    kinds, width_stops = set(), 0
+    for theta in thetas:
+        phi = float(rng.uniform(-math.pi, math.pi))
+        for delta in (0.0, float(rng.uniform(0.0, 5.0)), float(rng.uniform(-5.0, 0.0))):
+            arc = _domain_arc(theta, phi, delta)
+            kinds.add((arc.far is not None, math.copysign(1.0, delta) if delta else 0.0))
+            for psi in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3).tolist():
+                both(arc, _f_target(psi, arc.f_min, arc.f_max), _PSI_SOLVE_TOL)
+            # each end of the bracket, whose gap there is 0
+            for end, f_end in zip(arc.bracket[:2], arc.bracket[2:]):
+                assert float.fromhex(both(arc, f_end, _PSI_SOLVE_TOL)[4]) == end
+            f_mid = 0.5 * (arc.f_min + arc.f_max)
+            label, tf = map(float.fromhex, both(arc, f_mid, 0.0)[:2])
+            width_stops += label - 2.0 * delta * tf != f_mid
+    # strict arcs at both signs, full ones at both and at delta = 0
+    assert kinds == {(True, 1.0), (True, -1.0), (False, 1.0), (False, -1.0), (False, 0.0)}
+    assert width_stops > 20
 
 
 def _call(g, a, b, tol, **kw):

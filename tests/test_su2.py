@@ -273,6 +273,19 @@ def test_empty_fields_are_rejected_naming_the_spec(bad):
     assert repr(body.partition("@")[2] or body) in str(err.value)
 
 
+@pytest.mark.parametrize("bad, kind", [
+    ("quat:1,0,0_0,0", "quat"), ("euler:0,1_0e-1,0", "euler"), ("zrot:0_1", "zrot"),
+    ("xyrot:0.2,1_0", "xyrot"), ("axis:0_1@0,0,1", "axis"), ("axis:1.0@0,0,1_0", "axis"),
+    ("matrix:[[1,0],[0,1_0]]", "matrix"),
+])
+def test_digit_group_underscores_are_rejected_naming_the_spec(bad, kind):
+    # Python's float() and complex() read "0_1" as 1 and "1_0e-1" as 1.0,
+    # where a typo for "0.1" is as likely; no number of a spec takes them
+    with pytest.raises(DomainError, match=f"^{kind}: ") as err:
+        parse_target(bad)
+    assert "_" in str(err.value)
+
+
 def test_euler_target_theta_domain():
     from su2pulse import euler_target
     with pytest.raises(DomainError):

@@ -175,14 +175,16 @@ def test_array_arcs_match_scalar_arcs(theta, phi, grid):
 def test_tdiff_is_one_array_solve(monkeypatch):
     # per report one bisection array solve (U and -U) and one Newton array
     # solve (the strict domain ends); the one scalar solve is the Newton
-    # solve of the symmetric pair's duration at delta = 0, and none bisects
+    # solve of the symmetric pair's duration at delta = 0, and none bisects:
+    # every scalar solve is a pass of the f_delta loop, its last argument
+    # the newton flag
     calls, newton, scalar = [], [], []
     bisect_many, newton_many = resonant._bisect_many, resonant._newton_many
-    bisect, newton_1 = resonant._bisect, resonant._newton
+    loop = resonant._newton
     monkeypatch.setattr(resonant, "_bisect_many", lambda *a: calls.append(1) or bisect_many(*a))
     monkeypatch.setattr(resonant, "_newton_many", lambda *a: newton.append(1) or newton_many(*a))
-    monkeypatch.setattr(resonant, "_bisect", lambda *a: scalar.append("bisect") or bisect(*a))
-    monkeypatch.setattr(resonant, "_newton", lambda *a: scalar.append("newton") or newton_1(*a))
+    monkeypatch.setattr(resonant, "_newton",
+                        lambda *a: scalar.append("newton" if a[3] else "bisect") or loop(*a))
     # and the delta = 0 points too: no resonant solve on the side
     general = detuned.synthesize_general
     monkeypatch.setattr(detuned, "synthesize_general", None)
