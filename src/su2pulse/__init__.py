@@ -22,7 +22,6 @@ from .su2 import (
     ParsedTarget,
     UnitGate,
     euler_from_gate,
-    euler_target,
     gate_distance,
     gate_from_axis_angle,
     gate_from_euler,
@@ -42,7 +41,6 @@ from .su2 import (
 from .dynamics import (
     ExtremalLaw,
     PulseSchedule,
-    control_phase,
     propagate_law,
     propagate_law_exact,
     propagate_pulse,

@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,9 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"--{name.replace('_', '-')} = {v!r}: must be finite and > 0")
+        # a law's tf is at most pi: its time in seconds, 2 tf / omega_max, is finite
+        if self.omega_max is not None and not math.isfinite(2.0 * math.pi / self.omega_max):
+            raise DomainError(f"--omega-max = {self.omega_max!r}: 2 pi / omega_max must be finite")
         for name, least in (("samples", 2), ("alpha_steps", 1), ("delta_steps", 2)):
             v = getattr(self, name)
             if not least <= v <= _MAX_COUNT:
@@ -233,7 +236,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     dynamics.write_pulse_csv(schedule, csv_path)
     header = {
         "version": HEADER_VERSION,
-        "target": su2.target_to_json(result.target),
+        "target": asdict(result.target),
         "delta": law.delta,
         "phi0": law.phi0,
         "p2": law.p2,
@@ -255,21 +258,41 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     return 0 if result.residual < cfg.tol else 4
 
 
-def _read_pulse(cfg: RunConfig) -> tuple[dynamics.PulseSchedule, dict]:
+def _header_number(json_path: Path, name: str, v) -> float:
+    """v as a float if it is a finite JSON number (not a bool, not a
+    string), else a DomainError naming the header file and the field: the
+    one rule of every number read from a pulse header."""
+    # abs(v) <= max float is False for nan, inf and ints past the float range
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise DomainError(f"pulse header {json_path}: {name} = {v!r} is not a finite number")
+    return float(v)
+
+
+def _read_pulse(cfg: RunConfig) -> tuple[dynamics.PulseSchedule, dict, Path]:
     csv_path = Path(cfg.pulse)
     # not with_suffix, which raises on a path with an empty name such as "."
     json_path = csv_path.parent / (csv_path.stem + ".json")
     header = _load_json_object(json_path, "pulse header") if json_path.exists() else {}
-    delta = header.get("delta", cfg.delta)
-    # abs(v) <= max float is False for nan, inf and ints past the float range
-    if (isinstance(delta, bool) or not isinstance(delta, (int, float))
-            or not abs(delta) <= sys.float_info.max):
-        raise DomainError(f"pulse header {json_path}: delta = {delta!r} is not a finite number")
-    return dynamics.read_pulse_csv(csv_path, delta=float(delta)), header
+    delta = _header_number(json_path, "delta", header.get("delta", cfg.delta))
+    return dynamics.read_pulse_csv(csv_path, delta=delta), header, json_path
+
+
+def _header_target(header: dict, json_path: Path) -> su2.EulerTarget:
+    """The canonical triple of the header's target record: psi, theta and
+    phi by the header's number rule, theta within 1e-12 of [0, pi] and
+    clamped into it."""
+    record = header.get("target")
+    if not (isinstance(record, dict) and record.keys() >= {"psi", "theta", "phi"}):
+        raise DomainError(f"pulse header {json_path} lacks a target record of psi, theta, phi")
+    psi, theta, phi = (_header_number(json_path, f"target {name}", record[name])
+                       for name in ("psi", "theta", "phi"))
+    if not -1e-12 <= theta <= math.pi + 1e-12:
+        raise DomainError(f"pulse header {json_path}: target theta = {theta:.12g} outside [0, pi]")
+    return su2.euler_from_gate(su2.gate_from_euler(psi, min(max(theta, 0.0), math.pi), phi))
 
 
 def cmd_propagate(cfg: RunConfig) -> int:
-    schedule, _ = _read_pulse(cfg)
+    schedule, _, _ = _read_pulse(cfg)
     gate = dynamics.propagate_pulse(schedule)
     e = su2.euler_from_gate(gate)
     print(f"quaternion = ({gate.x1:.12g}, {gate.x2:.12g}, {gate.x3:.12g}, {gate.x4:.12g})")
@@ -278,10 +301,8 @@ def cmd_propagate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    schedule, header = _read_pulse(cfg)
-    if "target" not in header:
-        raise DomainError("pulse header lacks a target record")
-    target = su2.target_from_json(header["target"])
+    schedule, header, json_path = _read_pulse(cfg)
+    target = _header_target(header, json_path)
     want = su2.gate_from_euler(target.psi, target.theta, target.phi)
     gate = dynamics.propagate_pulse(schedule)
     residual = su2.gate_distance(gate, want)

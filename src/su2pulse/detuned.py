@@ -252,7 +252,7 @@ def optimal_domain(theta_star: float, phi_star: float, delta: float) -> OptimalD
     <= tan(theta*/2)) comes in closed form, its bounds and f-range from
     the window ends' long great-circle arc: no arc object, no solve, no map
     call. A strict arc's far end (psi_min for delta > 0, psi_max for
-    delta < 0) is solved here alone, by one scalar Newton pass (`_newton`:
+    delta < 0) is solved here alone, by one scalar Newton pass (`_solve_f`:
     each step one label_for_phi0 call, the slope formed beside it) to 1e-10
     in f_delta from the root of f_delta's quadratic model at the next
     stationary label, beside which it lies: synthesis needs only the

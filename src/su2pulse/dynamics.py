@@ -98,13 +98,6 @@ def _drive_phase(law: ExtremalLaw) -> tuple[float, float]:
     return law.phi0 - math.pi / 2.0, 2.0 * law.p2 + 2.0 * law.delta
 
 
-def control_phase(law: ExtremalLaw, t: float) -> float:
-    """mu(t) = phi0 - pi/2 + (2 p2 + 2 delta) t, the drive phase; t may be
-    an array of times."""
-    mu0, slope = _drive_phase(law)
-    return mu0 + slope * t
-
-
 def _trajectory_rows(law: ExtremalLaw, t) -> np.ndarray:
     """Closed-form trajectory at the times t, as (n, 10) rows
     (t, theta, phi, psi, theta1, theta2, theta3, vx, vy, eta).
@@ -141,7 +134,8 @@ def _trajectory_rows(law: ExtremalLaw, t) -> np.ndarray:
         phi[pole] = np.where(eta[pole] < 1e-14, law.phi0,
                              law.phi0 + math.copysign(math.pi, law.p2))
     psi = -2.0 * law.phi0 + phi - 2.0 * (law.p2 + law.delta) * t
-    mu = control_phase(law, t)
+    mu0, slope = _drive_phase(law)
+    mu = mu0 + slope * t
     return np.column_stack([t, theta, phi, psi, theta / 2.0, (psi + phi) / 2.0,
                             (psi - phi) / 2.0, _mapped(math.cos, mu), _mapped(math.sin, mu), eta])
 

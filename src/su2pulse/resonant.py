@@ -18,16 +18,16 @@ the label being its accumulated psi. An optimal arc (`_domain_arc`) is a
 phi0 bracket on which f_delta is monotone, and psi* lifted into its f-range
 of width 4pi (`_f_target`) is the root's f_delta. At delta = 0 the arc is
 the full label window and f_delta the label: the resonant solve. One
-scalar loop solves f_delta = f on an arc (`_newton`, through `_solve_f`),
-and `_solve_arcs` is its array form. Laws bisect: every trial point is
-the bracket's midpoint (`_bisect_many` for an array), so a sweep's
-durations are synthesize's bit for bit. The tables of detuned.py (the
-label family and the optimal domains' far ends) take Newton steps in
-the same loop (`_newton_many` for an array): the same brackets, ends and
-stops, with the closed-form slope of f_delta (`_f_slope`, `_f_slopes`)
-formed beside each map call, each solve from a first trial point beside
-its root (`_newton_seed`): a far end from f_delta's quadratic model at
-the far stationary label, a family label from the inverse cubic Hermite
+scalar loop, `_solve_f`, solves f_delta = f on an arc, and `_solve_arcs`
+is its array form. Laws bisect: every trial point is the bracket's
+midpoint (`_bisect_many` for an array), so a sweep's durations are
+synthesize's bit for bit. The tables of detuned.py (the label family and
+the optimal domains' far ends) take Newton steps in the same loop
+(`_newton_many` for an array): the same brackets, ends and stops, with
+the closed-form slope of f_delta (`_f_slope`, `_f_slopes`) formed beside
+each map call, each solve from a first trial point beside its root
+(`_newton_seed`): a far end from f_delta's quadratic model at the far
+stationary label, a family label from the inverse cubic Hermite
 interpolant of a 65-node label table and its closed-form slopes. That
 takes 2.0 evaluations per label of the paper's family and about 4.8 per
 far end, against 7.4 and 7.3 from the midpoint. Every value a solve
@@ -102,14 +102,10 @@ class SynthesisResult:
                 2.0 * abs(self.law.delta) * math.ulp(self.law.tf) <= _OK_TOL)
 
 
-def target_gate(e: EulerTarget) -> UnitGate:
-    return gate_from_euler(e.psi, e.theta, e.phi)
-
-
 def _verify(law: ExtremalLaw, e: EulerTarget, verify: bool) -> float:
     if not verify:
         return math.nan
-    return gate_distance(propagate_law_exact(law), target_gate(e))
+    return gate_distance(propagate_law_exact(law), gate_from_euler(e.psi, e.theta, e.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +132,11 @@ def z_rotation_parameters(lambda_star: float) -> tuple[float, float]:
     return p2, tf
 
 
-def synthesize_z_rotation(lambda_star: float, phi0: float = 0.0,
-                          verify: bool = True) -> SynthesisResult:
-    """Optimal law for exp(i lambda* sz/2); phi0 is free and does not affect
-    the gate or the duration."""
+def synthesize_z_rotation(lambda_star: float, verify: bool = True) -> SynthesisResult:
+    """Optimal law for exp(i lambda* sz/2). Its phi0 is free, as it moves
+    neither the gate nor the duration; the law takes phi0 = 0."""
     p2, tf, eta = _z_law(lambda_star, 0.0)
-    law = ExtremalLaw(phi0=wrap_pi(phi0), p2=p2, delta=0.0, tf=tf)
+    law = ExtremalLaw(phi0=0.0, p2=p2, delta=0.0, tf=tf)
     e = EulerTarget(wrap_4pi(lambda_star), 0.0, 0.0)
     return SynthesisResult(law, e, _verify(law, e, verify), eta)
 
@@ -278,15 +273,15 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
     return label, tf, p2, eta
 
 
-def _labels_for_phi0(phi0, theta_star, phi_star, k=None):
+def _labels_for_phi0(phi0, theta_star, phi_star, k):
     """Array form of label_for_phi0 over the 1-d phi0, with theta* and phi*
-    scalars or of phi0's shape (theta* outside the North polar band), k as
-    there: label_for_phi0's operations in its order, on in-place
-    temporaries, with math's sin and acos element by element, so each value
-    is label_for_phi0's bit for bit. The grid bisection steers by its own
+    scalars or of phi0's shape (theta* outside the North polar band), k
+    their _theta_factors: label_for_phi0's operations in its order, on
+    in-place temporaries, with math's sin and acos element by element, so
+    each value is label_for_phi0's bit for bit. The grid bisection steers by its own
     step instead (`_f_gaps`). Like label_for_phi0 it needs |phi* - phi0| <
     5pi/2."""
-    tan_half, cos_t, cos2_half = k or _theta_factors(theta_star)
+    tan_half, cos_t, cos2_half = k
     d = phi_star - phi0
     s = _mapped(math.sin, d)
     p2 = s / tan_half
@@ -334,15 +329,17 @@ def _open_bracket(a: float, b: float, ga: float, gb: float, tol: float,
     return (a, b) if ga < gb else (b, a)
 
 
-def _newton(arc: _Arc, f: float, tol: float, newton: bool) -> tuple[float, ...]:
-    """(label, tf, p2, eta, phi0) at the root phi0 of f_delta = f on the
-    scalar arc's bracket: the one scalar f_delta loop, for laws and tables.
-    `_open_bracket`'s end tests, then per step one label_for_phi0 call at
-    the trial point, with the gap formed beside it: a gap above tol moves
-    hi there, one below -tol moves lo, and one within tol closes the
-    solve, whose values are returned. An end root, or a bracket narrower
-    than 1e-15 (which stops at its midpoint, unevaluated), is returned
-    with a map call there.
+def _solve_f(arc: _Arc, f: float, tol: float = _PSI_SOLVE_TOL,
+             newton: bool = False) -> tuple[float, ...]:
+    """(label, tf, p2, eta, phi0): label_for_phi0 at the phi0 in the scalar
+    arc's bracket where f_delta = f, and that phi0, by the one scalar
+    f_delta loop, for laws and tables. `_open_bracket`'s end tests, then
+    per step one label_for_phi0 call at the trial point, with the gap
+    formed beside it: a gap above tol moves hi there, one below -tol moves
+    lo, and one within tol closes the solve, whose values are returned.
+    The map is called again only at a root the solve did not evaluate: an
+    end root, or the midpoint of a bracket narrower than 1e-15, where the
+    loop stops unevaluated.
 
     Without newton (laws) every trial point is the bracket's midpoint:
     bisection on the sign of the gap, whose array form is `_bisect_many`.
@@ -409,7 +406,7 @@ def _open_brackets(a, b, ga, gb, tol: float, slack):
 
 
 def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
-    """Array form of the laws' bisection, `_newton`'s loop without its
+    """Array form of the laws' bisection, `_solve_f`'s loop without its
     Newton steps, one bracket per element of the broadcast 1-d a, b, ga, gb
     (and slack, if an array): that loop's end tests, midpoints, sign
     ordering and stop rules, so each element gets its phi0 for the same g
@@ -460,17 +457,16 @@ def _bisect_many(g, a, b, ga, gb, tol: float, slack=0.0) -> np.ndarray:
     return out
 
 
-def _newton_many(g, a, b, ga, gb, tol: float, slack=0.0, seed=None) -> np.ndarray:
-    """Array form of `_newton`'s loop: its end tests, trial points and stop
-    rules per element, so each element gets _newton's phi0 for the same g
-    values, slopes and seeds. g(i) binds the open brackets i, as for
-    `_bisect_many`, and its evaluator returns g and the slope. seed, if
-    given, broadcasts with a and holds each bracket's first trial point
-    (nan for none), taken as `_newton` takes it."""
+def _newton_many(g, a, b, ga, gb, tol: float, slack, seed) -> np.ndarray:
+    """Array form of `_solve_f`'s Newton loop: its end tests, trial points
+    and stop rules per element, so each element gets _solve_f's phi0 for
+    the same g values, slopes and seeds. g(i) binds the open brackets i,
+    as for `_bisect_many`, and its evaluator returns g and the slope. seed
+    broadcasts with a and holds each bracket's first trial point (nan for
+    none), taken as `_solve_f` takes it."""
     out, i, lo, hi = _open_brackets(a, b, ga, gb, tol, slack)
     # the first trial points: a seed strictly inside counts as a midpoint step
-    x = (np.full(i.size, math.nan) if seed is None
-         else np.broadcast_to(np.asarray(seed, dtype=float), out.shape)[i])
+    x = np.broadcast_to(np.asarray(seed, dtype=float), out.shape)[i]
     last = older = np.abs(hi - lo)
     step = 0.5 * last
     ev = None
@@ -514,21 +510,21 @@ def _newton_many(g, a, b, ga, gb, tol: float, slack=0.0, seed=None) -> np.ndarra
     return out
 
 
-def _f_gaps(theta_star, phi_star, delta, target, tol: float, k=None):
+def _f_gaps(theta_star, phi_star, delta, target, tol: float, k):
     """g(i) for `_bisect_many`: label - 2 delta tf - target, at delta = 0
-    the label mismatch, over broadcast 1-d arguments, on the theta*-factors
-    k (an arc's, else formed here). Its steering step takes
-    `_labels_for_phi0`'s operations in their order, but numpy's sin and
-    arccos for math's, which differ in the last bit: its values lie within
-    _ARRAY_ROUNDOFF (1 + 2|delta|) of label_for_phi0's, not on them. Each
-    open set i binds its brackets' factors, phi*, 2 delta, target,
-    South-Pole rows and roundoff band once; a scalar argument (one theta*
-    for a family or a T_diff grid, delta = 0) stays scalar, and a scalar
-    delta = 0 drops the 2 delta tf term, which is +0. A value within that
-    band of +-tol, where numpy's last bits could flip the scalar loop's
-    decision, is recomputed by label_for_phi0 on the same factors."""
+    the label mismatch, over broadcast 1-d arguments, on the arc's
+    theta*-factors k. Its steering step takes `_labels_for_phi0`'s
+    operations in their order, but numpy's sin and arccos for math's, which
+    differ in the last bit: its values lie within _ARRAY_ROUNDOFF (1 +
+    2|delta|) of label_for_phi0's, not on them. Each open set i binds its
+    brackets' factors, phi*, 2 delta, target, South-Pole rows and roundoff
+    band once; a scalar argument (one theta* for a family or a T_diff grid,
+    delta = 0) stays scalar, and a scalar delta = 0 drops the 2 delta tf
+    term, which is +0. A value within that band of +-tol, where numpy's last
+    bits could flip the scalar loop's decision, is recomputed by
+    label_for_phi0 on the same factors."""
     th, ph, d, t, *fac = (np.asarray(v, dtype=float) for v in (
-        theta_star, phi_star, delta, target, *(k or _theta_factors(theta_star))))
+        theta_star, phi_star, delta, target, *k))
     twice_d = 2.0 * d
     detuned = twice_d.ndim or twice_d != 0.0
     band = _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d))
@@ -787,7 +783,7 @@ def _f_slopes(delta, tf, p2, eta, tan_half):
 def _f_gaps_and_slopes(theta_star, phi_star, delta, target, k, tol: float, closing):
     """g(i) for `_newton_many`: label - 2 delta tf - target and its slope in
     phi0, over broadcast 1-d arguments and the arc's theta*-factors k as for
-    `_f_gaps`, by the exact array map, so each value is `_newton`'s gap and
+    `_f_gaps`, by the exact array map, so each value is `_solve_f`'s gap and
     slope bit for bit. A value within tol closes its bracket at that phi0,
     so the evaluator writes its row's (label, tf, p2, eta) into the columns
     of the (4, n) array closing there, for `_solve_arcs` to return."""
@@ -909,17 +905,6 @@ def _newton_seed(arc: _Arc, f):
         rad = 2.0 * (f - f_c) / curv
         rad[~((rad > 0.0) & (rad < math.inf))] = math.nan
         return c + np.copysign(np.sqrt(rad), b - c)
-
-
-def _solve_f(arc: _Arc, f: float, tol: float = _PSI_SOLVE_TOL, newton: bool = False):
-    """(label, tf, p2, eta, phi0): label_for_phi0 at the phi0 in the arc's
-    bracket where f_delta = f, and that phi0, by `_newton`'s loop: by
-    bisection for a law, or with newton by Newton steps from
-    `_newton_seed`'s point for a table. An evaluation within tol closes
-    the solve at its phi0 and its values are returned; the map is called
-    again only at a root the solve did not evaluate (an end, or the
-    midpoint of a bracket narrower than 1e-15)."""
-    return _newton(arc, f, tol, newton)
 
 
 def _solve_target(e: EulerTarget, delta: float):

@@ -18,7 +18,6 @@ to (lambda, 0, 0); theta = pi gates to (psi - phi, pi, 0).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -269,13 +268,6 @@ def canonical_euler(target: EulerTarget | UnitGate) -> EulerTarget:
     return euler_from_gate(gate)
 
 
-def euler_target(psi: float, theta: float, phi: float) -> EulerTarget:
-    """Canonicalized EulerTarget; DomainError if theta is outside [0, pi]."""
-    if not (-1e-12 <= theta <= math.pi + 1e-12):
-        raise DomainError(f"theta = {theta:.12g} outside [0, pi]")
-    return euler_from_gate(gate_from_euler(psi, min(max(theta, 0.0), math.pi), phi))
-
-
 def negate_gate(g: UnitGate) -> UnitGate:
     """The opposite SU(2) element -U (same SO(3) rotation)."""
     return UnitGate(-g.x1, -g.x2, -g.x3, -g.x4)
@@ -435,14 +427,3 @@ def _parse_matrix(body: str) -> np.ndarray:
             except ValueError as exc:
                 raise DomainError(f"matrix: bad entry {ent!r}") from exc
     return out
-
-
-def target_to_json(e: EulerTarget) -> dict:
-    return {"psi": e.psi, "theta": e.theta, "phi": e.phi}
-
-
-def target_from_json(d: dict) -> EulerTarget:
-    try:
-        return euler_target(float(d["psi"]), float(d["theta"]), float(d["phi"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"bad target record: {json.dumps(d)[:80]}") from exc

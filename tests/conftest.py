@@ -36,7 +36,8 @@ that only tests called: `propagate_hopf` (RK4 in the Hopf chart, with
 `hamiltonian_residual`, the closed-form views `trajectory_point`,
 `gate_at`, `control_at` and `circle_geometry`, and the conversions
 `axis_angle_from_gate`, `hopf_from_euler`, `euler_from_hopf` and
-`endpoint_map`.
+`endpoint_map`, and the law's drive phase `control_phase` and an Euler
+triple's gate `target_gate`.
 """
 import math
 from dataclasses import dataclass
@@ -55,8 +56,7 @@ from su2pulse import (
     propagate_law,
     synthesize_general,
 )
-from su2pulse.dynamics import (DEFAULT_STEPS, _quat_mul, _segment_factors, _trajectory_rows,
-                                control_phase)
+from su2pulse.dynamics import DEFAULT_STEPS, _quat_mul, _segment_factors, _trajectory_rows
 from su2pulse.detuned import (
     PsiFamily,
     TdiffReport,
@@ -66,11 +66,11 @@ from su2pulse.detuned import (
 )
 from su2pulse.errors import NoConvergence, Su2PulseError
 from su2pulse.resonant import (_HALF_PI, _THREE_HALF_PI, _solve_target, _theta_factors,
-                               label_for_phi0, target_gate, z_rotation_parameters)
+                               label_for_phi0, z_rotation_parameters)
 from su2pulse.so3 import So3Decision, _faster, select_faster
 from su2pulse.su2 import (FOUR_PI, GAUGE_TOL, POLAR_THETA_TOL, TWO_PI, EulerTarget, HopfCoords,
                           UnitGate, canonical_euler, euler_from_gate, gate_from_axis_angle,
-                          gate_from_hopf, wrap_4pi, wrap_pi)
+                          gate_from_euler, gate_from_hopf, wrap_4pi, wrap_pi)
 
 
 @pytest.fixture
@@ -122,6 +122,18 @@ def euler_ode_oracle(phi0: float, p2: float, delta: float, t_end: float,
         k4 = rhs(s + h * k3)
         s = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return {"theta1": s[0], "p1": s[1], "psi": s[2], "phi": s[3]}
+
+
+def control_phase(law: ExtremalLaw, t):
+    """The law's drive phase mu(t) = phi0 - pi/2 + (2 p2 + 2 delta) t, t a
+    time or an array of times, formed as the package's trajectory rows
+    form it."""
+    return (law.phi0 - math.pi / 2.0) + (2.0 * law.p2 + 2.0 * law.delta) * t
+
+
+def target_gate(e: EulerTarget) -> UnitGate:
+    """The gate of an Euler triple, as synthesis verifies against it."""
+    return gate_from_euler(e.psi, e.theta, e.phi)
 
 
 def random_law(rng, delta_range=(0.0, 0.0), p2_range=(-3.0, 3.0)) -> ExtremalLaw:

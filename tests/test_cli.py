@@ -237,6 +237,75 @@ def test_bad_pulse_header_is_a_usage_error(tmp_path, capsys, command, key, value
     assert "Traceback" not in err and key in err
 
 
+def _verify_with_target(tmp_path, capsys, target, spec="euler:0.4,1.1,0.2"):
+    """verify's exit code, stdout and stderr on a pulse synthesized for
+    spec whose header's target record is then replaced by target."""
+    assert run_cli("synthesize", "--target", spec, "--out", str(tmp_path)) == 0
+    sidecar = tmp_path / "pulse.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "target": target}))
+    capsys.readouterr()
+    code = run_cli("verify", str(tmp_path / "pulse.csv"))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("field", ["psi", "theta", "phi"])
+@pytest.mark.parametrize("value", ["3_1", "0", "1.0", True, None, [1.0], {}, "missing"])
+def test_header_target_fields_take_the_number_rule(tmp_path, capsys, field, value):
+    # every target field is a finite JSON number, as delta is: a string
+    # ("3_1" was read as 31), a bool, null, a list or an object is a usage
+    # error naming the target and the file, and so is a missing field
+    target = {"psi": 0.4, "theta": 1.1, "phi": 0.2}
+    if value == "missing":
+        del target[field]
+    else:
+        target[field] = value
+    code, out, err = _verify_with_target(tmp_path, capsys, target)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "target" in err and str(tmp_path / "pulse.json") in err
+
+
+@pytest.mark.parametrize("target", [[0.4, 1.1, 0.2], "0.4,1.1,0.2", 1.0, None, True])
+def test_header_target_that_is_not_a_record_is_a_usage_error(tmp_path, capsys, target):
+    code, out, err = _verify_with_target(tmp_path, capsys, target)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "target" in err and str(tmp_path / "pulse.json") in err
+
+
+def _declared(out: str) -> tuple[float, float, float]:
+    line = next(ln for ln in out.splitlines() if ln.startswith("declared target = "))
+    return tuple(float(v.split("=")[1]) for v in line[len("declared target = ("):-1].split(", "))
+
+
+def test_header_target_theta_outside_its_range_is_refused(tmp_path, capsys):
+    code, out, err = _verify_with_target(tmp_path, capsys, {"psi": 0.0, "theta": 3.5, "phi": 0.0})
+    assert code == 2 and out == ""
+    assert "theta = 3.5 outside [0, pi]" in err and str(tmp_path / "pulse.json") in err
+
+
+@pytest.mark.parametrize("spec, theta", [("euler:0.7,3.141592653589793,0", math.pi + 5e-13),
+                                         ("euler:0.7,0,0", -5e-13)])
+def test_header_target_theta_within_1e_12_of_its_range_is_clamped(tmp_path, capsys, spec,
+                                                                  theta):
+    # within 1e-12 past either end the record is the gate at that end
+    code, out, _ = _verify_with_target(tmp_path, capsys,
+                                       {"psi": 0.7, "theta": theta, "phi": 0.0}, spec=spec)
+    assert code == 0
+    assert _declared(out) == (0.7, float(f"{min(max(theta, 0.0), math.pi):.12g}"), 0.0)
+
+
+def test_header_target_angles_are_canonicalized(tmp_path, capsys):
+    # psi = 5 pi and phi = 2.5 pi are the gate of their canonical triple,
+    # which verify declares and compares against
+    raw = (5.0 * math.pi, 1.0, 2.5 * math.pi)
+    code, out, _ = _verify_with_target(tmp_path, capsys, dict(zip(("psi", "theta", "phi"), raw)),
+                                       spec="euler:%r,%r,%r" % raw)
+    assert code == 0
+    psi, theta, phi = _declared(out)
+    assert -2.0 * math.pi <= psi < 2.0 * math.pi and -math.pi <= phi < math.pi
+    assert abs(theta - 1.0) < 1e-12
+
+
 def test_verify_current_directory_is_a_usage_error(tmp_path, monkeypatch, capsys):
     # "." has an empty name, so no sidecar name can be derived from it
     monkeypatch.chdir(tmp_path)
@@ -386,6 +455,28 @@ def test_omega_max_physical_units(tmp_path, capsys):
     assert "tf_physical" in out
     header = json.loads((tmp_path / "pulse.json").read_text())
     assert header["omega_max"] == 1e6
+
+
+@pytest.mark.parametrize("omega_max", ["1e-320", "5e-324"])
+def test_omega_max_whose_physical_time_overflows_is_a_usage_error(tmp_path, capsys, omega_max):
+    # 2 tf / omega_max printed inf and the command exited 0; every law has
+    # tf <= pi, so 2 pi / omega_max must be finite
+    out = tmp_path / "out"
+    code = run_cli("synthesize", "--target", "euler:0,1.5,0", "--omega-max", omega_max,
+                   "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--omega-max" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_omega_max_just_above_the_overflow_works(tmp_path, capsys):
+    code = run_cli("synthesize", "--target", "euler:0,1.5,0", "--omega-max", "1e-300",
+                   "--out", str(tmp_path))
+    out = capsys.readouterr().out
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("tf_physical = "))
+    assert math.isfinite(float(line.split()[2]))
 
 
 def _run_cli_process(*args):

@@ -617,13 +617,15 @@ def test_detuned_synthesis_solves_one_root(monkeypatch):
     # the full arc is the resonant one. Each is one pass of the scalar
     # f_delta loop, bisecting (its newton flag off), as a law does
     calls = []
+    loop = resonant._solve_f
 
-    def counted(arc, f, tol, newton):
+    def counted(arc, f, tol=resonant._PSI_SOLVE_TOL, newton=False):
         calls.append(newton)
         return loop(arc, f, tol, newton)
 
-    loop = resonant._newton
-    monkeypatch.setattr(resonant, "_newton", counted)
+    # detuned imports the loop by name: both bindings are counted
+    for mod in (resonant, detuned):
+        monkeypatch.setattr(mod, "_solve_f", counted)
     for gate, e, delta, kind in DETUNED_CASES:
         calls.clear()
         synthesize_detuned(gate, delta, verify=False)

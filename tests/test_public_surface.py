@@ -33,5 +33,5 @@ def test_readme_names_every_export():
     code = " ".join(re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S))
     exports = [n for n, v in vars(su2pulse).items()
                if not n.startswith("_") and not isinstance(v, types.ModuleType)]
-    assert len(exports) == 57
+    assert len(exports) == 55
     assert [n for n in exports if not re.search(rf"\b{n}\b", code)] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -70,11 +71,16 @@ def test_z_rejects_out_of_range():
 
 
 def test_z_phi0_degeneracy():
-    # two different phi0 give the same gate and the same duration
-    ra = synthesize_z_rotation(1.1, phi0=0.0)
-    rb = synthesize_z_rotation(1.1, phi0=2.2)
-    assert ra.law.tf == rb.law.tf
-    assert gate_distance(propagate_law(ra.law), propagate_law(rb.law)) < 1e-9
+    # the z law's phi0 is free: rotating it moves neither the gate nor the
+    # duration, so synthesis takes phi0 = 0
+    r = synthesize_z_rotation(1.1)
+    assert r.law.phi0 == 0.0 and math.copysign(1.0, r.law.phi0) == 1.0
+    gate = propagate_law_exact(r.law)
+    assert gate_distance(gate, zrot_gate(1.1)) < 1e-9
+    for phi0 in (2.2, -3.0, math.pi / 2.0):
+        other = dataclasses.replace(r.law, phi0=phi0)
+        assert other.tf == r.law.tf
+        assert gate_distance(propagate_law_exact(other), gate) < 1e-9
 
 
 @pytest.mark.parametrize("delta", [1e3, 1e4, -1e4, 1e6])
@@ -299,9 +305,10 @@ def test_array_label_map_matches_scalar_map():
         assert not fails, (theta, fails)
         for x in fails:
             with pytest.raises(NoConvergence):
-                _labels_for_phi0(np.array([x]), theta, phi)
+                _labels_for_phi0(np.array([x]), theta, phi, _theta_factors(theta))
         ok = np.array([w is not None for w in want])
-        got = np.column_stack(_labels_for_phi0(phi0[ok], np.full(ok.sum(), theta), phi))
+        column = np.full(ok.sum(), theta)
+        got = np.column_stack(_labels_for_phi0(phi0[ok], column, phi, _theta_factors(column)))
         want = np.array([w for w in want if w is not None])
         assert np.all(np.abs(got[:, 0] - want[:, 0]) <= 1e-12), theta     # label
         assert np.all(np.abs(got[:, [1, 3]] - want[:, [1, 3]]) <= 1e-12), theta  # tf, eta
@@ -311,7 +318,7 @@ def test_array_label_map_matches_scalar_map():
     # and 4e-12 apart; both maps now form tf without atan2
     for phi0, theta, phi in [(-1.5612578411123716, 0.0004415446204372173, -2.704657950002144),
                              (4.715637648196324, 0.0015400155731124293, 2.25445054712693)]:
-        got = _labels_for_phi0(np.array([phi0]), theta, phi)[0][0]
+        got = _labels_for_phi0(np.array([phi0]), theta, phi, _theta_factors(theta))[0][0]
         assert abs(got - label_for_phi0(phi0, theta, phi)[0]) <= 1e-12
 
 
@@ -327,7 +334,7 @@ def test_array_first_crossing_is_the_sign_of_cos():
     assert np.array_equal((np.abs(d) > _HALF_PI) & (np.abs(d) <= _THREE_HALF_PI),
                           np.array([math.cos(x) < 0.0 for x in d.tolist()]))
     theta, phi = 1.3, 0.0
-    eta = _labels_for_phi0(phi - d, theta, phi)[3]
+    eta = _labels_for_phi0(phi - d, theta, phi, _theta_factors(theta))[3]
     want = [label_for_phi0(phi - x, theta, phi)[3] for x in d.tolist()]
     assert np.all(np.abs(eta - want) <= 1e-12)
 

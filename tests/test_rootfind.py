@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from su2pulse import NoConvergence, build_psi_family, optimal_domain, resonant
+from su2pulse import NoConvergence, build_psi_family, detuned, optimal_domain, resonant
 from su2pulse.detuned import _domain_arc
 from su2pulse.resonant import (_ARRAY_ROUNDOFF, _PSI_SOLVE_TOL, _bisect_many, _domain_arcs,
                                _f_gaps, _f_target, _newton_many, _newton_seed, _solve_f,
-                               label_for_phi0)
+                               _theta_factors, label_for_phi0)
 from su2pulse.su2 import POLAR_THETA_TOL
 
 from conftest import _bisect, _roots_mod_4pi, steering_gaps_oracle
@@ -42,11 +42,12 @@ def _bisect_both(g, a, b, ga, gb, tol, **kw):
 
 
 def _newton_both(monkeypatch, g, a, b, tol, seed=None):
-    """`_newton`'s root from the first trial point seed, on an arc whose
-    label map and slope are g's (gap g(x)[0] at delta = 0 and f = 0, slope
-    g(x)[1]) and whose seed is seed, through the module bindings `_newton`
-    calls, once `_newton_many` on a one-bracket batch, with g and its slope
-    evaluated per element, has returned the same float bit for bit."""
+    """`_solve_f`'s Newton root from the first trial point seed, on an arc
+    whose label map and slope are g's (gap g(x)[0] at delta = 0 and f = 0,
+    slope g(x)[1]) and whose seed is seed, through the module bindings
+    `_solve_f` calls, once `_newton_many` on a one-bracket batch, with g
+    and its slope evaluated per element, has returned the same float bit
+    for bit."""
     def gv(i):
         assert i.tolist() == [0]
         return lambda x: tuple(np.array(v) for v in zip(*(g(u) for u in x.tolist())))
@@ -63,8 +64,9 @@ def _newton_both(monkeypatch, g, a, b, tol, seed=None):
         m.setattr(resonant, "label_for_phi0", label_map)
         m.setattr(resonant, "_f_slope", lambda d, tf, p2, eta, t: p2)
         m.setattr(resonant, "_newton_seed", lambda arc, f: seed)
-        x = resonant._newton(arc, 0.0, tol, True)[4]
-    seeds = None if seed is None else [seed]
+        x = resonant._solve_f(arc, 0.0, tol, True)[4]
+    # the array form's seed for none is nan
+    seeds = [math.nan if seed is None else seed]
     assert float(_newton_many(gv, [a], [b], [ga], [gb], tol, 0.0, seeds)[0]) == x
     return x
 
@@ -106,13 +108,13 @@ def test_seeded_tables_take_few_newton_steps(monkeypatch):
     # array steps (7.4 evaluations per label), from a 33-node secant seed
     # 3.3, and the far ends below 7.3 evaluations each on average
     steps, far, inside = [], [], []
-    newton, newton_many = resonant._newton, resonant._newton_many
+    newton, newton_many = resonant._solve_f, resonant._newton_many
     label_map = resonant.label_for_phi0
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         inside.append(1)
         try:
-            return newton(*args)
+            return newton(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -130,7 +132,9 @@ def test_seeded_tables_take_few_newton_steps(monkeypatch):
     monkeypatch.setattr(resonant, "_newton_many", counted_many)
     build_psi_family(2.2689, 0.0, 1024)
     assert len(steps) <= 5 and sum(steps) <= 2.1 * 1024
-    monkeypatch.setattr(resonant, "_newton", counted)
+    # detuned imports the loop by name: optimal_domain calls its binding
+    for mod in (resonant, detuned):
+        monkeypatch.setattr(mod, "_solve_f", counted)
     monkeypatch.setattr(resonant, "label_for_phi0", mapped)
     rng = np.random.default_rng(6076)
     pool = [(2.2689, 0.0)] + [(0.4 + 2.5 * (j + 0.5) / 14, float(rng.uniform(-math.pi, math.pi)))
@@ -143,7 +147,7 @@ def test_seeded_tables_take_few_newton_steps(monkeypatch):
 
 
 def test_scalar_slope_is_the_array_slope_bit_for_bit():
-    # _newton forms f_delta's slope by the scalar _f_slope beside each map
+    # _solve_f forms f_delta's slope by the scalar _f_slope beside each map
     # call, the array solves and the window seed's table by _f_slopes: the
     # same operations in the same order, so a scalar solve and its array
     # form step alike. Checked on the map's (tf, p2, eta) at seeded phi0
@@ -489,8 +493,8 @@ def _solve_both(theta, phi, delta, frac, tol=1e-10):
         rows.append((*arc.bracket, arc.slack,
                      arc.f_min + q * (arc.f_max - arc.f_min)))
     lo, hi, f_lo, f_hi, slack, f = np.array(rows).T
-    got = _bisect_many(_f_gaps(theta, phi, delta, f, tol), lo, hi, f_lo - f, f_hi - f,
-                       tol, slack)
+    g = _f_gaps(theta, phi, delta, f, tol, _theta_factors(theta))
+    got = _bisect_many(g, lo, hi, f_lo - f, f_hi - f, tol, slack)
     want = [_bisect(_scalar_gap(t, p, dd, v), a, b, ga - v, gb - v, tol, sl)
             for t, p, dd, a, b, ga, gb, sl, v in zip(th.tolist(), ph.tolist(), d.tolist(),
                                                       lo, hi, f_lo, f_hi, slack, f)]
@@ -526,7 +530,8 @@ def _gap_ratio(theta, phi, delta, target, x):
     """max |array gap - label_for_phi0's gap| over the roundoff band
     _ARRAY_ROUNDOFF (1 + 2|delta|), from the bound evaluator with tol = inf,
     which leaves every array value unreplaced."""
-    got = _f_gaps(theta, phi, delta, target, math.inf)(np.arange(x.size))(x)
+    g = _f_gaps(theta, phi, delta, target, math.inf, _theta_factors(theta))
+    got = g(np.arange(x.size))(x)
     th, ph, d, t = (v.tolist() for v in np.broadcast_arrays(theta, phi, delta, target))
     want = np.array([_scalar_gap(*args)(v) for *args, v in zip(th, ph, d, t, x.tolist())])
     return float(np.max(np.abs(got - want) / (_ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d)))))
@@ -587,7 +592,7 @@ def test_steering_step_is_the_former_numpy_map_bit_for_bit():
                rng.uniform(-15.0, 15.0, 500), 0.3 + rng.uniform(-1.5 * math.pi, 1.5 * math.pi, 500))]
     assert any(np.count_nonzero(np.asarray(c[0]) >= math.pi - POLAR_THETA_TOL) for c in cases)
     for theta, phi, delta, target, x in cases:
-        g = _f_gaps(theta, phi, delta, target, math.inf)
+        g = _f_gaps(theta, phi, delta, target, math.inf, _theta_factors(theta))
         want = steering_gaps_oracle(x, theta, phi, delta, target)
         assert _bits(g(np.arange(x.size))(x)) == _bits(want)
         i = np.flatnonzero(rng.uniform(size=x.size) < 0.5)
@@ -604,7 +609,7 @@ def test_gap_near_tol_is_label_for_phi0s():
     theta, phi = rng.uniform(0.01, 3.0, n), rng.uniform(-math.pi, math.pi, n)
     delta, target = rng.uniform(-5.0, 5.0, n), rng.uniform(-15.0, 15.0, n)
     x = phi + rng.uniform(-1.5 * math.pi, 1.5 * math.pi, n)
-    array = _f_gaps(theta, phi, delta, target, math.inf)(np.arange(n))(x)
+    array = _f_gaps(theta, phi, delta, target, math.inf, _theta_factors(theta))(np.arange(n))(x)
     scalar = np.array([_scalar_gap(*args)(v) for *args, v in
                        zip(theta.tolist(), phi.tolist(), delta.tolist(), target.tolist(),
                            x.tolist())])
@@ -613,7 +618,8 @@ def test_gap_near_tol_is_label_for_phi0s():
     for k in differ.tolist():
         tol = 0.5 * (abs(array[k]) + abs(scalar[k]))
         one = slice(k, k + 1)
-        got = _f_gaps(theta[one], phi[one], delta[one], target[one], tol)(np.arange(1))(x[one])
+        got = _f_gaps(theta[one], phi[one], delta[one], target[one], tol,
+                      _theta_factors(theta[one]))(np.arange(1))(x[one])
         assert got[0] == scalar[k]
 
 

@@ -286,15 +286,6 @@ def test_digit_group_underscores_are_rejected_naming_the_spec(bad, kind):
     assert "_" in str(err.value)
 
 
-def test_euler_target_theta_domain():
-    from su2pulse import euler_target
-    with pytest.raises(DomainError):
-        euler_target(0.0, 3.5, 0.0)
-    e = euler_target(5.0 * math.pi, 1.0, 2.5 * math.pi)
-    assert -2 * math.pi <= e.psi < 2 * math.pi
-    assert -math.pi <= e.phi < math.pi
-
-
 # ---------------------------------------------------------------------------
 # tuple kernels: the sweeps' object-free path against the gate objects
 # ---------------------------------------------------------------------------

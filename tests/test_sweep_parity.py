@@ -176,15 +176,21 @@ def test_tdiff_is_one_array_solve(monkeypatch):
     # per report one bisection array solve (U and -U) and one Newton array
     # solve (the strict domain ends); the one scalar solve is the Newton
     # solve of the symmetric pair's duration at delta = 0, and none bisects:
-    # every scalar solve is a pass of the f_delta loop, its last argument
-    # the newton flag
+    # every scalar solve is a pass of the f_delta loop, _solve_f, with its
+    # newton flag
     calls, newton, scalar = [], [], []
     bisect_many, newton_many = resonant._bisect_many, resonant._newton_many
-    loop = resonant._newton
+    loop = resonant._solve_f
     monkeypatch.setattr(resonant, "_bisect_many", lambda *a: calls.append(1) or bisect_many(*a))
     monkeypatch.setattr(resonant, "_newton_many", lambda *a: newton.append(1) or newton_many(*a))
-    monkeypatch.setattr(resonant, "_newton",
-                        lambda *a: scalar.append("newton" if a[3] else "bisect") or loop(*a))
+
+    def counted(arc, f, tol=resonant._PSI_SOLVE_TOL, newton=False):
+        scalar.append("newton" if newton else "bisect")
+        return loop(arc, f, tol, newton)
+
+    # detuned imports the loop by name: both bindings are counted
+    for mod in (resonant, detuned):
+        monkeypatch.setattr(mod, "_solve_f", counted)
     # and the delta = 0 points too: no resonant solve on the side
     general = detuned.synthesize_general
     monkeypatch.setattr(detuned, "synthesize_general", None)
@@ -199,6 +205,57 @@ def test_tdiff_is_one_array_solve(monkeypatch):
             zeros += 1
     assert len(calls) == len(newton) == len(TDIFF_CASES)
     assert zeros
+
+
+# the grid solves' map work at the CLI grid sizes, as measured when it was
+# pinned: (elements the steering step evaluates, elements the exact array
+# map takes, scalar label_for_phi0 calls through both bindings)
+GRID_WORK = {"angle": (53532, 1436, 0), "tdiff": (17418, 970, 8), "family": (0, 2109, 0)}
+
+
+def test_grid_solves_take_no_more_map_work_than_pinned(monkeypatch):
+    # the tracer counts neither the array map nor the steering step, so a
+    # change that adds grid solve steps shows nowhere else: each count may
+    # fall, none may rise. The yz angle sweep over 721 angles, the paper
+    # target's T_diff report over 241 detunings and its 1024-label family
+    work = {}
+    f_gaps, labels = resonant._f_gaps, resonant._labels_for_phi0
+
+    def counted_gaps(*args):
+        g = f_gaps(*args)
+
+        def bound(i):
+            ev = g(i)
+
+            def counted_ev(x):
+                work["steer"] += x.size
+                return ev(x)
+            return counted_ev
+        return bound
+
+    def counted_labels(phi0, *args):
+        work["exact"] += phi0.size
+        return labels(phi0, *args)
+
+    monkeypatch.setattr(resonant, "_f_gaps", counted_gaps)
+    monkeypatch.setattr(resonant, "_labels_for_phi0", counted_labels)
+    for mod in (resonant, detuned):
+        def counted(*args, _fn=mod.label_for_phi0):
+            work["scalar"] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, "label_for_phi0", counted)
+    runs = {
+        "angle": lambda: sweep_rotation_angle(AXES[3], np.linspace(0.0, 4.0 * math.pi, 721)),
+        "tdiff": lambda: tdiff_analysis(gate_from_euler(0.0, 2.2689, 0.0),
+                                        np.linspace(-3.0, 3.0, 241)),
+        "family": lambda: build_psi_family(2.2689, 0.0, 1024),
+    }
+    for name, run in runs.items():
+        work.update(steer=0, exact=0, scalar=0)
+        run()
+        got = (work["steer"], work["exact"], work["scalar"])
+        assert all(g <= pinned for g, pinned in zip(got, GRID_WORK[name])), (name, got)
+        assert sum(got) > 0, name
 
 
 def test_theta_factors_are_formed_once_per_arc(monkeypatch):
