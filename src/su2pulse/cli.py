@@ -231,9 +231,10 @@ def _pulse_paths(out: str) -> tuple[Path, Path, Path]:
 def cmd_synthesize(cfg: RunConfig) -> int:
     result = resonant.synthesize(_target(cfg), delta=cfg.delta)
     law = result.law
-    schedule = dynamics.schedule_from_law(law, cfg.samples)
+    rows = dynamics._pulse_rows(law, cfg.samples)
     csv_path, json_path, traj_path = _pulse_paths(cfg.out)
-    dynamics.write_pulse_csv(schedule, csv_path)
+    # pulse.csv and trajectory.csv from one formatting pass, then the header
+    dynamics._write_pulse_files(rows, csv_path, traj_path)
     header = {
         "version": HEADER_VERSION,
         "target": asdict(result.target),
@@ -247,7 +248,6 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    dynamics.write_trajectory_csv(law, traj_path, cfg.samples)
     print(f"phi0 = {law.phi0:.12g}")
     print(f"p2 = {law.p2:.12g}")
     print(f"tf = {law.tf:.12g}")
@@ -345,7 +345,15 @@ def cmd_sweep_angle(cfg: RunConfig) -> int:
 
 def cmd_sweep_detuning(cfg: RunConfig) -> int:
     gate = _target(cfg).gate
-    grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps)
+    # a span past the float range gives inf and nan points, which fail the
+    # test below as equal points do
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps)
+        increasing = np.all(np.diff(grid) > 0.0)
+    if not increasing:
+        raise DomainError(
+            f"--delta-min = {cfg.delta_min!r}, --delta-max = {cfg.delta_max!r}, --delta-steps = "
+            f"{cfg.delta_steps}: the grid's detunings must be finite and strictly increasing")
     report = detuned.tdiff_analysis(gate, grid)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

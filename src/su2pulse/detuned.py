@@ -338,7 +338,11 @@ def tdiff_analysis(target: EulerTarget | UnitGate, delta_grid) -> TdiffReport:
     if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
             or np.any(np.diff(grid) <= 0.0)):
         raise DomainError("delta grid must be non-empty, finite, sorted and 1-d")
-    _check_detunings(*grid.tolist())
+    # _check_detunings' rule over the whole grid at once
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(2.0 * math.pi * grid))
+    if bad.size:
+        _check_detunings(float(grid[bad[0]]))
     e_neg = EulerTarget(negated_psi(e.psi), e.theta, e.phi)
     psi_plus, psi_minus = -e.phi + math.pi, -e.phi - math.pi
     # at every delta, 0 included, the domain's strict end (one Newton array

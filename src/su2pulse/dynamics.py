@@ -75,18 +75,24 @@ class PulseSchedule:
         if s.ndim != 2 or s.shape[1] != 3:
             raise DomainError("samples must be an (n, 3) array of (t, vx, vy)")
         object.__setattr__(self, "samples", s)
-        if not np.all(np.isfinite(s)):
-            raise DomainError("samples must be finite")
-        if s.shape[0]:
-            if s[0, 0] != 0.0 or np.any(np.diff(s[:, 0]) <= 0.0):
-                raise DomainError("sample times must start at 0 and increase strictly")
-            amp2 = s[:, 1] ** 2 + s[:, 2] ** 2
-            if np.any(amp2 > 1.0 + 1e-12):
-                raise DomainError("control amplitude exceeds the unit bound")
+        _check_samples(s[:, 0], s[:, 1], s[:, 2])
 
     @property
     def tf(self) -> float:
         return float(self.samples[-1, 0]) if self.samples.shape[0] else 0.0
+
+
+def _check_samples(t, vx, vy) -> None:
+    """DomainError unless the sample columns are finite, the times start at
+    0 and increase strictly, and the controls stay within the unit bound:
+    the checks of every schedule's samples and of every written pulse."""
+    if not (np.isfinite(t).all() and np.isfinite(vx).all() and np.isfinite(vy).all()):
+        raise DomainError("samples must be finite")
+    if t.size:
+        if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
+            raise DomainError("sample times must start at 0 and increase strictly")
+        if np.any(vx ** 2 + vy ** 2 > 1.0 + 1e-12):
+            raise DomainError("control amplitude exceeds the unit bound")
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +329,8 @@ def propagate_schrodinger(schedule: PulseSchedule, dt: float | None = None) -> U
 # pulse schedules and file formats
 # ---------------------------------------------------------------------------
 
-def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES) -> PulseSchedule:
-    """Sample the law's controls on a uniform grid; empty for tf = 0.
+def _sample_times(law: ExtremalLaw, n_samples: int) -> np.ndarray:
+    """n_samples uniform times over [0, tf]; none for tf = 0.
 
     Raises DomainError when the drive phase advances by pi or more per
     sample: the unwrapped phase that replays the pulse could not tell the
@@ -333,11 +339,10 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES) -> Pul
     the integers a float resolves.
     """
     if law.tf == 0.0:
-        return PulseSchedule(np.zeros((0, 3)), delta=law.delta)
+        return np.zeros(0)
     if n_samples < 2:
         raise DomainError("need at least 2 samples")
-    mu0, slope = _drive_phase(law)
-    turn = abs(slope) * law.tf / math.pi
+    turn = abs(_drive_phase(law)[1]) * law.tf / math.pi
     if not turn / (n_samples - 1) < 1.0:
         need = int(turn) + 2 if turn < 2.0 ** 53 else 2 ** 53
         if need >= 2 ** 53 or not turn / (need - 1) < 1.0:
@@ -349,9 +354,28 @@ def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES) -> Pul
             f"the drive phase advances {math.pi * turn / (n_samples - 1):.3g} rad per "
             f"sample (pi or more) and would alias; use --samples {need} or more"
         )
-    t = np.linspace(0.0, law.tf, n_samples)
+    return np.linspace(0.0, law.tf, n_samples)
+
+
+def schedule_from_law(law: ExtremalLaw, n_samples: int = DEFAULT_SAMPLES) -> PulseSchedule:
+    """Sample the law's controls on a uniform grid (_sample_times, which
+    raises on a grid that would alias); empty for tf = 0. The controls are
+    math's cos and sin of the drive phase, the bits of _trajectory_rows'
+    vx and vy."""
+    t = _sample_times(law, n_samples)
+    mu0, slope = _drive_phase(law)
     mu = mu0 + slope * t
-    return PulseSchedule(np.column_stack([t, np.cos(mu), np.sin(mu)]), delta=law.delta)
+    return PulseSchedule(np.column_stack([t, _mapped(math.cos, mu), _mapped(math.sin, mu)]),
+                         delta=law.delta)
+
+
+def _pulse_rows(law: ExtremalLaw, n_samples: int) -> np.ndarray:
+    """The closed-form trajectory rows at the pulse's sample times, their
+    (t, vx, vy) checked as a schedule's samples are: the rows of both
+    files _write_pulse_files writes."""
+    rows = _trajectory_rows(law, _sample_times(law, n_samples))
+    _check_samples(rows[:, 0], rows[:, 7], rows[:, 8])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +452,11 @@ def _scaled(a, k):
     return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
 
 
-def _csv_fields(x, sep, tails=None) -> str:
-    """Python's '%.17g' text of each value of the 1-d array x, followed by
-    its separator byte from sep; with tails, tails[i] and a newline follow
-    the separator of row i's last field, a row being len(x) // len(tails)
-    fields."""
+def _csv_cells(x) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, codes) of the values of the 1-d array x: each value's
+    40-byte cell of Python's '%.17g' text padded with zero bytes, as five
+    words, its last byte the separator slot, and its template code; the
+    cell of a field Python formats holds the separator slot alone."""
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)
     zero = a == 0.0
@@ -465,9 +489,17 @@ def _csv_fields(x, sep, tails=None) -> str:
                      np.maximum(_GROUP_SIG[2].take(words[:, 3]), _GROUP_SIG[3].take(words[:, 4])))
     code = ((e10 + 4) * 18 + sig + 1) * 2 + np.signbit(x)
     code[~(fixed | zero)] = _PYTHON_FORMATTED
-    text = _TEMPLATE.take(code, axis=0)
-    text &= _DIGIT_WORDS.take(words)
-    text = text.view(np.uint8)
+    cells = _TEMPLATE.take(code, axis=0)
+    cells &= _DIGIT_WORDS.take(words)
+    return cells, code
+
+
+def _csv_text(cells, code, x, sep, tails=None) -> str:
+    """The text of _csv_cells' (cells, code) of the values x, each field
+    followed by its separator byte from sep, which is written into the
+    cells; with tails, tails[i] and a newline follow the separator of row
+    i's last field, a row being len(x) // len(tails) fields."""
+    text = cells.view(np.uint8)
     text[:, -1] = sep
     out = text.tobytes().translate(None, b"\0").decode("ascii")
     python = np.flatnonzero(code == _PYTHON_FORMATTED)
@@ -488,6 +520,15 @@ def _csv_fields(x, sep, tails=None) -> str:
     return "".join(pieces)
 
 
+def _separators(n_rows: int, n_cols: int, tails: bool = False) -> np.ndarray:
+    """The separator bytes of n_rows rows of n_cols fields, flat: commas,
+    and a newline after each row's last field unless a tail follows it."""
+    sep = np.full((n_rows, n_cols), ord(","), np.uint8)
+    if not tails:
+        sep[:, -1] = ord("\n")
+    return sep.ravel()
+
+
 def write_csv(path, header: str, table, tails=None) -> None:
     """Write the header line, then each row of the float table as the
     '%.17g' text of its values joined by commas; with tails, ',' and
@@ -496,26 +537,29 @@ def write_csv(path, header: str, table, tails=None) -> None:
     table = np.asarray(table, dtype=float)
     n_rows, n_cols = table.shape
     step = max(1, _CSV_BLOCK // n_cols)
-    sep = np.full((step, n_cols), ord(","), np.uint8)
-    if tails is None:
-        sep[:, -1] = ord("\n")
-    sep = sep.ravel()
+    sep = _separators(step, n_cols, tails is not None)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i in range(0, n_rows, step):
             x = table[i:i + step].ravel()
-            fh.write(_csv_fields(x, sep[:x.size], None if tails is None else tails[i:i + step]))
+            fh.write(_csv_text(*_csv_cells(x), x, sep[:x.size],
+                               None if tails is None else tails[i:i + step]))
+
+
+_PULSE_HEADER = "t,vx,vy"
+_TRAJECTORY_HEADER = "t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta"
+_PULSE_COLUMNS = [0, 7, 8]      # t, vx and vy among the trajectory's columns
 
 
 def write_pulse_csv(schedule: PulseSchedule, path) -> None:
-    write_csv(path, "t,vx,vy", schedule.samples)
+    write_csv(path, _PULSE_HEADER, schedule.samples)
 
 
 def _parse_pulse_lines(lines) -> list[list[float]]:
     """Rows of a pulse CSV split into lines, checked line by line; the one
     source of the reader's error messages."""
     header = lines[0].strip()
-    if header != "t,vx,vy":
+    if header != _PULSE_HEADER:
         raise DomainError(f"bad pulse CSV header {header!r}")
     rows = []
     for ln, line in enumerate(lines[1:], start=2):
@@ -532,24 +576,45 @@ def _parse_pulse_lines(lines) -> list[list[float]]:
     return rows
 
 
+# the separator bytes of each line of a pulse body: two commas, a newline
+_PULSE_LINE_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
+
+
+def _pulse_fields(text: str) -> list[str] | None:
+    """The fields of a pulse CSV text that is ASCII, starts with the line
+    t,vx,vy and holds exactly two commas on every later line, a blank line
+    being none, checked in one pass over its bytes; None for any other
+    text."""
+    head = _PULSE_HEADER + "\n"
+    if not (text.isascii() and text.startswith(head)):
+        return None
+    body = text[len(head):] if text.endswith("\n") else text[len(head):] + "\n"
+    b = np.frombuffer(body.encode("ascii"), np.uint8)
+    seps = b[(b == ord(",")) | (b == ord("\n"))]
+    if seps.size % 3 or not (seps.reshape(-1, 3) == _PULSE_LINE_SEPARATORS).all():
+        return None
+    return body.replace("\n", ",").split(",")[:-1]
+
+
 def read_pulse_csv(path, delta: float = 0.0) -> PulseSchedule:
-    """Read a pulse CSV (header t,vx,vy). A body of three values on every
-    non-blank line is parsed in one numpy conversion; any other file goes
-    through the line parser, which names the faulty line."""
+    """Read a pulse CSV (header t,vx,vy). A file of the shape synthesize
+    writes (_pulse_fields) is converted in one numpy call; any other file,
+    or one holding a field that is no number, goes through the line
+    parser, which names the faulty line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            text = fh.read()
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read pulse CSV {path}: {exc}") from exc
-    body = [line for line in lines[1:] if line.strip()]
+    fields = _pulse_fields(text)
     samples = None
-    if lines[0].strip() == "t,vx,vy" and all(line.count(",") == 2 for line in body):
+    if fields is not None:
         try:
-            samples = np.array(",".join(body).split(","), dtype=float)
+            samples = np.array(fields, dtype=float)
         except ValueError:
             pass
     if samples is None:
-        samples = np.array(_parse_pulse_lines(lines))
+        samples = np.array(_parse_pulse_lines(text.split("\n")))
     return PulseSchedule(samples.reshape(-1, 3), delta=delta)
 
 
@@ -561,4 +626,29 @@ def write_trajectory_csv(law: ExtremalLaw, path, n_samples: int = DEFAULT_SAMPLE
     """
     rows = np.zeros((0, 10)) if law.tf == 0.0 else _trajectory_rows(
         law, np.linspace(0.0, law.tf, max(2, n_samples)))
-    write_csv(path, "t,theta,phi,psi,theta1,theta2,theta3,vx,vy,eta", rows)
+    write_csv(path, _TRAJECTORY_HEADER, rows)
+
+
+def _write_pulse_files(rows, pulse_path, trajectory_path) -> None:
+    """Write the pulse CSV of the _pulse_rows' t, vx and vy and the
+    trajectory CSV of all their columns from one formatting pass: each
+    block of rows is formatted once, and the pulse's fields are the
+    trajectory's cells of those columns. The bytes are write_pulse_csv's
+    of schedule_from_law and write_trajectory_csv's."""
+    step = _CSV_BLOCK // 10
+    pulse_sep, trajectory_sep = _separators(step, 3), _separators(step, 10)
+    # the pulse's fields among a block's, row by row
+    pick = (10 * np.arange(step)[:, None] + _PULSE_COLUMNS).ravel()
+    with (open(pulse_path, "w", encoding="utf-8") as pulse,
+          open(trajectory_path, "w", encoding="utf-8") as trajectory):
+        pulse.write(_PULSE_HEADER + "\n")
+        trajectory.write(_TRAJECTORY_HEADER + "\n")
+        for i in range(0, len(rows), step):
+            x = rows[i:i + step].ravel()
+            cells, code = _csv_cells(x)
+            # gathered before _csv_text writes the trajectory's separators
+            # into the shared cells
+            p = pick[:3 * (x.size // 10)]
+            pulse.write(_csv_text(cells.take(p, axis=0), code.take(p), x.take(p),
+                                  pulse_sep[:p.size]))
+            trajectory.write(_csv_text(cells, code, x, trajectory_sep[:x.size]))

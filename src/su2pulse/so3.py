@@ -79,8 +79,10 @@ def sweep_rotation_angle(axis, alphas) -> list[tuple[float, float, float, str]]:
     if z.any():
         psi_neg[z] = _euler_quat_stack(-q[:, z])[0]
     # U and -U of each angle side by side, on one arc per angle
-    tf = _resonant_durations(np.column_stack([psi, psi_neg]), theta, phi).tolist()
-    return [(a, tp, tm, _faster(tp, tm)[0]) for a, (tp, tm) in zip(angles.tolist(), tf)]
+    tp, tm = _resonant_durations(np.column_stack([psi, psi_neg]), theta, phi).T
+    # _faster's rule over the whole grid
+    chosen = np.where((np.abs(tp - tm) < TIE_TOL) | (tp < tm), "U", "-U")
+    return list(zip(angles.tolist(), tp.tolist(), tm.tolist(), chosen.tolist()))
 
 
 def write_sweep_csv(rows, path) -> None:

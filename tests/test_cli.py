@@ -630,7 +630,7 @@ _ALLOCATION = MemoryError("Unable to allocate 7.28 TiB for an array with shape "
 
 
 @pytest.mark.parametrize("command, module, name, exc, line", [
-    ("synthesize", dynamics, "schedule_from_law", _ALLOCATION, "error: Unable to allocate"),
+    ("synthesize", dynamics, "_pulse_rows", _ALLOCATION, "error: Unable to allocate"),
     ("sweep-angle", so3, "sweep_rotation_angle", _ALLOCATION, "error: Unable to allocate"),
     ("sweep-detuning", detuned, "tdiff_analysis", _ALLOCATION, "error: Unable to allocate"),
     ("sweep-angle", so3, "sweep_rotation_angle", MemoryError(), "error: out of memory\n"),
@@ -725,6 +725,28 @@ def test_sweep_detuning_past_the_crossing_cap_is_a_usage_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "Traceback" not in err and "predicted zero crossings" in err
     assert not (tmp_path / "tdiff.csv").exists()
+
+
+@pytest.mark.parametrize("bounds, steps", [
+    pytest.param(("1", "1"), "241", id="equal-bounds"),
+    pytest.param(("2", "-2"), "241", id="reversed-bounds"),
+    pytest.param(("1", "1.000000000000001"), "100", id="points-closer-than-an-ulp"),
+    pytest.param(("-1.7e308", "1.7e308"), "5", id="span-past-the-float-range"),
+])
+def test_sweep_detuning_grid_that_does_not_increase_names_its_flags(tmp_path, capsys, bounds,
+                                                                    steps):
+    # each exited 2 with tdiff_analysis's "delta grid must be non-empty,
+    # finite, sorted and 1-d", which names no flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("sweep-detuning", "--target", "euler:0.4,2.2689,0.3",
+                       "--delta-min", bounds[0], "--delta-max", bounds[1],
+                       "--delta-steps", steps, "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert all(flag in err for flag in ("--delta-min", "--delta-max", "--delta-steps"))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [

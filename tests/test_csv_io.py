@@ -1,7 +1,8 @@
-"""The CSV files are written as whole formatted blocks and the pulse file is
-read in one numpy conversion; both must reproduce the former per-row code
-(the oracles in conftest) byte for byte and error for error, and every
-field must be Python's '%.17g' text of its value."""
+"""The CSV files are written as whole formatted blocks, synthesize's two
+pulse files from one formatting pass, and the pulse file is read in one
+numpy conversion; all must reproduce the former per-row code (the oracles
+in conftest) byte for byte and error for error, and every field must be
+Python's '%.17g' text of its value."""
 import math
 import re
 from fractions import Fraction
@@ -32,8 +33,11 @@ from su2pulse import (
     write_pulse_csv,
     write_trajectory_csv,
 )
+from su2pulse import dynamics
+from su2pulse.cli import main
 from su2pulse.detuned import write_tdiff_csv
-from su2pulse.dynamics import _CSV_BLOCK, _trajectory_rows, write_csv
+from su2pulse.dynamics import (_CSV_BLOCK, _pulse_rows, _trajectory_rows, _write_pulse_files,
+                               write_csv)
 from su2pulse.so3 import write_sweep_csv
 
 
@@ -65,6 +69,10 @@ def _revolution_laws():
 SEEDED = _seeded_laws()
 REVOLUTIONS = _revolution_laws()
 ZERO = ExtremalLaw(0.3, 0.5, 0.2, 0.0)
+# laws whose pulse columns hold fields Python formats: vx = cos(-pi/2) and
+# vy = sin(pi) at t = 0, and the times of a short pulse
+FORMATTED = [synthesize(parse_target("zrot:1.0")).law, ExtremalLaw(1.5 * math.pi, 0.4, 0.0, 2.0),
+             ExtremalLaw(0.3, 0.5, 0.2, 1e-3)]
 
 
 def test_revolution_laws_end_on_whole_turns():
@@ -123,6 +131,77 @@ def test_pulse_csv_matches_per_row_oracle(tmp_path):
         assert np.array_equal(read_pulse_csv(got).samples, sched.samples)
 
 
+def test_formatted_laws_hold_python_formatted_pulse_fields():
+    for law, column in zip(FORMATTED, (1, 2, 0)):
+        samples = schedule_from_law(law, 2048).samples
+        values = samples[:, column]
+        assert ((values != 0.0) & (np.abs(values) < 1e-4)).any(), law
+
+
+def test_schedule_columns_are_the_trajectory_rows():
+    # bit for bit, so that one formatting pass can write both files
+    for law in SEEDED + REVOLUTIONS + FORMATTED + [ZERO]:
+        for n in (409, 410, 2048):
+            samples = schedule_from_law(law, n).samples
+            rows = _trajectory_rows(law, np.linspace(0.0, law.tf, n) if law.tf else [])
+            assert samples.tobytes() == rows[:, [0, 7, 8]].tobytes(), (law, n)
+
+
+@pytest.mark.parametrize("n_samples", [2, 3, 409, 410, 818, 819, 2048])
+def test_pulse_files_are_the_library_writers_bytes(tmp_path, n_samples):
+    # blocks of 409 rows: 410, 818 and 819 samples end one row into a
+    # block, on a block's end, and one row past it
+    laws = SEEDED + REVOLUTIONS + FORMATTED + [ZERO]
+    if n_samples > 410:
+        laws = SEEDED[::4] + REVOLUTIONS + FORMATTED + [ZERO]
+    pulse, trajectory = tmp_path / "pulse.csv", tmp_path / "trajectory.csv"
+    want_pulse, want_trajectory = tmp_path / "want_pulse.csv", tmp_path / "want_trajectory.csv"
+    written = 0
+    for law in laws:
+        try:
+            schedule = schedule_from_law(law, n_samples)
+        except DomainError as exc:
+            # an aliasing grid: refused alike, before any file is opened
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                _pulse_rows(law, n_samples)
+            continue
+        _write_pulse_files(_pulse_rows(law, n_samples), pulse, trajectory)
+        write_pulse_csv(schedule, want_pulse)
+        write_trajectory_csv(law, want_trajectory, n_samples)
+        assert pulse.read_bytes() == want_pulse.read_bytes(), law
+        assert trajectory.read_bytes() == want_trajectory.read_bytes(), law
+        written += 1
+    assert written >= len(laws) // 2
+
+
+@pytest.mark.parametrize("n_samples", [409, 410, 2048])
+def test_synthesize_writes_the_library_writers_bytes(tmp_path, capsys, n_samples):
+    for spec, delta in (("zrot:1.0", 0.0), ("zrot:0", 0.0), ("euler:0.4,1.1,0.2", 0.6),
+                        ("zrot:-5", 0.7), ("xyrot:0,3.141592653589793", 0.0)):
+        assert main(["synthesize", "--target", spec, f"--delta={delta!r}",
+                     "--samples", str(n_samples), "--out", str(tmp_path)]) == 0
+        law = synthesize(parse_target(spec), delta=delta).law
+        write_pulse_csv(schedule_from_law(law, n_samples), tmp_path / "want_pulse.csv")
+        write_trajectory_csv(law, tmp_path / "want_trajectory.csv", n_samples)
+        for name in ("pulse.csv", "trajectory.csv"):
+            assert ((tmp_path / name).read_bytes()
+                    == (tmp_path / f"want_{name}").read_bytes()), (spec, delta, name)
+    capsys.readouterr()
+
+
+def test_written_pulses_take_the_byte_pass(tmp_path, monkeypatch):
+    # the line parser never sees a file synthesize wrote
+    def parse(lines):
+        raise AssertionError("a written pulse reached the line parser")
+
+    monkeypatch.setattr(dynamics, "_parse_pulse_lines", parse)
+    pulse, trajectory = tmp_path / "pulse.csv", tmp_path / "trajectory.csv"
+    for law in SEEDED[::4] + REVOLUTIONS + FORMATTED + [ZERO]:
+        _write_pulse_files(_pulse_rows(law, 2048), pulse, trajectory)
+        got = read_pulse_csv(pulse).samples
+        assert got.tobytes() == schedule_from_law(law, 2048).samples.tobytes(), law
+
+
 READER_CASES = {
     "plain": b"t,vx,vy\n0,1,0\n0.5,0.6,0.8\n1,0,1\n",
     "no final newline": b"t,vx,vy\n0,1,0\n1,0,1",
@@ -146,6 +225,13 @@ READER_CASES = {
     "trailing comma": b"t,vx,vy\n0,1,0,\n",
     # a form feed is whitespace to str.strip but no line break to the file
     "form feed inside a line": b"t,vx,vy\n0,1,0\x0c0.5,1,0\n",
+    "canonical body, no final newline":
+        b"t,vx,vy\n0,6.123233995736766e-17,-1\n0.5,-0,1\n1,0.60000000000000009,-0.8",
+    "arabic-indic digit": "t,vx,vy\n0,1,0\n0.5,\u0661,0\n".encode(),
+    "line of one space": b"t,vx,vy\n0,1,0\n \n0.5,1,0\n",
+    "line of two commas": b"t,vx,vy\n0,1,0\n,,\n",
+    "four fields": b"t,vx,vy\n0,1,0\n0.5,1,0,0\n",
+    "canonical crlf": b"t,vx,vy\r\n0,-0,1\r\n0.5,1,-0\r\n",
 }
 
 

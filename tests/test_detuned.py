@@ -563,6 +563,18 @@ def test_non_finite_detuning_rejected(delta):
         tdiff_analysis(g, [-1.0, 0.5, delta] if delta > 0 else [delta, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("grid, named", [
+    ([-1.5e308, -1e308, 0.5, 1e308], "-1.5e+308"),
+    ([-1.0, 0.5, 1e308], "1e+308"),
+    ([-2.8e307, 2.8e307, 2.9e307], "2.9e+307"),
+])
+def test_tdiff_names_the_first_detuning_whose_phase_overflows(grid, named):
+    # one array test under np.errstate, as the former per-delta loop named it
+    with pytest.raises(DomainError) as exc:
+        tdiff_analysis(gate_from_euler(0.4, 1.0, 0.2), grid)
+    assert str(exc.value) == f"detuning delta = {named}: 2 pi |delta| must be finite"
+
+
 # ---------------------------------------------------------------------------
 # the law is built from the f_delta root itself
 # ---------------------------------------------------------------------------

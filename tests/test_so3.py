@@ -15,7 +15,7 @@ from su2pulse import (
     xyrot_gate,
     zrot_gate,
 )
-from su2pulse.so3 import write_sweep_csv
+from su2pulse.so3 import TIE_TOL, _faster, write_sweep_csv
 
 from conftest import select_faster_oracle
 
@@ -154,6 +154,19 @@ def test_sweep_crossings_at_pi_and_3pi(axis):
     assert len(cross) == 2
     assert abs(cross[0] - math.pi) < 0.05
     assert abs(cross[1] - 3.0 * math.pi) < 0.05
+
+
+def test_sweep_rows_take_select_fasters_rule_and_types():
+    # chosen is formed over the whole grid at once, by _faster's rule
+    alphas = np.linspace(0.0, 4.0 * math.pi, 181)
+    ties = 0
+    for axis in (Y_AXIS, DIAG_AXIS, Z_AXIS):
+        for row in sweep_rotation_angle(axis, alphas):
+            alpha, tp, tm, chosen = row
+            assert tuple(map(type, row)) == (float, float, float, str)
+            assert chosen == _faster(tp, tm)[0]
+            ties += abs(tp - tm) < TIE_TOL and tp > tm
+    assert ties > 0         # a tie that _faster resolves to U against tp < tm
 
 
 def test_crossing_angles_at_sign_changes_and_ties():
