@@ -293,7 +293,7 @@ def propagate_law(law: ExtremalLaw, n_steps: int = DEFAULT_STEPS) -> UnitGate:
     return _rk4_quat(control, law.delta, law.tf, n_steps)
 
 
-def propagate_schrodinger(schedule: PulseSchedule, dt: float | None = None) -> UnitGate:
+def propagate_schrodinger(schedule: PulseSchedule) -> UnitGate:
     """RK4-propagate a sampled pulse; the cross-check of propagate_pulse.
 
     The sampled (vx, vy) pairs are interpolated in polar form (amplitude and
@@ -307,12 +307,6 @@ def propagate_schrodinger(schedule: PulseSchedule, dt: float | None = None) -> U
     tf = schedule.tf
     if tf == 0.0:
         return identity_gate
-    if dt is None:
-        n_steps = DEFAULT_STEPS
-    else:
-        if dt <= 0.0:
-            raise DomainError("dt must be positive")
-        n_steps = max(1, int(math.ceil(tf / dt)))
     times = s[:, 0]
     amp = np.hypot(s[:, 1], s[:, 2])
     phase = np.unwrap(np.arctan2(s[:, 2], s[:, 1]))
@@ -322,7 +316,7 @@ def propagate_schrodinger(schedule: PulseSchedule, dt: float | None = None) -> U
         m = float(np.interp(t, times, phase))
         return a * math.cos(m), a * math.sin(m)
 
-    return _rk4_quat(control, schedule.delta, tf, n_steps)
+    return _rk4_quat(control, schedule.delta, tf, DEFAULT_STEPS)
 
 
 # ---------------------------------------------------------------------------

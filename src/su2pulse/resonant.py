@@ -34,14 +34,15 @@ far end, against 7.4 and 7.3 from the midpoint. Every value a solve
 returns comes from the exact map, label_for_phi0 or its array form
 `_labels_for_phi0` (math's sin and acos): the map's values at the
 evaluation that closed the solve, or a call at a root it did not
-evaluate. Only the grid bisection's steering step (`_f_gaps`) takes
-numpy's sin and arccos, rechecking by label_for_phi0 each value close
-enough to a decision that their last bits could flip it.
+evaluate. Only the grid bisection's steering step (`_f_gaps`) runs the
+array map with numpy's sin and arccos, rechecking by label_for_phi0 each
+value close enough to a decision that their last bits could flip it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -273,43 +274,52 @@ def label_for_phi0(phi0: float, theta_star: float, phi_star: float, k=None
     return label, tf, p2, eta
 
 
-def _labels_for_phi0(phi0, theta_star, phi_star, k):
+def _labels_for_phi0(phi0, theta_star, phi_star, k, sin=partial(_mapped, math.sin),
+                     acos=partial(_mapped, math.acos)):
     """Array form of label_for_phi0 over the 1-d phi0, with theta* and phi*
     scalars or of phi0's shape (theta* outside the North polar band), k
     their _theta_factors: label_for_phi0's operations in its order, on
-    in-place temporaries, with math's sin and acos element by element, so
-    each value is label_for_phi0's bit for bit. The grid bisection steers by its own
-    step instead (`_f_gaps`). Like label_for_phi0 it needs |phi* - phi0| <
-    5pi/2."""
+    in-place temporaries. With math's sin and acos element by element, the
+    default, each value is label_for_phi0's bit for bit; the grid
+    bisection's steering step (`_f_gaps`) passes numpy's sin and an
+    in-place arccos (acos may overwrite its argument). Like label_for_phi0
+    it needs |phi* - phi0| < 5pi/2."""
     tan_half, cos_t, cos2_half = k
     d = phi_star - phi0
-    s = _mapped(math.sin, d)
+    s = sin(d)
     p2 = s / tan_half
     eta = np.multiply(s, 2.0)
     eta *= s
     eta *= cos2_half
     np.subtract(cos_t, eta, out=eta)
     np.maximum(eta, -1.0, out=eta)      # acos(-1) = pi, label_for_phi0's value there
-    eta = _mapped(math.acos, eta)
+    eta = acos(eta)
     # the first crossing, by label_for_phi0's comparison
     np.abs(d, out=d)
-    eta = np.where((d > _HALF_PI) & (d <= _THREE_HALF_PI), TWO_PI - eta, eta)
+    far = d > _HALF_PI
+    far &= d <= _THREE_HALF_PI
+    np.subtract(TWO_PI, eta, out=eta, where=far)
     south = theta_star >= _SOUTH
-    if np.count_nonzero(south):
+    # a Python float theta* below _SOUTH compares to False, which needs no count
+    if south is not False and np.count_nonzero(south):
         # South Pole: the label reduces to -2 phi0 + phi*
         np.copyto(eta, math.pi, where=south)
         np.copyto(p2, 0.0, where=south)
-    tf = np.multiply(p2, p2)
+    tf = np.multiply(p2, p2, out=s)
     tf += 1.0
     np.sqrt(tf, out=tf)
     tf *= 2.0
     np.divide(eta, tf, out=tf)          # exactly pi/2 at the South Pole
-    label = np.multiply(phi0, -2.0)
+    label = np.multiply(phi0, -2.0, out=d)
     label += phi_star
-    np.multiply(p2, 2.0, out=d)
-    d *= tf
-    label -= d
+    twice = np.multiply(p2, 2.0)
+    twice *= tf
+    label -= twice
     return label, tf, p2, eta
+
+
+def _arccos_in_place(x):
+    return np.arccos(x, out=x)
 
 
 def _open_bracket(a: float, b: float, ga: float, gb: float, tol: float,
@@ -513,61 +523,33 @@ def _newton_many(g, a, b, ga, gb, tol: float, slack, seed) -> np.ndarray:
 def _f_gaps(theta_star, phi_star, delta, target, tol: float, k):
     """g(i) for `_bisect_many`: label - 2 delta tf - target, at delta = 0
     the label mismatch, over broadcast 1-d arguments, on the arc's
-    theta*-factors k. Its steering step takes `_labels_for_phi0`'s
-    operations in their order, but numpy's sin and arccos for math's, which
-    differ in the last bit: its values lie within _ARRAY_ROUNDOFF (1 +
-    2|delta|) of label_for_phi0's, not on them. Each open set i binds its
-    brackets' factors, phi*, 2 delta, target, South-Pole rows and roundoff
-    band once; a scalar argument (one theta* for a family or a T_diff grid,
-    delta = 0) stays scalar, and a scalar delta = 0 drops the 2 delta tf
-    term, which is +0. A value within that band of +-tol, where numpy's last
-    bits could flip the scalar loop's decision, is recomputed by
-    label_for_phi0 on the same factors."""
+    theta*-factors k. Its steering step is `_labels_for_phi0` with numpy's
+    sin and arccos for math's, which differ in the last bit: its values
+    lie within _ARRAY_ROUNDOFF (1 + 2|delta|) of label_for_phi0's, not on
+    them. Each open set i binds its brackets' theta*, factors, phi*,
+    2 delta, target and roundoff band once; a scalar argument (one theta*
+    for a family or a T_diff grid, delta = 0) stays scalar, and a scalar
+    delta = 0 drops the 2 delta tf term, which is +0. A value within that
+    band of +-tol, where numpy's last bits could flip the scalar loop's
+    decision, is recomputed by label_for_phi0 on the same factors."""
     th, ph, d, t, *fac = (np.asarray(v, dtype=float) for v in (
         theta_star, phi_star, delta, target, *k))
     twice_d = 2.0 * d
     detuned = twice_d.ndim or twice_d != 0.0
     band = _ARRAY_ROUNDOFF * (1.0 + 2.0 * np.abs(d))
-    south = th >= _SOUTH
-    if not np.count_nonzero(south):
-        south = np.False_               # no South-Pole row to gather per open set
     full = np.broadcast_arrays(th, ph, d, t, *fac)     # views, for the scalar recompute
 
     def g(i):
-        ph_i, d2_i, t_i, band_i, tan_half, cos_t, cos2_half, south_i = (
-            v if v.ndim == 0 else v[i] for v in (ph, twice_d, t, band, *fac, south))
-        # the South-Pole rows: label -2 phi0 + phi*, p2 = 0 and eta = pi
-        poles = (np.flatnonzero(south_i) if south_i.ndim else
-                 np.arange(i.size if south_i else 0))
+        th_i, ph_i, d2_i, t_i, band_i, *k_i = (
+            v if v.ndim == 0 else v[i] for v in (th, ph, twice_d, t, band, *fac))
+        if not np.count_nonzero(th_i >= _SOUTH):
+            # safe: theta* enters the map only through k_i and its
+            # South-Pole test, which theta* = 0 skips on each call
+            th_i = 0.0
 
         def ev(x):
-            # _labels_for_phi0's operations in its order, then the gap's
-            d = np.subtract(ph_i, x)
-            s = np.sin(d)
-            p2 = s / tan_half
-            eta = np.multiply(s, 2.0)
-            eta *= s
-            eta *= cos2_half
-            np.subtract(cos_t, eta, out=eta)
-            np.maximum(eta, -1.0, out=eta)
-            np.arccos(eta, out=eta)
-            np.abs(d, out=d)
-            far = d > _HALF_PI
-            far &= d <= _THREE_HALF_PI
-            np.subtract(TWO_PI, eta, out=eta, where=far)
-            if poles.size:
-                eta[poles] = math.pi
-                p2[poles] = 0.0
-            tf = np.multiply(p2, p2, out=s)
-            tf += 1.0
-            np.sqrt(tf, out=tf)
-            tf *= 2.0
-            np.divide(eta, tf, out=tf)
-            gm = np.multiply(x, -2.0, out=d)
-            gm += ph_i
-            p2 *= 2.0
-            p2 *= tf
-            gm -= p2
+            gm, tf, _, eta = _labels_for_phi0(x, th_i, ph_i, k_i, sin=np.sin,
+                                              acos=_arccos_in_place)
             if detuned:                 # else 2 delta tf = +0 (tf >= 0): gm - 0 is gm
                 tf *= d2_i
                 gm -= tf

@@ -242,9 +242,8 @@ def test_propagate_z_law_schedule():
 def test_step_too_large():
     p2, tf = z_rotation_parameters(math.pi)
     law = ExtremalLaw(phi0=0.0, p2=p2, delta=0.0, tf=tf)
-    sched = schedule_from_law(law)
     with pytest.raises(StepTooLarge):
-        propagate_schrodinger(sched, dt=tf / 10)
+        propagate_law(law, n_steps=10)
 
 
 def test_chart_agreement_random_laws(rng):

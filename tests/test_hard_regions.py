@@ -278,8 +278,8 @@ def test_label_maps_stay_inside_the_crossing_rules_range(monkeypatch):
             _record[1] = max(_record[1], float(np.max(d, initial=0.0)))
             return _fn(phi0, theta_star, phi_star, *rest, **kw)
         monkeypatch.setattr(resonant, name, checked)
-    # and the grid bisection's steering step, which takes the map's formula
-    # and crossing rule without calling it
+    # and the grid bisection's steering step, which reaches the array map
+    # above, checked here at its own binding too
     steer = seen["_f_gaps"] = [0, 0.0]
 
     def gaps(theta_star, phi_star, *rest, _fn=resonant._f_gaps):

@@ -567,6 +567,27 @@ def test_array_gap_stays_within_half_the_roundoff_band():
     assert max(ratios) <= 0.5, ratios
 
 
+def test_array_gap_in_the_south_band_stays_within_half_the_roundoff_band():
+    # the draws above fall in the South band (theta* >= pi - 1e-8), where
+    # the map takes its South-Pole branch, about 3e-9 of the time: rows at
+    # theta* = pi and in [pi - 1e-8, pi), alone and among tilted rows, and
+    # a scalar theta* = pi, at delta = 0 and at seeded delta
+    rng = np.random.default_rng(6079)
+    n = 2000
+    south = rng.uniform(math.pi - POLAR_THETA_TOL, math.pi, n)
+    south[::4] = math.pi
+    assert np.all(south >= math.pi - POLAR_THETA_TOL)
+    mixed = south.copy()
+    mixed[1::2] = rng.uniform(POLAR_THETA_TOL, math.pi - POLAR_THETA_TOL, n // 2)
+    phi, target = rng.uniform(-math.pi, math.pi, n), rng.uniform(-15.0, 15.0, n)
+    x = phi + rng.uniform(-1.5 * math.pi, 1.5 * math.pi, n)
+    ratios = []
+    for delta in (0.0, rng.uniform(-50.0, 50.0, n)):
+        for theta in (south, mixed, math.pi):
+            ratios.append(_gap_ratio(theta, phi, delta, target, x))
+    assert max(ratios) <= 0.5, ratios
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 

@@ -233,9 +233,12 @@ def test_grid_solves_take_no_more_map_work_than_pinned(monkeypatch):
             return counted_ev
         return bound
 
-    def counted_labels(phi0, *args):
-        work["exact"] += phi0.size
-        return labels(phi0, *args)
+    def counted_labels(phi0, *args, **fns):
+        # the exact map takes math's sin and acos, its default; the
+        # steering step, counted above, calls it with numpy's
+        if not fns:
+            work["exact"] += phi0.size
+        return labels(phi0, *args, **fns)
 
     monkeypatch.setattr(resonant, "_f_gaps", counted_gaps)
     monkeypatch.setattr(resonant, "_labels_for_phi0", counted_labels)
